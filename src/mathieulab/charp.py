@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .harness import SubspaceOracle, one_property_probe
-from .imagemap import ImageProblem
+from .imagemap import ImageProblem, t_apply
 from .poly import NEG_INF, Polynomial, VariableSet
 from .rings import GF, QQ, is_prime, valuation_p
 
@@ -68,10 +68,10 @@ def monomial_ideal_member(f: Polynomial, ideal: IdealSpec) -> bool:
 
 def _shift_operator_apply(problem: ImageProblem, i: int, h: Polynomial,
                           times: int = 1) -> Polynomial:
-    """(d/dz_i - w_i) applied `times` times."""
+    """(d/dz_i - w_i) applied `times` times, i.e. (-t_i)^times."""
     for _ in range(times):
-        h = h.partial(f"z{i}") - problem.zeta(i) * h
-    return h
+        h = t_apply(problem, i, h)
+    return -h if times % 2 else h
 
 
 @dataclass

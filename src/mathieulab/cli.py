@@ -28,6 +28,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _ring_of(args):
     kind = getattr(args, "ring", "q")
     if kind == "q":
@@ -380,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ring", choices=("q", "qi", "fp"), default="q")
         p.add_argument("--p", type=int, default=None, help="prime modulus for fp")
         p.add_argument("--n", type=int, default=1, help="number of variable pairs")
-        p.add_argument("--mmax", type=int, default=12)
+        p.add_argument("--mmax", type=_positive_int, default=12)
         p.add_argument("--bound", type=int, default=None)
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         if inputs:

@@ -8,7 +8,7 @@ A bounded scan never proves anything; its verdicts are "premise_failed",
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .imagemap import ImageProblem, L_map, PowerScan, power_scan
 from .ortho import MomentFunctional, inner_product
@@ -252,6 +252,8 @@ def gvc_scan(operator: WeylElement, p_poly: Polynomial, q_poly: Polynomial,
     When `problem` is given, both sequences are cross-checked against the
     kernel-map route through f = operator-symbol * P, term by term.
     """
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
     if any(a != (0,) * len(a) for (a, _b) in operator.terms):
         raise ValueError("scan requires a constant-coefficient operator")
     premise, shifted = [], []

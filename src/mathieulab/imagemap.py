@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import sub
 
 from . import linalg
-from .poly import NEG_INF, Grading, Polynomial, VariableSet
+from .poly import NEG_INF, Grading, Polynomial, VariableSet, _sum_terms
 from .rings import RingDescriptor
-from .weyl import DiffOperatorSpec, _falling
+from .weyl import DiffOperatorSpec, _falling_product
 
 
 @dataclass(frozen=True)
@@ -72,36 +73,26 @@ def L_map(problem: ImageProblem, f: Polynomial) -> Polynomial:
     """Linear extension of zeta^a z^b -> d^a(z^b); zero when any a_i > b_i."""
     problem.check(f)
     n = problem.n
-    terms = {}
-    for exps, c in f.terms.items():
-        a, b = exps[:n], exps[n:]
-        scale = 1
-        ok = True
-        for ai, bi in zip(a, b):
-            if ai > bi:
-                ok = False
-                break
-            scale *= _falling(bi, ai)
-        if not ok:
-            continue
-        coeff = c * problem.ring.from_int(scale)
-        if not coeff:
-            continue
-        key = (0,) * n + tuple(bi - ai for ai, bi in zip(a, b))
-        if key in terms:
-            s = terms[key] + coeff
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-        else:
-            terms[key] = coeff
-    return Polynomial(problem.ring, problem.variables, terms)
+    from_int = problem.ring.from_int
+    return Polynomial(problem.ring, problem.variables, _sum_terms(
+        ((0,) * n + tuple(map(sub, exps[n:], exps[:n])), c * from_int(scale))
+        for exps, c in f.terms.items()
+        if (scale := _falling_product(exps[n:], exps[:n]))))
 
 
 def t_apply(problem: ImageProblem, i: int, h: Polynomial) -> Polynomial:
     """One application of t_i: h -> w_i h - dh/dz_i."""
-    return problem.zeta(i) * h - h.partial(f"z{i}")
+    return Polynomial(problem.ring, problem.variables, _sum_terms(_t_terms(problem, i, h)))
+
+
+def _t_terms(problem: ImageProblem, i: int, h: Polynomial):
+    """The (key, coeff) pairs of t_i h, from one pass over the terms of h."""
+    w, z = i - 1, problem.n + i - 1
+    from_int = problem.ring.from_int
+    for exps, c in h.terms.items():
+        yield exps[:w] + (exps[w] + 1,) + exps[w + 1:], c
+        if exps[z]:
+            yield exps[:z] + (exps[z] - 1,) + exps[z + 1:], c * from_int(-exps[z])
 
 
 @dataclass
@@ -193,10 +184,11 @@ class MembershipCertificate:
     def verify(self, f: Polynomial) -> bool:
         if self.status != "member":
             return self.residue is not None and not self.residue.is_zero()
-        total = self.problem.zero()
-        for i, h in enumerate(self.witness, start=1):
-            total = total + h.partial(f"z{i}") - self.problem.zeta(i) * h
-        return total == f
+        # sum_i (d/dz_i - w_i) h_i = -sum_i t_i h_i, summed in one pass
+        problem = self.problem
+        total = _sum_terms(pair for i, h in enumerate(self.witness, start=1)
+                           for pair in _t_terms(problem, i, h))
+        return Polynomial(problem.ring, problem.variables, total) == -f
 
     def as_report(self) -> dict:
         if self.status == "member":

@@ -3,12 +3,19 @@
 Terms are keyed by dense exponent tuples aligned with the declared variable
 order, so two equal polynomials always have identical representations.
 Canonical printing uses graded lexicographic order, highest first.
+
+`_sum_terms` is the one place where terms are accumulated: every map that
+sends monomials to (key, coefficient) pairs -- sums, products, derivatives,
+the kernel map, Weyl composition and action -- feeds it and lets it drop
+the keys whose coefficients cancel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add
 
 from .rings import RingDescriptor
 
@@ -69,19 +76,14 @@ class Polynomial:
     def __init__(self, ring: RingDescriptor, variables: VariableSet, terms=None):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "variables", variables)
-        clean = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
+        terms = terms or {}
+        for exps in terms:
             if len(exps) != len(variables):
                 raise ValueError("exponent tuple length mismatch")
             for name, e in zip(variables.names, exps):
                 if e < 0 and not variables.is_laurent(name):
                     raise ValueError(f"negative exponent on non-Laurent variable {name}")
-            if coeff:
-                clean[exps] = clean[exps] + coeff if exps in clean else coeff
-                if not clean[exps]:
-                    del clean[exps]
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _sum_terms(terms.items()))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -134,17 +136,8 @@ class Polynomial:
 
     def __add__(self, other):
         self._compat(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            if exps in terms:
-                s = terms[exps] + c
-                if s:
-                    terms[exps] = s
-                else:
-                    del terms[exps]
-            else:
-                terms[exps] = c
-        return Polynomial(self.ring, self.variables, terms)
+        return Polynomial(self.ring, self.variables,
+                          _sum_terms(chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self):
         return Polynomial(self.ring, self.variables,
@@ -157,20 +150,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._compat(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                if key in terms:
-                    s = terms[key] + prod
-                    if s:
-                        terms[key] = s
-                    else:
-                        del terms[key]
-                elif prod:
-                    terms[key] = prod
-        return Polynomial(self.ring, self.variables, terms)
+        return Polynomial(self.ring, self.variables, _sum_terms(
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -212,18 +194,10 @@ class Polynomial:
     def partial(self, name: str) -> "Polynomial":
         """Formal derivative; Laurent exponents follow n*t^(n-1) including n < 0."""
         i = self.variables.index(name)
-        terms = {}
-        for exps, c in self.terms.items():
-            n = exps[i]
-            if n == 0:
-                continue
-            key = exps[:i] + (n - 1,) + exps[i + 1:]
-            coeff = c * self.ring.from_int(n)
-            if coeff:
-                terms[key] = terms.get(key, self.ring.zero()) + coeff
-                if not terms[key]:
-                    del terms[key]
-        return Polynomial(self.ring, self.variables, terms)
+        from_int = self.ring.from_int
+        return Polynomial(self.ring, self.variables, _sum_terms(
+            (exps[:i] + (exps[i] - 1,) + exps[i + 1:], c * from_int(exps[i]))
+            for exps, c in self.terms.items() if exps[i]))
 
     def coefficient_of(self, exps_by_name) -> object:
         exps = [0] * len(self.variables)
@@ -251,12 +225,6 @@ class Polynomial:
             buckets.setdefault(w, {})[exps] = c
         return {w: Polynomial(self.ring, self.variables, t)
                 for w, t in sorted(buckets.items())}
-
-    def degree_in(self, name: str):
-        i = self.variables.index(name)
-        if not self.terms:
-            return NEG_INF
-        return max(e[i] for e in self.terms)
 
     def substitute(self, bindings: dict, target: "Polynomial" = None) -> "Polynomial":
         """Simultaneous substitution of polynomials for variables.
@@ -345,6 +313,25 @@ class Polynomial:
             quotient = quotient + piece
             remainder = remainder - piece * divisor
         return quotient
+
+
+def _sum_terms(pairs) -> dict:
+    """Sum (key, coeff) pairs into a term dict without zero coefficients.
+
+    A key whose sum cancels is dropped, and so is a coefficient that
+    arrives as zero (such as c * n with p | n over F_p).
+    """
+    out = {}
+    for key, c in pairs:
+        if key in out:
+            s = out[key] + c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        elif c:
+            out[key] = c
+    return out
 
 
 def _substitute_sum(p, bindings, t_ring, t_vars):

@@ -4,26 +4,34 @@ Reordering uses the closed-form rewrite
 
     d^b z^a = sum_k  C(b,k) C(a,k) k!  z^(a-k) d^(b-k)
 
-applied multi-index-wise, which keeps intermediate results small.  Binomial
-bookkeeping happens over the integers and is reduced into the coefficient
-ring at the end, so characteristic-p elements work too.
+applied multi-index-wise, which keeps intermediate results small.  `_reorder`
+is the single home of this formula: composition, the left-normal rewrite
+(with sign (-1)^|k|) and `from_left_symbol` all draw their terms from it.
+Binomial bookkeeping happens over the integers and is reduced into the
+coefficient ring at the end, so characteristic-p elements work too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from itertools import chain, product
+from math import comb, factorial, perm, prod
+from operator import add, sub
 
-from .poly import Polynomial, VariableSet
+from .poly import Polynomial, VariableSet, _sum_terms
 from .rings import RingDescriptor
 
 
-def _falling(n: int, k: int) -> int:
-    """n (n-1) ... (n-k+1)."""
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
+def _falling_product(e, d) -> int:
+    """prod_i e_i (e_i - 1) ... (e_i - d_i + 1) for e_i >= 0; zero when some d_i > e_i."""
+    return prod(map(perm, e, d))
+
+
+def _reorder(b, a):
+    """Yield (k, C(b,k) C(a,k) k!) for d^b z^a = sum_k ... z^(a-k) d^(b-k)."""
+    for k in product(*(range(m + 1) for m in map(min, b, a))):
+        yield k, prod(comb(bj, kj) * comb(aj, kj) * factorial(kj)
+                      for bj, aj, kj in zip(b, a, k))
 
 
 class WeylElement:
@@ -34,20 +42,14 @@ class WeylElement:
     def __init__(self, ring: RingDescriptor, z_names, terms=None):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "z_names", tuple(z_names))
-        clean = {}
+        terms = terms or {}
         n = len(self.z_names)
-        for (a, b), c in (terms or {}).items():
-            a, b = tuple(a), tuple(b)
+        for a, b in terms:
             if len(a) != n or len(b) != n:
                 raise ValueError("exponent tuple length mismatch")
-            if any(e < 0 for e in a + b):
+            if any(e < 0 for e in chain(a, b)):
                 raise ValueError("negative exponents in a Weyl element")
-            if c:
-                key = (a, b)
-                clean[key] = clean[key] + c if key in clean else c
-                if not clean[key]:
-                    del clean[key]
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _sum_terms(terms.items()))
 
     def __setattr__(self, name, value):
         raise AttributeError("WeylElement is immutable")
@@ -128,17 +130,8 @@ class WeylElement:
 
     def __add__(self, other):
         self._compat(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            if key in terms:
-                s = terms[key] + c
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
-            else:
-                terms[key] = c
-        return WeylElement(self.ring, self.z_names, terms)
+        return WeylElement(self.ring, self.z_names,
+                           _sum_terms(chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self):
         return WeylElement(self.ring, self.z_names,
@@ -163,58 +156,21 @@ class WeylElement:
             raise ValueError("coefficient ring mismatch")
         if f.variables.names != self.z_names:
             raise ValueError("variable mismatch between operator and argument")
-        out_terms = {}
-        for (a, b), c in self.terms.items():
-            for exps, fc in f.terms.items():
-                scale = 1
-                ok = True
-                for e, db in zip(exps, b):
-                    if e < db:
-                        ok = False
-                        break
-                    scale *= _falling(e, db)
-                if not ok:
-                    continue
-                coeff = c * fc * self.ring.from_int(scale)
-                if not coeff:
-                    continue
-                key = tuple(e - db + za for e, db, za in zip(exps, b, a))
-                if key in out_terms:
-                    s = out_terms[key] + coeff
-                    if s:
-                        out_terms[key] = s
-                    else:
-                        del out_terms[key]
-                else:
-                    out_terms[key] = coeff
-        return Polynomial(self.ring, f.variables, out_terms)
+        from_int = self.ring.from_int
+        return Polynomial(self.ring, f.variables, _sum_terms(
+            (tuple(map(add, map(sub, exps, b), a)), c * fc * from_int(scale))
+            for (a, b), c in self.terms.items() for exps, fc in f.terms.items()
+            if (scale := _falling_product(exps, b))))
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         """Normal-ordered product: self acts after `other`."""
         self._compat(other)
-        result = {}
-        n = len(self.z_names)
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                base = c1 * c2
-                for k in _box(tuple(min(x, y) for x, y in zip(b1, a2))):
-                    scale = 1
-                    for j in range(n):
-                        scale *= comb(b1[j], k[j]) * comb(a2[j], k[j]) * factorial(k[j])
-                    coeff = base * self.ring.from_int(scale)
-                    if not coeff:
-                        continue
-                    key = (tuple(a1[j] + a2[j] - k[j] for j in range(n)),
-                           tuple(b1[j] + b2[j] - k[j] for j in range(n)))
-                    if key in result:
-                        s = result[key] + coeff
-                        if s:
-                            result[key] = s
-                        else:
-                            del result[key]
-                    else:
-                        result[key] = coeff
-        return WeylElement(self.ring, self.z_names, result)
+        from_int = self.ring.from_int
+        return WeylElement(self.ring, self.z_names, _sum_terms(
+            ((tuple(map(sub, map(add, a1, a2), k)), tuple(map(sub, map(add, b1, b2), k))),
+             c1 * c2 * from_int(scale))
+            for (a1, b1), c1 in self.terms.items() for (a2, b2), c2 in other.terms.items()
+            for k, scale in _reorder(b1, a2)))
 
     def power(self, m: int) -> "WeylElement":
         if m < 0:
@@ -226,39 +182,11 @@ class WeylElement:
 
     def left_normal_terms(self) -> dict:
         """Rewrite into left-normal order: dict (b, a) -> coeff for d^b z^a."""
-        out = {}
-        n = len(self.z_names)
-        for (a, b), c in self.terms.items():
-            for k in _box(tuple(min(x, y) for x, y in zip(a, b))):
-                scale = 1
-                for j in range(n):
-                    scale *= comb(a[j], k[j]) * comb(b[j], k[j]) * factorial(k[j])
-                if sum(k) % 2:
-                    scale = -scale
-                coeff = c * self.ring.from_int(scale)
-                if not coeff:
-                    continue
-                key = (tuple(b[j] - k[j] for j in range(n)),
-                       tuple(a[j] - k[j] for j in range(n)))
-                if key in out:
-                    s = out[key] + coeff
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-                else:
-                    out[key] = coeff
-        return out
-
-
-def _box(bounds):
-    """All integer multi-indices 0 <= k <= bounds, componentwise."""
-    if not bounds:
-        yield ()
-        return
-    for head in range(bounds[0] + 1):
-        for tail in _box(bounds[1:]):
-            yield (head,) + tail
+        from_int = self.ring.from_int
+        return _sum_terms(
+            ((tuple(map(sub, b, k)), tuple(map(sub, a, k))),
+             c * from_int(-scale if sum(k) % 2 else scale))
+            for (a, b), c in self.terms.items() for k, scale in _reorder(b, a))
 
 
 # -- symbol maps ------------------------------------------------------
@@ -281,23 +209,10 @@ def from_left_symbol(p: Polynomial, z_names) -> WeylElement:
     """Inverse of `left_symbol`: zeta^a z^b becomes the operator d^a z^b."""
     n = len(z_names)
     _check_symbol_vars(p.variables, n)
-    out = WeylElement.zero(p.ring, z_names)
-    for exps, c in p.terms.items():
-        a, b = exps[:n], exps[n:]
-        # d^a z^b in right-normal order
-        piece = {}
-        for k in _box(tuple(min(x, y) for x, y in zip(a, b))):
-            scale = 1
-            for j in range(n):
-                scale *= comb(a[j], k[j]) * comb(b[j], k[j]) * factorial(k[j])
-            coeff = c * p.ring.from_int(scale)
-            if not coeff:
-                continue
-            key = (tuple(b[j] - k[j] for j in range(n)),
-                   tuple(a[j] - k[j] for j in range(n)))
-            piece[key] = piece.get(key, p.ring.zero()) + coeff
-        out = out + WeylElement(p.ring, z_names, piece)
-    return out
+    from_int = p.ring.from_int
+    return WeylElement(p.ring, z_names, _sum_terms(
+        ((tuple(map(sub, exps[n:], k)), tuple(map(sub, exps[:n], k))), c * from_int(scale))
+        for exps, c in p.terms.items() for k, scale in _reorder(exps[:n], exps[n:])))
 
 
 def right_symbol(w: WeylElement, symbol_vars: VariableSet) -> Polynomial:

@@ -155,6 +155,16 @@ def test_gvc_requires_constant_coefficients():
         gvc_scan(z_op, Polynomial.one(QQ, zv), Polynomial.one(QQ, zv), 3)
 
 
+def test_gvc_rejects_empty_scan():
+    problem = ImageProblem(1, QQ)
+    zv = VariableSet(problem.z_names)
+    lap = WeylElement(QQ, problem.z_names, {((0,), (2,)): QQ.one()})
+    one = Polynomial.one(QQ, zv)
+    for m_max in (0, -5):
+        with pytest.raises(ValueError, match="m_max must be at least 1"):
+            gvc_scan(lap, one, one, m_max, problem=problem)
+
+
 def test_gvc_one_dim_stabilization_bound(rng):
     """Observed stabilization never exceeds the first m with 2m > deg(Q P^m)."""
     problem = ImageProblem(1, QQ)

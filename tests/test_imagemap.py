@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_polynomial
+from conftest import random_coeff, random_polynomial
 from mathieulab.imagemap import (
     ImageProblem,
     L_map,
@@ -37,6 +37,14 @@ def test_lmap_monomial_rule():
     # order above degree kills the term
     g = Polynomial.monomial(QQ, P1.variables, QQ.one(), {"w1": 3, "z1": 2})
     assert L_map(P1, g).is_zero()
+    # over F_3 a falling factorial divisible by 3 kills the term: d(z^3) = 3 z^2 = 0
+    f3 = ImageProblem(1, GF(3))
+    for w_exp, z_exp in ((1, 3), (2, 4)):
+        h = Polynomial.monomial(GF(3), f3.variables, GF(3).one(),
+                                {"w1": w_exp, "z1": z_exp})
+        assert L_map(f3, h).is_zero()
+    h = Polynomial.monomial(GF(3), f3.variables, GF(3).one(), {"w1": 1, "z1": 2})
+    assert L_map(f3, h) == f3.z(1).scale(2)
 
 
 def test_lmap_is_linear(rng):
@@ -243,6 +251,33 @@ def test_ic1_pipeline_branches():
 
 
 def test_t_apply_is_the_certificate_operator(rng):
-    for _ in range(20):
-        h = random_polynomial(rng, QQ, P1.variables)
-        assert t_apply(P1, 1, h) == P1.zeta(1) * h - h.partial("z1")
+    """t_i h = w_i h - dh/dz_i, including terms that cancel or vanish mod p."""
+    for ring in (QQ, QI, GF(3)):
+        problem = ImageProblem(2, ring)
+        for _ in range(20):
+            h = random_polynomial(rng, ring, problem.variables)
+            terms = {}
+            for _ in range(3):
+                # z-exponents divisible by 3 make the derivative vanish over F_3
+                exps = (rng.randint(0, 2), rng.randint(0, 2),
+                        3 * rng.randint(0, 2), 3 * rng.randint(0, 2))
+                terms[exps] = random_coeff(rng, ring)
+            i = rng.randint(1, 2)
+            # c*y*X + c*Y with Y = X*w_i*z_i: the w_i-shift of the first term
+            # cancels the z_i-derivative of the second
+            x = [rng.randint(0, 2) for _ in range(4)]
+            y = list(x)
+            y[i - 1] += 1
+            y[i + 1] += 1
+            c = random_coeff(rng, ring)
+            terms[tuple(x)] = c * ring.from_int(y[i + 1])
+            terms[tuple(y)] = c
+            h = h + Polynomial(ring, problem.variables, terms)
+            for j in (1, 2):
+                assert t_apply(problem, j, h) == problem.zeta(j) * h - h.partial(f"z{j}")
+        z1, w1 = problem.z(1), problem.zeta(1)
+        # the w_1-shift of 2*z1 cancels the derivative of w1*z1^2
+        expected = (w1 * z1) ** 2 - problem.one().scale(2)
+        assert t_apply(problem, 1, w1 * z1 ** 2 + z1.scale(2)) == expected
+        if ring.characteristic == 3:
+            assert t_apply(problem, 1, z1 ** 3) == w1 * z1 ** 3

@@ -227,6 +227,11 @@ def test_cli_usage_errors(capsys):
     assert code == 1  # no inputs
     code, _, err = run_cli(capsys, "certify", "1 - w1*z1", "--format", "csv")
     assert code == 1  # csv reserved for tables
+    # an empty scan is a usage error, never a verdict or a traceback
+    code, out, err = run_cli(capsys, "gvc", "--n", "2", "--mmax", "-5", "d1^2", "z1", "1")
+    assert code == 1 and "usage error" in err and out == ""
+    code, out, err = run_cli(capsys, "powerscan", "--mmax", "0", "w1*z1")
+    assert code == 1 and "usage error" in err and out == ""
 
 
 def test_cli_text_format(capsys):
