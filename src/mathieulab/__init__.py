@@ -10,7 +10,7 @@ from .imagemap import (
     power_scan,
     recompose,
 )
-from .poly import Grading, Polynomial, VariableSet
+from .poly import Grading, Polynomial, VariableSet, VerificationError
 from .rings import GF, QI, QQ, RingDescriptor
 
 __version__ = "0.1.0"
@@ -25,6 +25,7 @@ __all__ = [
     "QQ",
     "RingDescriptor",
     "VariableSet",
+    "VerificationError",
     "certify_imD",
     "decompose",
     "power_scan",

@@ -14,7 +14,7 @@ from math import factorial
 
 from .harness import SubspaceOracle, one_property_probe
 from .imagemap import ImageProblem, t_apply
-from .poly import NEG_INF, Polynomial, VariableSet
+from .poly import NEG_INF, Polynomial, VariableSet, VerificationError
 from .rings import GF, QQ, is_prime, valuation_p
 
 
@@ -110,7 +110,8 @@ def sufficient_membership(b: Polynomial, prob: CharPProblem):
         mono = Polynomial(problem.ring, problem.variables, {tuple(key): -c})
         components[i] = components.get(i, problem.zero()) + mono
     witness = SufficiencyWitness(problem, prob.p, components)
-    assert witness.verify(b)
+    if not witness.verify(b):
+        raise VerificationError("sufficiency witness failed to re-verify")
     return witness
 
 
@@ -131,8 +132,8 @@ def koszul_solve(problem: ImageProblem, p_poly: Polynomial,
         g = problem.zero()
     else:
         g = p_poly.exact_divide(problem.zeta(2))
-    assert p_poly == problem.zeta(2) * g
-    assert q_poly == -(problem.zeta(1) * g)
+    if p_poly != problem.zeta(2) * g or q_poly != -(problem.zeta(1) * g):
+        raise VerificationError("Koszul solution failed to re-verify")
     return g
 
 
@@ -193,9 +194,8 @@ def crucial_lemma_descent(b: Polynomial, p_wit: Polynomial, q_wit: Polynomial,
     rhs = (-(problem.zeta(1) * (p_comp.get(d, zero) + g_mid.partial("z2")))
            - problem.zeta(2) * (q_comp.get(d, zero) - g_mid.partial("z1")))
     witness = DescentWitness(d, g_top, g_mid, b_d, lhs, rhs)
-    if not witness.verify():
-        raise AssertionError("descent identity failed to verify")
-    assert monomial_ideal_member(b_d, prob.ideal_I())
+    if not (witness.verify() and monomial_ideal_member(b_d, prob.ideal_I())):
+        raise VerificationError("descent identity failed to verify")
     return witness
 
 
@@ -332,7 +332,8 @@ def example12_refutation(p: int, degree_bound: int = None) -> Example12Report:
     basis = [Polynomial.var(ring, z_vars, "z", e) for e in range(1, degree_bound)]
     probe = one_property_probe(oracle, one, basis)
     missing = Polynomial.var(ring, z_vars, "z", p - 1)
-    assert not member(missing)
+    if member(missing):
+        raise VerificationError(f"{missing.to_str()} lies in the derivative image")
     return Example12Report(p, degree_bound, probe.contains_one,
                            missing.to_str(), probe.refuted)
 

@@ -1,8 +1,10 @@
 """Command-line front end: expression parsing, dispatch, JSON/CSV/text reports.
 
-Exit codes: 0 completed, 1 usage error (bad flags, unparsable input,
-unsatisfiable preconditions), 2 internal verification failure (a witness or
-cross-check that did not re-verify; unreachable on the shipped corpus).
+`_COMMANDS` names each subcommand and `charp` mode, its handler and the flags
+the handler reads; `_FLAGS` holds each flag's argparse spec, with its range
+check.  Exit codes: 0 completed; 1 `usage error:` (bad flags, unparsable or
+unreadable input, unsatisfiable preconditions); 2 `VerificationError`, a
+result that failed its exact re-check.  Any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import sys
 
 from . import charp, harness, imagemap, ortho
 from .parsing import ParseError, parse_polynomial
-from .poly import Polynomial, VariableSet
-from .rings import GF, QI, QQ
+from .poly import Polynomial, VariableSet, VerificationError
+from .rings import GF, QI, QQ, is_prime
 from .weyl import WeylElement
 
 
@@ -28,26 +30,39 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
+# argparse reports a type's ValueError as "invalid <its __name__> value"
+def _int_at_least(low: int):
+    """argparse type for integers that must be at least `low`."""
+    def parse(text: str) -> int:
         value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
+def _prime(text: str) -> int:
+    value = int(text)
+    if not is_prime(value):
+        raise argparse.ArgumentTypeError(f"{value} is not prime")
     return value
 
 
+def _int_list(text: str) -> list:
+    return [int(part) for part in text.split(",")]
+
+
+_prime.__name__ = _int_list.__name__ = "int"
+
+
+_RINGS = {"q": QQ, "qi": QI}
+
+
 def _ring_of(args):
-    kind = getattr(args, "ring", "q")
-    if kind == "q":
-        return QQ
-    if kind == "qi":
-        return QI
-    if getattr(args, "p", None) is None:
-        raise UsageError("--ring fp requires --p")
-    return GF(args.p)
+    if (args.ring == "fp") != (args.p is not None):
+        raise UsageError("--ring fp and --p go together")
+    return GF(args.p) if args.ring == "fp" else _RINGS[args.ring]
 
 
 def _problem(args) -> imagemap.ImageProblem:
@@ -61,26 +76,27 @@ def _parse(text, ring, variables) -> Polynomial:
         raise UsageError(str(exc)) from None
 
 
-def _read_inputs(args):
-    texts = list(getattr(args, "inputs", []) or [])
-    path = getattr(args, "file", None)
-    if path:
-        with open(path, encoding="utf-8") as handle:
-            texts.extend(line.strip() for line in handle if line.strip())
+def _read_inputs(args, names=None):
+    """The input expressions, one per entry of `names` when that is given."""
+    texts = list(args.inputs)
+    if args.file:
+        try:
+            with open(args.file, encoding="utf-8") as handle:
+                texts.extend(line.strip() for line in handle if line.strip())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read --file: {exc}") from None
     if not texts:
         raise UsageError("no input polynomials given")
+    if names is not None and len(texts) != len(names):
+        raise UsageError(f"expected {len(names)} input(s): {' '.join(names)}")
     return texts
 
 
-def _emit(report: dict, fmt: str, csv_rows=None):
+def _emit(report: dict, fmt: str, csv_rows):
     if fmt == "json":
         print(json.dumps(report, indent=2))
     elif fmt == "csv":
-        if csv_rows is None:
-            raise UsageError("csv output is reserved for moment tables and scan matrices")
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        for row in csv_rows:
-            writer.writerow(row)
+        csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
     else:
         for line in _text_lines(report, ""):
             print(line)
@@ -111,13 +127,11 @@ def _cmd_lmap(args):
 
 
 def _cmd_decompose(args):
-    problem = _problem(args)
-    if problem.ring.characteristic:
-        raise UsageError("decompose requires characteristic 0")
-    f = _parse(_read_inputs(args)[0], problem.ring, problem.variables)
+    problem = imagemap.ImageProblem(args.n, _RINGS[args.ring])
+    f = _parse(_read_inputs(args, ("f",))[0], problem.ring, problem.variables)
     d = imagemap.decompose(problem, f)
     if imagemap.recompose(d) != f:
-        raise AssertionError("decomposition did not recompose to the input")
+        raise VerificationError("decomposition did not recompose to the input")
     components = {",".join(map(str, a)): comp.to_str()
                   for a, comp in sorted(d.components.items())}
     return {"command": "decompose", "input": f.to_str(),
@@ -125,13 +139,11 @@ def _cmd_decompose(args):
 
 
 def _cmd_certify(args):
-    problem = _problem(args)
-    if problem.ring.characteristic:
-        raise UsageError("certify requires characteristic 0")
-    f = _parse(_read_inputs(args)[0], problem.ring, problem.variables)
+    problem = imagemap.ImageProblem(args.n, _RINGS[args.ring])
+    f = _parse(_read_inputs(args, ("f",))[0], problem.ring, problem.variables)
     cert = imagemap.certify_imD(problem, f)
     if not cert.verify(f):
-        raise AssertionError("certificate failed to re-verify")
+        raise VerificationError("certificate failed to re-verify")
     report = cert.as_report()
     report.update({"command": "certify", "input": f.to_str()})
     return report, None
@@ -139,7 +151,7 @@ def _cmd_certify(args):
 
 def _cmd_powerscan(args):
     problem = _problem(args)
-    f = _parse(_read_inputs(args)[0], problem.ring, problem.variables)
+    f = _parse(_read_inputs(args, ("f",))[0], problem.ring, problem.variables)
     scan = imagemap.power_scan(problem, f, args.mmax)
     report = scan.as_report()
     report.update({"command": "powerscan", "input": f.to_str()})
@@ -189,38 +201,28 @@ def _scan_context(args):
             raise UsageError(str(exc)) from None
         pool = iter(elements)
         return oracle, lambda _t: next(pool)
-    if choice.startswith("moment:"):
-        spec = ortho.WeightSpec(choice.split(":", 1)[1],
-                                args.alpha or 0, args.beta or 0)
-        texts = _read_inputs(args)
-        polys = [_parse(t, ring, ortho.X_VARS) for t in texts]
-        top = max((0 if p.is_zero() else int(p.total_degree())) for p in polys)
-        functional = ortho.moments(spec, top * (args.mmax + 1))
-        return (harness.moment_oracle(functional),
-                lambda t: _parse(t, ring, ortho.X_VARS))
-    raise UsageError(f"unknown oracle {choice!r}")
+    spec = _weight_spec(choice.split(":", 1)[1], args)
+    polys = [_parse(t, ring, ortho.X_VARS) for t in _read_inputs(args)]
+    top = max((0 if p.is_zero() else int(p.total_degree())) for p in polys)
+    functional = ortho.moments(spec, top * (args.mmax + 1))
+    p = ring.characteristic
+    if p and any(mu.denominator % p == 0 for mu in functional.values):
+        raise UsageError(f"the {spec.label()} moments have no value mod {p}")
+    return (harness.moment_oracle(functional),
+            lambda t: _parse(t, ring, ortho.X_VARS))
 
 
 def _cmd_scan(args):
-    try:
-        oracle, lift = _scan_context(args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    texts = _read_inputs(args)
-    f = lift(texts[0])
-    gs = [lift(t) for t in texts[1:]]
+    oracle, lift = _scan_context(args)
+    f, *gs = [lift(t) for t in _read_inputs(args)]
     report = harness.mathieu_scan(oracle, f, gs, args.mmax).as_report()
     report["command"] = "scan"
     return report, None
 
 
 def _cmd_gvc(args):
-    problem = _problem(args)
-    if problem.ring.characteristic:
-        raise UsageError("the cross-checked scan requires characteristic 0")
-    texts = _read_inputs(args)
-    if len(texts) != 3:
-        raise UsageError("gvc expects exactly: operator P Q")
+    problem = imagemap.ImageProblem(args.n, _RINGS[args.ring])
+    texts = _read_inputs(args, ("operator", "P", "Q"))
     d_vars = VariableSet(tuple(f"d{i}" for i in range(1, args.n + 1)))
     z_vars = VariableSet(problem.z_names)
     op_poly = _parse(texts[0], problem.ring, d_vars)
@@ -235,9 +237,7 @@ def _cmd_gvc(args):
 
 def _cmd_jacobian(args):
     problem = _problem(args)
-    texts = _read_inputs(args)
-    if len(texts) != args.n:
-        raise UsageError(f"jacobian expects {args.n} component polynomials")
+    texts = _read_inputs(args, tuple(f"h{i}" for i in range(1, args.n + 1)))
     z_vars = VariableSet(problem.z_names)
     h_polys = [_parse(t, problem.ring, z_vars) for t in texts]
     matrix = harness.jacobian_matrix(h_polys, problem.z_names)
@@ -247,42 +247,34 @@ def _cmd_jacobian(args):
             "nilpotent": matrix.is_nilpotent()}, None
 
 
-def _weight_spec(args) -> ortho.WeightSpec:
+def _weight_spec(family, args) -> ortho.WeightSpec:
     try:
-        return ortho.WeightSpec(args.family, args.alpha, args.beta)
+        return ortho.WeightSpec(family, args.alpha, args.beta)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 def _cmd_ortho(args):
-    spec = _weight_spec(args)
-    try:
-        gen_routes_ok = True
-        functional = ortho.moments(spec, 2 * args.dmax)
-        monic = ortho.gram_schmidt(functional, args.dmax)
-        rows = []
-        for d in range(args.dmax + 1):
-            rod = ortho.rodrigues(spec, d)
-            lam = ortho.lambda_power(spec, d, d).as_polynomial()
-            lam = lam.scale(ortho.rodrigues_constant(spec, d))
-            if lam != rod:
-                gen_routes_ok = False
-            lead = rod.terms.get((d,), QQ.one())
-            if rod != monic.polys[d].scale(lead):
-                gen_routes_ok = False
-            rows.append({"degree": d, "polynomial": rod.to_str(),
-                         "monic": monic.polys[d].to_str(),
-                         "leading_scalar": str(lead)})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if not gen_routes_ok:
-        raise AssertionError("generation routes disagree")
+    spec = _weight_spec(args.family, args)
+    functional = ortho.moments(spec, 2 * args.dmax)
+    monic = ortho.gram_schmidt(functional, args.dmax)
+    rows = []
+    for d in range(args.dmax + 1):
+        rod = ortho.rodrigues(spec, d)
+        lam = ortho.lambda_power(spec, d, d).as_polynomial()
+        lam = lam.scale(ortho.rodrigues_constant(spec, d))
+        lead = rod.terms.get((d,), QQ.one())
+        if lam != rod or rod != monic.polys[d].scale(lead):
+            raise VerificationError(f"generation routes disagree at degree {d}")
+        rows.append({"degree": d, "polynomial": rod.to_str(),
+                     "monic": monic.polys[d].to_str(),
+                     "leading_scalar": str(lead)})
     return {"command": "ortho", "family": spec.label(),
             "routes_agree": True, "polynomials": rows}, None
 
 
 def _cmd_moments(args):
-    spec = _weight_spec(args)
+    spec = _weight_spec(args.family, args)
     functional = ortho.moments(spec, args.nmax)
     rows = [("degree", "numerator", "denominator")]
     table = []
@@ -294,57 +286,49 @@ def _cmd_moments(args):
     return {"command": "moments", "family": spec.label(), "moments": table}, rows
 
 
-def _cmd_charp(args):
-    if args.p is None:
-        raise UsageError("charp requires --p")
-    mode = args.mode
-    if mode == "willems":
-        report = charp.willems_scan(args.p, args.kmax).as_report()
-    elif mode == "example12":
-        report = charp.example12_refutation(args.p, args.bound).as_report()
-    elif mode == "theorem51":
-        prob = charp.CharPProblem(args.p, args.n)
-        problem = prob.image
-        texts = _read_inputs(args)
-        if len(texts) != 2:
-            raise UsageError("theorem51 expects exactly: f g")
-        f = _parse(texts[0], problem.ring, problem.variables)
-        g = _parse(texts[1], problem.ring, problem.variables)
-        report = charp.theorem51_pipeline(f, g, prob).as_report()
-    elif mode == "crucial":
-        prob = charp.CharPProblem(args.p, 2)
-        problem = prob.image
-        texts = _read_inputs(args)
-        if len(texts) != 3:
-            raise UsageError("crucial expects exactly: b p_witness q_witness")
-        b, p_wit, q_wit = (_parse(t, problem.ring, problem.variables)
-                           for t in texts)
-        try:
-            witness = charp.crucial_lemma_descent(b, p_wit, q_wit, prob)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        report = {"d": witness.d,
-                  "g_top": witness.g_top.to_str(),
-                  "g_mid": witness.g_mid.to_str(),
-                  "top_component": witness.top_component.to_str(),
-                  "verified": witness.verify()}
-    else:
-        raise UsageError(f"unknown charp mode {mode!r}")
-    report["command"] = f"charp.{mode}"
+def _cmd_theorem51(args):
+    prob = charp.CharPProblem(args.p, args.n)
+    problem = prob.image
+    f, g = (_parse(t, problem.ring, problem.variables)
+            for t in _read_inputs(args, ("f", "g")))
+    report = charp.theorem51_pipeline(f, g, prob).as_report()
+    report["command"] = "charp.theorem51"
     return report, None
 
 
-def _cmd_lemma81(args):
-    u_vars = VariableSet(("u",))
-    g = _parse(_read_inputs(args)[0], QQ, u_vars)
-    primes = None
-    if args.primes:
-        try:
-            primes = [int(p) for p in args.primes.split(",")]
-        except ValueError:
-            raise UsageError("--primes takes a comma-separated integer list") from None
+def _cmd_willems(args):
+    report = charp.willems_scan(args.p, args.kmax).as_report()
+    report["command"] = "charp.willems"
+    return report, None
+
+
+def _cmd_example12(args):
+    report = charp.example12_refutation(args.p, args.bound).as_report()
+    report["command"] = "charp.example12"
+    return report, None
+
+
+def _cmd_crucial(args):
+    prob = charp.CharPProblem(args.p, 2)
+    problem = prob.image
+    b, p_wit, q_wit = (_parse(t, problem.ring, problem.variables)
+                       for t in _read_inputs(args, ("b", "p_witness", "q_witness")))
     try:
-        report = charp.lemma81_nonvanishing(g, primes).as_report()
+        witness = charp.crucial_lemma_descent(b, p_wit, q_wit, prob)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return {"d": witness.d,
+            "g_top": witness.g_top.to_str(),
+            "g_mid": witness.g_mid.to_str(),
+            "top_component": witness.top_component.to_str(),
+            "verified": witness.verify(),
+            "command": "charp.crucial"}, None
+
+
+def _cmd_lemma81(args):
+    g = _parse(_read_inputs(args, ("g",))[0], QQ, VariableSet(("u",)))
+    try:
+        report = charp.lemma81_nonvanishing(g, args.primes).as_report()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     report.update({"command": "lemma81", "input": g.to_str()})
@@ -352,98 +336,100 @@ def _cmd_lemma81(args):
 
 
 def _cmd_conj73(args):
-    ring = _ring_of(args)
-    if ring.characteristic:
-        raise UsageError("the scan pipeline requires characteristic 0")
-    problem = imagemap.ImageProblem(1, ring)
-    f = _parse(_read_inputs(args)[0], problem.ring, problem.variables)
-    try:
-        report = imagemap.ic1_pipeline(problem, f, args.mmax)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    problem = imagemap.ImageProblem(1, _RINGS[args.ring])
+    f = _parse(_read_inputs(args, ("f",))[0], problem.ring, problem.variables)
+    report = imagemap.ic1_pipeline(problem, f, args.mmax)
     report.update({"command": "conj73", "input": f.to_str()})
     return report, None
 
 
+# -- the subcommand table ----------------------------------------------
+
+_FLAGS = {
+    "inputs": ("inputs", {"nargs": "*", "help": "polynomial expressions"}),
+    "file": ("--file", {"help": "read one expression per line from a file"}),
+    "ring": ("--ring", {"choices": ("q", "qi", "fp"), "default": "q"}),
+    # decompose, certify, gvc and conj73 work in characteristic 0 only
+    "ring0": ("--ring", {"choices": ("q", "qi"), "default": "q"}),
+    "p": ("--p", {"type": _prime, "help": "prime modulus for --ring fp"}),
+    "prime": ("--p", {"type": _prime, "required": True, "help": "the characteristic"}),
+    "n": ("--n", {"type": _int_at_least(1), "default": 1, "help": "variable pairs"}),
+    "mmax": ("--mmax", {"type": _int_at_least(1), "default": 12}),
+    "kmax": ("--kmax", {"type": _int_at_least(1), "default": 3}),
+    "bound": ("--bound", {"type": _int_at_least(1), "help": "degree bound (default 4p)"}),
+    "dmax": ("--dmax", {"type": _int_at_least(0), "default": 8}),
+    "nmax": ("--nmax", {"type": _int_at_least(0), "default": 16}),
+    "alpha": ("--alpha", {"type": _int_at_least(0), "default": 0}),
+    "beta": ("--beta", {"type": _int_at_least(0), "default": 0}),
+    "family": ("--family", {"choices": ortho.FAMILIES, "required": True}),
+    "rodrigues_family": ("--family", {"choices": ("hermite", "laguerre", "jacobi",
+                                                  "legendre"), "required": True}),
+    "oracle": ("--oracle", {"required": True, "choices": ("kerl", "laurent", "trace")
+                            + tuple(f"moment:{family}" for family in ortho.FAMILIES)}),
+    "primes": ("--primes", {"type": _int_list, "help": "comma-separated candidate primes"}),
+    "format": ("--format", {"choices": ("json", "text"), "default": "json"}),
+    "table_format": ("--format", {"choices": ("json", "csv", "text"), "default": "json"}),
+}
+
+_INPUT = ("inputs", "file")
+_RING = _INPUT + ("ring", "p", "n")
+_RING0 = _INPUT + ("ring0", "n")
+
+# name -> (handler, the flags it reads), or a table of modes
 _COMMANDS = {
-    "lmap": _cmd_lmap,
-    "decompose": _cmd_decompose,
-    "certify": _cmd_certify,
-    "powerscan": _cmd_powerscan,
-    "scan": _cmd_scan,
-    "gvc": _cmd_gvc,
-    "jacobian": _cmd_jacobian,
-    "ortho": _cmd_ortho,
-    "moments": _cmd_moments,
-    "charp": _cmd_charp,
-    "lemma81": _cmd_lemma81,
-    "conj73": _cmd_conj73,
+    "lmap": (_cmd_lmap, _RING + ("format",)),
+    "decompose": (_cmd_decompose, _RING0 + ("format",)),
+    "certify": (_cmd_certify, _RING0 + ("format",)),
+    "powerscan": (_cmd_powerscan, _RING + ("mmax", "table_format")),
+    "scan": (_cmd_scan, _RING + ("oracle", "mmax", "alpha", "beta", "format")),
+    "gvc": (_cmd_gvc, _RING0 + ("mmax", "format")),
+    "jacobian": (_cmd_jacobian, _RING + ("format",)),
+    "ortho": (_cmd_ortho, ("rodrigues_family", "alpha", "beta", "dmax", "format")),
+    "moments": (_cmd_moments, ("family", "alpha", "beta", "nmax", "table_format")),
+    "charp": {
+        "theorem51": (_cmd_theorem51, _INPUT + ("prime", "n", "format")),
+        "willems": (_cmd_willems, ("prime", "kmax", "format")),
+        "example12": (_cmd_example12, ("prime", "bound", "format")),
+        "crucial": (_cmd_crucial, _INPUT + ("prime", "format")),
+    },
+    "lemma81": (_cmd_lemma81, _INPUT + ("primes", "format")),
+    "conj73": (_cmd_conj73, _INPUT + ("ring0", "mmax", "format")),
 }
 
 
+def _add_commands(parser, table, dest):
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, entry in table.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        if isinstance(entry, dict):
+            _add_commands(p, entry, "mode")
+            continue
+        handler, flags = entry
+        p.set_defaults(handler=handler)
+        for flag in flags:
+            option, spec = _FLAGS[flag]
+            p.add_argument(option, **spec)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="mathieulab",
+    parser = _Parser(prog="mathieulab", allow_abbrev=False,
                      description="Exact kernel-map, orthogonal-polynomial and "
                                  "Mathieu-subspace experiments")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, inputs=True):
-        p.add_argument("--ring", choices=("q", "qi", "fp"), default="q")
-        p.add_argument("--p", type=int, default=None, help="prime modulus for fp")
-        p.add_argument("--n", type=int, default=1, help="number of variable pairs")
-        p.add_argument("--mmax", type=_positive_int, default=12)
-        p.add_argument("--bound", type=int, default=None)
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        if inputs:
-            p.add_argument("inputs", nargs="*", help="polynomial expressions")
-            p.add_argument("--file", default=None,
-                           help="read one expression per line from a file")
-
-    for name in ("lmap", "decompose", "certify", "powerscan", "gvc",
-                 "jacobian", "conj73"):
-        common(sub.add_parser(name))
-    scan_p = sub.add_parser("scan")
-    common(scan_p)
-    scan_p.add_argument("--oracle", required=True,
-                        help="kerl | laurent | trace | moment:<family>")
-    scan_p.add_argument("--alpha", type=int, default=0)
-    scan_p.add_argument("--beta", type=int, default=0)
-    for name in ("ortho", "moments"):
-        p = sub.add_parser(name)
-        common(p, inputs=False)
-        p.add_argument("--family", required=True, choices=ortho.FAMILIES)
-        p.add_argument("--alpha", type=int, default=0)
-        p.add_argument("--beta", type=int, default=0)
-        p.add_argument("--dmax", type=int, default=8)
-        p.add_argument("--nmax", type=int, default=16)
-    charp_p = sub.add_parser("charp")
-    charp_p.add_argument("mode",
-                         choices=("theorem51", "willems", "example12", "crucial"))
-    common(charp_p)
-    charp_p.add_argument("--kmax", type=int, default=3)
-    lemma_p = sub.add_parser("lemma81")
-    common(lemma_p)
-    lemma_p.add_argument("--primes", default=None,
-                         help="comma-separated candidate primes")
+    _add_commands(parser, _COMMANDS, "command")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        report, csv_rows = _COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+        report, csv_rows = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except AssertionError as exc:
+    except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
-    try:
-        _emit(report, args.format, csv_rows)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+    _emit(report, args.format, csv_rows)
     return 0
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .imagemap import ImageProblem, L_map, PowerScan, power_scan
 from .ortho import MomentFunctional, inner_product
-from .poly import Polynomial, VariableSet
+from .poly import Polynomial, VariableSet, VerificationError
 from .rings import RingDescriptor
 from .weyl import WeylElement
 
@@ -293,10 +293,10 @@ def _gvc_crosscheck(operator, p_poly, q_poly, m_max, problem, premise, shifted):
         f_power = f_power * f
         lhs = L_map(problem, f_power)
         if lhs != premise[m - 1].embed(problem.ring, problem.variables):
-            raise AssertionError("kernel-map route disagrees with operator route")
+            raise VerificationError("kernel-map route disagrees with operator route")
         lhs_q = L_map(problem, q_emb * f_power)
         if lhs_q != shifted[m - 1].embed(problem.ring, problem.variables):
-            raise AssertionError("kernel-map route disagrees with operator route")
+            raise VerificationError("kernel-map route disagrees with operator route")
 
 
 # -- nilpotent Jacobians -----------------------------------------------

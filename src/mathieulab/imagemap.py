@@ -15,7 +15,7 @@ from math import factorial
 from operator import sub
 
 from . import linalg
-from .poly import NEG_INF, Grading, Polynomial, VariableSet, _sum_terms
+from .poly import NEG_INF, Grading, Polynomial, VariableSet, VerificationError, _sum_terms
 from .rings import RingDescriptor
 from .weyl import DiffOperatorSpec, _falling_product
 
@@ -204,10 +204,8 @@ def certify_imD(problem: ImageProblem, f: Polynomial) -> MembershipCertificate:
     zero_index = (0,) * problem.n
     f0 = d.components.get(zero_index)
     lf = L_map(problem, f)
-    if f0 is None:
-        assert lf.is_zero()
-    else:
-        assert lf == f0
+    if not (lf.is_zero() if f0 is None else lf == f0):
+        raise VerificationError("the zero component of the decomposition is not L(f)")
     if f0 is not None and not f0.is_zero():
         return MembershipCertificate(problem, "nonmember", residue=f0)
     witness = [problem.zero() for _ in range(problem.n)]
@@ -223,7 +221,8 @@ def certify_imD(problem: ImageProblem, f: Polynomial) -> MembershipCertificate:
         # t^a f_a = t_i(acc) = -(d/dz_i - w_i)(acc)
         witness[i - 1] = witness[i - 1] - acc
     cert = MembershipCertificate(problem, "member", witness=witness)
-    assert cert.verify(f)
+    if not cert.verify(f):
+        raise VerificationError("certificate failed to re-verify")
     return cert
 
 
@@ -397,7 +396,8 @@ def bounded_witness_search(operators: DiffOperatorSpec, b: Polynomial,
     total = Polynomial.zero(ring, b.variables)
     for op, p in zip(operators, witnesses):
         total = total + op.apply(p)
-    assert total == b
+    if total != b:
+        raise VerificationError("witness search solution failed to re-verify")
     return WitnessSearchResult("member", witnesses, degree_bound)
 
 

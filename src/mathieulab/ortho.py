@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import linalg
-from .poly import Polynomial, VariableSet
+from .poly import Polynomial, VariableSet, VerificationError
 from .rings import QQ, RingDescriptor
 
 X_VARS = VariableSet(("x",))
@@ -346,7 +346,8 @@ def rodrigues(spec: WeightSpec, a: int) -> Polynomial:
     else:
         raise ValueError(f"no Rodrigues formula for {fam}")
     result = r.scale(rodrigues_constant(spec, a))
-    assert result.total_degree() == a or (a == 0 and not result.is_zero())
+    if result.total_degree() != a:
+        raise VerificationError(f"Rodrigues polynomial of degree {a} has the wrong degree")
     return result
 
 
@@ -394,7 +395,7 @@ def im_prime_membership(f: Polynomial, fam: OrthFamily, m: MomentFunctional):
     one = Polynomial.one(f.ring, f.variables)
     moment_value = inner_product(f, one, m)
     if bool(f0) != bool(moment_value):
-        raise AssertionError("membership criteria disagree; inconsistent family")
+        raise VerificationError("membership criteria disagree; inconsistent family")
     return (not f0), f0
 
 

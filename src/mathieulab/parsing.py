@@ -155,8 +155,11 @@ class _Parser:
                 value = Fraction(numerator, denominator)
             else:
                 value = Fraction(numerator)
-            return Polynomial.constant(self.ring, self.variables,
-                                       self.ring.from_fraction(value))
+            try:
+                coeff = self.ring.from_fraction(value)
+            except ZeroDivisionError:
+                raise ParseError("denominator is zero in the ring", tok.position) from None
+            return Polynomial.constant(self.ring, self.variables, coeff)
         if tok.kind == "name":
             self._advance()
             if tok.text == "i":

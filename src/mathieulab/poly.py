@@ -22,6 +22,10 @@ from .rings import RingDescriptor
 NEG_INF = float("-inf")
 
 
+class VerificationError(Exception):
+    """A computed result failed its exact re-check (raised, so `python -O` keeps it)."""
+
+
 @dataclass(frozen=True)
 class VariableSet:
     """Ordered variable names; a name in `laurent` may carry negative exponents."""

@@ -1,5 +1,6 @@
-"""Differential tests against sympy: an independent route to the kernel map
-and to the Weyl action, normal ordering and symbol maps.
+"""Differential tests against sympy: an independent route to the kernel map,
+to the Weyl action, normal ordering and symbol maps, and to the classical
+orthogonal polynomials of the Rodrigues route.
 
 sympy is a test-only dependency; the suite skips this module without it.
 """
@@ -7,6 +8,7 @@ sympy is a test-only dependency; the suite skips this module without it.
 import pytest
 
 from conftest import random_polynomial
+from mathieulab import ortho
 from mathieulab.imagemap import ImageProblem, L_map
 from mathieulab.poly import VariableSet
 from mathieulab.rings import QQ
@@ -96,3 +98,18 @@ def test_weyl_reordering_matches_sympy(rng):
                                     for exps, c in p.terms.items()))
         assert same(right_normal_action(from_left_symbol(p, P2.z_names).terms, f),
                     symbol_action)
+
+
+def test_rodrigues_matches_sympy_families():
+    """rodrigues(spec, d) is sympy's standard normalisation of each family."""
+    x = sympy.Symbol("x")
+    references = [("hermite", 0, 0, lambda d: sympy.hermite(d, x)),
+                  ("legendre", 0, 0, lambda d: sympy.legendre(d, x))]
+    references += [("laguerre", a, 0, lambda d, a=a: sympy.assoc_laguerre(d, a, x))
+                   for a in (0, 2)]
+    references += [("jacobi", a, b, lambda d, a=a, b=b: sympy.jacobi(d, a, b, x))
+                   for a, b in ((0, 0), (3, 2), (1, 3))]
+    for family, alpha, beta, reference in references:
+        spec = ortho.WeightSpec(family, alpha, beta)
+        for d in range(9):
+            assert same(to_sympy(ortho.rodrigues(spec, d)), reference(d)), (spec, d)
