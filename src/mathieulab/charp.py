@@ -86,10 +86,6 @@ class SufficiencyWitness:
             total = total + _shift_operator_apply(self.problem, i, h, self.p)
         return total == b
 
-    def as_report(self) -> dict:
-        return {"status": "member",
-                "witness": {str(i): h.to_str() for i, h in self.components.items()}}
-
 
 def sufficient_membership(b: Polynomial, prob: CharPProblem):
     """Membership witness when every coefficient of b lies in J = (w_i^p).
@@ -345,10 +341,6 @@ class FrobeniusReport:
     p: int
     divisible: bool
     h_values: dict  # exponent -> integer h with remainder coefficient p*h
-
-    def as_report(self) -> dict:
-        return {"p": self.p, "divisible": self.divisible,
-                "h_values": {str(k): str(v) for k, v in self.h_values.items()}}
 
 
 def frobenius_expansion_check(g: Polynomial, p: int) -> FrobeniusReport:

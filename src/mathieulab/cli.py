@@ -4,7 +4,8 @@
 the handler reads; `_FLAGS` holds each flag's argparse spec, with its range
 check.  Exit codes: 0 completed; 1 `usage error:` (bad flags, unparsable or
 unreadable input, unsatisfiable preconditions); 2 `VerificationError`, a
-result that failed its exact re-check.  Any other exception is a bug.
+result that failed its exact re-check; 141 stdout closed before the report
+was written (128 + SIGPIPE).  Any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import charp, harness, imagemap, ortho
@@ -362,8 +364,8 @@ _FLAGS = {
     "alpha": ("--alpha", {"type": _int_at_least(0), "default": 0}),
     "beta": ("--beta", {"type": _int_at_least(0), "default": 0}),
     "family": ("--family", {"choices": ortho.FAMILIES, "required": True}),
-    "rodrigues_family": ("--family", {"choices": ("hermite", "laguerre", "jacobi",
-                                                  "legendre"), "required": True}),
+    "ortho_family": ("--family", {"choices": ("hermite", "laguerre", "jacobi",
+                                              "legendre"), "required": True}),
     "oracle": ("--oracle", {"required": True, "choices": ("kerl", "laurent", "trace")
                             + tuple(f"moment:{family}" for family in ortho.FAMILIES)}),
     "primes": ("--primes", {"type": _int_list, "help": "comma-separated candidate primes"}),
@@ -384,7 +386,7 @@ _COMMANDS = {
     "scan": (_cmd_scan, _RING + ("oracle", "mmax", "alpha", "beta", "format")),
     "gvc": (_cmd_gvc, _RING0 + ("mmax", "format")),
     "jacobian": (_cmd_jacobian, _RING + ("format",)),
-    "ortho": (_cmd_ortho, ("rodrigues_family", "alpha", "beta", "dmax", "format")),
+    "ortho": (_cmd_ortho, ("ortho_family", "alpha", "beta", "dmax", "format")),
     "moments": (_cmd_moments, ("family", "alpha", "beta", "nmax", "table_format")),
     "charp": {
         "theorem51": (_cmd_theorem51, _INPUT + ("prime", "n", "format")),
@@ -429,7 +431,14 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.format, csv_rows)
+    try:
+        _emit(report, args.format, csv_rows)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # flush at interpreter exit cannot fail again, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

@@ -1,6 +1,7 @@
 """Generic Mathieu-property experiments: named membership oracles, bounded
 power scans, the trace / constant-term / moment / kernel instances, the
-vanishing-conjecture bridge, and the nilpotent-Jacobian cross-check.
+vanishing-conjecture bridge, and the Jacobian matrix with its nilpotency
+test (`jacobian_matrix`, `jacobian_nilpotent`).
 
 A bounded scan never proves anything; its verdicts are "premise_failed",
 "consistent" (up to m_max), or a concrete re-checkable violation witness.
@@ -10,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .imagemap import ImageProblem, L_map, PowerScan, power_scan
+from .imagemap import ImageProblem, L_map
 from .ortho import MomentFunctional, inner_product
-from .poly import Polynomial, VariableSet, VerificationError
+from .poly import Polynomial, VerificationError
 from .rings import RingDescriptor
 from .weyl import WeylElement
 
@@ -124,10 +125,6 @@ class ProbeReport:
     @property
     def refuted(self) -> bool:
         return self.refuting_element is not None
-
-    def as_report(self) -> dict:
-        return {"oracle": self.oracle, "contains_one": self.contains_one,
-                "refuted": self.refuted, "refuting_element": self.refuting_element}
 
 
 def one_property_probe(oracle: SubspaceOracle, one, basis) -> ProbeReport:
@@ -307,43 +304,3 @@ def jacobian_matrix(h_polys, z_names) -> MatrixValue:
 
 def jacobian_nilpotent(h_polys, z_names) -> bool:
     return jacobian_matrix(h_polys, z_names).is_nilpotent()
-
-
-@dataclass
-class Prop74Report:
-    nilpotent: bool
-    scan: PowerScan
-    consistent: bool
-
-    def as_report(self) -> dict:
-        return {"nilpotent": self.nilpotent,
-                "power_scan": self.scan.as_report(),
-                "consistent": self.consistent}
-
-
-def prop74_crosscheck(problem: ImageProblem, h_polys, m_max: int = 8) -> Prop74Report:
-    """Compare Jacobian nilpotency of H against vanishing of L((sum w_i H_i)^m).
-
-    Each H_i must have no terms of total degree <= 1.  Nilpotent implies all
-    scanned values vanish; non-nilpotent is expected to show a nonzero value
-    within the scan range (reported either way).
-    """
-    if len(h_polys) != problem.n:
-        raise ValueError("need one H_i per variable pair")
-    for h in h_polys:
-        problem.check(h)
-        for exps, _ in h.terms.items():
-            if sum(exps) <= 1:
-                raise ValueError("H_i must have no terms of degree at most one")
-            if any(e for e in exps[:problem.n]):
-                raise ValueError("H_i must be polynomials in the z-variables only")
-    nil = jacobian_nilpotent(h_polys, problem.z_names)
-    f = problem.zero()
-    for i, h in enumerate(h_polys, start=1):
-        f = f + problem.zeta(i) * h
-    scan = power_scan(problem, f, m_max) if not f.is_zero() else PowerScan([], None)
-    if nil:
-        consistent = scan.first_nonzero is None
-    else:
-        consistent = scan.first_nonzero is not None
-    return Prop74Report(nil, scan, consistent)

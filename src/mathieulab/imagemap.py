@@ -14,10 +14,9 @@ from fractions import Fraction
 from math import factorial
 from operator import sub
 
-from . import linalg
 from .poly import NEG_INF, Grading, Polynomial, VariableSet, VerificationError, _sum_terms
 from .rings import RingDescriptor
-from .weyl import DiffOperatorSpec, _falling_product
+from .weyl import _falling_product
 
 
 @dataclass(frozen=True)
@@ -285,13 +284,6 @@ def to_u_polynomial(problem: ImageProblem, f: Polynomial,
     return Polynomial(f.ring, u_vars, terms)
 
 
-def u_to_pair_polynomial(problem: ImageProblem, f: Polynomial) -> Polynomial:
-    """Substitute u_i -> w_i z_i, landing back in the (w, z) ring."""
-    bindings = {name: problem.zeta(i) * problem.z(i)
-                for i, name in enumerate(f.variables.names, start=1)}
-    return f.substitute(bindings, target=problem.zero())
-
-
 @dataclass
 class MonomialCountScan:
     monomials: int
@@ -331,85 +323,6 @@ def monomial_count_scan(f: Polynomial, bound: int = None) -> MonomialCountScan:
             break
     return MonomialCountScan(count, first,
                              first is not None and first <= count, values)
-
-
-@dataclass
-class WitnessSearchResult:
-    status: str  # "member" | "unknown"
-    witnesses: list = None
-    degree_bound: int = 0
-
-    def as_report(self) -> dict:
-        if self.status == "member":
-            return {"status": "member", "degree_bound": self.degree_bound,
-                    "witness": [p.to_str() for p in self.witnesses]}
-        return {"status": "unknown", "degree_bound": self.degree_bound}
-
-
-def bounded_witness_search(operators: DiffOperatorSpec, b: Polynomial,
-                           degree_bound: int = None) -> WitnessSearchResult:
-    """Exact linear search for p_j with sum_j op_j(p_j) = b, degrees <= bound.
-
-    Sound but incomplete: "unknown" only means no witness exists below the
-    bound.  The default bound is deg(b) plus the operator count.
-    """
-    if b.variables.laurent:
-        raise ValueError("witness search needs plain polynomial variables")
-    if degree_bound is None:
-        deg = b.total_degree()
-        degree_bound = (0 if deg == NEG_INF else int(deg)) + len(operators)
-    ring = b.ring
-    basis = list(_monomials_up_to(b.variables, degree_bound))
-    columns = []
-    row_index = {}
-    images = []
-    for op in operators:
-        for exps in basis:
-            mono = Polynomial(ring, b.variables, {exps: ring.one()})
-            img = op.apply(mono)
-            images.append(img)
-            for key in img.terms:
-                row_index.setdefault(key, len(row_index))
-    for key in b.terms:
-        row_index.setdefault(key, len(row_index))
-    n_rows, n_cols = len(row_index), len(images)
-    zero, one = ring.zero(), ring.one()
-    rows = [[zero] * n_cols for _ in range(n_rows)]
-    for col, img in enumerate(images):
-        for key, c in img.terms.items():
-            rows[row_index[key]][col] = c
-    rhs = [zero] * n_rows
-    for key, c in b.terms.items():
-        rhs[row_index[key]] = c
-    solution = linalg.solve_linear(rows, rhs, zero, one)
-    if solution is None:
-        return WitnessSearchResult("unknown", degree_bound=degree_bound)
-    witnesses = []
-    per_op = len(basis)
-    for j, op in enumerate(operators):
-        terms = {}
-        for i, exps in enumerate(basis):
-            c = solution[j * per_op + i]
-            if c:
-                terms[exps] = c
-        witnesses.append(Polynomial(ring, b.variables, terms))
-    total = Polynomial.zero(ring, b.variables)
-    for op, p in zip(operators, witnesses):
-        total = total + op.apply(p)
-    if total != b:
-        raise VerificationError("witness search solution failed to re-verify")
-    return WitnessSearchResult("member", witnesses, degree_bound)
-
-
-def _monomials_up_to(variables: VariableSet, bound: int):
-    def rec(i, remaining):
-        if i == len(variables):
-            yield ()
-            return
-        for e in range(remaining + 1):
-            for tail in rec(i + 1, remaining - e):
-                yield (e,) + tail
-    yield from rec(0, bound)
 
 
 def ic1_pipeline(problem: ImageProblem, f: Polynomial, m_max: int = 12) -> dict:

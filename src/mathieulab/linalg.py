@@ -3,44 +3,6 @@
 from __future__ import annotations
 
 
-def solve_linear(rows, rhs, zero, one):
-    """Solve A x = b by Gaussian elimination over an exact field.
-
-    `rows` is a list of equal-length lists of field elements, `rhs` the
-    right-hand sides.  Returns one solution (free unknowns set to zero) or
-    None when the system is inconsistent.
-    """
-    m = len(rows)
-    if m == 0:
-        return []
-    n = len(rows[0])
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, m) if a[r][col]), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = one / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(m):
-            if r != row and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if a[r][n]:
-            return None
-    x = [zero] * n
-    for r, col in enumerate(pivots):
-        x[col] = a[r][n]
-    return x
-
-
 def determinant(rows, zero, one):
     """Exact determinant by fraction-free-ish Gaussian elimination with division."""
     n = len(rows)

@@ -101,7 +101,7 @@ def inner_product(f: Polynomial, g: Polynomial, m: MomentFunctional):
     """Bilinear moment expansion; the second argument is conjugated over Q(i)."""
     f._compat(g)
     if len(f.variables) != 1:
-        raise ValueError("univariate inner product; use inner_product_tensor instead")
+        raise ValueError("inner product is defined on univariate polynomials only")
     ring = f.ring
     total = ring.zero()
     for (j,), cf in f.terms.items():
@@ -110,30 +110,13 @@ def inner_product(f: Polynomial, g: Polynomial, m: MomentFunctional):
     return total
 
 
-def inner_product_tensor(f: Polynomial, g: Polynomial, moms):
-    """Product-moment inner product; `moms` maps each variable to its functional."""
-    f._compat(g)
-    ring = f.ring
-    total = ring.zero()
-    for ef, cf in f.terms.items():
-        for eg, cg in g.terms.items():
-            scale = Fraction(1)
-            for name, j, k in zip(f.variables.names, ef, eg):
-                scale *= moms[name].moment(j + k)
-            total = total + cf * ring.conjugate(cg) * ring.from_fraction(scale)
-    return total
-
-
 @dataclass
 class OrthFamily:
-    """Polynomials indexed by degree (univariate) or multi-index (tensor)."""
+    """Univariate polynomials indexed by degree."""
 
     variables: VariableSet
     polys: dict
-    specs: tuple  # one WeightSpec per variable
-
-    def max_degree(self) -> int:
-        return max((k if isinstance(k, int) else sum(k)) for k in self.polys)
+    specs: tuple  # the WeightSpec of the variable
 
 
 def gram_schmidt(m: MomentFunctional, d_max: int,
@@ -232,9 +215,6 @@ class TwistedRational:
         den = {k: self.denominator.get(k, 0) + other.denominator.get(k, 0)
                for k in set(self.denominator) | set(other.denominator)}
         return TwistedRational(self.numerator * other.numerator, den)
-
-    def scale(self, c) -> "TwistedRational":
-        return TwistedRational(self.numerator.scale(c), dict(self.denominator))
 
     def derivative(self) -> "TwistedRational":
         """Quotient rule over the factored denominator, then eager reduction."""
@@ -349,54 +329,6 @@ def rodrigues(spec: WeightSpec, a: int) -> Polynomial:
     if result.total_degree() != a:
         raise VerificationError(f"Rodrigues polynomial of degree {a} has the wrong degree")
     return result
-
-
-def rodrigues_family(spec: WeightSpec, d_max: int) -> OrthFamily:
-    return OrthFamily(X_VARS, {d: rodrigues(spec, d) for d in range(d_max + 1)},
-                      (spec,))
-
-
-def tensor_family(families, var_names) -> OrthFamily:
-    """Product family over distinct variables, indexed by multi-indices."""
-    if len(families) != len(var_names):
-        raise ValueError("one variable name per factor family")
-    if len(set(var_names)) != len(var_names):
-        raise ValueError("variable collision in tensor family")
-    joint = VariableSet(tuple(var_names))
-    ring = next(iter(families[0].polys.values())).ring
-    polys = {}
-    indices = [[]]
-    for fam in families:
-        degrees = sorted(k for k in fam.polys)
-        indices = [ix + [d] for ix in indices for d in degrees]
-    for ix in indices:
-        prod = Polynomial.one(ring, joint)
-        for fam, name, d in zip(families, var_names, ix):
-            prod = prod * fam.polys[d].substitute(
-                {"x": Polynomial.var(ring, joint, name)},
-                target=Polynomial.zero(ring, joint))
-        polys[tuple(ix)] = prod
-    return OrthFamily(joint, polys, tuple(f.specs[0] for f in families))
-
-
-def im_prime_membership(f: Polynomial, fam: OrthFamily, m: MomentFunctional):
-    """Member of the span of the nonconstant family polynomials?
-
-    Returns (member, f0) where f0 is the coefficient of the constant basis
-    polynomial.  Both criteria -- basis coefficient and <f, 1> -- are
-    computed and must agree.
-    """
-    deg = f.total_degree()
-    if deg != float("-inf") and deg > fam.max_degree():
-        raise ValueError("family does not reach the degree of f")
-    u0 = fam.polys[0]
-    norm0 = inner_product(u0, u0, m)
-    f0 = inner_product(f, u0, m) / norm0
-    one = Polynomial.one(f.ring, f.variables)
-    moment_value = inner_product(f, one, m)
-    if bool(f0) != bool(moment_value):
-        raise VerificationError("membership criteria disagree; inconsistent family")
-    return (not f0), f0
 
 
 def hankel_matrix(m: MomentFunctional, d: int):

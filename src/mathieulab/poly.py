@@ -230,24 +230,6 @@ class Polynomial:
         return {w: Polynomial(self.ring, self.variables, t)
                 for w, t in sorted(buckets.items())}
 
-    def substitute(self, bindings: dict, target: "Polynomial" = None) -> "Polynomial":
-        """Simultaneous substitution of polynomials for variables.
-
-        Unbound variables are carried over by name into the target variable
-        set (taken from any binding, or `target`).  A Laurent variable may
-        only be bound to a single-term monomial, so negative powers stay exact.
-        """
-        if target is not None:
-            t_ring, t_vars = target.ring, target.variables
-        else:
-            sample = next(iter(bindings.values()))
-            t_ring, t_vars = sample.ring, sample.variables
-        for name, value in bindings.items():
-            self.variables.index(name)
-            if value.ring != t_ring or value.variables != t_vars:
-                raise ValueError("bindings must share one ring and variable set")
-        return _substitute_sum(self, bindings, t_ring, t_vars)
-
     # -- canonical form ----------------------------------------------
 
     def sorted_terms(self):
@@ -336,36 +318,6 @@ def _sum_terms(pairs) -> dict:
         elif c:
             out[key] = c
     return out
-
-
-def _substitute_sum(p, bindings, t_ring, t_vars):
-    result = Polynomial.zero(t_ring, t_vars)
-    for exps, c in p.terms.items():
-        term = Polynomial.constant(t_ring, t_vars, _convert_coeff(c, p.ring, t_ring))
-        for name, e in zip(p.variables.names, exps):
-            if e == 0:
-                continue
-            if name in bindings:
-                value = bindings[name]
-                if e >= 0:
-                    term = term * value ** e
-                else:
-                    term = term * _monomial_inverse(value) ** (-e)
-            else:
-                term = term * Polynomial.var(t_ring, t_vars, name, e)
-        result = result + term
-    return result
-
-
-def _monomial_inverse(p: Polynomial) -> Polynomial:
-    if len(p.terms) != 1:
-        raise ValueError("Laurent variable bound to a non-invertible polynomial")
-    (exps, coeff), = p.terms.items()
-    inv_exps = tuple(-e for e in exps)
-    for name, e in zip(p.variables.names, inv_exps):
-        if e < 0 and not p.variables.is_laurent(name):
-            raise ValueError("Laurent variable bound to a non-invertible polynomial")
-    return Polynomial(p.ring, p.variables, {inv_exps: p.ring.one() / coeff})
 
 
 def _convert_coeff(c, source: RingDescriptor, target: RingDescriptor):

@@ -304,17 +304,3 @@ def valuation_p(x, p: int):
         d //= p
         v -= 1
     return v
-
-
-def factorial_valuation(n: int, p: int) -> int:
-    """v_p(n!) by Legendre's sum of floor(n/p^k)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    total = 0
-    q = p
-    while q <= n:
-        total += n // q
-        q *= p
-    return total

@@ -13,7 +13,6 @@ coefficient ring at the end, so characteristic-p elements work too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, product
 from math import comb, factorial, perm, prod
 from operator import add, sub
@@ -57,10 +56,6 @@ class WeylElement:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero(ring, z_names):
-        return WeylElement(ring, z_names, {})
-
-    @staticmethod
     def one(ring, z_names):
         n = len(z_names)
         return WeylElement(ring, z_names, {((0,) * n, (0,) * n): ring.one()})
@@ -80,13 +75,6 @@ class WeylElement:
         return WeylElement(ring, z_names, {((0,) * n, b): ring.one()})
 
     @staticmethod
-    def from_z_polynomial(p: Polynomial) -> "WeylElement":
-        """Multiplication operator by a polynomial in the z-variables."""
-        n = len(p.variables)
-        return WeylElement(p.ring, p.variables.names,
-                           {(exps, (0,) * n): c for exps, c in p.terms.items()})
-
-    @staticmethod
     def constant_coefficient(p: Polynomial, z_names) -> "WeylElement":
         """Operator from a polynomial in d-symbols, read positionally.
 
@@ -99,9 +87,6 @@ class WeylElement:
                            {((0,) * n, exps): c for exps, c in p.terms.items()})
 
     # -- structure ----------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
@@ -140,14 +125,6 @@ class WeylElement:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c):
-        if isinstance(c, int):
-            c = self.ring.from_int(c)
-        if not c:
-            return WeylElement.zero(self.ring, self.z_names)
-        return WeylElement(self.ring, self.z_names,
-                           {k: coeff * c for k, coeff in self.terms.items()})
-
     # -- action and composition --------------------------------------
 
     def apply(self, f: Polynomial) -> Polynomial:
@@ -171,14 +148,6 @@ class WeylElement:
              c1 * c2 * from_int(scale))
             for (a1, b1), c1 in self.terms.items() for (a2, b2), c2 in other.terms.items()
             for k, scale in _reorder(b1, a2)))
-
-    def power(self, m: int) -> "WeylElement":
-        if m < 0:
-            raise ValueError("negative operator power")
-        out = WeylElement.one(self.ring, self.z_names)
-        for _ in range(m):
-            out = out.compose(self)
-        return out
 
     def left_normal_terms(self) -> dict:
         """Rewrite into left-normal order: dict (b, a) -> coeff for d^b z^a."""
@@ -225,82 +194,9 @@ def right_symbol(w: WeylElement, symbol_vars: VariableSet) -> Polynomial:
     return Polynomial(w.ring, symbol_vars, terms)
 
 
-def from_right_symbol(p: Polynomial, z_names) -> WeylElement:
-    n = len(z_names)
-    _check_symbol_vars(p.variables, n)
-    terms = {}
-    for exps, c in p.terms.items():
-        terms[(exps[n:], exps[:n])] = c
-    return WeylElement(p.ring, z_names, terms)
-
-
 def _check_symbol_vars(symbol_vars: VariableSet, n: int):
     if len(symbol_vars) != 2 * n:
         raise ValueError("symbol variable set must pair each z with a zeta stand-in")
     if symbol_vars.laurent:
         raise ValueError("symbol variables cannot be Laurent")
 
-
-# -- commuting first-order operators ----------------------------------
-
-@dataclass(frozen=True)
-class FirstOrderOperator:
-    """Operator sum_v c_v d/dv + g, with polynomial coefficients."""
-
-    coeffs: dict
-    shift: Polynomial
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", dict(self.coeffs))
-        for v, c in self.coeffs.items():
-            self.shift._compat(c)
-            self.shift.variables.index(v)
-
-    @staticmethod
-    def derivation_minus(ring, variables, derivative_var: str,
-                         multiplier: Polynomial) -> "FirstOrderOperator":
-        """The operator d/dv - a for a multiplication polynomial a."""
-        return FirstOrderOperator(
-            {derivative_var: Polynomial.one(ring, variables)}, -multiplier)
-
-    def apply(self, h: Polynomial) -> Polynomial:
-        out = self.shift * h
-        for v, c in self.coeffs.items():
-            out = out + c * h.partial(v)
-        return out
-
-    def commutator_vanishes(self, other: "FirstOrderOperator") -> bool:
-        """Exact symbolic check that [self, other] = 0."""
-        ring, variables = self.shift.ring, self.shift.variables
-        zero = Polynomial.zero(ring, variables)
-        for w in set(self.coeffs) | set(other.coeffs):
-            lhs = zero
-            for v, c in self.coeffs.items():
-                lhs = lhs + c * other.coeffs.get(w, zero).partial(v)
-            for v, d in other.coeffs.items():
-                lhs = lhs - d * self.coeffs.get(w, zero).partial(v)
-            if not lhs.is_zero():
-                return False
-        order_zero = zero
-        for v, c in self.coeffs.items():
-            order_zero = order_zero + c * other.shift.partial(v)
-        for v, d in other.coeffs.items():
-            order_zero = order_zero - d * self.shift.partial(v)
-        return order_zero.is_zero()
-
-
-class DiffOperatorSpec:
-    """A commuting family of first-order operators; construction checks commutativity."""
-
-    def __init__(self, operators):
-        self.operators = list(operators)
-        for i, a in enumerate(self.operators):
-            for b in self.operators[i + 1:]:
-                if not a.commutator_vanishes(b):
-                    raise ValueError("operators do not commute")
-
-    def __len__(self):
-        return len(self.operators)
-
-    def __iter__(self):
-        return iter(self.operators)

@@ -15,7 +15,6 @@ from mathieulab.harness import (
     mathieu_scan,
     moment_oracle,
     one_property_probe,
-    prop74_crosscheck,
     trace_oracle,
 )
 from mathieulab.imagemap import ImageProblem
@@ -194,21 +193,3 @@ def test_jacobian_nilpotent_triangular():
     assert not jacobian_nilpotent([z2 * z2, z2 * z3, z3 * z3],
                                   problem.z_names)
 
-
-def test_prop74_crosscheck_both_directions():
-    problem = ImageProblem(2, QQ)
-    zv = VariableSet(problem.z_names)
-    z1 = Polynomial.var(QQ, zv, "z1")
-    z2 = Polynomial.var(QQ, zv, "z2")
-    nil = [z2 * z2, Polynomial.zero(QQ, zv)]
-    report = prop74_crosscheck(problem, [h.embed(QQ, problem.variables)
-                                         for h in nil], m_max=6)
-    assert report.nilpotent and report.consistent
-
-    bad = [z1 * z1, z2 * z2]
-    report = prop74_crosscheck(problem, [h.embed(QQ, problem.variables)
-                                         for h in bad], m_max=4)
-    assert not report.nilpotent and report.consistent
-
-    with pytest.raises(ValueError):
-        prop74_crosscheck(problem, [problem.z(1), problem.zero()], m_max=2)

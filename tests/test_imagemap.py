@@ -10,7 +10,6 @@ from mathieulab.imagemap import (
     ImageProblem,
     L_map,
     MonomialCountScan,
-    bounded_witness_search,
     certify_imD,
     decompose,
     factorial_functional,
@@ -20,11 +19,9 @@ from mathieulab.imagemap import (
     recompose,
     t_apply,
     to_u_polynomial,
-    u_to_pair_polynomial,
 )
 from mathieulab.poly import Polynomial, VariableSet
 from mathieulab.rings import GF, QI, QQ
-from mathieulab.weyl import DiffOperatorSpec, FirstOrderOperator
 
 P1 = ImageProblem(1, QQ)
 P2 = ImageProblem(2, QQ)
@@ -171,11 +168,16 @@ def test_factorial_functional_values():
     assert factorial_functional(Polynomial.var(QQ, u1, "u", 2)) == QQ.from_int(2)
 
 
+def _pair_polynomial(f: Polynomial) -> Polynomial:
+    """u^a -> w^a z^a, as a polynomial over P2."""
+    return Polynomial(QQ, P2.variables, {a + a: c for a, c in f.terms.items()})
+
+
 def test_factorial_functional_matches_lmap(rng):
     u2 = VariableSet(("u1", "u2"))
     for _ in range(30):
         f = random_polynomial(rng, QQ, u2, max_degree=3)
-        pair = u_to_pair_polynomial(P2, f)
+        pair = _pair_polynomial(f)
         assert L_map(P2, pair) == Polynomial.constant(
             QQ, P2.variables, factorial_functional(f))
 
@@ -184,7 +186,7 @@ def test_u_round_trip(rng):
     u2 = VariableSet(("u1", "u2"))
     for _ in range(20):
         f = random_polynomial(rng, QQ, u2, max_degree=3)
-        assert to_u_polynomial(P2, u_to_pair_polynomial(P2, f), u2) == f
+        assert to_u_polynomial(P2, _pair_polynomial(f), u2) == f
     with pytest.raises(ValueError):
         to_u_polynomial(P2, P2.zeta(1))
 
@@ -205,34 +207,6 @@ def test_monomial_count_scan_examples():
         monomial_count_scan(Polynomial.zero(QQ, u1))
     with pytest.raises(ValueError):
         monomial_count_scan(u - one, bound=1)
-
-
-def test_bounded_witness_search():
-    zvars = VariableSet(("z1",))
-    d = DiffOperatorSpec([FirstOrderOperator(
-        {"z1": Polynomial.one(QQ, zvars)}, Polynomial.zero(QQ, zvars))])
-    result = bounded_witness_search(d, Polynomial.one(QQ, zvars))
-    assert result.status == "member"
-    assert result.witnesses[0] == Polynomial.var(QQ, zvars, "z1")
-
-
-def test_bounded_witness_search_matches_certify(rng):
-    ops = DiffOperatorSpec([FirstOrderOperator.derivation_minus(
-        QQ, P1.variables, "z1", P1.zeta(1))])
-    b = P1.one() - P1.zeta(1) * P1.z(1)
-    result = bounded_witness_search(ops, b, degree_bound=1)
-    assert result.status == "member"
-
-
-def test_bounded_witness_search_unknown_char_p():
-    p = 5
-    zvars = VariableSet(("z1",))
-    ring = GF(p)
-    d = DiffOperatorSpec([FirstOrderOperator(
-        {"z1": Polynomial.one(ring, zvars)}, Polynomial.zero(ring, zvars))])
-    b = Polynomial.var(ring, zvars, "z1", p - 1)
-    for bound in (p, 2 * p):
-        assert bounded_witness_search(d, b, degree_bound=bound).status == "unknown"
 
 
 def test_ic1_pipeline_branches():

@@ -14,16 +14,12 @@ from mathieulab.ortho import (
     gram_schmidt,
     hankel_determinant,
     hankel_nonsingularity,
-    im_prime_membership,
     inner_product,
-    inner_product_tensor,
     lambda_power,
     log_derivative,
     moments,
     rodrigues,
     rodrigues_constant,
-    rodrigues_family,
-    tensor_family,
 )
 from mathieulab.poly import Polynomial, VariableSet
 from mathieulab.rings import QQ
@@ -173,28 +169,6 @@ def test_hankel_base_values():
     uni = moments(WeightSpec("uniform01"), 4)
     # det [[1, 1/2], [1/2, 1/3]] = 1/12
     assert hankel_determinant(uni, 1) == Fraction(1, 12)
-
-
-def test_im_prime_membership():
-    spec = WeightSpec("uniform01")
-    m = moments(spec, 16)
-    fam = gram_schmidt(m, 8)
-    member, f0 = im_prime_membership(X - ONE.scale(Fraction(1, 2)), fam, m)
-    assert member and not f0
-    member, f0 = im_prime_membership(X, fam, m)
-    assert not member and f0 == Fraction(1, 2)
-
-
-def test_tensor_family_orthogonality():
-    specs = (WeightSpec("hermite"), WeightSpec("laguerre", 1))
-    fams = [rodrigues_family(s, 3) for s in specs]
-    joint = tensor_family(fams, ("x1", "x2"))
-    moms = {"x1": moments(specs[0], 12), "x2": moments(specs[1], 12)}
-    indices = sorted(joint.polys)
-    for i, a in enumerate(indices):
-        for b in indices[:i]:
-            assert not inner_product_tensor(joint.polys[a], joint.polys[b], moms)
-        assert inner_product_tensor(joint.polys[a], joint.polys[a], moms)
 
 
 def test_moment_functional_bounds():

@@ -421,14 +421,31 @@ def test_verification_failure_exits_2_under_optimize():
             print("raised")
         sys.exit(cli.main(["certify", "1 - w1*z1"]))
     """)
-    src = str(Path(mathieulab.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout.splitlines()[0] == "raised"
     assert proc.stderr.startswith("verification failure:")
+
+
+def _subprocess_env() -> dict:
+    """The environment with this checkout's mathieulab first on PYTHONPATH."""
+    src = str(Path(mathieulab.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_cli_stdout_closed_early_exits_141_quietly():
+    """A reader that closes stdout before the report arrives gets no traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mathieulab.cli", "powerscan", "w1*z1", "--n", "1",
+         "--mmax", "5"], env=_subprocess_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141, err
+    assert err == b""
 
 
 def test_cli_exit_2_only_for_verification_errors(monkeypatch):

@@ -99,28 +99,6 @@ def test_grading_and_components(rng):
     assert Polynomial.zero(QQ, XY).grade_degree(grading) == NEG_INF
 
 
-def test_substitute_is_a_homomorphism(rng):
-    target = Polynomial.zero(QQ, XY)
-    bindings = {"x": Polynomial.var(QQ, XY, "y") + Polynomial.one(QQ, XY)}
-    for _ in range(30):
-        f = random_polynomial(rng, QQ, XY)
-        g = random_polynomial(rng, QQ, XY)
-        fs = f.substitute(bindings, target=target)
-        gs = g.substitute(bindings, target=target)
-        assert (f + g).substitute(bindings, target=target) == fs + gs
-        assert (f * g).substitute(bindings, target=target) == fs * gs
-
-
-def test_laurent_substitution_needs_unit():
-    f = Polynomial.var(QQ, LT, "t", -1)
-    unit = Polynomial.var(QQ, LT, "t", 2).scale(Fraction(1, 3))
-    image = f.substitute({"t": unit}, target=Polynomial.zero(QQ, LT))
-    assert image == Polynomial.var(QQ, LT, "t", -2).scale(3)
-    with pytest.raises(ValueError):
-        f.substitute({"t": unit + Polynomial.one(QQ, LT)},
-                     target=Polynomial.zero(QQ, LT))
-
-
 def test_exact_divide(rng):
     for _ in range(60):
         f = random_polynomial(rng, QQ, XY)

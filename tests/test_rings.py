@@ -14,7 +14,6 @@ from mathieulab.rings import (
     GaussianRational,
     PrimeFieldElement,
     RingDescriptor,
-    factorial_valuation,
     is_prime,
     valuation_p,
 )
@@ -108,11 +107,6 @@ def test_valuation_is_additive(n, p):
 
 def test_valuation_of_zero_is_infinite():
     assert valuation_p(0, 3) == math.inf
-
-
-@given(st.integers(min_value=0, max_value=2000), st.sampled_from([2, 3, 5, 7, 11]))
-def test_factorial_valuation_matches_direct(n, p):
-    assert factorial_valuation(n, p) == valuation_p(Fraction(math.factorial(n)), p)
 
 
 def test_format_round_trip_constants():
