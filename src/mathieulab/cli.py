@@ -266,10 +266,10 @@ def _cmd_ortho(args):
         lam = ortho.lambda_power(spec, d, d).as_polynomial()
         lam = lam.scale(ortho.rodrigues_constant(spec, d))
         lead = rod.terms.get((d,), QQ.one())
-        if lam != rod or rod != monic.polys[d].scale(lead):
+        if lam != rod or rod != monic[d].scale(lead):
             raise VerificationError(f"generation routes disagree at degree {d}")
         rows.append({"degree": d, "polynomial": rod.to_str(),
-                     "monic": monic.polys[d].to_str(),
+                     "monic": monic[d].to_str(),
                      "leading_scalar": str(lead)})
     return {"command": "ortho", "family": spec.label(),
             "routes_agree": True, "polynomials": rows}, None

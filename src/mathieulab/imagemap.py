@@ -1,22 +1,26 @@
 """The kernel map L(zeta^a z^b) = d^a(z^b) and everything built on it.
 
 Variable pairs are spelled w1..wn (the zeta stand-ins) and z1..zn.  The
-decomposition follows the integration recursion: peel one w-variable at a
-time, writing f = sum t^a f_a with t_i h = w_i h - d(h)/dz_i and each f_a
-free of the w-variables.  In characteristic zero the zero-index component
-is exactly L(f), which turns kernel membership into an effective witness.
+decomposition writes f = sum t^a f_a with t_i h = w_i h - d(h)/dz_i and each
+f_a free of the w-variables.  Since w_i = t_i + d/dz_i, the closed form
+
+    w^a z^b = sum_k  C(a,k) C(b,k) k!  t^(a-k) z^(b-k)
+
+is the Weyl reorder rule: t^a z^c is the left symbol of z^c d^a, so the
+components are read off the right-normal terms of `from_left_symbol(f)`.
+The zero-index component is exactly L(f), which turns kernel membership
+into an effective witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 from operator import sub
 
 from .poly import NEG_INF, Grading, Polynomial, VariableSet, VerificationError, _sum_terms
 from .rings import RingDescriptor
-from .weyl import _falling_product
+from .weyl import WeylElement, _falling_product, from_left_symbol, left_symbol
 
 
 @dataclass(frozen=True)
@@ -105,58 +109,22 @@ class DecompositionResult:
         return self.components.get(tuple(a), self.problem.zero())
 
 
-def decompose(problem: ImageProblem, f: Polynomial,
-              order=None) -> DecompositionResult:
-    """Unique decomposition; characteristic 0 only (integration divides).
+def decompose(problem: ImageProblem, f: Polynomial) -> DecompositionResult:
+    """Unique decomposition: the term c z^b d^a of `from_left_symbol(f)` is c z^b in f_a.
 
-    `order` optionally permutes the elimination order of the w-variables;
-    uniqueness makes the result independent of it.
+    The closed form has integer coefficients, but F_p is not offered until
+    positive characteristic-p tests exist, so characteristic 0 only.
     """
     problem.check(f)
     if problem.ring.characteristic != 0:
         raise ValueError("decomposition requires characteristic 0")
-    order = list(order) if order is not None else list(range(1, problem.n + 1))
-    if sorted(order) != list(range(1, problem.n + 1)):
-        raise ValueError("order must permute 1..n")
-    partial = {(): f}
-    for i in order:
-        nxt = {}
-        for prefix, g in partial.items():
-            for k, comp in _decompose_one(problem, i, g).items():
-                nxt[prefix + ((i, k),)] = comp
-        partial = nxt
+    w_free = (0,) * problem.n
     components = {}
-    for prefix, g in partial.items():
-        a = [0] * problem.n
-        for i, k in prefix:
-            a[i - 1] = k
-        if not g.is_zero():
-            components[tuple(a)] = g
-    return DecompositionResult(problem, components)
-
-
-def _decompose_one(problem: ImageProblem, i: int, f: Polynomial) -> dict:
-    """Single-variable integration recursion for the pair (w_i, z_i)."""
-    name = f"w{i}"
-    if f.is_zero():
-        return {}
-    df = f.partial(name)
-    if df.is_zero():
-        return {0: f}
-    sub = _decompose_one(problem, i, df)
-    components = {}
-    g_sum = problem.zero()
-    for k, g in sub.items():
-        scaled = g.scale(problem.ring.from_fraction(Fraction(1, k + 1)))
-        components[k + 1] = scaled
-        acc = scaled
-        for _ in range(k + 1):
-            acc = t_apply(problem, i, acc)
-        g_sum = g_sum + acc
-    f0 = f - g_sum
-    if not f0.is_zero():
-        components[0] = f0
-    return components
+    for (b, a), c in from_left_symbol(f, problem.z_names).terms.items():
+        components.setdefault(a, {})[w_free + b] = c
+    return DecompositionResult(problem, {
+        a: Polynomial(problem.ring, problem.variables, terms)
+        for a, terms in components.items()})
 
 
 def recompose(d: DecompositionResult) -> Polynomial:
@@ -199,26 +167,23 @@ class MembershipCertificate:
 def certify_imD(problem: ImageProblem, f: Polynomial) -> MembershipCertificate:
     """Decide membership in sum_i (d/dz_i - w_i) C[w,z] via the decomposition."""
     problem.check(f)
+    n = problem.n
     d = decompose(problem, f)
-    zero_index = (0,) * problem.n
-    f0 = d.components.get(zero_index)
-    lf = L_map(problem, f)
-    if not (lf.is_zero() if f0 is None else lf == f0):
+    f0 = d.component((0,) * n)
+    if L_map(problem, f) != f0:
         raise VerificationError("the zero component of the decomposition is not L(f)")
-    if f0 is not None and not f0.is_zero():
+    if not f0.is_zero():
         return MembershipCertificate(problem, "nonmember", residue=f0)
-    witness = [problem.zero() for _ in range(problem.n)]
+    # t^a f_a = t_i t^(a-e_i) f_a with i the first index where a_i > 0, and
+    # t^(a-e_i) z^c is the left symbol of z^c d^(a-e_i); t_i = -(d/dz_i - w_i)
+    parts = [{} for _ in range(n)]
     for a, comp in d.components.items():
-        if a == zero_index:
-            continue
-        i = next(j for j, e in enumerate(a, start=1) if e > 0)
-        acc = comp
-        for j, k in enumerate(a, start=1):
-            steps = k - 1 if j == i else k
-            for _ in range(steps):
-                acc = t_apply(problem, j, acc)
-        # t^a f_a = t_i(acc) = -(d/dz_i - w_i)(acc)
-        witness[i - 1] = witness[i - 1] - acc
+        i = next(j for j, e in enumerate(a) if e)
+        lowered = a[:i] + (a[i] - 1,) + a[i + 1:]
+        for exps, c in comp.terms.items():
+            parts[i][(exps[n:], lowered)] = -c
+    witness = [left_symbol(WeylElement(problem.ring, problem.z_names, terms), problem.variables)
+               for terms in parts]
     cert = MembershipCertificate(problem, "member", witness=witness)
     if not cert.verify(f):
         raise VerificationError("certificate failed to re-verify")

@@ -16,7 +16,7 @@ from math import comb, factorial
 
 from . import linalg
 from .poly import Polynomial, VariableSet, VerificationError
-from .rings import QQ, RingDescriptor
+from .rings import QQ
 
 X_VARS = VariableSet(("x",))
 
@@ -110,24 +110,14 @@ def inner_product(f: Polynomial, g: Polynomial, m: MomentFunctional):
     return total
 
 
-@dataclass
-class OrthFamily:
-    """Univariate polynomials indexed by degree."""
-
-    variables: VariableSet
-    polys: dict
-    specs: tuple  # the WeightSpec of the variable
-
-
-def gram_schmidt(m: MomentFunctional, d_max: int,
-                 ring: RingDescriptor = QQ) -> OrthFamily:
-    """Monic orthogonal polynomials of each degree <= d_max, exactly."""
+def gram_schmidt(m: MomentFunctional, d_max: int) -> dict:
+    """{degree: monic orthogonal polynomial} for each degree <= d_max, exactly."""
     if m.n_max < 2 * d_max:
         raise ValueError("not enough moments for the requested degree")
     polys = {}
     norms = {}
     for d in range(d_max + 1):
-        p = Polynomial.var(ring, X_VARS, "x", d) if d else Polynomial.one(ring, X_VARS)
+        p = Polynomial.var(QQ, X_VARS, "x", d) if d else Polynomial.one(QQ, X_VARS)
         for j in range(d):
             num = inner_product(p, polys[j], m)
             if not norms[j]:
@@ -135,7 +125,7 @@ def gram_schmidt(m: MomentFunctional, d_max: int,
             p = p - polys[j].scale(num / norms[j])
         polys[d] = p
         norms[d] = inner_product(p, p, m)
-    return OrthFamily(X_VARS, polys, (m.spec,))
+    return polys
 
 
 # -- twisted rationals -------------------------------------------------

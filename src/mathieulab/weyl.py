@@ -7,6 +7,9 @@ Reordering uses the closed-form rewrite
 applied multi-index-wise, which keeps intermediate results small.  `_reorder`
 is the single home of this formula: composition, the left-normal rewrite
 (with sign (-1)^|k|) and `from_left_symbol` all draw their terms from it.
+Through the symbol maps it also serves `imagemap`: `decompose` reads the
+components f_a off `from_left_symbol(f)`, and `certify_imD` builds its
+witness with `left_symbol`.
 Binomial bookkeeping happens over the integers and is reduced into the
 coefficient ring at the end, so characteristic-p elements work too.
 """

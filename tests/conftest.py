@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from mathieulab.poly import Polynomial, VariableSet
-from mathieulab.rings import GF, QI, QQ, GaussianRational
+from mathieulab.poly import Polynomial
+from mathieulab.rings import GaussianRational
 
 
 def random_coeff(rng, ring):
@@ -32,6 +32,20 @@ def random_polynomial(rng, ring, variables, max_degree=3, max_terms=4,
             exps.append(rng.randint(low, max_degree))
         terms[tuple(exps)] = random_coeff(rng, ring)
     return Polynomial(ring, variables, terms)
+
+
+def random_components(rng, problem, max_index=3, max_components=3):
+    """Nonzero w-free components f_a of f = sum t^a f_a, at random indices a."""
+    n = problem.n
+    components = {}
+    for _ in range(rng.randint(1, max_components)):
+        a = tuple(rng.randint(0, max_index) for _ in range(n))
+        f = random_polynomial(rng, problem.ring, problem.variables)
+        comp = Polynomial(problem.ring, problem.variables,
+                          {(0,) * n + exps[n:]: c for exps, c in f.terms.items()})
+        if not comp.is_zero():
+            components[a] = comp
+    return components
 
 
 @pytest.fixture

@@ -4,26 +4,24 @@ Each test prints one pass/fail line and enforces its wall-clock budget.
 Everything is exact equality; there are no tolerances anywhere.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction
-from math import factorial
 
-from conftest import random_polynomial
+from conftest import random_components, random_polynomial
 from mathieulab import charp, harness, ortho
 from mathieulab.imagemap import (
+    DecompositionResult,
     ImageProblem,
     L_map,
     certify_imD,
     decompose,
-    factorial_functional,
     monomial_count_scan,
     power_scan,
     recompose,
 )
 from mathieulab.poly import NEG_INF, Polynomial, VariableSet
-from mathieulab.rings import GF, QI, QQ
+from mathieulab.rings import QI, QQ
 from mathieulab.weyl import WeylElement, from_left_symbol, right_symbol
 
 
@@ -97,19 +95,20 @@ def test_criterion_02_membership_iff_kernel():
 
 
 def test_criterion_03_decomposition_uniqueness():
-    with _Criterion(3, "decompose/recompose identity and order independence", 60):
+    with _Criterion(3, "decompose/recompose identity and uniqueness", 60):
         rng = random.Random(33)
         for _ in range(300):
             n = rng.randint(1, 3)
             problem = ImageProblem(n, QQ)
             f = random_polynomial(rng, QQ, problem.variables,
                                   max_degree=5, max_terms=4)
-            d = decompose(problem, f)
-            assert recompose(d) == f
-            if n > 1:
-                order = list(range(1, n + 1))
-                rng.shuffle(order)
-                assert decompose(problem, f, order=order).components == d.components
+            assert recompose(decompose(problem, f)) == f
+        for ring in (QQ, QI):
+            for _ in range(150):
+                problem = ImageProblem(rng.randint(1, 3), ring)
+                components = random_components(rng, problem)
+                f = recompose(DecompositionResult(problem, components))
+                assert decompose(problem, f).components == components
 
 
 def test_criterion_04_one_pair_scan_suite():
@@ -274,11 +273,10 @@ def test_criterion_09_orthogonal_triple_agreement():
                 rod = ortho.rodrigues(spec, d)
                 lam = ortho.lambda_power(spec, d, d).as_polynomial()
                 assert lam.scale(ortho.rodrigues_constant(spec, d)) == rod
-                assert rod == monic.polys[d].scale(rod.terms[(d,)])
+                assert rod == monic[d].scale(rod.terms[(d,)])
             for i in range(9):
                 for j in range(i):
-                    assert not ortho.inner_product(monic.polys[i],
-                                                   monic.polys[j], m)
+                    assert not ortho.inner_product(monic[i], monic[j], m)
         x = Polynomial.var(QQ, ortho.X_VARS, "x")
         one = Polynomial.one(QQ, ortho.X_VARS)
         assert ortho.rodrigues(ortho.WeightSpec("hermite"), 1) == x.scale(2)

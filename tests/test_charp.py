@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_polynomial
-from mathieulab import charp
 from mathieulab.charp import (
     CharPProblem,
     _shift_operator_apply,
@@ -20,9 +19,9 @@ from mathieulab.charp import (
     theorem51_pipeline,
     willems_scan,
 )
-from mathieulab.imagemap import L_map, monomial_count_scan
+from mathieulab.imagemap import monomial_count_scan
 from mathieulab.poly import NEG_INF, Polynomial, VariableSet
-from mathieulab.rings import GF, QQ, valuation_p
+from mathieulab.rings import QQ, valuation_p
 
 U_VARS = VariableSet(("u",))
 

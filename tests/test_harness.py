@@ -3,12 +3,10 @@
 import pytest
 
 from conftest import random_polynomial
-from mathieulab import harness
 from mathieulab.harness import (
     MatrixValue,
     SubspaceOracle,
     gvc_scan,
-    jacobian_matrix,
     jacobian_nilpotent,
     kerL_oracle,
     laurent_constant_oracle,

@@ -1,15 +1,14 @@
 """Kernel map, decomposition, certificates, and the power-scan machinery."""
 
 import math
-import random
 
 import pytest
 
-from conftest import random_coeff, random_polynomial
+from conftest import random_coeff, random_components, random_polynomial
 from mathieulab.imagemap import (
+    DecompositionResult,
     ImageProblem,
     L_map,
-    MonomialCountScan,
     certify_imD,
     decompose,
     factorial_functional,
@@ -96,12 +95,13 @@ def test_decompose_recompose_round_trip(rng):
                     assert comp.partial(name).is_zero()
 
 
-def test_decompose_order_independence(rng):
-    for _ in range(25):
-        f = random_polynomial(rng, QQ, P2.variables)
-        a = decompose(P2, f, order=[1, 2])
-        b = decompose(P2, f, order=[2, 1])
-        assert a.components == b.components
+def test_decompose_uniqueness(rng):
+    """decompose recovers exactly the w-free components that built f."""
+    for problem in (P1, P2, ImageProblem(3, QQ), ImageProblem(2, QI), ImageProblem(3, QI)):
+        for _ in range(25):
+            components = random_components(rng, problem)
+            f = recompose(DecompositionResult(problem, components))
+            assert decompose(problem, f).components == components
 
 
 def test_zero_component_is_lmap(rng):

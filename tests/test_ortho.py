@@ -5,9 +5,7 @@ from math import factorial
 
 import pytest
 
-from mathieulab import ortho
 from mathieulab.ortho import (
-    MomentFunctional,
     TwistedRational,
     WeightSpec,
     X_VARS,
@@ -21,7 +19,7 @@ from mathieulab.ortho import (
     rodrigues,
     rodrigues_constant,
 )
-from mathieulab.poly import Polynomial, VariableSet
+from mathieulab.poly import Polynomial
 from mathieulab.rings import QQ
 
 X = Polynomial.var(QQ, X_VARS, "x")
@@ -74,9 +72,9 @@ def test_gram_schmidt_orthogonality():
         m = moments(spec, 12)
         fam = gram_schmidt(m, 6)
         for i in range(7):
-            assert fam.polys[i].terms[(i,)] == 1  # monic
+            assert fam[i].terms[(i,)] == 1  # monic
             for j in range(i):
-                assert not inner_product(fam.polys[i], fam.polys[j], m)
+                assert not inner_product(fam[i], fam[j], m)
 
 
 def test_rodrigues_known_values():
@@ -127,7 +125,7 @@ def test_rodrigues_proportional_to_monic():
         for a in range(9):
             rod = rodrigues(spec, a)
             lead = rod.terms[(a,)]
-            assert rod == fam.polys[a].scale(lead)
+            assert rod == fam[a].scale(lead)
 
 
 def test_twisted_rational_reduction():

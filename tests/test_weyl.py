@@ -1,7 +1,5 @@
 """Normal ordering, operator action, the left-symbol bijection and the right-symbol map."""
 
-import random
-
 import pytest
 
 from conftest import random_polynomial
