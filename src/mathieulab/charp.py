@@ -4,6 +4,8 @@ The coefficient algebra is F_p[w_1..w_n] with a_i = w_i, sitting inside the
 same (w, z) polynomial ring used everywhere else.  The operator d/dz_i - w_i
 raised to the p-th power collapses to multiplication by -w_i^p, which is the
 engine behind the sufficiency certificate and the full-pipeline check.
+The Willems scan of f = t^-1 (1 + t^p) reads each coefficient of f^m off
+Lucas's theorem instead of multiplying out the powers.
 """
 
 from __future__ import annotations
@@ -35,35 +37,15 @@ class CharPProblem:
     def image(self) -> ImageProblem:
         return ImageProblem(self.n, GF(self.p))
 
-    def ideal_I(self) -> "IdealSpec":
-        return IdealSpec(tuple({f"w{i}": 1} for i in range(1, self.n + 1)))
 
-    def ideal_J(self) -> "IdealSpec":
-        return IdealSpec(tuple({f"w{i}": self.p} for i in range(1, self.n + 1)))
-
-
-@dataclass(frozen=True)
-class IdealSpec:
-    """Monomial ideal in the w-variables, given by its monomial generators."""
-
-    generators: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "generators",
-                           tuple(dict(g) for g in self.generators))
+def _w_index(exps, n: int, e: int):
+    """First i with w_i^e dividing the monomial `exps` (w_1..w_n first), else None."""
+    return next((i for i in range(1, n + 1) if exps[i - 1] >= e), None)
 
 
-def monomial_ideal_member(f: Polynomial, ideal: IdealSpec) -> bool:
-    """Every term of f divisible by some generator monomial."""
-    if f.is_zero():
-        return True
-    indexed = []
-    for g in ideal.generators:
-        indexed.append({f.variables.index(name): e for name, e in g.items()})
-    for exps in f.terms:
-        if not any(all(exps[i] >= e for i, e in g.items()) for g in indexed):
-            return False
-    return True
+def w_ideal_member(f: Polynomial, n: int, e: int) -> bool:
+    """Every term of f lies in (w_1^e, ..., w_n^e): I is e = 1, J is e = p."""
+    return all(_w_index(exps, n, e) for exps in f.terms)
 
 
 def _shift_operator_apply(problem: ImageProblem, i: int, h: Polynomial,
@@ -96,11 +78,11 @@ def sufficient_membership(b: Polynomial, prob: CharPProblem):
     """
     problem = prob.image
     problem.check(b)
-    if not monomial_ideal_member(b, prob.ideal_J()):
-        return None
     components = {}
     for exps, c in b.terms.items():
-        i = next(j for j in range(1, prob.n + 1) if exps[j - 1] >= prob.p)
+        i = _w_index(exps, prob.n, prob.p)
+        if i is None:
+            return None
         key = list(exps)
         key[i - 1] -= prob.p
         mono = Polynomial(problem.ring, problem.variables, {tuple(key): -c})
@@ -190,7 +172,7 @@ def crucial_lemma_descent(b: Polynomial, p_wit: Polynomial, q_wit: Polynomial,
     rhs = (-(problem.zeta(1) * (p_comp.get(d, zero) + g_mid.partial("z2")))
            - problem.zeta(2) * (q_comp.get(d, zero) - g_mid.partial("z1")))
     witness = DescentWitness(d, g_top, g_mid, b_d, lhs, rhs)
-    if not (witness.verify() and monomial_ideal_member(b_d, prob.ideal_I())):
+    if not (witness.verify() and w_ideal_member(b_d, prob.n, 1)):
         raise VerificationError("descent identity failed to verify")
     return witness
 
@@ -225,23 +207,19 @@ def theorem51_pipeline(f: Polynomial, g: Polynomial,
     problem = prob.image
     problem.check(f)
     problem.check(g)
-    ideal_i, ideal_j = prob.ideal_I(), prob.ideal_J()
-    if not monomial_ideal_member(f, ideal_i):
-        for exps, c in f.terms.items():
-            if all(e == 0 for e in exps[:prob.n]):
-                mono = Polynomial(problem.ring, problem.variables, {exps: c})
-                return Theorem51Report(False, failing_coefficient=mono.to_str())
-        return Theorem51Report(False, failing_coefficient="(no w-free term found)")
+    for exps, c in f.terms.items():
+        if _w_index(exps, prob.n, 1) is None:
+            mono = Polynomial(problem.ring, problem.variables, {exps: c})
+            return Theorem51Report(False, failing_coefficient=mono.to_str())
     p2 = prob.p ** 2
-    f_p2 = f ** p2
-    power_ok = monomial_ideal_member(f_p2, ideal_j)
+    power = f ** p2
+    power_ok = w_ideal_member(power, prob.n, prob.p)
     sampled = (p2, p2 + 1, p2 + 2)
     products_ok = True
-    power = f_p2
-    for m in range(p2, sampled[-1] + 1):
+    for m in sampled:
         if m > p2:
             power = power * f
-        if m in sampled and not monomial_ideal_member(g * power, ideal_j):
+        if not w_ideal_member(g * power, prob.n, prob.p):
             products_ok = False
     return Theorem51Report(True, power_coefficients_in_J=power_ok,
                            sampled_m=sampled, products_in_J=products_ok)
@@ -266,6 +244,19 @@ class WillemsReport:
                 "all_expected_hit": self.all_expected_hit}
 
 
+def _willems_coefficient_nonzero(p: int, m: int, j: int) -> bool:
+    """The t^j coefficient of (t^-1 (1 + t^p))^m is C(m, (m+j)/p) if p | m+j,
+    else 0; by Lucas, C(m, i) != 0 mod p iff no base-p digit of i exceeds m's."""
+    if (m + j) % p:
+        return False
+    i = (m + j) // p
+    while i:
+        if i % p > m % p:
+            return False
+        i, m = i // p, m // p
+    return True
+
+
 def willems_scan(p: int, k_max: int) -> WillemsReport:
     """f = t^-1 + t^(p-1) over F_p: powers have zero constant term, yet
     t^-1 f^m has a nonzero constant coefficient at every m = p^k - 1."""
@@ -273,20 +264,10 @@ def willems_scan(p: int, k_max: int) -> WillemsReport:
         raise ValueError(f"{p} is not prime")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    ring = GF(p)
-    t_vars = VariableSet(("t",), laurent=frozenset(("t",)))
-    f = Polynomial(ring, t_vars, {(-1,): ring.one(), (p - 1,): ring.one()})
-    m_max = p ** k_max - 1
-    constant_ok = True
-    violations = []
-    power = Polynomial.one(ring, t_vars)
-    for m in range(1, m_max + 1):
-        power = power * f
-        if power.constant_coefficient():
-            constant_ok = False
-        if power.coefficient_of({"t": 1}):
-            # constant coefficient of t^-1 f^m is the t^1 coefficient of f^m
-            violations.append(m)
+    ms = range(1, p ** k_max)
+    constant_ok = not any(_willems_coefficient_nonzero(p, m, 0) for m in ms)
+    # the constant coefficient of t^-1 f^m is the t^1 coefficient of f^m
+    violations = [m for m in ms if _willems_coefficient_nonzero(p, m, 1)]
     expected = [p ** k - 1 for k in range(1, k_max + 1)]
     return WillemsReport(p, k_max, constant_ok, violations, expected,
                          all(m in violations for m in expected))
@@ -314,6 +295,9 @@ def example12_refutation(p: int, degree_bound: int = None) -> Example12Report:
         raise ValueError(f"{p} is not prime")
     if degree_bound is None:
         degree_bound = 4 * p
+    if degree_bound < p:
+        raise ValueError(f"degree bound {degree_bound} < p = {p}: "
+                         f"the probe never reaches z^{p - 1}")
     ring = GF(p)
     z_vars = VariableSet(("z",))
     # image of the monomial basis under d/dz: j z^(j-1) for j <= bound,
@@ -417,7 +401,7 @@ def lemma81_nonvanishing(g: Polynomial, prime_candidates=None) -> Lemma81Report:
     coeffs = {i: c / lead for i, c in coeffs.items()}
     d = max(coeffs)
     if prime_candidates is None:
-        prime_candidates = _default_primes(coeffs, d, count=25)
+        prime_candidates = _default_primes(coeffs, d)
     tried = []
     for p in prime_candidates:
         tried.append(p)
@@ -445,10 +429,13 @@ def lemma81_nonvanishing(g: Polynomial, prime_candidates=None) -> Lemma81Report:
     return Lemma81Report("exhausted", tried=tuple(tried))
 
 
-def _default_primes(coeffs, degree, count):
+_DEFAULT_PRIME_COUNT = 25
+
+
+def _default_primes(coeffs, degree):
     out = []
     p = 2
-    while len(out) < count:
+    while len(out) < _DEFAULT_PRIME_COUNT:
         if is_prime(p) and p > degree and all(
                 Fraction(c).denominator % p for c in coeffs.values()):
             out.append(p)

@@ -305,7 +305,10 @@ def _cmd_willems(args):
 
 
 def _cmd_example12(args):
-    report = charp.example12_refutation(args.p, args.bound).as_report()
+    try:
+        report = charp.example12_refutation(args.p, args.bound).as_report()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     report["command"] = "charp.example12"
     return report, None
 

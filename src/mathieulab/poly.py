@@ -203,12 +203,6 @@ class Polynomial:
             (exps[:i] + (exps[i] - 1,) + exps[i + 1:], c * from_int(exps[i]))
             for exps, c in self.terms.items() if exps[i]))
 
-    def coefficient_of(self, exps_by_name) -> object:
-        exps = [0] * len(self.variables)
-        for name, e in exps_by_name.items():
-            exps[self.variables.index(name)] = e
-        return self.terms.get(tuple(exps), self.ring.zero())
-
     def constant_coefficient(self):
         return self.terms.get((0,) * len(self.variables), self.ring.zero())
 

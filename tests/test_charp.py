@@ -14,14 +14,14 @@ from mathieulab.charp import (
     frobenius_expansion_check,
     koszul_solve,
     lemma81_nonvanishing,
-    monomial_ideal_member,
     sufficient_membership,
     theorem51_pipeline,
+    w_ideal_member,
     willems_scan,
 )
 from mathieulab.imagemap import monomial_count_scan
 from mathieulab.poly import NEG_INF, Polynomial, VariableSet
-from mathieulab.rings import QQ, valuation_p
+from mathieulab.rings import GF, QQ, valuation_p
 
 U_VARS = VariableSet(("u",))
 
@@ -52,13 +52,17 @@ def test_shift_operator_p_th_power_is_multiplication():
 
 
 def test_monomial_ideal_membership():
+    """I = (w_i) is the exponent threshold 1 and J = (w_i^p) the threshold p."""
     prob = CharPProblem(3, 2)
     problem = prob.image
     f = problem.zeta(1) ** 3 * problem.z(2) + problem.zeta(2) ** 4
-    assert monomial_ideal_member(f, prob.ideal_J())
-    assert monomial_ideal_member(f, prob.ideal_I())
-    assert not monomial_ideal_member(f + problem.one(), prob.ideal_I())
-    assert monomial_ideal_member(problem.zero(), prob.ideal_J())
+    assert w_ideal_member(f, prob.n, prob.p)
+    assert w_ideal_member(f, prob.n, 1)
+    assert not w_ideal_member(f + problem.one(), prob.n, 1)
+    assert w_ideal_member(problem.zero(), prob.n, prob.p)
+    in_i_only = problem.zeta(1) * problem.z(2)
+    assert w_ideal_member(in_i_only, prob.n, 1)
+    assert not w_ideal_member(in_i_only, prob.n, prob.p)
 
 
 def test_sufficient_membership_witness():
@@ -113,7 +117,7 @@ def test_descent_on_random_witnesses():
                 continue
             witness = crucial_lemma_descent(b, p_wit, q_wit, prob)
             assert witness.verify()
-            assert monomial_ideal_member(witness.top_component, prob.ideal_I())
+            assert w_ideal_member(witness.top_component, prob.n, 1)
             checked += 1
     assert checked >= 40
 
@@ -166,7 +170,37 @@ def test_willems_counterexample():
 def test_willems_p2_exact_violations():
     report = willems_scan(2, 3)
     assert report.expected_violations == [1, 3, 7]
-    assert set([1, 3, 7]) <= set(report.violations)
+    assert report.violations == [1, 3, 7]
+    assert willems_scan(3, 2).violations == [2, 5, 8]
+
+
+def _willems_by_products(p, k_max):
+    """The scan by the m-step product chain of f = t^-1 + t^(p-1) over F_p."""
+    ring = GF(p)
+    t_vars = VariableSet(("t",), laurent=frozenset(("t",)))
+    f = Polynomial(ring, t_vars, {(-1,): ring.one(), (p - 1,): ring.one()})
+    constant_ok = True
+    violations = []
+    power = Polynomial.one(ring, t_vars)
+    for m in range(1, p ** k_max):
+        power = power * f
+        if power.constant_coefficient():
+            constant_ok = False
+        if power.terms.get((1,)):
+            violations.append(m)
+    expected = [p ** k - 1 for k in range(1, k_max + 1)]
+    return {"p": p, "k_max": k_max, "constant_terms_vanish": constant_ok,
+            "violations": violations, "expected_violations": expected,
+            "all_expected_hit": all(m in violations for m in expected)}
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_willems_matches_product_chain(p):
+    """The Lucas digit rule agrees with multiplying out f^m, for p^k <= 1000."""
+    k = 1
+    while p ** k <= 1000:
+        assert willems_scan(p, k).as_report() == _willems_by_products(p, k)
+        k += 1
 
 
 def test_example12():
@@ -175,6 +209,10 @@ def test_example12():
         assert report.one_in_image
         assert report.refuted
         assert report.missing_monomial == ("z" if p == 2 else f"z^{p - 1}")
+        # a probe basis that stops below z^(p-1) cannot refute
+        with pytest.raises(ValueError):
+            example12_refutation(p, p - 1)
+    assert example12_refutation(3, 3).refuted
 
 
 def test_frobenius_expansion_random():

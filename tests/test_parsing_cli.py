@@ -66,7 +66,7 @@ def test_parse_parentheses_and_precedence():
 
 def test_parse_imaginary_unit():
     f = parse_polynomial("i*z1 + 1/2", QI, WZ)
-    assert f.coefficient_of({"z1": 1}) == QI.imaginary_unit()
+    assert f.terms[(0, 1)] == QI.imaginary_unit()
     with pytest.raises(ParseError):
         parse_polynomial("i", QQ, WZ)
 
@@ -248,6 +248,7 @@ def test_cli_usage_errors(capsys, tmp_path):
         ("charp", "willems", "--p", "4"),
         ("charp", "willems", "--p", "2", "--kmax", "0"),
         ("charp", "example12", "--p", "3", "--bound", "0"),
+        ("charp", "example12", "--p", "3", "--bound", "2"),  # the probe never reaches z^2
         ("charp", "example12"),  # every charp mode needs --p
         ("charp", "--p", "2", "willems"),  # the mode comes before its flags
         ("moments", "--family", "hermite", "--nmax", "-1"),
