@@ -409,8 +409,7 @@ def lemma81_nonvanishing(g: Polynomial, prime_candidates=None) -> Lemma81Report:
             continue
         if p <= d:
             continue
-        if any(valuation_p(c, p) != float("inf") and valuation_p(c, p) < 0
-               for c in coeffs.values()):
+        if any(valuation_p(c, p) < 0 for c in coeffs.values()):
             continue
         norm = Polynomial(QQ, g.variables, {(i,): c for i, c in coeffs.items()})
         gp = norm ** p

@@ -263,8 +263,7 @@ def _cmd_ortho(args):
     rows = []
     for d in range(args.dmax + 1):
         rod = ortho.rodrigues(spec, d)
-        lam = ortho.lambda_power(spec, d, d).as_polynomial()
-        lam = lam.scale(ortho.rodrigues_constant(spec, d))
+        lam = ortho.lambda_power(spec, d, d).scale(ortho.rodrigues_constant(spec, d))
         lead = rod.terms.get((d,), QQ.one())
         if lam != rod or rod != monic[d].scale(lead):
             raise VerificationError(f"generation routes disagree at degree {d}")

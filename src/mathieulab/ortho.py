@@ -4,13 +4,14 @@ first-order operator route.
 Everything stays rational: moments are normalized by the zeroth moment, so
 even the Gaussian weight only ever contributes rational numbers.  The two
 generator routes are computed independently; the recursion here keeps the
-weight factored out symbolically, while `lambda_power` works in twisted
-rationals with explicit singular denominators.
+weight factored out symbolically, while `lambda_power` applies the operator
+d/dx + w'/w literally over the common denominator D^j, with D the weight's
+singular product, and ends with one exact division.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -79,10 +80,9 @@ def moments(spec: WeightSpec, n_max: int) -> MomentFunctional:
     elif fam == "uniform01":
         vals = [Fraction(1, n + 1) for n in range(n_max + 1)]
     else:
-        alpha = spec.alpha if fam == "jacobi" else 0
-        beta = spec.beta if fam == "jacobi" else 0
-        mu0 = _jacobi_raw_moment(0, alpha, beta)
-        vals = [_jacobi_raw_moment(n, alpha, beta) / mu0 for n in range(n_max + 1)]
+        mu0 = _jacobi_raw_moment(0, spec.alpha, spec.beta)
+        vals = [_jacobi_raw_moment(n, spec.alpha, spec.beta) / mu0
+                for n in range(n_max + 1)]
     return MomentFunctional(spec, tuple(vals))
 
 
@@ -128,121 +128,26 @@ def gram_schmidt(m: MomentFunctional, d_max: int) -> dict:
     return polys
 
 
-# -- twisted rationals -------------------------------------------------
-
 _FACTOR_POLYS = {
     "x": Polynomial.var(QQ, X_VARS, "x"),
     "1-x": Polynomial.one(QQ, X_VARS) - Polynomial.var(QQ, X_VARS, "x"),
     "1+x": Polynomial.one(QQ, X_VARS) + Polynomial.var(QQ, X_VARS, "x"),
 }
-_FACTOR_DERIVS = {"x": 1, "1-x": -1, "1+x": 1}
 
 
-@dataclass(frozen=True)
-class TwistedRational:
-    """numerator / product of singular weight factors, reduced eagerly.
-
-    Division is exact or not at all: a non-divisible cancellation simply
-    stays in the denominator, and `as_polynomial` fails loudly.
-    """
-
-    numerator: Polynomial
-    denominator: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        den = {k: v for k, v in self.denominator.items() if v}
-        for k, v in den.items():
-            if k not in _FACTOR_POLYS:
-                raise ValueError(f"unknown singular factor {k!r}")
-            if v < 0:
-                raise ValueError("denominator powers must be non-negative")
-        num = self.numerator
-        for name in list(den):
-            factor = _FACTOR_POLYS[name]
-            while den[name] and not num.is_zero():
-                try:
-                    num = num.exact_divide(factor)
-                except ValueError:
-                    break
-                den[name] -= 1
-            if not den[name]:
-                del den[name]
-        if num.is_zero():
-            den = {}
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
-
-    @staticmethod
-    def from_polynomial(p: Polynomial) -> "TwistedRational":
-        return TwistedRational(p, {})
-
-    def is_polynomial(self) -> bool:
-        return not self.denominator
-
-    def as_polynomial(self) -> Polynomial:
-        if self.denominator:
-            raise ValueError(f"non-polynomial residue: denominator {self.denominator}")
-        return self.numerator
-
-    def __add__(self, other: "TwistedRational") -> "TwistedRational":
-        den = {k: max(self.denominator.get(k, 0), other.denominator.get(k, 0))
-               for k in set(self.denominator) | set(other.denominator)}
-        a = self.numerator
-        for k, v in den.items():
-            a = a * _FACTOR_POLYS[k] ** (v - self.denominator.get(k, 0))
-        b = other.numerator
-        for k, v in den.items():
-            b = b * _FACTOR_POLYS[k] ** (v - other.denominator.get(k, 0))
-        return TwistedRational(a + b, den)
-
-    def __neg__(self):
-        return TwistedRational(-self.numerator, dict(self.denominator))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "TwistedRational") -> "TwistedRational":
-        den = {k: self.denominator.get(k, 0) + other.denominator.get(k, 0)
-               for k in set(self.denominator) | set(other.denominator)}
-        return TwistedRational(self.numerator * other.numerator, den)
-
-    def derivative(self) -> "TwistedRational":
-        """Quotient rule over the factored denominator, then eager reduction."""
-        n = self.numerator
-        num = n.partial("x")
-        for k in self.denominator:
-            num = num * _FACTOR_POLYS[k]
-        for k, v in self.denominator.items():
-            piece = n.scale(-v * _FACTOR_DERIVS[k])
-            for j, w in self.denominator.items():
-                if j != k:
-                    piece = piece * _FACTOR_POLYS[j]
-            num = num + piece
-        den = {k: v + 1 for k, v in self.denominator.items()}
-        return TwistedRational(num, den)
-
-    def __eq__(self, other):
-        if not isinstance(other, TwistedRational):
-            return NotImplemented
-        return (self.numerator == other.numerator
-                and self.denominator == other.denominator)
-
-
-def log_derivative(spec: WeightSpec) -> TwistedRational:
-    """w'/w as a twisted rational."""
+def log_derivative(spec: WeightSpec) -> tuple:
+    """w'/w as the pair (T, D) with w'/w = T / D, D the weight's singular product."""
     fam = spec.family
     one = Polynomial.one(QQ, X_VARS)
     x = _FACTOR_POLYS["x"]
     if fam == "hermite":
-        return TwistedRational(x.scale(-2))
+        return x.scale(-2), one
     if fam == "laguerre":
-        return TwistedRational(one.scale(spec.alpha) - x, {"x": 1})
+        return one.scale(spec.alpha) - x, x
     if fam in ("jacobi", "legendre"):
-        alpha = spec.alpha if fam == "jacobi" else 0
-        beta = spec.beta if fam == "jacobi" else 0
-        num = (_FACTOR_POLYS["1+x"].scale(-alpha)
-               + _FACTOR_POLYS["1-x"].scale(beta))
-        return TwistedRational(num, {"1-x": 1, "1+x": 1})
+        num = (_FACTOR_POLYS["1+x"].scale(-spec.alpha)
+               + _FACTOR_POLYS["1-x"].scale(spec.beta))
+        return num, _FACTOR_POLYS["1-x"] * _FACTOR_POLYS["1+x"]
     raise ValueError(f"no first-order operator for {fam}")
 
 
@@ -269,15 +174,21 @@ def rodrigues_constant(spec: WeightSpec, a: int) -> Fraction:
     raise ValueError(f"no Rodrigues constant for {fam}")
 
 
-def lambda_power(spec: WeightSpec, a: int, m: int) -> TwistedRational:
-    """m applications of (d/dx + w'/w) to g^a; polynomial whenever m <= a."""
+def lambda_power(spec: WeightSpec, a: int, m: int) -> Polynomial:
+    """m applications of (d/dx + w'/w) to g^a; polynomial whenever m <= a.
+
+    With w'/w = T / D, the j-th application is N_j / D^j, where N_0 = g^a and
+    N_{j+1} = D N_j' + (T - j D') N_j.  One exact division by D^m ends the
+    route; it raises ValueError when the result is not a polynomial.
+    """
     if m < 0 or a < 0:
         raise ValueError("a and m must be non-negative")
-    ell = log_derivative(spec)
-    t = TwistedRational.from_polynomial(generator(spec) ** a)
-    for _ in range(m):
-        t = t.derivative() + ell * t
-    return t
+    t, den = log_derivative(spec)
+    den_prime = den.partial("x")
+    num = generator(spec) ** a
+    for j in range(m):
+        num = den * num.partial("x") + (t - den_prime.scale(j)) * num
+    return num.exact_divide(den ** m)
 
 
 def rodrigues(spec: WeightSpec, a: int) -> Polynomial:
@@ -303,10 +214,8 @@ def rodrigues(spec: WeightSpec, a: int) -> Polynomial:
             r = r.scale(s) + x * (r.partial("x") - r)
             s -= 1
     elif fam in ("jacobi", "legendre"):
-        alpha = spec.alpha if fam == "jacobi" else 0
-        beta = spec.beta if fam == "jacobi" else 0
         r = one
-        s, t = alpha + a, beta + a
+        s, t = spec.alpha + a, spec.beta + a
         for _ in range(a):
             r = (_FACTOR_POLYS["1+x"].scale(-s) * r
                  + _FACTOR_POLYS["1-x"].scale(t) * r

@@ -1,4 +1,5 @@
-"""Every name a library or test module imports is used in that module."""
+"""Every name a library or test module imports is used in that module, and
+every private module-level name of the library is read somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import mathieulab
 
 TESTS = Path(__file__).parent
+LIBRARY = sorted(Path(mathieulab.__file__).parent.glob("*.py"))
 
 
 def _unused_imports(path):
@@ -21,8 +23,32 @@ def _unused_imports(path):
 
 def test_no_unused_imports():
     # the package's __init__.py re-exports by design
-    library = [path for path in sorted(Path(mathieulab.__file__).parent.glob("*.py"))
-               if path.name != "__init__.py"]
+    library = [path for path in LIBRARY if path.name != "__init__.py"]
     unused = [entry for path in library + sorted(TESTS.glob("*.py"))
               for entry in _unused_imports(path)]
+    assert not unused
+
+
+def _private_definitions(tree):
+    """The module-level functions, classes and assignment targets named _x."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_no_unused_private_names():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in LIBRARY}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    unused = [f"{name}:{defined}" for name, tree in trees.items()
+              for defined in _private_definitions(tree)
+              if defined.startswith("_") and not defined.startswith("__")
+              and defined not in read]
     assert not unused

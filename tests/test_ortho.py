@@ -6,7 +6,6 @@ from math import factorial
 import pytest
 
 from mathieulab.ortho import (
-    TwistedRational,
     WeightSpec,
     X_VARS,
     gram_schmidt,
@@ -103,17 +102,7 @@ def test_rodrigues_equals_operator_route():
             continue
         for a in range(7):
             lam = lambda_power(spec, a, a)
-            assert lam.is_polynomial()
-            assert lam.as_polynomial().scale(rodrigues_constant(spec, a)) \
-                == rodrigues(spec, a)
-
-
-def test_lambda_power_midway_can_be_twisted():
-    # for Laguerre(0), one application of the operator to g^2 is already
-    # polynomial only after reduction; higher alpha stays twisted longer
-    spec = WeightSpec("laguerre", 2)
-    t = lambda_power(spec, 2, 1)
-    assert isinstance(t, TwistedRational)
+            assert lam.scale(rodrigues_constant(spec, a)) == rodrigues(spec, a)
 
 
 def test_rodrigues_proportional_to_monic():
@@ -128,32 +117,12 @@ def test_rodrigues_proportional_to_monic():
             assert rod == fam[a].scale(lead)
 
 
-def test_twisted_rational_reduction():
-    x = X
-    tr = TwistedRational(x * x, {"x": 1})
-    assert tr.numerator == x and not tr.denominator
-    tr = TwistedRational(x + ONE, {"x": 1})
-    assert tr.denominator == {"x": 1}
-    with pytest.raises(ValueError):
-        tr.as_polynomial()
-    with pytest.raises(ValueError):
-        TwistedRational(x, {"x^2": 1})
-
-
-def test_twisted_rational_derivative_quotient_rule():
-    # d/dx (x^3 / (1-x)) == (3x^2(1-x) + x^3) / (1-x)^2
-    tr = TwistedRational(X ** 3, {"1-x": 1})
-    d = tr.derivative()
-    expected_num = (X * X * 3) * (ONE - X) + X ** 3
-    assert d == TwistedRational(expected_num, {"1-x": 2})
-
-
 def test_log_derivative_reduces_for_alpha_zero():
-    ld = log_derivative(WeightSpec("laguerre", 0))
-    assert ld.is_polynomial() and ld.as_polynomial() == -ONE
-    ld = log_derivative(WeightSpec("legendre"))
-    # (-0(1+x) + 0(1-x)) / ((1-x)(1+x)) reduces to zero
-    assert ld.is_polynomial() and ld.as_polynomial().is_zero()
+    t, den = log_derivative(WeightSpec("laguerre", 0))
+    assert den == X and t == -den
+    t, den = log_derivative(WeightSpec("legendre"))
+    # the pair is not reduced: w'/w = 0 keeps D = (1-x)(1+x)
+    assert den == ONE - X * X and t.is_zero()
 
 
 def test_hankel_nonsingular_for_shipped_families():

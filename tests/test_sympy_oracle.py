@@ -113,3 +113,25 @@ def test_rodrigues_matches_sympy_families():
         spec = ortho.WeightSpec(family, alpha, beta)
         for d in range(9):
             assert same(to_sympy(ortho.rodrigues(spec, d)), reference(d)), (spec, d)
+
+
+def test_lambda_power_matches_sympy():
+    """lambda_power(spec, a, m) is w^(-1) d^m (w g^a) when that is a polynomial,
+    and raises ValueError exactly when it is not."""
+    x = sympy.Symbol("x")
+    weights = [("hermite", 0, 0, sympy.exp(-x ** 2), 1),
+               ("legendre", 0, 0, 1, (1 - x) * (1 + x))]
+    weights += [("laguerre", a, 0, x ** a * sympy.exp(-x), x) for a in (0, 2)]
+    weights += [("jacobi", a, b, (1 - x) ** a * (1 + x) ** b, (1 - x) * (1 + x))
+                for a, b in ((1, 0), (3, 2))]
+    for family, alpha, beta, w, g in weights:
+        spec = ortho.WeightSpec(family, alpha, beta)
+        for a in range(4):
+            for m in range(a + 3):
+                num, den = sympy.fraction(sympy.cancel(sympy.diff(w * g ** a, x, m) / w))
+                if den.has(x):
+                    with pytest.raises(ValueError):
+                        ortho.lambda_power(spec, a, m)
+                else:
+                    assert same(to_sympy(ortho.lambda_power(spec, a, m)), num / den), \
+                        (spec, a, m)
