@@ -307,7 +307,7 @@ def example12_refutation(p: int, degree_bound: int = None) -> Example12Report:
     def member(f):
         return all(exps[0] in span_degrees for exps in f.terms)
 
-    oracle = SubspaceOracle(f"imD_ddz_F{p}", "polynomial", member)
+    oracle = SubspaceOracle(f"imD_ddz_F{p}", member)
     one = Polynomial.one(ring, z_vars)
     basis = [Polynomial.var(ring, z_vars, "z", e) for e in range(1, degree_bound)]
     probe = one_property_probe(oracle, one, basis)

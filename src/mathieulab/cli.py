@@ -181,28 +181,26 @@ def _parse_matrix(text, ring):
 
 
 def _scan_context(args):
-    """Oracle plus an element parser for the `scan` subcommand."""
+    """The oracle and the parsed input elements of the `scan` subcommand."""
     choice = args.oracle
     ring = _ring_of(args)
     if choice == "kerl":
         problem = _problem(args)
-        oracle = harness.kerL_oracle(problem)
-        return oracle, lambda t: _parse(t, problem.ring, problem.variables)
+        return (harness.kerL_oracle(problem),
+                [_parse(t, ring, problem.variables) for t in _read_inputs(args)])
     if choice == "laurent":
         t_vars = VariableSet(("t",), laurent=frozenset(("t",)))
         return (harness.laurent_constant_oracle(ring),
-                lambda t: _parse(t, ring, t_vars))
+                [_parse(t, ring, t_vars) for t in _read_inputs(args)])
     if choice == "trace":
         elements = [_parse_matrix(t, ring) for t in _read_inputs(args)]
         dim = elements[0].dim
         if any(e.dim != dim for e in elements):
             raise UsageError("all matrices must share one dimension")
         try:
-            oracle = harness.trace_oracle(dim, ring)
+            return harness.trace_oracle(dim, ring), elements
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        pool = iter(elements)
-        return oracle, lambda _t: next(pool)
     spec = _weight_spec(choice.split(":", 1)[1], args)
     polys = [_parse(t, ring, ortho.X_VARS) for t in _read_inputs(args)]
     top = max((0 if p.is_zero() else int(p.total_degree())) for p in polys)
@@ -210,13 +208,11 @@ def _scan_context(args):
     p = ring.characteristic
     if p and any(mu.denominator % p == 0 for mu in functional.values):
         raise UsageError(f"the {spec.label()} moments have no value mod {p}")
-    return (harness.moment_oracle(functional),
-            lambda t: _parse(t, ring, ortho.X_VARS))
+    return harness.moment_oracle(functional), polys
 
 
 def _cmd_scan(args):
-    oracle, lift = _scan_context(args)
-    f, *gs = [lift(t) for t in _read_inputs(args)]
+    oracle, (f, *gs) = _scan_context(args)
     report = harness.mathieu_scan(oracle, f, gs, args.mmax).as_report()
     report["command"] = "scan"
     return report, None

@@ -20,22 +20,10 @@ from .weyl import WeylElement
 
 @dataclass
 class SubspaceOracle:
-    """Named exact membership predicate on an algebra of elements."""
+    """Named exact membership predicate."""
 
     name: str
-    algebra: str
     member: callable
-    samples: tuple = ()
-
-    def __post_init__(self):
-        # registration self-test: linear-subspace consistency on the samples
-        members = [s for s in self.samples if self.member(s)]
-        for a in members:
-            for b in members:
-                if not self.member(a + b):
-                    raise ValueError(f"oracle {self.name}: members not closed under +")
-            if not self.member(a + a + a):
-                raise ValueError(f"oracle {self.name}: members not closed under scaling")
 
     def __call__(self, element) -> bool:
         return self.member(element)
@@ -202,13 +190,11 @@ def trace_oracle(dim: int, ring: RingDescriptor) -> SubspaceOracle:
         raise ValueError(
             "trace-zero subspace needs characteristic 0 or larger than the "
             "dimension; small characteristic admits no codimension-one instance")
-    return SubspaceOracle(f"trace_zero_{dim}", "matrix",
-                          lambda a: not a.trace())
+    return SubspaceOracle(f"trace_zero_{dim}", lambda a: not a.trace())
 
 
 def laurent_constant_oracle(ring: RingDescriptor) -> SubspaceOracle:
     return SubspaceOracle(f"laurent_constant_{ring.kind}{ring.characteristic or ''}",
-                          "laurent",
                           lambda p: not p.constant_coefficient())
 
 
@@ -216,12 +202,11 @@ def moment_oracle(m: MomentFunctional) -> SubspaceOracle:
     def member(f):
         one = Polynomial.one(f.ring, f.variables)
         return not inner_product(f, one, m)
-    return SubspaceOracle(f"moment_zero_{m.spec.label()}", "polynomial", member)
+    return SubspaceOracle(f"moment_zero_{m.spec.label()}", member)
 
 
 def kerL_oracle(problem: ImageProblem) -> SubspaceOracle:
-    return SubspaceOracle(f"kerL_n{problem.n}", "pair_polynomial",
-                          lambda f: L_map(problem, f).is_zero())
+    return SubspaceOracle(f"kerL_n{problem.n}", lambda f: L_map(problem, f).is_zero())
 
 
 # -- vanishing-conjecture bridge ---------------------------------------

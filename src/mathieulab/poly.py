@@ -323,31 +323,15 @@ def _convert_coeff(c, source: RingDescriptor, target: RingDescriptor):
 
 
 def _format_coeff(ring, coeff, has_monomial):
-    """Return (text, negative) for canonical printing.
+    """Return (text, negative) for canonical printing, from `ring.format`.
 
     text == "" means the coefficient is an implicit 1 before a monomial.
     Mixed Gaussian coefficients are parenthesized so the output re-parses.
     """
-    if ring.kind == "Q":
-        negative = coeff < 0
-        mag = -coeff if negative else coeff
-        if has_monomial and mag == 1:
-            return "", negative
-        return str(mag), negative
-    if ring.kind == "Fp":
-        if has_monomial and coeff.residue == 1:
-            return "", False
-        return str(coeff.residue), False
-    # Gaussian rationals
-    if coeff.im == 0:
-        negative = coeff.re < 0
-        mag = -coeff.re if negative else coeff.re
-        if has_monomial and mag == 1:
-            return "", negative
-        return str(mag), negative
-    if coeff.re == 0:
-        negative = coeff.im < 0
-        mag = abs(coeff.im)
-        text = "i" if mag == 1 else f"{mag}*i"
-        return text, negative
-    return f"({ring.format(coeff)})", False
+    text = ring.format(coeff)
+    if ring.kind == "Qi" and coeff.re and coeff.im:
+        return f"({text})", False
+    negative = text.startswith("-")
+    if negative:
+        text = text[1:]
+    return ("" if has_monomial and text == "1" else text), negative

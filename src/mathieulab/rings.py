@@ -2,7 +2,10 @@
 
 All values are immutable; arithmetic never leaves the exact world.
 Rationals are plain `fractions.Fraction` (always reduced, positive
-denominator), so ``Rational`` is just an alias.
+denominator).  `GaussianRational` and `PrimeFieldElement` do field
+arithmetic (+ - * /) and equality on two elements of the same ring only:
+there is no coercion from `int` or `Fraction` and no reflected operator.
+Values enter a ring through `RingDescriptor.from_int`/`from_fraction`.
 """
 
 from __future__ import annotations
@@ -10,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-Rational = Fraction
 
 _SMALL_PRIME_LIMIT = 10**6
 # deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24
@@ -54,7 +55,11 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """Element of Q(i), stored as reduced real and imaginary rationals."""
+    """Element of Q(i), stored as reduced real and imaginary rationals.
+
+    Arithmetic and equality take another `GaussianRational` only; a bare
+    number is never coerced, so `x + 1` raises and `x == 1` is False.
+    """
 
     re: Fraction
     im: Fraction
@@ -64,53 +69,25 @@ class GaussianRational:
         return GaussianRational(Fraction(re), Fraction(im))
 
     def __add__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
         return GaussianRational(self.re + other.re, self.im + other.im)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
         norm = other.re * other.re + other.im * other.im
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
         return self * GaussianRational(other.re / norm, -other.im / norm)
-
-    def __rtruediv__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -118,99 +95,53 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    def __eq__(self, other) -> bool:
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-def _as_gaussian(x):
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(Fraction(x), Fraction(0))
-    return NotImplemented
-
-
 @dataclass(frozen=True)
 class PrimeFieldElement:
-    """Residue in F_p.  Mixing moduli is an error, never a coercion."""
+    """Residue in F_p.
+
+    Arithmetic and equality take another `PrimeFieldElement` only; a bare
+    number is never coerced, so `x + 1` raises and `x == 1` is False.
+    Mixing moduli is an error, never a coercion.
+    """
 
     residue: int
     p: int
 
-    def _check(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.p != self.p:
-                raise ValueError(f"mixed prime-field moduli {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return PrimeFieldElement(other % self.p, self.p)
-        return None
+    def _check(self, other) -> int:
+        """The other operand's residue, after checking that the moduli agree."""
+        if other.p != self.p:
+            raise ValueError(f"mixed prime-field moduli {self.p} and {other.p}")
+        return other.residue
 
     def __add__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return PrimeFieldElement((self.residue + other.residue) % self.p, self.p)
-
-    __radd__ = __add__
+        return PrimeFieldElement((self.residue + self._check(other)) % self.p, self.p)
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return PrimeFieldElement((self.residue - other.residue) % self.p, self.p)
-
-    def __rsub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return PrimeFieldElement((self.residue - self._check(other)) % self.p, self.p)
 
     def __neg__(self):
         return PrimeFieldElement(-self.residue % self.p, self.p)
 
     def __mul__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return PrimeFieldElement(self.residue * other.residue % self.p, self.p)
-
-    __rmul__ = __mul__
+        return PrimeFieldElement(self.residue * self._check(other) % self.p, self.p)
 
     def __truediv__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        if other.residue == 0:
+        residue = self._check(other)
+        if residue == 0:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return self * PrimeFieldElement(pow(other.residue, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return other / self
+        return PrimeFieldElement(self.residue * pow(residue, -1, self.p) % self.p, self.p)
 
     def __bool__(self) -> bool:
         return self.residue != 0
 
     def __eq__(self, other) -> bool:
-        checked = self._check(other) if isinstance(other, (PrimeFieldElement, int)) else None
-        if checked is None:
+        if not isinstance(other, PrimeFieldElement):
             return NotImplemented
-        return self.residue == checked.residue
-
-    def __hash__(self):
-        return hash((self.residue, self.p))
+        return self.residue == self._check(other)
 
     def __repr__(self) -> str:
         return f"PrimeFieldElement({self.residue}, {self.p})"

@@ -129,6 +129,38 @@ def test_canonical_text_is_sorted():
     assert Polynomial.zero(QQ, XY).to_str() == "0"
 
 
+X = VariableSet(("x",))
+
+
+@pytest.mark.parametrize("ring, coeff, expected", [
+    (QQ, QQ.from_int(1), ("1", "x", "x + 1", "x^2 + x")),
+    (QQ, QQ.from_int(-1), ("-1", "-x", "x - 1", "x^2 - x")),
+    (QQ, Fraction(7, 3), ("7/3", "7/3*x", "x + 7/3", "x^2 + 7/3*x")),
+    (QQ, Fraction(-7, 3), ("-7/3", "-7/3*x", "x - 7/3", "x^2 - 7/3*x")),
+    (GF(7), GF(7).from_int(1), ("1", "x", "x + 1", "x^2 + x")),
+    (GF(7), GF(7).from_int(5), ("5", "5*x", "x + 5", "x^2 + 5*x")),
+    (QI, QI.from_int(1), ("1", "x", "x + 1", "x^2 + x")),
+    (QI, QI.from_fraction(Fraction(-3, 2)),
+     ("-3/2", "-3/2*x", "x - 3/2", "x^2 - 3/2*x")),
+    (QI, QI.imaginary_unit(), ("i", "i*x", "x + i", "x^2 + i*x")),
+    (QI, -QI.imaginary_unit(), ("-i", "-i*x", "x - i", "x^2 - i*x")),
+    (QI, QI.from_fraction(Fraction(2, 3)) * QI.imaginary_unit(),
+     ("2/3*i", "2/3*i*x", "x + 2/3*i", "x^2 + 2/3*i*x")),
+    (QI, QI.from_fraction(Fraction(-2, 3)) * QI.imaginary_unit(),
+     ("-2/3*i", "-2/3*i*x", "x - 2/3*i", "x^2 - 2/3*i*x")),
+    (QI, QI.from_fraction(Fraction(1, 2))
+     - QI.from_fraction(Fraction(2, 3)) * QI.imaginary_unit(),
+     ("(1/2-2/3*i)", "(1/2-2/3*i)*x", "x + (1/2-2/3*i)", "x^2 + (1/2-2/3*i)*x")),
+], ids=["Q-1", "Q-neg1", "Q-7_3", "Q-neg7_3", "F7-1", "F7-5", "Qi-1", "Qi-neg3_2",
+        "Qi-i", "Qi-neg-i", "Qi-2_3i", "Qi-neg2_3i", "Qi-mixed"])
+def test_printed_coefficient(ring, coeff, expected):
+    # c alone, c before a monomial, then each as a later term
+    one = ring.one()
+    shapes = [{(0,): coeff}, {(1,): coeff}, {(1,): one, (0,): coeff},
+              {(2,): one, (1,): coeff}]
+    assert tuple(Polynomial(ring, X, t).to_str() for t in shapes) == expected
+
+
 def test_immutability():
     f = Polynomial.one(QQ, XY)
     with pytest.raises(AttributeError):

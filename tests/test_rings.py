@@ -1,6 +1,7 @@
 """Field axioms and valuation facts for the coefficient rings."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -61,8 +62,21 @@ def test_gaussian_division_inverts():
 
 
 def test_mixed_moduli_rejected():
-    with pytest.raises(ValueError):
-        PrimeFieldElement(1, 5) + PrimeFieldElement(1, 7)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq):
+        with pytest.raises(ValueError):
+            op(PrimeFieldElement(1, 5), PrimeFieldElement(1, 7))
+
+
+@pytest.mark.parametrize("element", [QI.from_int(2), QI.imaginary_unit(),
+                                     GF(7).from_int(3)], ids=["Qi-real", "Qi-i", "F7"])
+@pytest.mark.parametrize("number", [1, Fraction(1, 2)], ids=["int", "Fraction"])
+def test_bare_numbers_are_not_coerced(element, number):
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises((TypeError, AttributeError)):
+            op(element, number)
+        with pytest.raises((TypeError, AttributeError)):
+            op(number, element)
+    assert element != number and number != element
 
 
 def test_descriptor_validation():
