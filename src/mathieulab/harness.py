@@ -138,20 +138,12 @@ class MatrixValue:
         if any(len(row) != self.dim for row in self.entries):
             raise ValueError("matrix must be square")
 
-    def __add__(self, other):
-        return MatrixValue([[a + b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.entries, other.entries)])
-
     def __mul__(self, other):
-        if not isinstance(other, MatrixValue):
-            return MatrixValue([[a * other for a in row] for row in self.entries])
         n = self.dim
         return MatrixValue([
             [sum((self.entries[i][k] * other.entries[k][j] for k in range(1, n)),
                  self.entries[i][0] * other.entries[0][j])
              for j in range(n)] for i in range(n)])
-
-    __rmul__ = __mul__
 
     def power(self, m: int) -> "MatrixValue":
         if m < 1:

@@ -15,10 +15,12 @@ into an effective witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from functools import cached_property
+from math import factorial, prod
 from operator import sub
 
-from .poly import NEG_INF, Grading, Polynomial, VariableSet, VerificationError, _sum_terms
+from .poly import (NEG_INF, Grading, Polynomial, VariableSet, VerificationError, _decode_terms,
+                   _int_powers, _sum_terms)
 from .rings import RingDescriptor
 from .weyl import WeylElement, _falling_product, from_left_symbol, left_symbol
 
@@ -42,7 +44,7 @@ class ImageProblem:
     def z_names(self):
         return tuple(f"z{i}" for i in range(1, self.n + 1))
 
-    @property
+    @cached_property
     def variables(self) -> VariableSet:
         return VariableSet(self.zeta_names + self.z_names)
 
@@ -75,12 +77,20 @@ class ImageProblem:
 def L_map(problem: ImageProblem, f: Polynomial) -> Polynomial:
     """Linear extension of zeta^a z^b -> d^a(z^b); zero when any a_i > b_i."""
     problem.check(f)
-    n = problem.n
     from_int = problem.ring.from_int
     return Polynomial(problem.ring, problem.variables, _sum_terms(
-        ((0,) * n + tuple(map(sub, exps[n:], exps[:n])), c * from_int(scale))
-        for exps, c in f.terms.items()
-        if (scale := _falling_product(exps[n:], exps[:n]))))
+        (key, c * from_int(scale)) for key, c, scale in _kernel_terms(problem.n, f.terms)))
+
+
+def _kernel_terms(n: int, terms: dict):
+    """(key, coefficient, integer scale) for each term zeta^a z^b that L keeps.
+
+    L sends c zeta^a z^b to c * b!/(b-a)! z^(b-a); the coefficient is passed
+    through untouched, so the same rule serves ring elements and numerators.
+    """
+    for exps, c in terms.items():
+        if scale := _falling_product(exps[n:], exps[:n]):
+            yield (0,) * n + tuple(map(sub, exps[n:], exps[:n])), c, scale
 
 
 def t_apply(problem: ImageProblem, i: int, h: Polynomial) -> Polynomial:
@@ -201,32 +211,41 @@ class PowerScan:
 
 
 def power_scan(problem: ImageProblem, f: Polynomial, m_max: int) -> PowerScan:
-    """L(f^m) for m = 1..m_max, computing powers incrementally."""
+    """L(f^m) for m = 1..m_max, from the integer power loop.
+
+    Each f^m stays a dict of integer numerators over d^m (`_int_powers`); L
+    is applied to the numerators, and ring elements are built only for the
+    terms of L(f^m) that survive.
+    """
     problem.check(f)
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     values = []
     first = None
-    power = problem.one()
-    for m in range(1, m_max + 1):
-        power = power * f
-        v = L_map(problem, power)
+    for m, (power, den) in enumerate(_int_powers(f, m_max), start=1):
+        v = Polynomial(problem.ring, problem.variables,
+                       _decode_terms(problem.ring, _kernel_terms(problem.n, power), den))
         values.append(v)
         if first is None and not v.is_zero():
             first = m
     return PowerScan(values, first)
 
 
-def factorial_functional(f: Polynomial):
-    """sum over terms of coeff * prod(exponent!), the exponential-moment value."""
+def _factorial_weight(exps) -> int:
+    return prod(map(factorial, exps))
+
+
+def _check_plain(f: Polynomial):
     if f.variables.laurent:
         raise ValueError("factorial functional is defined on plain polynomial variables")
+
+
+def factorial_functional(f: Polynomial):
+    """sum over terms of coeff * prod(exponent!), the exponential-moment value."""
+    _check_plain(f)
     total = f.ring.zero()
     for exps, c in f.terms.items():
-        scale = 1
-        for e in exps:
-            scale *= factorial(e)
-        total = total + c * f.ring.from_int(scale)
+        total = total + c * f.ring.from_int(_factorial_weight(exps))
     return total
 
 
@@ -267,7 +286,9 @@ def monomial_count_scan(f: Polynomial, bound: int = None) -> MonomialCountScan:
     """Scan factorial_functional(f^m) for the first nonvanishing power.
 
     Evidence gathering for the N-monomial stopping rule: with N the number
-    of monomials of f, a nonzero value is expected at some m <= N.
+    of monomials of f, a nonzero value is expected at some m <= N.  The
+    functional is summed over the integer numerators of f^m
+    (`_int_powers`), and one ring value is built per m.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no nonvanishing power")
@@ -276,12 +297,12 @@ def monomial_count_scan(f: Polynomial, bound: int = None) -> MonomialCountScan:
         bound = count
     if bound < count:
         raise ValueError("scan bound must be at least the monomial count")
+    _check_plain(f)
     values = []
     first = None
-    power = Polynomial.one(f.ring, f.variables)
-    for m in range(1, bound + 1):
-        power = power * f
-        v = factorial_functional(power)
+    for m, (power, den) in enumerate(_int_powers(f, bound), start=1):
+        v = _decode_terms(f.ring, (((), c, _factorial_weight(exps))
+                                   for exps, c in power.items()), den).get((), f.ring.zero())
         values.append(v)
         if v:
             first = m

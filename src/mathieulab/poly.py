@@ -4,10 +4,15 @@ Terms are keyed by dense exponent tuples aligned with the declared variable
 order, so two equal polynomials always have identical representations.
 Canonical printing uses graded lexicographic order, highest first.
 
-`_sum_terms` is the one place where terms are accumulated: every map that
-sends monomials to (key, coefficient) pairs -- sums, products, derivatives,
-the kernel map, Weyl composition and action -- feeds it and lets it drop
-the keys whose coefficients cancel.
+`_sum_terms` accumulates the terms of ring-element polynomials: every map
+that sends monomials to (key, coefficient) pairs -- sums, products,
+derivatives, the kernel map, Weyl composition and action -- feeds it and
+lets it drop the keys whose coefficients cancel.  The power scans take the
+other route, the integer power loop: `_int_powers` puts f over one common
+denominator d once and multiplies integer numerators (an `int` over Q, an
+`(re, im)` pair over Q(i), a residue over F_p), and `_decode_terms` sums
+integer-scaled numerators and turns only the surviving sums back into ring
+elements.  This encoding and its inverse live here and nowhere else.
 """
 
 from __future__ import annotations
@@ -15,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from operator import add
 
-from .rings import RingDescriptor
+from .rings import GaussianRational, PrimeFieldElement, RingDescriptor
 
 NEG_INF = float("-inf")
 
@@ -312,6 +318,85 @@ def _sum_terms(pairs) -> dict:
         elif c:
             out[key] = c
     return out
+
+
+def _int_powers(f: Polynomial, m_max: int):
+    """Yield (numerators, d^m) for m = 1..m_max: f^m is {key: numerator / d^m}.
+
+    d is the lcm of the denominators of f's coefficients (1 over F_p).  A
+    numerator is an `int` over Q, an `(re, im)` pair of ints over Q(i), and a
+    residue mod p over F_p, reduced after each product.  Zero numerators are
+    dropped, so every yielded dict holds the true support of f^m.
+    """
+    ring = f.ring
+    if ring.kind == "Q":
+        d = lcm(*(c.denominator for c in f.terms.values()))
+        base = {e: c.numerator * (d // c.denominator) for e, c in f.terms.items()}
+        multiply = _int_product
+    elif ring.kind == "Qi":
+        d = lcm(*(x.denominator for c in f.terms.values() for x in (c.re, c.im)))
+        base = {e: (c.re.numerator * (d // c.re.denominator),
+                    c.im.numerator * (d // c.im.denominator))
+                for e, c in f.terms.items()}
+        multiply = _gaussian_product
+    else:
+        p = ring.characteristic
+        d = 1
+        base = {e: c.residue for e, c in f.terms.items()}
+
+        def multiply(g, h):
+            return {k: r for k, c in _int_product(g, h).items() if (r := c % p)}
+    power, den = base, d
+    for m in range(1, m_max + 1):
+        if m > 1:
+            power, den = multiply(power, base), den * d
+        yield power, den
+
+
+def _int_product(g: dict, h: dict) -> dict:
+    """Product of two integer-numerator term dicts; cancelled keys dropped."""
+    out = {}
+    get = out.get
+    for e1, c1 in g.items():
+        for e2, c2 in h.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = get(key, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _gaussian_product(g: dict, h: dict) -> dict:
+    """Product of two (re, im) numerator term dicts: (a+bi)(c+di) = (ac-bd) + (ad+bc)i."""
+    re, im = {}, {}
+    re_get, im_get = re.get, im.get
+    for e1, (a, b) in g.items():
+        for e2, (c, d) in h.items():
+            key = tuple(map(add, e1, e2))
+            re[key] = re_get(key, 0) + a * c - b * d
+            im[key] = im_get(key, 0) + a * d + b * c
+    return {k: (r, im[k]) for k, r in re.items() if r or im[k]}
+
+
+def _decode_terms(ring: RingDescriptor, triples, den: int) -> dict:
+    """Ring-element terms of sum(numerator * k) / den over (key, numerator, k) triples.
+
+    The inverse of `_int_powers`' encoding: sums are formed on integers, keys
+    whose sum is zero (mod p over F_p) are dropped, and only the survivors
+    become `Fraction`, `GaussianRational` or `PrimeFieldElement` values.
+    """
+    if ring.kind == "Qi":
+        re, im = {}, {}
+        for key, (a, b), k in triples:
+            re[key] = re.get(key, 0) + a * k
+            im[key] = im.get(key, 0) + b * k
+        return {key: GaussianRational(Fraction(r, den), Fraction(im[key], den))
+                for key, r in re.items() if r or im[key]}
+    sums = {}
+    for key, c, k in triples:
+        sums[key] = sums.get(key, 0) + c * k
+    if ring.kind == "Q":
+        return {key: Fraction(c, den) for key, c in sums.items() if c}
+    p = ring.characteristic
+    return {key: PrimeFieldElement(r, p) for key, c in sums.items() if (r := c % p)}
 
 
 def _convert_coeff(c, source: RingDescriptor, target: RingDescriptor):

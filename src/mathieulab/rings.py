@@ -5,7 +5,8 @@ Rationals are plain `fractions.Fraction` (always reduced, positive
 denominator).  `GaussianRational` and `PrimeFieldElement` do field
 arithmetic (+ - * /) and equality on two elements of the same ring only:
 there is no coercion from `int` or `Fraction` and no reflected operator.
-Values enter a ring through `RingDescriptor.from_int`/`from_fraction`.
+Values enter a ring through `RingDescriptor.from_int`/`from_fraction`,
+and every element's `str` is its literal in the CLI grammar.
 """
 
 from __future__ import annotations
@@ -98,6 +99,16 @@ class GaussianRational:
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
+    def __str__(self) -> str:
+        """The Q(i) literal: "a/b", "c/d*i", "a/b+c/d*i" or "a/b-c/d*i"."""
+        if not self.im:
+            return str(self.re)
+        mag = abs(self.im)
+        im = "i" if mag == 1 else f"{mag}*i"
+        if not self.re:
+            return im if self.im > 0 else f"-{im}"
+        return f"{self.re}{'+' if self.im > 0 else '-'}{im}"
+
 
 @dataclass(frozen=True)
 class PrimeFieldElement:
@@ -145,6 +156,10 @@ class PrimeFieldElement:
 
     def __repr__(self) -> str:
         return f"PrimeFieldElement({self.residue}, {self.p})"
+
+    def __str__(self) -> str:
+        """The F_p literal: the residue in 0..p-1."""
+        return str(self.residue)
 
 
 @dataclass(frozen=True)
@@ -195,19 +210,12 @@ class RingDescriptor:
         return c.conjugate() if self.kind == "Qi" else c
 
     def format(self, c) -> str:
-        """Ring literal in the CLI grammar: "a/b", "a/b+c/d*i", or a residue."""
-        if self.kind == "Q":
-            return str(c)
-        if self.kind == "Fp":
-            return str(c.residue)
-        if not c.im:
-            return str(c.re)
-        sign = "+" if c.im > 0 else "-"
-        mag = abs(c.im)
-        im = "i" if mag == 1 else f"{mag}*i"
-        if not c.re:
-            return im if c.im > 0 else f"-{im}"
-        return f"{c.re}{sign}{im}"
+        """Ring literal in the CLI grammar: "a/b", "a/b+c/d*i", or a residue.
+
+        Each element class's `str` is its literal, so `str(c)` anywhere in a
+        report prints the same text as this method.
+        """
+        return str(c)
 
 
 QQ = RingDescriptor("Q")

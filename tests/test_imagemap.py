@@ -1,6 +1,8 @@
 """Kernel map, decomposition, certificates, and the power-scan machinery."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +22,7 @@ from mathieulab.imagemap import (
     to_u_polynomial,
 )
 from mathieulab.poly import Polynomial, VariableSet
-from mathieulab.rings import GF, QI, QQ
+from mathieulab.rings import GF, QI, QQ, GaussianRational
 
 P1 = ImageProblem(1, QQ)
 P2 = ImageProblem(2, QQ)
@@ -157,6 +159,58 @@ def test_power_scan_negative_deg():
     f = P1.zeta(1) ** 2 * P1.z(1)
     scan = power_scan(P1, f, 10)
     assert scan.first_nonzero is None
+
+
+def _mixed_fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9, 10, 25)))
+
+
+# coefficient draws per ring: Q and Q(i) denominators differ term to term
+_COEFFS = [
+    (QQ, _mixed_fraction),
+    (QI, lambda rng: GaussianRational(_mixed_fraction(rng), Fraction(0))),
+    (QI, lambda rng: GaussianRational(Fraction(0), _mixed_fraction(rng))),
+    (QI, lambda rng: GaussianRational(_mixed_fraction(rng), _mixed_fraction(rng))),
+    (GF(2), lambda rng: GF(2).from_int(rng.randrange(2))),
+    (GF(7), lambda rng: GF(7).from_int(rng.randrange(7))),
+    (GF(1000003), lambda rng: GF(1000003).from_int(rng.randrange(1000003))),
+]
+
+
+def _scan_inputs(rng, problem, coeff):
+    """The zero and a constant f, then random f with up to 4 terms."""
+    ring, variables = problem.ring, problem.variables
+    yield problem.zero()
+    yield Polynomial.constant(ring, variables, coeff(rng))
+    for _ in range(8):
+        yield Polynomial(ring, variables, {
+            tuple(rng.randint(0, 2) for _ in range(2 * problem.n)): coeff(rng)
+            for _ in range(rng.randint(1, 4))})
+
+
+def test_power_scan_matches_polynomial_route():
+    """The integer power loop agrees with Polynomial powers, L_map and factorial_functional."""
+    rng = random.Random(1106)
+    for ring, coeff in _COEFFS:
+        for n in (1, 2, 3):
+            problem = ImageProblem(n, ring)
+            for f in _scan_inputs(rng, problem, coeff):
+                m_max = rng.randint(1, 8 if n < 3 else 6)
+                powers = [f ** m for m in range(1, m_max + 1)]
+                scan = power_scan(problem, f, m_max)
+                expected = [L_map(problem, p) for p in powers]
+                assert scan.values == expected, (ring, f)
+                assert scan.first_nonzero == next(
+                    (m for m, v in enumerate(expected, start=1) if v), None)
+                if f.is_zero():
+                    continue
+                count = monomial_count_scan(f, len(f.terms) + m_max)
+                values = [factorial_functional(p) for p in powers]
+                values += [factorial_functional(f ** m)
+                           for m in range(m_max + 1, len(count.values) + 1)]
+                assert count.values == values[:len(count.values)], (ring, f)
+                assert count.first_nonzero == next(
+                    (m for m, v in enumerate(count.values, start=1) if v), None)
 
 
 def test_factorial_functional_values():

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from mathieulab import cli, imagemap
 from mathieulab.cli import main
 from mathieulab.parsing import ParseError, parse_polynomial
 from mathieulab.poly import Polynomial, VariableSet
-from mathieulab.rings import GF, QI, QQ
+from mathieulab.rings import GF, QI, QQ, GaussianRational
 
 WZ = VariableSet(("w1", "z1"))
 T_VARS = VariableSet(("t",), laurent=frozenset(("t",)))
@@ -227,6 +228,34 @@ def test_cli_lemma81_and_conj73(capsys, schema):
     assert code == 0
     report = _validate(schema, out)
     assert report["branch"] == "shifted_to_diagonal"
+
+
+def _reparsed(text, ring):
+    return parse_polynomial(text, ring, VariableSet(())).constant_coefficient()
+
+
+def test_cli_prints_ring_literals(capsys, schema):
+    """Q(i) and F_p coefficients print as ring literals that re-parse to their value."""
+    code, out, _ = run_cli(capsys, "conj73", "i*w1*z1 - 1/2", "--ring", "qi")
+    assert code == 0
+    values = _validate(schema, out)["count_scan"]["values"]
+    assert values == ["-1/2+i"]
+    assert _reparsed(values[0], QI) == GaussianRational.of(Fraction(-1, 2), 1)
+
+    cases = [(GF(5), ("--ring", "fp", "--p", "5"), "[0,2;0,0]", "[1,0;0,0]",
+              "[0, 2; 0, 0]", "[1, 0; 0, 0]"),
+             (QI, ("--ring", "qi"), "[0,1/2-3*i;0,0]", "[i,0;0,-7/3*i]",
+              "[0, 1/2-3*i; 0, 0]", "[i, 0; 0, -7/3*i]")]
+    for ring, flags, f, g, f_printed, g_printed in cases:
+        code, out, _ = run_cli(capsys, "scan", "--oracle", "trace", *flags,
+                               f, g, "--mmax", "3")
+        assert code == 0
+        report = _validate(schema, out)
+        assert (report["f"], report["g_results"][0]["g"]) == (f_printed, g_printed)
+        for typed, printed in ((f, f_printed), (g, g_printed)):
+            for entry, shown in zip(typed[1:-1].replace(";", ",").split(","),
+                                    printed[1:-1].replace(";", ",").split(", ")):
+                assert _reparsed(shown, ring) == _reparsed(entry, ring)
 
 
 def test_cli_usage_errors(capsys, tmp_path):
