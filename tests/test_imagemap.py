@@ -204,13 +204,15 @@ def test_power_scan_matches_polynomial_route():
                     (m for m, v in enumerate(expected, start=1) if v), None)
                 if f.is_zero():
                     continue
-                count = monomial_count_scan(f, len(f.terms) + m_max)
-                values = [factorial_functional(p) for p in powers]
-                values += [factorial_functional(f ** m)
-                           for m in range(m_max + 1, len(count.values) + 1)]
-                assert count.values == values[:len(count.values)], (ring, f)
-                assert count.first_nonzero == next(
-                    (m for m, v in enumerate(count.values, start=1) if v), None)
+                bound = len(f.terms) + m_max
+                count = monomial_count_scan(f, bound)
+                values = [factorial_functional(f ** m)
+                          for m in range(1, len(count.values) + 1)]
+                assert count.values == values, (ring, f)
+                # the scan stops at the first nonzero value, else at the bound
+                assert not any(values[:-1])
+                assert count.first_nonzero == (len(values) if values[-1] else None)
+                assert values[-1] or len(values) == bound
 
 
 def test_factorial_functional_values():
