@@ -213,16 +213,18 @@ class PowerScan:
 def power_scan(problem: ImageProblem, f: Polynomial, m_max: int) -> PowerScan:
     """L(f^m) for m = 1..m_max, from the integer power loop.
 
-    Each f^m stays a dict of integer numerators over d^m (`_int_powers`); L
-    is applied to the numerators, and ring elements are built only for the
-    terms of L(f^m) that survive.
+    Each f^m stays a dict of integer numerators over d^m (`_int_powers`),
+    multiplied on packed exponent keys.  The loop's pair mask drops every
+    term zeta^a z^b with some a_i > b_i before L, so only the terms L keeps
+    are unpacked and passed to `_kernel_terms`; ring elements are built only
+    for the terms of L(f^m) that survive.
     """
     problem.check(f)
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     values = []
     first = None
-    for m, (power, den) in enumerate(_int_powers(f, m_max), start=1):
+    for m, (power, den) in enumerate(_int_powers(f, m_max, problem.n), start=1):
         v = Polynomial(problem.ring, problem.variables,
                        _decode_terms(problem.ring, _kernel_terms(problem.n, power), den))
         values.append(v)

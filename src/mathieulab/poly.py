@@ -12,7 +12,13 @@ other route, the integer power loop: `_int_powers` puts f over one common
 denominator d once and multiplies integer numerators (an `int` over Q, an
 `(re, im)` pair over Q(i), a residue over F_p), and `_decode_terms` sums
 integer-scaled numerators and turns only the surviving sums back into ring
-elements.  This encoding and its inverse live here and nowhere else.
+elements.  Inside the loop an exponent tuple is one packed int: variable j
+takes the W-bit field at offset j*W, where W is one more than the bit length
+of top * m_max (top: f's largest exponent).  No exponent of f^m exceeds
+m * top, so the top bit of every field stays clear and a product's key is the
+sum of its factors' keys.  That clear guard bit also lets one subtract-and-mask
+(`_pair_mask`) test a_i <= b_i on every pair of a key zeta^a z^b at once.
+This encoding and its inverse live here and nowhere else.
 """
 
 from __future__ import annotations
@@ -320,29 +326,40 @@ def _sum_terms(pairs) -> dict:
     return out
 
 
-def _int_powers(f: Polynomial, m_max: int):
+def _int_powers(f: Polynomial, m_max: int, pairs: int = 0):
     """Yield (numerators, d^m) for m = 1..m_max: f^m is {key: numerator / d^m}.
 
     d is the lcm of the denominators of f's coefficients (1 over F_p).  A
     numerator is an `int` over Q, an `(re, im)` pair of ints over Q(i), and a
     residue mod p over F_p, reduced after each product.  Zero numerators are
     dropped, so every yielded dict holds the true support of f^m.
+
+    The products run on packed keys (see the module docstring), so f's
+    exponents must be non-negative.  Keys are unpacked to exponent tuples
+    only on the way out.  With `pairs=n`, f lives in zeta_1..zeta_n,
+    z_1..z_n, and only the part of the support that L keeps is yielded: the
+    terms zeta^a z^b with a_i <= b_i for every i, picked by `_pair_mask`.
     """
+    exponents = list(chain.from_iterable(f.terms))
+    if min(exponents, default=0) < 0:
+        raise ValueError("the integer power loop takes non-negative exponents only")
+    width = (max(exponents, default=0) * m_max).bit_length() + 1  # m_max * top, a clear guard bit
+    keep, unpack = _pair_mask(pairs, width), _unpacker(len(f.variables.names), width)
     ring = f.ring
     if ring.kind == "Q":
         d = lcm(*(c.denominator for c in f.terms.values()))
-        base = {e: c.numerator * (d // c.denominator) for e, c in f.terms.items()}
+        base = {_pack(e, width): c.numerator * (d // c.denominator) for e, c in f.terms.items()}
         multiply = _int_product
     elif ring.kind == "Qi":
         d = lcm(*(x.denominator for c in f.terms.values() for x in (c.re, c.im)))
-        base = {e: (c.re.numerator * (d // c.re.denominator),
-                    c.im.numerator * (d // c.im.denominator))
+        base = {_pack(e, width): (c.re.numerator * (d // c.re.denominator),
+                                  c.im.numerator * (d // c.im.denominator))
                 for e, c in f.terms.items()}
         multiply = _gaussian_product
     else:
         p = ring.characteristic
         d = 1
-        base = {e: c.residue for e, c in f.terms.items()}
+        base = {_pack(e, width): c.residue for e, c in f.terms.items()}
 
         def multiply(g, h):
             return {k: r for k, c in _int_product(g, h).items() if (r := c % p)}
@@ -350,16 +367,44 @@ def _int_powers(f: Polynomial, m_max: int):
     for m in range(1, m_max + 1):
         if m > 1:
             power, den = multiply(power, base), den * d
-        yield power, den
+        yield {unpack(k): c for k, c in power.items() if keep(k)}, den
+
+
+def _pack(exps, width: int) -> int:
+    return sum(e << (j * width) for j, e in enumerate(exps))
+
+
+def _unpacker(nvars: int, width: int):
+    """The inverse of `_pack` for keys of `nvars` fields."""
+    field = (1 << width) - 1
+    shifts = range(0, nvars * width, width)
+    return lambda key: tuple(key >> s & field for s in shifts)
+
+
+def _pair_mask(n: int, width: int):
+    """Predicate on packed keys zeta^a z^b (fields 0..n-1 hold a, n..2n-1 hold b): all a_i <= b_i.
+
+    Setting the guard bit of each b field and subtracting the a fields
+    borrows from field i's guard bit exactly when a_i > b_i; no borrow
+    crosses a field, because a_i is below the guard bit.  With n = 0 every
+    key passes.
+    """
+    shift = n * width
+    low = (1 << shift) - 1
+    guard = sum(1 << (s + width - 1) for s in range(0, shift, width))
+    return lambda key: (((key >> shift) | guard) - (key & low)) & guard == guard
 
 
 def _int_product(g: dict, h: dict) -> dict:
-    """Product of two integer-numerator term dicts; cancelled keys dropped."""
+    """Product of two integer-numerator term dicts on packed keys; cancelled keys dropped.
+
+    The inner loop runs over g, the larger factor (f^(m-1) against f).
+    """
     out = {}
     get = out.get
-    for e1, c1 in g.items():
-        for e2, c2 in h.items():
-            key = tuple(map(add, e1, e2))
+    for e2, c2 in h.items():
+        for e1, c1 in g.items():
+            key = e1 + e2
             out[key] = get(key, 0) + c1 * c2
     return {k: c for k, c in out.items() if c}
 
@@ -368,9 +413,9 @@ def _gaussian_product(g: dict, h: dict) -> dict:
     """Product of two (re, im) numerator term dicts: (a+bi)(c+di) = (ac-bd) + (ad+bc)i."""
     re, im = {}, {}
     re_get, im_get = re.get, im.get
-    for e1, (a, b) in g.items():
-        for e2, (c, d) in h.items():
-            key = tuple(map(add, e1, e2))
+    for e2, (c, d) in h.items():
+        for e1, (a, b) in g.items():
+            key = e1 + e2
             re[key] = re_get(key, 0) + a * c - b * d
             im[key] = im_get(key, 0) + a * d + b * c
     return {k: (r, im[k]) for k, r in re.items() if r or im[k]}

@@ -215,6 +215,43 @@ def test_power_scan_matches_polynomial_route():
                 assert values[-1] or len(values) == bound
 
 
+# (top, m_max): top * m_max is 2^k - 1 (f^m_max fills a field to all ones) or 2^k
+_WIDTH_EDGES = [(3, 5), (5, 3), (1, 7), (2, 4), (4, 4), (1, 8)]
+
+
+def _nonzero(rng, coeff):
+    while not (c := coeff(rng)):
+        pass
+    return c
+
+
+def test_power_scan_field_width_edges():
+    """Packed keys at their narrowest: f^m_max reaches top * m_max in some field.
+
+    f holds a term w_i^top z_i^top (a_i = b_i, kept by L at every power), a
+    pure power of one variable and one random term with exponents <= top.
+    """
+    rng = random.Random(1207)
+    for ring, coeff in (_COEFFS[0], _COEFFS[3], _COEFFS[4], _COEFFS[6]):
+        for n in (1, 2, 3):
+            problem = ImageProblem(n, ring)
+            for top, m_max in _WIDTH_EDGES:
+                diagonal, pure = [0] * (2 * n), [0] * (2 * n)
+                i = rng.randrange(n)
+                diagonal[i] = diagonal[n + i] = top
+                pure[rng.randrange(2 * n)] = top
+                random_term = tuple(rng.randint(0, top) for _ in range(2 * n))
+                f = Polynomial(ring, problem.variables, {
+                    tuple(diagonal): _nonzero(rng, coeff), tuple(pure): _nonzero(rng, coeff),
+                    random_term: _nonzero(rng, coeff)})
+                powers = [f ** m for m in range(1, m_max + 1)]
+                scan = power_scan(problem, f, m_max)
+                assert scan.values == [L_map(problem, p) for p in powers], (ring, f, m_max)
+                count = monomial_count_scan(f, m_max)
+                assert count.values == [factorial_functional(p)
+                                        for p in powers[:len(count.values)]], (ring, f, m_max)
+
+
 def test_factorial_functional_values():
     u2 = VariableSet(("u1", "u2"))
     f = Polynomial.monomial(QQ, u2, QQ.one(), {"u1": 1, "u2": 2})

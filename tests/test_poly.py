@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_polynomial
-from mathieulab.poly import NEG_INF, Grading, Polynomial, VariableSet
+from mathieulab.poly import (NEG_INF, Grading, Polynomial, VariableSet, _int_powers, _pack,
+                            _pair_mask, _unpacker)
 from mathieulab.rings import GF, QI, QQ
+from mathieulab.weyl import _falling_product
 
 XY = VariableSet(("x", "y"))
 LT = VariableSet(("t",), laurent=frozenset(("t",)))
@@ -165,3 +167,25 @@ def test_immutability():
     f = Polynomial.one(QQ, XY)
     with pytest.raises(AttributeError):
         f.terms = {}
+
+
+def test_int_powers_rejects_negative_exponents():
+    t = VariableSet(("t",), laurent=frozenset(("t",)))
+    f = Polynomial(QQ, t, {(-1,): Fraction(1), (1,): Fraction(1)})
+    with pytest.raises(ValueError):
+        list(_int_powers(f, 3))
+
+
+def test_pair_mask_keeps_exactly_the_terms_L_keeps():
+    """On packed keys w^a z^b at widths near their minimum, the mask keeps a
+    key exactly when every a_i <= b_i, and unpacking inverts packing."""
+    rng = random.Random(1208)
+    for n in (1, 2, 3):
+        for width in (1, 2, 3, 4):
+            keep, unpack = _pair_mask(n, width), _unpacker(2 * n, width)
+            top = (1 << (width - 1)) - 1  # the largest exponent below the guard bit
+            for _ in range(300):
+                exps = tuple(rng.choice((0, top, rng.randint(0, top))) for _ in range(2 * n))
+                key = _pack(exps, width)
+                assert unpack(key) == exps
+                assert keep(key) == (_falling_product(exps[n:], exps[:n]) != 0), (n, width, exps)
