@@ -78,16 +78,16 @@ def sufficient_membership(b: Polynomial, prob: CharPProblem):
     """
     problem = prob.image
     problem.check(b)
-    components = {}
+    pairs = {}
     for exps, c in b.terms.items():
         i = _w_index(exps, prob.n, prob.p)
         if i is None:
             return None
         key = list(exps)
         key[i - 1] -= prob.p
-        mono = Polynomial(problem.ring, problem.variables, {tuple(key): -c})
-        components[i] = components.get(i, problem.zero()) + mono
-    witness = SufficiencyWitness(problem, prob.p, components)
+        pairs.setdefault(i, []).append((tuple(key), -c))
+    witness = SufficiencyWitness(problem, prob.p, {
+        i: Polynomial(problem.ring, problem.variables, terms) for i, terms in pairs.items()})
     if not witness.verify(b):
         raise VerificationError("sufficiency witness failed to re-verify")
     return witness

@@ -15,7 +15,7 @@ from .imagemap import ImageProblem, L_map
 from .ortho import MomentFunctional, inner_product
 from .poly import Polynomial, VerificationError
 from .rings import RingDescriptor
-from .weyl import WeylElement
+from .weyl import WeylElement, right_symbol
 
 
 @dataclass
@@ -255,12 +255,7 @@ def gvc_scan(operator: WeylElement, p_poly: Polynomial, q_poly: Polynomial,
 
 
 def _gvc_crosscheck(operator, p_poly, q_poly, m_max, problem, premise, shifted):
-    symbol_terms = {}
-    n = problem.n
-    for (_a, b), c in operator.terms.items():
-        symbol_terms[b + (0,) * n] = c
-    op_symbol = Polynomial(problem.ring, problem.variables, symbol_terms)
-    f = op_symbol * p_poly.embed(problem.ring, problem.variables)
+    f = right_symbol(operator, problem.variables) * p_poly.embed(problem.ring, problem.variables)
     q_emb = q_poly.embed(problem.ring, problem.variables)
     f_power = problem.one()
     for m in range(1, m_max + 1):

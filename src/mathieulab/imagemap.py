@@ -20,7 +20,7 @@ from math import factorial, prod
 from operator import sub
 
 from .poly import (NEG_INF, Grading, Polynomial, VariableSet, VerificationError, _decode_terms,
-                   _int_powers, _sum_terms)
+                   _int_powers)
 from .rings import RingDescriptor
 from .weyl import WeylElement, _falling_product, from_left_symbol, left_symbol
 
@@ -78,7 +78,7 @@ def L_map(problem: ImageProblem, f: Polynomial) -> Polynomial:
     """Linear extension of zeta^a z^b -> d^a(z^b); zero when any a_i > b_i."""
     problem.check(f)
     from_int = problem.ring.from_int
-    return Polynomial(problem.ring, problem.variables, _sum_terms(
+    return Polynomial(problem.ring, problem.variables, (
         (key, c * from_int(scale)) for key, c, scale in _kernel_terms(problem.n, f.terms)))
 
 
@@ -95,7 +95,7 @@ def _kernel_terms(n: int, terms: dict):
 
 def t_apply(problem: ImageProblem, i: int, h: Polynomial) -> Polynomial:
     """One application of t_i: h -> w_i h - dh/dz_i."""
-    return Polynomial(problem.ring, problem.variables, _sum_terms(_t_terms(problem, i, h)))
+    return Polynomial(problem.ring, problem.variables, _t_terms(problem, i, h))
 
 
 def _t_terms(problem: ImageProblem, i: int, h: Polynomial):
@@ -163,9 +163,9 @@ class MembershipCertificate:
             return self.residue is not None and not self.residue.is_zero()
         # sum_i (d/dz_i - w_i) h_i = -sum_i t_i h_i, summed in one pass
         problem = self.problem
-        total = _sum_terms(pair for i, h in enumerate(self.witness, start=1)
-                           for pair in _t_terms(problem, i, h))
-        return Polynomial(problem.ring, problem.variables, total) == -f
+        return Polynomial(problem.ring, problem.variables, (
+            pair for i, h in enumerate(self.witness, start=1)
+            for pair in _t_terms(problem, i, h))) == -f
 
     def as_report(self) -> dict:
         if self.status == "member":

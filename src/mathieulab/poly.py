@@ -4,10 +4,10 @@ Terms are keyed by dense exponent tuples aligned with the declared variable
 order, so two equal polynomials always have identical representations.
 Canonical printing uses graded lexicographic order, highest first.
 
-`_sum_terms` accumulates the terms of ring-element polynomials: every map
-that sends monomials to (key, coefficient) pairs -- sums, products,
-derivatives, the kernel map, Weyl composition and action -- feeds it and
-lets it drop the keys whose coefficients cancel.  The power scans take the
+The `Polynomial` and `WeylElement` constructors sum (key, coefficient) pairs
+with `_sum_terms`: sums, products, derivatives, the kernel map, Weyl
+composition and action pass their pairs straight in, and a key whose
+coefficients cancel is dropped.  The power scans take the
 other route, the integer power loop: `_int_powers` puts f over one common
 denominator d once and multiplies integer numerators (an `int` over Q, an
 `(re, im)` pair over Q(i), a residue over F_p), and `_decode_terms` sums
@@ -89,17 +89,18 @@ class Polynomial:
 
     __slots__ = ("ring", "variables", "terms")
 
-    def __init__(self, ring: RingDescriptor, variables: VariableSet, terms=None):
+    def __init__(self, ring: RingDescriptor, variables: VariableSet, terms=()):
+        """`terms`: a dict {exponent tuple: coeff} or such pairs; summed, then checked."""
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "variables", variables)
-        terms = terms or {}
+        terms = _sum_terms(terms.items() if isinstance(terms, dict) else terms)
         for exps in terms:
             if len(exps) != len(variables):
                 raise ValueError("exponent tuple length mismatch")
             for name, e in zip(variables.names, exps):
                 if e < 0 and not variables.is_laurent(name):
                     raise ValueError(f"negative exponent on non-Laurent variable {name}")
-        object.__setattr__(self, "terms", _sum_terms(terms.items()))
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -153,7 +154,7 @@ class Polynomial:
     def __add__(self, other):
         self._compat(other)
         return Polynomial(self.ring, self.variables,
-                          _sum_terms(chain(self.terms.items(), other.terms.items())))
+                          chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
         return Polynomial(self.ring, self.variables,
@@ -166,7 +167,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._compat(other)
-        return Polynomial(self.ring, self.variables, _sum_terms(
+        return Polynomial(self.ring, self.variables, (
             (tuple(map(add, e1, e2)), c1 * c2)
             for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()))
 
@@ -211,7 +212,7 @@ class Polynomial:
         """Formal derivative; Laurent exponents follow n*t^(n-1) including n < 0."""
         i = self.variables.index(name)
         from_int = self.ring.from_int
-        return Polynomial(self.ring, self.variables, _sum_terms(
+        return Polynomial(self.ring, self.variables, (
             (exps[:i] + (exps[i] - 1,) + exps[i + 1:], c * from_int(exps[i]))
             for exps, c in self.terms.items() if exps[i]))
 

@@ -6,7 +6,9 @@ Reordering uses the closed-form rewrite
 
 applied multi-index-wise, which keeps intermediate results small.  `_reorder`
 is the single home of this formula: composition, the left-normal rewrite
-(with sign (-1)^|k|) and `from_left_symbol` all draw their terms from it.
+(with sign (-1)^|k|) and `from_left_symbol` all draw their terms from it and
+sum them with `_sum_terms`; composition and `from_left_symbol` pass their
+pairs straight to the `WeylElement` constructor, which calls it.
 Through the symbol maps it also serves `imagemap`: `decompose` reads the
 components f_a off `from_left_symbol(f)`, and `certify_imD` builds its
 witness with `left_symbol`.
@@ -41,17 +43,18 @@ class WeylElement:
 
     __slots__ = ("ring", "z_names", "terms")
 
-    def __init__(self, ring: RingDescriptor, z_names, terms=None):
+    def __init__(self, ring: RingDescriptor, z_names, terms=()):
+        """`terms`: a dict {(a, b): coeff} for z^a d^b or such pairs; summed, then checked."""
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "z_names", tuple(z_names))
-        terms = terms or {}
+        terms = _sum_terms(terms.items() if isinstance(terms, dict) else terms)
         n = len(self.z_names)
         for a, b in terms:
             if len(a) != n or len(b) != n:
                 raise ValueError("exponent tuple length mismatch")
             if any(e < 0 for e in chain(a, b)):
                 raise ValueError("negative exponents in a Weyl element")
-        object.__setattr__(self, "terms", _sum_terms(terms.items()))
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeylElement is immutable")
@@ -119,7 +122,7 @@ class WeylElement:
     def __add__(self, other):
         self._compat(other)
         return WeylElement(self.ring, self.z_names,
-                           _sum_terms(chain(self.terms.items(), other.terms.items())))
+                           chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
         return WeylElement(self.ring, self.z_names,
@@ -137,7 +140,7 @@ class WeylElement:
         if f.variables.names != self.z_names:
             raise ValueError("variable mismatch between operator and argument")
         from_int = self.ring.from_int
-        return Polynomial(self.ring, f.variables, _sum_terms(
+        return Polynomial(self.ring, f.variables, (
             (tuple(map(add, map(sub, exps, b), a)), c * fc * from_int(scale))
             for (a, b), c in self.terms.items() for exps, fc in f.terms.items()
             if (scale := _falling_product(exps, b))))
@@ -146,7 +149,7 @@ class WeylElement:
         """Normal-ordered product: self acts after `other`."""
         self._compat(other)
         from_int = self.ring.from_int
-        return WeylElement(self.ring, self.z_names, _sum_terms(
+        return WeylElement(self.ring, self.z_names, (
             ((tuple(map(sub, map(add, a1, a2), k)), tuple(map(sub, map(add, b1, b2), k))),
              c1 * c2 * from_int(scale))
             for (a1, b1), c1 in self.terms.items() for (a2, b2), c2 in other.terms.items()
@@ -171,10 +174,8 @@ def left_symbol(w: WeylElement, symbol_vars: VariableSet) -> Polynomial:
     """
     n = len(w.z_names)
     _check_symbol_vars(symbol_vars, n)
-    terms = {}
-    for (b, a), c in w.left_normal_terms().items():
-        terms[b + a] = c
-    return Polynomial(w.ring, symbol_vars, terms)
+    return Polynomial(w.ring, symbol_vars,
+                      ((b + a, c) for (b, a), c in w.left_normal_terms().items()))
 
 
 def from_left_symbol(p: Polynomial, z_names) -> WeylElement:
@@ -182,7 +183,7 @@ def from_left_symbol(p: Polynomial, z_names) -> WeylElement:
     n = len(z_names)
     _check_symbol_vars(p.variables, n)
     from_int = p.ring.from_int
-    return WeylElement(p.ring, z_names, _sum_terms(
+    return WeylElement(p.ring, z_names, (
         ((tuple(map(sub, exps[n:], k)), tuple(map(sub, exps[:n], k))), c * from_int(scale))
         for exps, c in p.terms.items() for k, scale in _reorder(exps[:n], exps[n:])))
 
@@ -191,10 +192,7 @@ def right_symbol(w: WeylElement, symbol_vars: VariableSet) -> Polynomial:
     """Send z^a d^b (the stored normal form) to z^a zeta^b."""
     n = len(w.z_names)
     _check_symbol_vars(symbol_vars, n)
-    terms = {}
-    for (a, b), c in w.terms.items():
-        terms[b + a] = c
-    return Polynomial(w.ring, symbol_vars, terms)
+    return Polynomial(w.ring, symbol_vars, ((b + a, c) for (a, b), c in w.terms.items()))
 
 
 def _check_symbol_vars(symbol_vars: VariableSet, n: int):

@@ -52,3 +52,28 @@ def test_no_unused_private_names():
               if defined.startswith("_") and not defined.startswith("__")
               and defined not in read]
     assert not unused
+
+
+def _readers(tree, name):
+    """Dotted class/function scopes of `tree` in which the name `name` is read."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Name) and child.id == name:
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_terms_summed_only_by_constructors():
+    # every other map hands its (key, coeff) pairs to a constructor, which sums them once
+    readers = set().union(*(_readers(ast.parse(path.read_text(), filename=str(path)), "_sum_terms")
+                            for path in LIBRARY))
+    assert readers == {"Polynomial.__init__", "WeylElement.__init__",
+                       "WeylElement.left_normal_terms"}

@@ -38,6 +38,11 @@ def test_zero_terms_never_stored(rng):
     assert list(p.terms) == [(1, 0)]
     q = p - p
     assert q.terms == {}
+    # pairs: a repeated key, a pair that cancels and a zero coefficient
+    pairs = [((1, 0), Fraction(1, 2)), ((2, 1), Fraction(3)), ((1, 0), Fraction(1, 2)),
+             ((2, 1), Fraction(-3)), ((0, 1), Fraction(0))]
+    assert Polynomial(QQ, XY, iter(pairs)) == p
+    assert Polynomial(QQ, XY, iter(pairs)).terms == {(1, 0): Fraction(1)}
     for _ in range(50):
         a = random_polynomial(rng, QQ, XY)
         b = random_polynomial(rng, QQ, XY)
@@ -68,6 +73,10 @@ def test_negative_exponent_requires_laurent():
     with pytest.raises(ValueError):
         Polynomial.var(QQ, XY, "x", -1)
     Polynomial.var(QQ, LT, "t", -3)  # fine
+    # keys arriving as (key, coeff) pairs get the same checks
+    for key in ((-1, 0), (1,), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            Polynomial(QQ, XY, ((k, QQ.one()) for k in [(0, 0), key]))
 
 
 def test_frobenius_in_char_p(rng):

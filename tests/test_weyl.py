@@ -85,6 +85,19 @@ def test_reorder_base_case():
     assert prod.left_normal_terms() == {((1,), (1,)): QQ.one()}
 
 
+def test_pairs_are_summed_and_checked_like_a_dict():
+    z = ((1, 0), (0, 0))
+    dz2 = ((0, 0), (0, 2))
+    pairs = [(z, QQ.from_int(2)), (dz2, QQ.one()), (z, QQ.from_int(-1)),
+             (dz2, QQ.from_int(-1)), (((0, 1), (1, 0)), QQ.zero())]
+    w = WeylElement(QQ, Z2, iter(pairs))
+    assert w == WeylElement.z_var(QQ, Z2, 1)
+    assert w.terms == {z: QQ.one()}
+    for key in (((-1, 0), (0, 0)), ((0, 0), (0, -1)), ((1,), (0, 0)), ((0, 0), (1, 0, 0))):
+        with pytest.raises(ValueError):
+            WeylElement(QQ, Z2, ((k, QQ.one()) for k in [z, key]))
+
+
 def test_apply_variable_mismatch():
     d = WeylElement.d_var(QQ, ("z1",), 1)
     with pytest.raises(ValueError):
