@@ -10,18 +10,23 @@ Grammar (round-trips with Polynomial.to_str):
 Rationals are `a` or `a/b` with non-negative integer literals; `i` is the
 imaginary unit (Gaussian coefficient ring only); identifiers are the declared
 variable names.  Negative exponents are accepted only on Laurent variables.
+
+A term becomes one (key, coeff) pair: `name^k` adds k to one exponent, and a
+sign, rational or `i` multiplies the coefficient.  Only a parenthesised group
+or a powered coefficient is a Polynomial factor, multiplied into the pair.  An
+expression is one Polynomial constructor call over its terms' pairs.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import Polynomial, VariableSet
 from .rings import RingDescriptor
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^()]))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
+                       r"|(?P<punct>[+\-*/^()])|(?P<bad>\S))")
 
 
 class ParseError(ValueError):
@@ -32,32 +37,15 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass
-class _Token:
-    kind: str  # "int" | "name" | punctuation itself | "end"
-    text: str
-    position: int
-
-
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """(kind, text, position) tuples; kind is "int", "name", the punctuation or "end"."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[bad]!r}", bad)
-        if m.group(1) is not None:
-            tokens.append(_Token("int", m.group(1), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(_Token("name", m.group(2), m.start(2)))
-        else:
-            tokens.append(_Token(m.group(3), m.group(3), m.start(3)))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m['bad']!r}", m.start(kind))
+        tokens.append((m[kind] if kind == "punct" else kind, m[kind], m.start(kind)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -68,114 +56,110 @@ class _Parser:
         self.ring = ring
         self.variables = variables
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.index]
+    def _peek(self) -> str:
+        return self.tokens[self.index][0]
 
-    def _advance(self) -> _Token:
-        tok = self.current
+    def _advance(self) -> tuple:
+        tok = self.tokens[self.index]
         self.index += 1
         return tok
 
-    def _expect(self, kind: str) -> _Token:
-        if self.current.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {self.current.text or 'end of input'!r}",
-                             self.current.position)
-        return self._advance()
+    def _expect(self, kind: str) -> tuple:
+        found, text, position = self._advance()
+        if found != kind:
+            raise ParseError(f"expected {kind!r}, found {text or 'end of input'!r}", position)
+        return found, text, position
 
     def parse(self) -> Polynomial:
-        result = self.expr()
-        if self.current.kind != "end":
-            raise ParseError(f"trailing input {self.current.text!r}",
-                             self.current.position)
-        return result
+        pairs = self.expr()
+        kind, text, position = self.tokens[self.index]
+        if kind != "end":
+            raise ParseError(f"trailing input {text!r}", position)
+        return Polynomial(self.ring, self.variables, pairs)
 
-    def expr(self) -> Polynomial:
-        negate = False
-        if self.current.kind in ("+", "-"):
-            negate = self._advance().kind == "-"
-        result = self.term()
-        if negate:
-            result = -result
-        while self.current.kind in ("+", "-"):
-            op = self._advance().kind
-            rhs = self.term()
-            result = result - rhs if op == "-" else result + rhs
-        return result
+    def expr(self) -> list:
+        """The (key, coeff) pairs of every term, for one constructor call to sum."""
+        one = self.ring.one()
+        sign = -one if self._peek() == "-" else one
+        if self._peek() in ("+", "-"):
+            self.index += 1
+        pairs = self.term(sign)
+        while self._peek() in ("+", "-"):
+            pairs.extend(self.term(-one if self._advance()[0] == "-" else one))
+        return pairs
 
-    def term(self) -> Polynomial:
-        result = self.factor()
-        while self.current.kind == "*":
-            self._advance()
-            result = result * self.factor()
-        return result
-
-    def factor(self) -> Polynomial:
-        base_token = self.current
-        base = self.base()
-        if self.current.kind != "^":
-            return base
-        self._advance()
-        negative = False
-        if self.current.kind == "-":
-            self._advance()
-            negative = True
-        exponent = int(self._expect("int").text)
-        if not negative:
-            return base ** exponent
-        name = self._laurent_name(base, base_token)
-        return Polynomial.var(self.ring, self.variables, name, -exponent)
-
-    def _laurent_name(self, base: Polynomial, token: _Token) -> str:
-        if len(base.terms) == 1:
-            (exps, coeff), = base.terms.items()
-            if coeff == self.ring.one() and sum(exps) == 1:
-                name = self.variables.names[exps.index(1)]
-                if self.variables.is_laurent(name):
-                    return name
-        raise ParseError("negative exponents need a Laurent variable base",
-                         token.position)
-
-    def base(self) -> Polynomial:
-        tok = self.current
-        if tok.kind == "(":
-            self._advance()
-            inner = self.expr()
-            self._expect(")")
-            return inner
-        if tok.kind == "int":
-            self._advance()
-            numerator = int(tok.text)
-            if self.current.kind == "/":
-                self._advance()
-                denom_tok = self._expect("int")
-                denominator = int(denom_tok.text)
-                if denominator == 0:
-                    raise ParseError("zero denominator", denom_tok.position)
-                value = Fraction(numerator, denominator)
-            else:
-                value = Fraction(numerator)
-            try:
-                coeff = self.ring.from_fraction(value)
-            except ZeroDivisionError:
-                raise ParseError("denominator is zero in the ring", tok.position) from None
-            return Polynomial.constant(self.ring, self.variables, coeff)
-        if tok.kind == "name":
-            self._advance()
-            if tok.text == "i":
-                if "i" in self.variables.names:
-                    return Polynomial.var(self.ring, self.variables, "i")
+    def term(self, coeff) -> list:
+        ring, variables = self.ring, self.variables
+        names = variables.names
+        exps = [0] * len(names)
+        factors = []
+        while True:
+            kind, text, position = self._advance()
+            var = None  # index of a variable base
+            if kind == "(":
+                value = Polynomial(ring, variables, self.expr())
+                self._expect(")")
+            elif kind == "int":
+                value = self._rational(text, position)
+            elif kind == "name" and text == "i" and "i" not in names:
                 try:
-                    unit = self.ring.imaginary_unit()
+                    value = ring.imaginary_unit()
                 except ValueError:
                     raise ParseError("imaginary unit needs the Gaussian "
-                                     "coefficient ring", tok.position) from None
-                return Polynomial.constant(self.ring, self.variables, unit)
-            if tok.text not in self.variables.names:
-                raise ParseError(f"unknown variable {tok.text!r}", tok.position)
-            return Polynomial.var(self.ring, self.variables, tok.text)
-        raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}",
-                         tok.position)
+                                     "coefficient ring", position) from None
+            elif kind == "name":
+                if text not in names:
+                    raise ParseError(f"unknown variable {text!r}", position)
+                var = names.index(text)
+            else:
+                raise ParseError(f"expected a value, found {text or 'end of input'!r}",
+                                 position)
+            exponent, negative = 1, False
+            if self._peek() == "^":
+                self.index += 1
+                if self._peek() == "-":
+                    self.index += 1
+                    negative = True
+                exponent = int(self._expect("int")[1])
+            if negative:
+                if kind == "(" and len(value.terms) == 1:  # a bare variable?
+                    (key, c), = value.terms.items()
+                    if c == ring.one() and 1 in key and key.count(0) == len(key) - 1:
+                        var = key.index(1)
+                if var is None or not variables.is_laurent(names[var]):
+                    raise ParseError("negative exponents need a Laurent variable base",
+                                     position)
+                exps[var] -= exponent
+            elif var is not None:
+                exps[var] += exponent
+            elif kind != "(" and exponent == 1:
+                coeff = coeff * value
+            else:
+                if kind != "(":
+                    value = Polynomial.constant(ring, variables, value)
+                factors.append(value if exponent == 1 else value ** exponent)
+            if self._peek() != "*":
+                break
+            self.index += 1
+        if not factors:
+            return [(tuple(exps), coeff)]
+        product = Polynomial(ring, variables, {tuple(exps): coeff})
+        for factor in factors:
+            product = product * factor
+        return list(product.terms.items())
+
+    def _rational(self, text: str, position: int):
+        numerator, denominator = int(text), 1
+        if self._peek() == "/":
+            self.index += 1
+            _, text, denom_position = self._expect("int")
+            denominator = int(text)
+            if denominator == 0:
+                raise ParseError("zero denominator", denom_position)
+        try:
+            return self.ring.from_fraction(Fraction(numerator, denominator))
+        except ZeroDivisionError:
+            raise ParseError("denominator is zero in the ring", position) from None
 
 
 def parse_polynomial(text: str, ring: RingDescriptor,

@@ -454,12 +454,14 @@ def _convert_coeff(c, source: RingDescriptor, target: RingDescriptor):
 
 
 def _format_coeff(ring, coeff, has_monomial):
-    """Return (text, negative) for canonical printing, from `ring.format`.
+    """Return (text, negative) for canonical printing, from `str(coeff)`.
 
-    text == "" means the coefficient is an implicit 1 before a monomial.
-    Mixed Gaussian coefficients are parenthesized so the output re-parses.
+    Each coefficient class's `str` is its literal in the parser's grammar
+    ("a/b", "a/b+c/d*i", or a residue).  text == "" means the coefficient is
+    an implicit 1 before a monomial.  Mixed Gaussian coefficients are
+    parenthesized so the output re-parses.
     """
-    text = ring.format(coeff)
+    text = str(coeff)
     if ring.kind == "Qi" and coeff.re and coeff.im:
         return f"({text})", False
     negative = text.startswith("-")

@@ -209,14 +209,6 @@ class RingDescriptor:
     def conjugate(self, c):
         return c.conjugate() if self.kind == "Qi" else c
 
-    def format(self, c) -> str:
-        """Ring literal in the CLI grammar: "a/b", "a/b+c/d*i", or a residue.
-
-        Each element class's `str` is its literal, so `str(c)` anywhere in a
-        report prints the same text as this method.
-        """
-        return str(c)
-
 
 QQ = RingDescriptor("Q")
 QI = RingDescriptor("Qi")

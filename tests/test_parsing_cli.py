@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,6 +14,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+import hypothesis
 import jsonschema
 import pytest
 from hypothesis import given, settings
@@ -73,21 +75,91 @@ def test_parse_imaginary_unit():
 
 
 def test_parse_errors_carry_position():
-    with pytest.raises(ParseError) as err:
-        parse_polynomial("w1 + ^2", QQ, WZ)
-    assert err.value.position == 5
-    with pytest.raises(ParseError):
-        parse_polynomial("1/0", QQ, WZ)
-    with pytest.raises(ParseError):
-        parse_polynomial("w1 + 1/3", GF(3), WZ)  # 3 is zero in F_3
-    with pytest.raises(ParseError):
-        parse_polynomial("q7", QQ, WZ)
-    with pytest.raises(ParseError):
-        parse_polynomial("", QQ, WZ)
-    with pytest.raises(ParseError):
-        parse_polynomial("w1^-1", QQ, WZ)  # not a Laurent variable
-    with pytest.raises(ParseError):
-        parse_polynomial("w1 w1", QQ, WZ)  # implicit multiplication
+    cases = [
+        ("w1 + ^2", QQ, WZ, 5),
+        ("w1 + ?", QQ, WZ, 5),  # unexpected character after whitespace
+        ("w1 + 1/0", QQ, WZ, 7),  # zero denominator: at the denominator
+        ("w1 + 1/3", GF(3), WZ, 5),  # 3 is zero in F_3: at the numerator
+        ("w1 + q7", QQ, WZ, 5),  # unknown variable
+        ("z1 - i", QQ, WZ, 5),  # imaginary unit outside Q(i)
+        ("w1^", QQ, WZ, 3),  # missing integer after '^'
+        ("w1^-", QQ, WZ, 4),  # missing integer after '^-'
+        ("z1 + w1^-1", QQ, WZ, 5),  # not a Laurent variable: at the base
+        ("1 + (2*t)^-1", QQ, T_VARS, 4),  # not a bare Laurent variable
+        ("w1 w1", QQ, WZ, 3),  # implicit multiplication is trailing input
+        ("(w1 + 1", QQ, WZ, 7),  # unclosed '(': at the end
+        ("", QQ, WZ, 0),
+        ("  \t", QQ, WZ, 0),
+    ]
+    for text, ring, variables, position in cases:
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, ring, variables)
+        assert err.value.position == position, (text, str(err.value))
+
+
+def test_parse_term_forms_match_polynomial_arithmetic(monkeypatch):
+    """Term forms that to_str never prints, against hand-built arithmetic."""
+    def var(ring, variables, name, exp=1):
+        return Polynomial.var(ring, variables, name, exp)
+
+    w1, z1 = var(QQ, WZ, "w1"), var(QQ, WZ, "z1")
+    one = Polynomial.one(QQ, WZ)
+    cases = [
+        ("2^3*w1", QQ, WZ, w1.scale(8)),
+        ("(1/2)^2*z1", QQ, WZ, z1.scale(Fraction(1, 4))),
+        ("i^3*z1", QI, WZ, var(QI, WZ, "z1").scale(-QI.imaginary_unit())),
+        ("w1*w1^2*z1", QQ, WZ, w1 * w1 * w1 * z1),
+        ("t^-1*t", QQ, T_VARS, Polynomial.one(QQ, T_VARS)),
+        ("(t)^-1", QQ, T_VARS, var(QQ, T_VARS, "t", -1)),
+        ("(w1 + 1)^0", QQ, WZ, one),
+        ("-(w1 - z1)*2", QQ, WZ, (z1 - w1).scale(2)),
+        ("7*w1", GF(7), WZ, Polynomial.zero(GF(7), WZ)),
+    ]
+    for text, ring, variables, expected in cases:
+        assert parse_polynomial(text, ring, variables) == expected, text
+
+    # A group raised to -k must be one bare Laurent variable, not any
+    # monomial whose exponents happen to sum to 1.
+    two_laurent = VariableSet(("t", "u", "s"), laurent=frozenset(("t", "s")))
+    for text in ("(t*u*s^-1)^-1", "(t^2*s^-1)^-1"):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, QQ, two_laurent)
+        assert err.value.position == 0, text
+
+    wzz = VariableSet(("w1", "z1", "z2"))
+    expected = (var(QQ, wzz, "w1", 2) * var(QQ, wzz, "z1") * var(QQ, wzz, "z2", 3)
+                ).scale(Fraction(-3, 4)) + var(QQ, wzz, "z1") - Polynomial.one(QQ, wzz)
+    built = []
+    init = Polynomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting_init)
+    assert parse_polynomial("-3/4*w1^2*z1*z2^3 + z1 - 1", QQ, wzz) == expected
+    assert len(built) == 1
+
+
+_PARSE_ALPHABET = ("w1", "z1", "t", "i", "0", "1", "2", "7", "+", "-", "*", "/",
+                   "^", "(", ")", " ", "?", "é", "\t", "٣")
+
+
+@settings(max_examples=400, deadline=None)
+@given(tokens=st.lists(st.sampled_from(_PARSE_ALPHABET), max_size=16),
+       case=st.sampled_from([(QQ, WZ), (QI, WZ), (GF(7), WZ), (QQ, T_VARS)]))
+def test_parse_random_strings_error_or_round_trip(tokens, case):
+    """Any string either raises ParseError inside the text or round-trips."""
+    text = "".join(tokens)
+    ring, variables = case
+    # Adjacent digit tokens form one integer; keep exponents small.
+    hypothesis.assume(not re.search(r"\^-?\d\d", text))
+    try:
+        f = parse_polynomial(text, ring, variables)
+    except ParseError as err:
+        assert 0 <= err.position <= len(text), text
+        return
+    assert parse_polynomial(f.to_str(), ring, variables) == f, text
 
 
 def test_print_parse_round_trip_500():
