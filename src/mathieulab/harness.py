@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .imagemap import ImageProblem, L_map
 from .ortho import MomentFunctional, inner_product
-from .poly import Polynomial, VerificationError
+from .poly import Polynomial, VerificationError, _decode_terms, _int_powers
 from .rings import RingDescriptor
 from .weyl import WeylElement, right_symbol
 
@@ -255,16 +255,18 @@ def gvc_scan(operator: WeylElement, p_poly: Polynomial, q_poly: Polynomial,
 
 
 def _gvc_crosscheck(operator, p_poly, q_poly, m_max, problem, premise, shifted):
-    f = right_symbol(operator, problem.variables) * p_poly.embed(problem.ring, problem.variables)
-    q_emb = q_poly.embed(problem.ring, problem.variables)
-    f_power = problem.one()
-    for m in range(1, m_max + 1):
-        f_power = f_power * f
-        lhs = L_map(problem, f_power)
-        if lhs != premise[m - 1].embed(problem.ring, problem.variables):
-            raise VerificationError("kernel-map route disagrees with operator route")
-        lhs_q = L_map(problem, q_emb * f_power)
-        if lhs_q != shifted[m - 1].embed(problem.ring, problem.variables):
+    """Check both sequences against L(f^m) and L(q f^m), f = operator-symbol * P.
+
+    The kernel-map route runs through the integer power loop
+    (`poly._int_powers` with q as cofactor), which shares no code with
+    `WeylElement.compose` or `apply`.
+    """
+    ring, variables = problem.ring, problem.variables
+    f = right_symbol(operator, variables) * p_poly.embed(ring, variables)
+    powers = _int_powers(f, m_max, problem.n, cofactor=q_poly.embed(ring, variables))
+    for m, ((lf, den), (lq, den_q)) in enumerate(powers, start=1):
+        if (_decode_terms(ring, lf, den) != premise[m - 1].embed(ring, variables).terms
+                or _decode_terms(ring, lq, den_q) != shifted[m - 1].embed(ring, variables).terms):
             raise VerificationError("kernel-map route disagrees with operator route")
 
 

@@ -75,22 +75,15 @@ class ImageProblem:
 
 
 def L_map(problem: ImageProblem, f: Polynomial) -> Polynomial:
-    """Linear extension of zeta^a z^b -> d^a(z^b); zero when any a_i > b_i."""
-    problem.check(f)
-    from_int = problem.ring.from_int
-    return Polynomial(problem.ring, problem.variables, (
-        (key, c * from_int(scale)) for key, c, scale in _kernel_terms(problem.n, f.terms)))
+    """Linear extension of zeta^a z^b -> d^a(z^b); zero when any a_i > b_i.
 
-
-def _kernel_terms(n: int, terms: dict):
-    """(key, coefficient, integer scale) for each term zeta^a z^b that L keeps.
-
-    L sends c zeta^a z^b to c * b!/(b-a)! z^(b-a); the coefficient is passed
-    through untouched, so the same rule serves ring elements and numerators.
+    L sends c zeta^a z^b to c * b!/(b-a)! z^(b-a).
     """
-    for exps, c in terms.items():
-        if scale := _falling_product(exps[n:], exps[:n]):
-            yield (0,) * n + tuple(map(sub, exps[n:], exps[:n])), c, scale
+    problem.check(f)
+    n, from_int = problem.n, problem.ring.from_int
+    return Polynomial(problem.ring, problem.variables, (
+        ((0,) * n + tuple(map(sub, exps[n:], exps[:n])), c * from_int(scale))
+        for exps, c in f.terms.items() if (scale := _falling_product(exps[n:], exps[:n]))))
 
 
 def t_apply(problem: ImageProblem, i: int, h: Polynomial) -> Polynomial:
@@ -214,19 +207,17 @@ def power_scan(problem: ImageProblem, f: Polynomial, m_max: int) -> PowerScan:
     """L(f^m) for m = 1..m_max, from the integer power loop.
 
     Each f^m stays a dict of integer numerators over d^m (`_int_powers`),
-    multiplied on packed exponent keys.  The loop's pair mask drops every
-    term zeta^a z^b with some a_i > b_i before L, so only the terms L keeps
-    are unpacked and passed to `_kernel_terms`; ring elements are built only
-    for the terms of L(f^m) that survive.
+    multiplied on packed exponent keys and pruned to the terms that can
+    still reach L's support; L runs on the packed keys, and ring elements
+    are built only for the terms of L(f^m) that survive.
     """
     problem.check(f)
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     values = []
     first = None
-    for m, (power, den) in enumerate(_int_powers(f, m_max, problem.n), start=1):
-        v = Polynomial(problem.ring, problem.variables,
-                       _decode_terms(problem.ring, _kernel_terms(problem.n, power), den))
+    for m, ((kernel, den),) in enumerate(_int_powers(f, m_max, problem.n), start=1):
+        v = Polynomial(problem.ring, problem.variables, _decode_terms(problem.ring, kernel, den))
         values.append(v)
         if first is None and not v.is_zero():
             first = m
@@ -302,9 +293,9 @@ def monomial_count_scan(f: Polynomial, bound: int = None) -> MonomialCountScan:
     _check_plain(f)
     values = []
     first = None
-    for m, (power, den) in enumerate(_int_powers(f, bound), start=1):
+    for m, ((power, den),) in enumerate(_int_powers(f, bound), start=1):
         v = _decode_terms(f.ring, (((), c, _factorial_weight(exps))
-                                   for exps, c in power.items()), den).get((), f.ring.zero())
+                                   for exps, c, _ in power), den).get((), f.ring.zero())
         values.append(v)
         if v:
             first = m

@@ -7,7 +7,8 @@ Grammar (round-trips with Polynomial.to_str):
     factor := base ('^' ('-')? integer)?
     base   := rational | 'i' | ident | '(' expr ')'
 
-Rationals are `a` or `a/b` with non-negative integer literals; `i` is the
+Rationals are `a` or `a/b` with non-negative integer literals of ASCII digits
+(any other character, a non-ASCII digit or space too, is an error); `i` is the
 imaginary unit (Gaussian coefficient ring only); identifiers are the declared
 variable names.  Negative exponents are accepted only on Laurent variables.
 
@@ -26,7 +27,7 @@ from .poly import Polynomial, VariableSet
 from .rings import RingDescriptor
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
-                       r"|(?P<punct>[+\-*/^()])|(?P<bad>\S))")
+                       r"|(?P<punct>[+\-*/^()])|(?P<bad>\S))", re.ASCII)
 
 
 class ParseError(ValueError):

@@ -7,18 +7,23 @@ Canonical printing uses graded lexicographic order, highest first.
 The `Polynomial` and `WeylElement` constructors sum (key, coefficient) pairs
 with `_sum_terms`: sums, products, derivatives, the kernel map, Weyl
 composition and action pass their pairs straight in, and a key whose
-coefficients cancel is dropped.  The power scans take the
-other route, the integer power loop: `_int_powers` puts f over one common
-denominator d once and multiplies integer numerators (an `int` over Q, an
-`(re, im)` pair over Q(i), a residue over F_p), and `_decode_terms` sums
+coefficients cancel is dropped.  Every sequence L(g * f^m), m = 1..m_max,
+takes the other route, the integer power loop: `_int_powers` puts f over one
+common denominator d once and multiplies integer numerators (an `int` over Q,
+an `(re, im)` pair over Q(i), a residue over F_p), and `_decode_terms` sums
 integer-scaled numerators and turns only the surviving sums back into ring
 elements.  Inside the loop an exponent tuple is one packed int: variable j
 takes the W-bit field at offset j*W, where W is one more than the bit length
-of top * m_max (top: f's largest exponent).  No exponent of f^m exceeds
-m * top, so the top bit of every field stays clear and a product's key is the
-sum of its factors' keys.  That clear guard bit also lets one subtract-and-mask
-(`_pair_mask`) test a_i <= b_i on every pair of a key zeta^a z^b at once.
-This encoding and its inverse live here and nowhere else.
+of top * m_max + top(q) (top: f's largest exponent; top(q): the cofactor
+q's, 0 without one).  No exponent of q * f^m, and no b_i plus the pruning
+slack s_i, exceeds that, so the top bit of every field stays clear and a
+product's key is the sum of its factors' keys.  That clear guard bit also
+lets one add-subtract-and-mask (`_pair_mask`) test a_i <= b_i + s_i on every
+pair of a key zeta^a z^b at once, and L reads its output key z^(b-a) off the
+packed key by one subtraction.  With `pairs=n` the loop drops each term of
+f^m that no later product can bring back into L's support (horizon
+pruning), so a dict L reads is L's input, not the true support of f^m; with
+`pairs=0` it is the true support.  This encoding and its inverse live here and nowhere else.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import lcm, perm
 from operator import add
 
 from .rings import GaussianRational, PrimeFieldElement, RingDescriptor
@@ -327,48 +332,93 @@ def _sum_terms(pairs) -> dict:
     return out
 
 
-def _int_powers(f: Polynomial, m_max: int, pairs: int = 0):
-    """Yield (numerators, d^m) for m = 1..m_max: f^m is {key: numerator / d^m}.
+def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactor: Polynomial = None):
+    """Yield, for m = 1..m_max, one (triples, den) per g in (1, cofactor): L(g * f^m).
 
-    d is the lcm of the denominators of f's coefficients (1 over F_p).  A
-    numerator is an `int` over Q, an `(re, im)` pair of ints over Q(i), and a
-    residue mod p over F_p, reduced after each product.  Zero numerators are
-    dropped, so every yielded dict holds the true support of f^m.
+    L(g * f^m) = `_decode_terms(ring, triples, den)`, where `triples` holds
+    (key, numerator, scale) for each term L keeps, unsummed.  d is the lcm
+    of the denominators of f's coefficients (1 over F_p), den is d^m (times
+    q's own lcm for g = q).  A numerator is an `int` over Q, an `(re, im)`
+    pair of ints over Q(i), and a residue mod p over F_p, reduced after each
+    product.  The products run on packed keys (see the module docstring),
+    so f and q take non-negative exponents only.
 
-    The products run on packed keys (see the module docstring), so f's
-    exponents must be non-negative.  Keys are unpacked to exponent tuples
-    only on the way out.  With `pairs=n`, f lives in zeta_1..zeta_n,
-    z_1..z_n, and only the part of the support that L keeps is yielded: the
-    terms zeta^a z^b with a_i <= b_i for every i, picked by `_pair_mask`.
+    With `pairs=n`, f and q live in zeta_1..zeta_n, z_1..z_n and L is the
+    kernel map, the rule of `imagemap.L_map`: zeta^a z^b goes to
+    z^(b-a) with scale prod_i b_i!/(b_i-a_i)!, 0 when some a_i > b_i.  The
+    output key is formed on the packed key and each distinct one is
+    unpacked once.  The dict L reads for f^m is L's input after horizon
+    pruning, not the true support of f^m: with D_i(g) = max(0, max over g's
+    terms of b_i - a_i), the product at step m drops every term with
+    a_i > b_i + (m_max - m) D_i(f) + D_i(q).  Each later factor f raises
+    b_i - a_i by at most D_i(f) and q by at most D_i(q), so no such term
+    reaches L's support.  With `pairs=0`, L is the identity: the triples are
+    (exponent tuple, numerator, 1) over the true support of f^m.
     """
-    exponents = list(chain.from_iterable(f.terms))
-    if min(exponents, default=0) < 0:
+    gs = (f,) if cofactor is None else (f, cofactor)
+    exponents = [list(chain.from_iterable(g.terms)) for g in gs]
+    if min(chain.from_iterable(exponents), default=0) < 0:
         raise ValueError("the integer power loop takes non-negative exponents only")
-    width = (max(exponents, default=0) * m_max).bit_length() + 1  # m_max * top, a clear guard bit
-    keep, unpack = _pair_mask(pairs, width), _unpacker(len(f.variables.names), width)
-    ring = f.ring
-    if ring.kind == "Q":
-        d = lcm(*(c.denominator for c in f.terms.values()))
-        base = {_pack(e, width): c.numerator * (d // c.denominator) for e, c in f.terms.items()}
-        multiply = _int_product
-    elif ring.kind == "Qi":
-        d = lcm(*(x.denominator for c in f.terms.values() for x in (c.re, c.im)))
-        base = {_pack(e, width): (c.re.numerator * (d // c.re.denominator),
-                                  c.im.numerator * (d // c.im.denominator))
-                for e, c in f.terms.items()}
+    top = [max(e, default=0) for e in exponents] + [0]  # top(q) = 0 without a cofactor
+    # b_i + slack <= top(f) * m_max + top(q): every field keeps its guard bit clear
+    width = (top[0] * m_max + top[1]).bit_length() + 1
+    (base, d), *cofactors = [_numerators(g, width) for g in gs]
+    if f.ring.kind == "Qi":
         multiply = _gaussian_product
+    elif f.ring.kind == "Q":
+        def multiply(g, h, keep):
+            return {k: c for k, c in _int_product(g, h).items() if c and keep(k)}
     else:
-        p = ring.characteristic
-        d = 1
-        base = {_pack(e, width): c.residue for e, c in f.terms.items()}
+        p = f.ring.characteristic
 
-        def multiply(g, h):
-            return {k: r for k, c in _int_product(g, h).items() if (r := c % p)}
+        def multiply(g, h, keep):
+            return {k: r for k, c in _int_product(g, h).items() if (r := c % p) and keep(k)}
+    reach = [_reach(g, pairs) for g in gs] + [[0] * pairs]  # D(q) = 0 without a cofactor
+    shift, field = pairs * width, (1 << width) - 1
+    low, shifts = (1 << shift) - 1, range(0, shift, width)
+    in_kernel = _pair_mask(pairs, width)
+    unpack, keys = _unpacker(len(f.variables) - pairs, width), {}
+
+    def kernel(power):
+        """L's (key, numerator, scale) triples; the key b - a is formed on the packed key."""
+        triples = []
+        for k, c in power.items():
+            a, b = k & low, k >> shift
+            scale = 1
+            for s in shifts:
+                scale *= perm(b >> s & field, a >> s & field)  # 0 when a_i > b_i
+            if scale:
+                if (key := keys.get(b - a)) is None:
+                    key = keys[b - a] = (0,) * pairs + unpack(b - a)
+                triples.append((key, c, scale))
+        return triples
+
     power, den = base, d
     for m in range(1, m_max + 1):
         if m > 1:
-            power, den = multiply(power, base), den * d
-        yield {unpack(k): c for k, c in power.items() if keep(k)}, den
+            slack = _pack([(m_max - m) * r + r_q for r, r_q in zip(reach[0], reach[1])], width)
+            power, den = multiply(power, base, _pair_mask(pairs, width, slack)), den * d
+        yield [(kernel(power), den)] + [(kernel(multiply(power, q, in_kernel)), den * d_q)
+                                        for q, d_q in cofactors]
+
+
+def _numerators(g: Polynomial, width: int):
+    """(packed key -> numerator, d): g over the lcm d of its denominators (1 over F_p)."""
+    if g.ring.kind == "Q":
+        d = lcm(*(c.denominator for c in g.terms.values()))
+        return {_pack(e, width): c.numerator * (d // c.denominator)
+                for e, c in g.terms.items()}, d
+    if g.ring.kind == "Qi":
+        d = lcm(*(x.denominator for c in g.terms.values() for x in (c.re, c.im)))
+        return {_pack(e, width): (c.re.numerator * (d // c.re.denominator),
+                                  c.im.numerator * (d // c.im.denominator))
+                for e, c in g.terms.items()}, d
+    return {_pack(e, width): c.residue for e, c in g.terms.items()}, 1
+
+
+def _reach(g: Polynomial, n: int) -> list:
+    """D_i(g) = max(0, max over g's terms zeta^a z^b of b_i - a_i), for i < n."""
+    return [max(0, max((e[n + i] - e[i] for e in g.terms), default=0)) for i in range(n)]
 
 
 def _pack(exps, width: int) -> int:
@@ -382,22 +432,23 @@ def _unpacker(nvars: int, width: int):
     return lambda key: tuple(key >> s & field for s in shifts)
 
 
-def _pair_mask(n: int, width: int):
-    """Predicate on packed keys zeta^a z^b (fields 0..n-1 hold a, n..2n-1 hold b): all a_i <= b_i.
+def _pair_mask(n: int, width: int, slack: int = 0):
+    """Predicate on packed keys zeta^a z^b: every a_i <= b_i + s_i.
 
-    Setting the guard bit of each b field and subtracting the a fields
-    borrows from field i's guard bit exactly when a_i > b_i; no borrow
-    crosses a field, because a_i is below the guard bit.  With n = 0 every
-    key passes.
+    Fields 0..n-1 hold a, fields n..2n-1 hold b, and `slack` packs the s_i.
+    Setting the guard bit of each field of b + s and subtracting the a
+    fields borrows from field i's guard bit exactly when a_i > b_i + s_i; no
+    borrow or carry crosses a field, because a_i and b_i + s_i stay below
+    the guard bit.  With n = 0 every key passes.
     """
     shift = n * width
     low = (1 << shift) - 1
     guard = sum(1 << (s + width - 1) for s in range(0, shift, width))
-    return lambda key: (((key >> shift) | guard) - (key & low)) & guard == guard
+    return lambda key: (((key >> shift) + slack | guard) - (key & low)) & guard == guard
 
 
 def _int_product(g: dict, h: dict) -> dict:
-    """Product of two integer-numerator term dicts on packed keys; cancelled keys dropped.
+    """Product of two integer-numerator term dicts on packed keys, zero sums included.
 
     The inner loop runs over g, the larger factor (f^(m-1) against f).
     """
@@ -407,11 +458,14 @@ def _int_product(g: dict, h: dict) -> dict:
         for e1, c1 in g.items():
             key = e1 + e2
             out[key] = get(key, 0) + c1 * c2
-    return {k: c for k, c in out.items() if c}
+    return out
 
 
-def _gaussian_product(g: dict, h: dict) -> dict:
-    """Product of two (re, im) numerator term dicts: (a+bi)(c+di) = (ac-bd) + (ad+bc)i."""
+def _gaussian_product(g: dict, h: dict, keep) -> dict:
+    """Product of two (re, im) numerator term dicts: (a+bi)(c+di) = (ac-bd) + (ad+bc)i.
+
+    Only the nonzero sums whose key passes `keep` are returned.
+    """
     re, im = {}, {}
     re_get, im_get = re.get, im.get
     for e2, (c, d) in h.items():
@@ -419,7 +473,7 @@ def _gaussian_product(g: dict, h: dict) -> dict:
             key = e1 + e2
             re[key] = re_get(key, 0) + a * c - b * d
             im[key] = im_get(key, 0) + a * d + b * c
-    return {k: (r, im[k]) for k, r in re.items() if r or im[k]}
+    return {k: (r, im[k]) for k, r in re.items() if (r or im[k]) and keep(k)}
 
 
 def _decode_terms(ring: RingDescriptor, triples, den: int) -> dict:

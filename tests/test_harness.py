@@ -1,5 +1,7 @@
 """Scan harness: oracles, verdicts, matrices, and the operator bridge."""
 
+from fractions import Fraction
+
 import pytest
 
 from conftest import random_polynomial
@@ -17,7 +19,7 @@ from mathieulab.harness import (
 )
 from mathieulab.imagemap import ImageProblem
 from mathieulab.ortho import WeightSpec, moments
-from mathieulab.poly import Polynomial, VariableSet
+from mathieulab.poly import Polynomial, VariableSet, VerificationError
 from mathieulab.rings import GF, QQ
 from mathieulab.weyl import WeylElement
 
@@ -133,6 +135,29 @@ def test_gvc_scan_with_crosscheck():
     # d^{2m}(z^{m+3}) = 0 once 2m > m + 3
     assert report.stabilization_index == 4
     assert all(v.is_zero() for v in report.shifted_values[3:])
+
+
+@pytest.mark.parametrize("wrong_call", [0, 1, 6, 11])
+def test_gvc_crosscheck_refuses_a_wrong_operator_value(monkeypatch, wrong_call):
+    """One operator-route value off by 1 (calls alternate premise m, shifted m; m_max = 6)."""
+    problem = ImageProblem(2, QQ)
+    zv = VariableSet(problem.z_names)
+    op = WeylElement(QQ, problem.z_names, {((0, 0), (2, 0)): QQ.one(),
+                                           ((0, 0), (0, 1)): QQ.from_int(3)})
+    z1, z2 = (Polynomial.var(QQ, zv, name) for name in problem.z_names)
+    p_poly, q_poly = z1 + z2 * z2.scale(Fraction(1, 2)), z1 * z2
+    gvc_scan(op, p_poly, q_poly, 6, problem=problem)  # the honest values pass
+    apply, calls = WeylElement.apply, []
+
+    def tampered(self, h):
+        value = apply(self, h)
+        calls.append(h)
+        return value + Polynomial.one(QQ, zv) if len(calls) - 1 == wrong_call else value
+
+    monkeypatch.setattr(WeylElement, "apply", tampered)
+    with pytest.raises(VerificationError):
+        gvc_scan(op, p_poly, q_poly, 6, problem=problem)
+    assert len(calls) == 12
 
 
 def test_gvc_requires_constant_coefficients():

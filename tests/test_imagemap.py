@@ -21,7 +21,7 @@ from mathieulab.imagemap import (
     t_apply,
     to_u_polynomial,
 )
-from mathieulab.poly import Polynomial, VariableSet
+from mathieulab.poly import Polynomial, VariableSet, _decode_terms, _int_powers
 from mathieulab.rings import GF, QI, QQ, GaussianRational
 
 P1 = ImageProblem(1, QQ)
@@ -250,6 +250,69 @@ def test_power_scan_field_width_edges():
                 count = monomial_count_scan(f, m_max)
                 assert count.values == [factorial_functional(p)
                                         for p in powers[:len(count.values)]], (ring, f, m_max)
+
+
+# (top(f), m_max, top(q)): top(f) * m_max + top(q) is 2^k - 1, a field full to its guard bit
+_HORIZON_EDGES = [(3, 5, 0), (2, 3, 1), (1, 5, 2), (3, 4, 3), (2, 7, 1)]
+
+
+def _random_terms(rng, problem, coeff, count, exponent):
+    """Up to `count` terms with nonzero coefficients; `exponent(i)` draws variable i's exponent."""
+    return Polynomial(problem.ring, problem.variables, {
+        tuple(exponent(i) for i in range(2 * problem.n)): _nonzero(rng, coeff)
+        for _ in range(count)})
+
+
+def _cofactor_cases(rng, problem, coeff):
+    """(f, q, m_max): random pairs, q = 0, f with every D_i = 0, and the horizon width edges.
+
+    q ranges over all 2n variables, so it carries w-variables too.
+    """
+    n = problem.n
+    short = 5 if n == 3 else 6
+
+    def draw(top):
+        return lambda i: rng.randint(0, top)
+
+    for _ in range(5):
+        yield (_random_terms(rng, problem, coeff, rng.randint(1, 4), draw(2)),
+               _random_terms(rng, problem, coeff, rng.randint(1, 3), draw(2)),
+               rng.randint(1, short))
+    yield (_random_terms(rng, problem, coeff, 3, draw(2)), problem.zero(), short)
+    # every term zeta^a z^b with b <= a: D_i(f) = 0, only q's reach is left
+    a = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(3)]
+    no_reach = Polynomial(problem.ring, problem.variables, {
+        e + tuple(rng.randint(0, k) for k in e): _nonzero(rng, coeff) for e in a})
+    yield no_reach, _random_terms(rng, problem, coeff, 2, draw(2)), short
+    for top, m_max, top_q in _HORIZON_EDGES:
+        # z_i^top in f and z_i^top_q in q keep b_i + slack at top * m_max + top_q
+        # at every step; w_j^top drives a_j to m * top
+        i, j = rng.randrange(n), rng.randrange(n)
+        z_top, w_top, z_q = [0] * (2 * n), [0] * (2 * n), [0] * (2 * n)
+        z_top[n + i], w_top[j], z_q[n + i] = top, top, top_q
+        f = Polynomial(problem.ring, problem.variables, {
+            tuple(z_top): _nonzero(rng, coeff), tuple(w_top): _nonzero(rng, coeff)})
+        f = f + _random_terms(rng, problem, coeff, 1, draw(top))
+        q = Polynomial(problem.ring, problem.variables, {tuple(z_q): _nonzero(rng, coeff)})
+        yield f, q + _random_terms(rng, problem, coeff, 1, draw(top_q)), m_max
+
+
+def test_int_powers_with_cofactor_match_the_kernel_map():
+    """The pruned power loop yields L(f^m) and L(q f^m) exactly: against `f ** m` and L_map."""
+    rng = random.Random(1501)
+    for ring, coeff in _COEFFS:
+        for n in (1, 2, 3):
+            problem = ImageProblem(n, ring)
+            for f, q, m_max in _cofactor_cases(rng, problem, coeff):
+                power = problem.one()
+                loop = _int_powers(f, m_max, n, cofactor=q)
+                for m, ((lf, den), (lq, den_q)) in enumerate(loop, start=1):
+                    power = power * f
+                    assert _decode_terms(ring, lf, den) == L_map(problem, power).terms, (
+                        ring, f, q, m_max, m)
+                    assert _decode_terms(ring, lq, den_q) == L_map(problem, q * power).terms, (
+                        ring, f, q, m_max, m)
+                assert m == m_max
 
 
 def test_factorial_functional_values():

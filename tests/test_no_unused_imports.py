@@ -77,3 +77,14 @@ def test_terms_summed_only_by_constructors():
                             for path in LIBRARY))
     assert readers == {"Polynomial.__init__", "WeylElement.__init__",
                        "WeylElement.left_normal_terms"}
+
+
+def test_packed_key_encoding_stays_in_poly():
+    # the poly module docstring: the packed-key encoding and its inverse live there alone
+    names = {"_pack", "_unpacker", "_pair_mask"}
+    readers = {path.name for path in LIBRARY
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.Name) and node.id in names
+               or isinstance(node, ast.Attribute) and node.attr in names
+               or isinstance(node, ast.alias) and node.name in names}
+    assert readers == {"poly.py"}

@@ -97,6 +97,25 @@ def test_parse_errors_carry_position():
         assert err.value.position == position, (text, str(err.value))
 
 
+def test_non_ascii_digits_and_spaces_are_rejected(capsys):
+    """Integer literals and separators are ASCII: a Unicode digit or space is no token."""
+    cases = [
+        ("٣*w1 + ١/٢", 0),  # Arabic-Indic 3*w1 + 1/2
+        ("w1 + ١/٢", 5),
+        ("w1^٢", 3),
+        ("z1 - \uff17", 5),  # fullwidth 7
+        ("w1\u00a0+ z1", 2),  # no-break space
+        ("w1 +\u2003z1", 4),  # em space
+    ]
+    for text, position in cases:
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, QQ, WZ)
+        assert err.value.position == position, (text, str(err.value))
+    code, out, err = run_cli(capsys, "lmap", "٣*w1 + ١/٢", "--n", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:") and "(at position 0)" in err
+
+
 def test_parse_term_forms_match_polynomial_arithmetic(monkeypatch):
     """Term forms that to_str never prints, against hand-built arithmetic."""
     def var(ring, variables, name, exp=1):
