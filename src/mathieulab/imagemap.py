@@ -216,8 +216,8 @@ def power_scan(problem: ImageProblem, f: Polynomial, m_max: int) -> PowerScan:
         raise ValueError("m_max must be at least 1")
     values = []
     first = None
-    for m, ((kernel, den),) in enumerate(_int_powers(f, m_max, problem.n), start=1):
-        v = Polynomial(problem.ring, problem.variables, _decode_terms(problem.ring, kernel, den))
+    for m, ((triples, den),) in enumerate(_int_powers(f, m_max, problem.n), start=1):
+        v = Polynomial(problem.ring, problem.variables, _decode_terms(problem.ring, triples, den))
         values.append(v)
         if first is None and not v.is_zero():
             first = m
@@ -293,9 +293,9 @@ def monomial_count_scan(f: Polynomial, bound: int = None) -> MonomialCountScan:
     _check_plain(f)
     values = []
     first = None
-    for m, ((power, den),) in enumerate(_int_powers(f, bound), start=1):
+    for m, ((triples, den),) in enumerate(_int_powers(f, bound), start=1):
         v = _decode_terms(f.ring, (((), c, _factorial_weight(exps))
-                                   for exps, c, _ in power), den).get((), f.ring.zero())
+                                   for exps, c, _ in triples), den).get((), f.ring.zero())
         values.append(v)
         if v:
             first = m
