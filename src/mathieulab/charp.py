@@ -212,7 +212,9 @@ def theorem51_pipeline(f: Polynomial, g: Polynomial,
             mono = Polynomial(problem.ring, problem.variables, {exps: c})
             return Theorem51Report(False, failing_coefficient=mono.to_str())
     p2 = prob.p ** 2
-    power = f ** p2
+    # Frobenius is a ring map fixing F_p: f^(p^2) is the sum of c * M^(p^2) over f's terms c * M
+    power = Polynomial(problem.ring, problem.variables,
+                       {tuple(p2 * e for e in exps): c for exps, c in f.terms.items()})
     power_ok = w_ideal_member(power, prob.n, prob.p)
     sampled = (p2, p2 + 1, p2 + 2)
     products_ok = True

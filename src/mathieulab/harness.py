@@ -220,11 +220,11 @@ class GvcReport:
 
 
 def gvc_scan(operator: WeylElement, p_poly: Polynomial, q_poly: Polynomial,
-             m_max: int, problem: ImageProblem = None) -> GvcReport:
+             m_max: int, problem: ImageProblem) -> GvcReport:
     """Exact scan of operator^m(P^m) and operator^m(Q P^m).
 
-    When `problem` is given, both sequences are cross-checked against the
-    kernel-map route through f = operator-symbol * P, term by term.
+    Both sequences are cross-checked against the kernel-map route through
+    f = operator-symbol * P, term by term.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
@@ -249,8 +249,7 @@ def gvc_scan(operator: WeylElement, p_poly: Polynomial, q_poly: Polynomial,
             break
     else:
         stabilization = 1
-    if problem is not None:
-        _gvc_crosscheck(operator, p_poly, q_poly, m_max, problem, premise, shifted)
+    _gvc_crosscheck(operator, p_poly, q_poly, m_max, problem, premise, shifted)
     return GvcReport(premise, premise_through, shifted, stabilization)
 
 

@@ -1,19 +1,21 @@
-"""Classical weights: exact moments, Gram-Schmidt, Rodrigues, and the
-first-order operator route.
+"""Classical weights: exact moments and three routes to their orthogonal
+polynomials.
 
 Everything stays rational: moments are normalized by the zeroth moment, so
-even the Gaussian weight only ever contributes rational numbers.  The two
-generator routes are computed independently; the recursion here keeps the
-weight factored out symbolically, while `lambda_power` applies the operator
-d/dx + w'/w literally over the common denominator D^j, with D the weight's
-singular product, and ends with one exact division.
+even the Gaussian weight only ever contributes rational numbers.  The three
+routes share nothing but the weight: `gram_schmidt` turns the moments into
+the monic polynomials by the three-term recurrence (the Chebyshev
+algorithm), `rodrigues` evaluates Rodrigues' formula as its explicit Leibniz
+sum, and `lambda_power` applies the operator d/dx + w'/w literally over the
+common denominator D^j, with D the weight's singular product, and ends with
+one exact division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from . import linalg
 from .poly import Polynomial, VariableSet, VerificationError
@@ -111,21 +113,31 @@ def inner_product(f: Polynomial, g: Polynomial, m: MomentFunctional):
 
 
 def gram_schmidt(m: MomentFunctional, d_max: int) -> dict:
-    """{degree: monic orthogonal polynomial} for each degree <= d_max, exactly."""
+    """{degree: monic orthogonal polynomial} for each degree <= d_max, exactly.
+
+    The Chebyshev algorithm (Gautschi, "On generating orthogonal polynomials",
+    1982) reads p_(k+1) = (x - a_k) p_k - b_k p_(k-1) off the rows
+    sigma_k[l] = <p_k, x^l>, which start at sigma_0 = the moments:
+        a_k = sigma_k[k+1] / sigma_k[k] - sigma_(k-1)[k] / sigma_(k-1)[k-1],
+        b_k = sigma_k[k] / sigma_(k-1)[k-1]  (a_0 = sigma_0[1] / sigma_0[0], b_0 = 0),
+        sigma_(k+1)[l] = sigma_k[l+1] - a_k sigma_k[l] - b_k sigma_(k-1)[l].
+    Monic orthogonal polynomials are unique, so these are the Gram-Schmidt
+    ones.  A zero norm sigma_k[k], k < d_max, is a singular Hankel minor.
+    """
     if m.n_max < 2 * d_max:
         raise ValueError("not enough moments for the requested degree")
-    polys = {}
-    norms = {}
-    for d in range(d_max + 1):
-        p = Polynomial.var(QQ, X_VARS, "x", d) if d else Polynomial.one(QQ, X_VARS)
-        for j in range(d):
-            num = inner_product(p, polys[j], m)
-            if not norms[j]:
-                raise ValueError("singular Hankel system in Gram-Schmidt")
-            p = p - polys[j].scale(num / norms[j])
-        polys[d] = p
-        norms[d] = inner_product(p, p, m)
-    return polys
+    x = Polynomial.var(QQ, X_VARS, "x")
+    polys = [Polynomial.one(QQ, X_VARS)]
+    row = prev = list(m.values[:2 * d_max + 1])  # sigma_k and sigma_(k-1)
+    for k in range(d_max):
+        if not row[k]:
+            raise ValueError(f"singular Hankel system at degree {k}")
+        a = row[k + 1] / row[k] - (prev[k] / prev[k - 1] if k else 0)
+        # b_0 = 0, so at k = 0 prev and polys[-1] stand in for sigma_(-1) and p_(-1)
+        b = row[k] / prev[k - 1] if k else 0
+        polys.append(x * polys[k] - polys[k].scale(a) - polys[k - 1].scale(b))
+        row, prev = [row[l + 1] - a * row[l] - b * prev[l] for l in range(len(row) - 1)], row
+    return dict(enumerate(polys))
 
 
 _FACTOR_POLYS = {
@@ -192,50 +204,38 @@ def lambda_power(spec: WeightSpec, a: int, m: int) -> Polynomial:
 
 
 def rodrigues(spec: WeightSpec, a: int) -> Polynomial:
-    """c_a * w^(-1) d^a (w g^a), via the weight-factored recursion.
+    """c_a * w^(-1) d^a (w g^a), with Leibniz's rule summed in closed form.
 
-    The weight never appears explicitly: for each family the a-th derivative
-    of w g^a equals w times a polynomial recursion, so the result is exact
-    and provably polynomial.
+    With y^(s) = y (y-1) ... (y-s+1) the falling factorial, w^(-1) d^a (w g^a)
+    is (Szegő, *Orthogonal Polynomials*, (5.5.4), (5.1.6), (4.3.2))
+      hermite   (-1)^a a! sum_k (-1)^k (2x)^(a-2k) / (k! (a-2k)!),
+      laguerre  sum_s C(a,s) (-1)^(a-s) (a+alpha)^(s) x^(a-s),
+      jacobi    sum_s (-1)^s C(a,s) (a+alpha)^(s) (a+beta)^(a-s) (1-x)^(a-s) (1+x)^s.
     """
     if a < 0:
         raise ValueError("degree must be non-negative")
-    fam = spec.family
-    one = Polynomial.one(QQ, X_VARS)
-    x = _FACTOR_POLYS["x"]
-    if fam == "hermite":
-        r = one
-        for _ in range(a):
-            r = r.partial("x") - x.scale(2) * r
-    elif fam == "laguerre":
-        r = one
-        s = spec.alpha + a
-        for _ in range(a):
-            r = r.scale(s) + x * (r.partial("x") - r)
-            s -= 1
-    elif fam in ("jacobi", "legendre"):
-        r = one
-        s, t = spec.alpha + a, spec.beta + a
-        for _ in range(a):
-            r = (_FACTOR_POLYS["1+x"].scale(-s) * r
-                 + _FACTOR_POLYS["1-x"].scale(t) * r
-                 + _FACTOR_POLYS["1-x"] * _FACTOR_POLYS["1+x"] * r.partial("x"))
-            s -= 1
-            t -= 1
+    scale = rodrigues_constant(spec, a)  # raises for a weight without a formula
+    if spec.family == "hermite":
+        terms = {a - 2 * k: (-1) ** (a + k) * 2 ** (a - 2 * k) * factorial(a)
+                 // (factorial(k) * factorial(a - 2 * k)) for k in range(a // 2 + 1)}
+    elif spec.family == "laguerre":
+        terms = {j: (-1) ** j * comb(a, j) * perm(a + spec.alpha, a - j) for j in range(a + 1)}
     else:
-        raise ValueError(f"no Rodrigues formula for {fam}")
-    result = r.scale(rodrigues_constant(spec, a))
+        coeffs = [0] * (a + 1)  # h <- (1+x) h + (s-th term)/(1+x)^s for s = a, ..., 0
+        for s in range(a, -1, -1):
+            c = (-1) ** s * comb(a, s) * perm(a + spec.alpha, s) * perm(a + spec.beta, a - s)
+            coeffs = [h + h_low + (-1) ** j * comb(a - s, j) * c
+                      for j, (h, h_low) in enumerate(zip(coeffs, [0] + coeffs))]
+        terms = dict(enumerate(coeffs))
+    result = Polynomial(QQ, X_VARS, {(j,): c * scale for j, c in terms.items()})
     if result.total_degree() != a:
         raise VerificationError(f"Rodrigues polynomial of degree {a} has the wrong degree")
     return result
 
 
-def hankel_matrix(m: MomentFunctional, d: int):
-    return [[m.moment(i + j) for j in range(d + 1)] for i in range(d + 1)]
-
-
 def hankel_determinant(m: MomentFunctional, d: int) -> Fraction:
-    return linalg.determinant(hankel_matrix(m, d), Fraction(0), Fraction(1))
+    hankel = [[m.moment(i + j) for j in range(d + 1)] for i in range(d + 1)]
+    return linalg.determinant(hankel, Fraction(0), Fraction(1))
 
 
 def hankel_nonsingularity(m: MomentFunctional, d: int) -> bool:

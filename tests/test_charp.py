@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_polynomial
+from mathieulab import charp
 from mathieulab.charp import (
     CharPProblem,
     _shift_operator_apply,
@@ -146,6 +147,27 @@ def test_theorem51_pipeline_positive():
             assert report.premise_holds
             assert report.power_coefficients_in_J
             assert report.products_in_J
+
+
+def test_theorem51_power_matches_repeated_multiplication(monkeypatch):
+    """The pipeline's f^(p^2), built term by term, is `f ** p**2`: the
+    elements it tests for J-membership are f^(p^2) and g f^m, m = p^2..p^2+2."""
+    rng = random.Random(51)
+    tested, member = [], charp.w_ideal_member
+    monkeypatch.setattr(charp, "w_ideal_member",
+                        lambda h, n, p: tested.append(h) or member(h, n, p))
+    for _ in range(40):
+        prob = CharPProblem(rng.choice((2, 3, 5, 7)), rng.choice((1, 2)))
+        problem = prob.image
+        f = problem.zero()
+        for i in range(1, prob.n + 1):
+            f = f + problem.zeta(i) * random_polynomial(
+                rng, problem.ring, problem.variables, max_degree=1, max_terms=2)
+        g = random_polynomial(rng, problem.ring, problem.variables, max_degree=1, max_terms=2)
+        tested.clear()
+        theorem51_pipeline(f, g, prob)
+        power = f ** prob.p ** 2
+        assert tested == [power, g * power, g * power * f, g * power * f * f]
 
 
 def test_theorem51_pipeline_premise_failure():

@@ -165,7 +165,7 @@ def test_gvc_requires_constant_coefficients():
     zv = VariableSet(problem.z_names)
     z_op = WeylElement.z_var(QQ, problem.z_names, 1)
     with pytest.raises(ValueError):
-        gvc_scan(z_op, Polynomial.one(QQ, zv), Polynomial.one(QQ, zv), 3)
+        gvc_scan(z_op, Polynomial.one(QQ, zv), Polynomial.one(QQ, zv), 3, problem=problem)
 
 
 def test_gvc_rejects_empty_scan():

@@ -1,11 +1,15 @@
-"""Moments, Gram-Schmidt, Rodrigues recursions, and the operator route."""
+"""Moments and the three routes to the orthogonal polynomials: the moment
+recurrence (against a Gram-Schmidt projection oracle), the Rodrigues closed
+forms, and the operator route."""
 
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from mathieulab import ortho
 from mathieulab.ortho import (
+    MomentFunctional,
     WeightSpec,
     X_VARS,
     gram_schmidt,
@@ -18,7 +22,7 @@ from mathieulab.ortho import (
     rodrigues,
     rodrigues_constant,
 )
-from mathieulab.poly import Polynomial
+from mathieulab.poly import Polynomial, VerificationError
 from mathieulab.rings import QQ
 
 X = Polynomial.var(QQ, X_VARS, "x")
@@ -74,6 +78,43 @@ def test_gram_schmidt_orthogonality():
             assert fam[i].terms[(i,)] == 1  # monic
             for j in range(i):
                 assert not inner_product(fam[i], fam[j], m)
+
+
+def _projection_oracle(m, d_max):
+    """Monic orthogonal polynomials by Gram-Schmidt: x^d minus its projections."""
+    polys, norms = {}, {}
+    for d in range(d_max + 1):
+        p = Polynomial.var(QQ, X_VARS, "x", d)
+        for j in range(d):
+            if not norms[j]:
+                raise ValueError("singular Hankel system in Gram-Schmidt")
+            p = p - polys[j].scale(inner_product(p, polys[j], m) / norms[j])
+        polys[d] = p
+        norms[d] = inner_product(p, p, m)
+    return polys
+
+
+def test_gram_schmidt_matches_projection_oracle():
+    for spec in ALL_SPECS:
+        m = moments(spec, 32)
+        assert gram_schmidt(m, 16) == _projection_oracle(m, 16), spec.label()
+    m = moments(WeightSpec("jacobi", 3, 2), 48)
+    assert gram_schmidt(m, 24) == _projection_oracle(m, 24)
+
+
+def test_zero_norm_is_a_singular_hankel_system():
+    """Moments 1, 0, 0, ... make <x, x> = 0: degree 1 exists, degree 2 does not."""
+    m = MomentFunctional(WeightSpec("hermite"), tuple(Fraction(int(n == 0)) for n in range(5)))
+    assert gram_schmidt(m, 1) == _projection_oracle(m, 1) == {0: ONE, 1: X}
+    for route in (gram_schmidt, _projection_oracle):
+        with pytest.raises(ValueError, match="singular Hankel system"):
+            route(m, 2)
+
+
+def test_rodrigues_degree_check_fires(monkeypatch):
+    monkeypatch.setattr(ortho, "rodrigues_constant", lambda spec, a: Fraction(0))
+    with pytest.raises(VerificationError, match="wrong degree"):
+        rodrigues(WeightSpec("legendre"), 3)
 
 
 def test_rodrigues_known_values():

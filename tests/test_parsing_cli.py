@@ -549,6 +549,47 @@ def test_verification_failure_exits_2_under_optimize():
     assert proc.stderr.startswith("verification failure:")
 
 
+@pytest.mark.parametrize("route", ["gram_schmidt", "rodrigues", "lambda_power"])
+def test_ortho_route_disagreement_exits_2_under_optimize(route):
+    """Under python -O, one route off at degree 3 makes `ortho` exit 2."""
+    script = textwrap.dedent(f"""
+        import sys
+        from fractions import Fraction
+        from mathieulab import cli, ortho
+        if sys.flags.optimize != 1:
+            sys.exit(3)
+        honest = ortho.{route}
+
+        def wrong(*args):
+            value = honest(*args)
+            if isinstance(value, dict):
+                value[3] = value[3].scale(Fraction(1, 2))
+            elif value.total_degree() == 3:
+                value = value + value
+            return value
+
+        ortho.{route} = wrong
+        sys.exit(cli.main(["ortho", "--family", "jacobi", "--alpha", "1", "--dmax", "4"]))
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "verification failure: generation routes disagree at degree 3\n"
+
+
+def test_theorem51_at_p_101_finishes():
+    """f^(p^2) has p^2 = 10201 here; the run must end well inside the timeout."""
+    proc = subprocess.run([sys.executable, "-m", "mathieulab.cli", "charp", "theorem51",
+                           "--p", "101", "--n", "1", "w1 + w1*z1", "z1"],
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "premise_holds": True, "f_power_coefficients_in_J": True,
+        "sampled_m": [10201, 10202, 10203], "products_in_J": True,
+        "command": "charp.theorem51"}
+
+
 def _subprocess_env() -> dict:
     """The environment with this checkout's mathieulab first on PYTHONPATH."""
     src = str(Path(mathieulab.__file__).parents[1])
