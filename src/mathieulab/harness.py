@@ -5,6 +5,9 @@ test (`jacobian_matrix`, `jacobian_nilpotent`).
 
 A bounded scan never proves anything; its verdicts are "premise_failed",
 "consistent" (up to m_max), or a concrete re-checkable violation witness.
+The kernel, constant-term and moment oracles scan through the integer power
+loop (`poly._int_powers`), the trace oracle by multiplying matrices out; a
+reported violation is multiplied out and re-checked with `member`.
 """
 
 from __future__ import annotations
@@ -20,13 +23,23 @@ from .weyl import WeylElement, right_symbol
 
 @dataclass
 class SubspaceOracle:
-    """Named exact membership predicate."""
+    """Named exact membership predicate.  `scan(f, gs, m_max)`, when given, yields
+    per m whether f^m is a member and a callable saying which g * f^m are."""
 
     name: str
     member: callable
+    scan: callable = None
 
     def __call__(self, element) -> bool:
         return self.member(element)
+
+    def _products(self, f, gs, m_max):
+        """The scan without `scan`: f^m and g * f^m multiplied out, asked of `member`."""
+        power = f
+        for m in range(1, m_max + 1):
+            if m > 1:
+                power = power * f
+            yield self(power), lambda power=power: [self(g * power) for g in gs]
 
 
 @dataclass
@@ -69,38 +82,36 @@ def _text(x) -> str:
 
 
 def mathieu_scan(oracle: SubspaceOracle, f, gs, m_max: int = 24) -> ScanReport:
-    """Scan f^m membership, then g f^m stabilization for each supplied g."""
+    """Scan f^m membership, then g f^m stabilization for each supplied g.
+
+    A violation's g f^m and g f^m_max are multiplied out and re-checked.
+    """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    powers = []
-    power = f
-    premise_through = 0
-    for m in range(1, m_max + 1):
-        if m > 1:
-            power = power * f
-        powers.append(power)
-        if oracle(power):
-            premise_through = m
-        else:
+    rows = []
+    for member, g_members in (oracle.scan or oracle._products)(f, gs, m_max):
+        if not member:
             break
+        rows.append(g_members)
+    premise_through = len(rows)
     if premise_through < m_max:
         return ScanReport(oracle.name, _text(f), m_max, premise_through, [],
                           "premise_failed")
     g_results = []
     verdict = "consistent"
-    for g in gs:
-        misses = [m for m, p in enumerate(powers, start=1) if not oracle(g * p)]
+    for g, column in zip(gs, zip(*(row() for row in rows))):
+        misses = [m for m, member in enumerate(column, start=1) if not member]
         if not misses:
             g_results.append(GResult(_text(g), stabilization_index=1))
+        elif misses[-1] == m_max:
+            m = misses[0]
+            element = g * f ** m
+            if oracle(element) or m < m_max and oracle(g * f ** m_max):
+                raise VerificationError(f"{oracle.name} scan reported a member as a miss")
+            g_results.append(GResult(_text(g), violation={"m": m, "element": _text(element)}))
+            verdict = "violation_witness"
         else:
-            last_miss = misses[-1]
-            if last_miss == m_max:
-                m = misses[0]
-                g_results.append(GResult(_text(g), violation={
-                    "m": m, "element": _text(g * powers[m - 1])}))
-                verdict = "violation_witness"
-            else:
-                g_results.append(GResult(_text(g), stabilization_index=last_miss + 1))
+            g_results.append(GResult(_text(g), stabilization_index=misses[-1] + 1))
     return ScanReport(oracle.name, _text(f), m_max, premise_through, g_results, verdict)
 
 
@@ -145,7 +156,7 @@ class MatrixValue:
                  self.entries[i][0] * other.entries[0][j])
              for j in range(n)] for i in range(n)])
 
-    def power(self, m: int) -> "MatrixValue":
+    def __pow__(self, m: int) -> "MatrixValue":
         if m < 1:
             raise ValueError("power must be positive")
         out = self
@@ -161,7 +172,7 @@ class MatrixValue:
         return all(not e for row in self.entries for e in row)
 
     def is_nilpotent(self) -> bool:
-        return self.power(self.dim).is_zero()
+        return (self ** self.dim).is_zero()
 
     def __eq__(self, other):
         return isinstance(other, MatrixValue) and self.entries == other.entries
@@ -186,19 +197,54 @@ def trace_oracle(dim: int, ring: RingDescriptor) -> SubspaceOracle:
 
 
 def laurent_constant_oracle(ring: RingDescriptor) -> SubspaceOracle:
+    """Constant-term-free; with f = t^s f_0, s the lowest exponent of each variable,
+    the scan reads [t^0](g f^m) = sum_k g_k [t^(-k - m s)] f_0^m off `_int_powers`."""
+    def scan(f, gs, m_max):
+        s = [min(e) for e in zip(*f.terms)] or [0] * len(f.variables)
+        f_0 = Polynomial(f.ring, f.variables, {
+            tuple(a - b for a, b in zip(e, s)): c for e, c in f.terms.items()})
+        for m, ((triples, den),) in enumerate(_int_powers(f_0, m_max), start=1):
+            # f^m's numerators over den, keyed by the negated exponent: g's t^k meets t^-k
+            power = {tuple(-a - m * b for a, b in zip(e, s)): c for e, c, _ in triples}
+
+            def constant_free(g, power=power, den=den):
+                hits = _decode_terms(f.ring, [(k, power[k], 1) for k in g.terms if k in power],
+                                     den)
+                return not sum((g.terms[k] * v for k, v in hits.items()), f.ring.zero())
+            yield (0,) * len(s) not in power, lambda one=constant_free: [one(g) for g in gs]
     return SubspaceOracle(f"laurent_constant_{ring.kind}{ring.characteristic or ''}",
-                          lambda p: not p.constant_coefficient())
+                          lambda p: not p.constant_coefficient(), scan)
+
+
+def _functional_scan(rows, vanishes):
+    """`SubspaceOracle.scan` over `_int_powers` rows: f^m's (triples, den), then each g f^m's."""
+    for power, *products in rows:
+        yield vanishes(*power), lambda products=products: [vanishes(*q) for q in products]
 
 
 def moment_oracle(m: MomentFunctional) -> SubspaceOracle:
+    """Zero moment sum_j c_j mu_j; the scan weighs the numerators of `_int_powers`."""
     def member(f):
         one = Polynomial.one(f.ring, f.variables)
         return not inner_product(f, one, m)
-    return SubspaceOracle(f"moment_zero_{m.spec.label()}", member)
+
+    def scan(f, gs, m_max):
+        weight = m.moment if not f.ring.characteristic else (
+            lambda j: f.ring.from_fraction(m.moment(j)).residue)
+        return _functional_scan(_int_powers(f, m_max, 0, gs), lambda triples, den: not
+                                _decode_terms(f.ring, (((), c, weight(j))
+                                                       for (j,), c, _ in triples), den))
+    return SubspaceOracle(f"moment_zero_{m.spec.label()}", member, scan)
 
 
 def kerL_oracle(problem: ImageProblem) -> SubspaceOracle:
-    return SubspaceOracle(f"kerL_n{problem.n}", lambda f: L_map(problem, f).is_zero())
+    """ker L; the scan reads L(f^m) and L(g f^m) off `_int_powers`."""
+    def scan(f, gs, m_max):
+        for x in (f, *gs):
+            problem.check(x)
+        return _functional_scan(_int_powers(f, m_max, problem.n, gs), lambda triples, den: not
+                                _decode_terms(problem.ring, triples, den))
+    return SubspaceOracle(f"kerL_n{problem.n}", lambda f: L_map(problem, f).is_zero(), scan)
 
 
 # -- vanishing-conjecture bridge ---------------------------------------
@@ -262,7 +308,7 @@ def _gvc_crosscheck(operator, p_poly, q_poly, m_max, problem, premise, shifted):
     """
     ring, variables = problem.ring, problem.variables
     f = right_symbol(operator, variables) * p_poly.embed(ring, variables)
-    powers = _int_powers(f, m_max, problem.n, cofactor=q_poly.embed(ring, variables))
+    powers = _int_powers(f, m_max, problem.n, (q_poly.embed(ring, variables),))
     for m, ((lf, den), (lq, den_q)) in enumerate(powers, start=1):
         if (_decode_terms(ring, lf, den) != premise[m - 1].embed(ring, variables).terms
                 or _decode_terms(ring, lq, den_q) != shifted[m - 1].embed(ring, variables).terms):

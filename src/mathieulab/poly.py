@@ -14,8 +14,8 @@ an `(re, im)` pair over Q(i), a residue over F_p), and `_decode_terms` sums
 integer-scaled numerators and turns only the surviving sums back into ring
 elements.  Inside the loop an exponent tuple is one packed int: variable j
 takes the W-bit field at offset j*W, where W is one more than the bit length
-of top * m_max + top(q) (top: f's largest exponent; top(q): the cofactor
-q's, 0 without one).  No exponent of q * f^m, and no b_i plus the pruning
+of top * m_max + top(q) (top: f's largest exponent; top(q): the cofactors'
+largest, 0 without one).  No exponent of q * f^m, and no b_i plus the pruning
 slack s_i, exceeds that, so the top bit of every field stays clear and a
 product's key is the sum of its factors' keys.  That clear guard bit also
 lets one add-subtract-and-mask (`_pair_mask`) test a_i <= b_i + s_i on every
@@ -332,8 +332,8 @@ def _sum_terms(pairs) -> dict:
     return out
 
 
-def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactor: Polynomial = None):
-    """Yield, for m = 1..m_max, one (triples, den) per g in (1, cofactor): L(g * f^m).
+def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=()):
+    """Yield, for m = 1..m_max, one (triples, den) per g in (1, *cofactors): L(g * f^m).
 
     L(g * f^m) = `_decode_terms(ring, triples, den)`, where `triples` holds
     (key, numerator, scale) for each term L keeps, unsummed.  d is the lcm
@@ -341,7 +341,7 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactor: Polynomial 
     q's own lcm for g = q).  A numerator is an `int` over Q, an `(re, im)`
     pair of ints over Q(i), and a residue mod p over F_p, reduced after each
     product.  The products run on packed keys (see the module docstring),
-    so f and q take non-negative exponents only.
+    so f and every q take non-negative exponents only.
 
     With `pairs=n`, f and q live in zeta_1..zeta_n, z_1..z_n and L is the
     kernel map, the rule of `imagemap.L_map`: zeta^a z^b goes to
@@ -349,20 +349,21 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactor: Polynomial 
     output key is formed on the packed key and each distinct one is
     unpacked once.  The dict L reads for f^m is L's input after horizon
     pruning, not the true support of f^m: with D_i(g) = max(0, max over g's
-    terms of b_i - a_i), the product at step m drops every term with
-    a_i > b_i + (m_max - m) D_i(f) + D_i(q).  Each later factor f raises
-    b_i - a_i by at most D_i(f) and q by at most D_i(q), so no such term
-    reaches L's support.  With `pairs=0`, L is the identity: the triples are
-    (exponent tuple, numerator, 1) over the true support of f^m.
+    terms of b_i - a_i) and D_i(q) the largest over the cofactors, the
+    product at step m drops every term with a_i > b_i + (m_max - m) D_i(f)
+    + D_i(q).  Each later factor f raises b_i - a_i by at most D_i(f) and
+    any q by at most D_i(q), so no such term reaches L's support.  With
+    `pairs=0`, L is the identity: the triples are (exponent tuple,
+    numerator, 1) over the true support of f^m (and of q * f^m).
     """
-    gs = (f,) if cofactor is None else (f, cofactor)
+    gs = (f, *cofactors)
     exponents = [list(chain.from_iterable(g.terms)) for g in gs]
     if min(chain.from_iterable(exponents), default=0) < 0:
         raise ValueError("the integer power loop takes non-negative exponents only")
-    top = [max(e, default=0) for e in exponents] + [0]  # top(q) = 0 without a cofactor
+    top = [max(e, default=0) for e in exponents]
     # b_i + slack <= top(f) * m_max + top(q): every field keeps its guard bit clear
-    width = (top[0] * m_max + top[1]).bit_length() + 1
-    (base, d), *cofactors = [_numerators(g, width) for g in gs]
+    width = (top[0] * m_max + max(top[1:], default=0)).bit_length() + 1
+    (base, d), *numerators = [_numerators(g, width) for g in gs]
     if f.ring.kind == "Qi":
         multiply = _gaussian_product
     elif f.ring.kind == "Q":
@@ -373,7 +374,8 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactor: Polynomial 
 
         def multiply(g, h, keep):
             return {k: r for k, c in _int_product(g, h).items() if (r := c % p) and keep(k)}
-    reach = [_reach(g, pairs) for g in gs] + [[0] * pairs]  # D(q) = 0 without a cofactor
+    reach, *reach_q = [_reach(g, pairs) for g in gs]
+    reach_q = [max(r) for r in zip([0] * pairs, *reach_q)]  # D(q) = 0 without a cofactor
     shift, field = pairs * width, (1 << width) - 1
     low, shifts = (1 << shift) - 1, range(0, shift, width)
     in_kernel = _pair_mask(pairs, width)
@@ -396,10 +398,10 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactor: Polynomial 
     power, den = base, d
     for m in range(1, m_max + 1):
         if m > 1:
-            slack = _pack([(m_max - m) * r + r_q for r, r_q in zip(reach[0], reach[1])], width)
+            slack = _pack([(m_max - m) * r + r_q for r, r_q in zip(reach, reach_q)], width)
             power, den = multiply(power, base, _pair_mask(pairs, width, slack)), den * d
         yield [(kernel(power), den)] + [(kernel(multiply(power, q, in_kernel)), den * d_q)
-                                        for q, d_q in cofactors]
+                                        for q, d_q in numerators]
 
 
 def _numerators(g: Polynomial, width: int):

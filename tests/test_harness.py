@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_polynomial
 from mathieulab.harness import (
@@ -18,12 +20,13 @@ from mathieulab.harness import (
     trace_oracle,
 )
 from mathieulab.imagemap import ImageProblem
-from mathieulab.ortho import WeightSpec, moments
+from mathieulab.ortho import X_VARS, MomentFunctional, WeightSpec, moments
 from mathieulab.poly import Polynomial, VariableSet, VerificationError
-from mathieulab.rings import GF, QQ
+from mathieulab.rings import GF, QI, QQ, GaussianRational
 from mathieulab.weyl import WeylElement
 
 T_VARS = VariableSet(("t",), laurent=frozenset(("t",)))
+TU_VARS = VariableSet(("t", "u"), laurent=frozenset(("t", "u")))
 
 
 def _laurent(terms):
@@ -207,3 +210,200 @@ def test_jacobian_nilpotent_triangular():
     assert not jacobian_nilpotent([z2 * z2, z2 * z3, z3 * z3],
                                   problem.z_names)
 
+
+
+# -- scan routes against the multiplied-out path --------------------------
+
+_SCAN_RINGS = (QQ, QI, GF(3), GF(7))
+_SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+def _coefficients(ring):
+    if ring.kind == "Q":
+        return _SMALL
+    if ring.kind == "Qi":
+        return st.builds(GaussianRational, _SMALL, _SMALL)
+    return st.integers(0, ring.characteristic - 1).map(ring.from_int)
+
+
+@st.composite
+def _polynomials(draw, ring, variables, low, high, min_terms=1):
+    keys = draw(st.lists(st.tuples(*[st.integers(low, high)] * len(variables)),
+                         min_size=min_terms, max_size=3))
+    return Polynomial(ring, variables, [(k, draw(_coefficients(ring))) for k in keys])
+
+
+def _outcome(oracle, f, gs, m_max):
+    try:
+        return mathieu_scan(oracle, f, gs, m_max).as_report()
+    except (ValueError, ZeroDivisionError) as exc:
+        return repr(exc)
+
+
+def _assert_matches_products(oracle, f, gs, m_max):
+    """The oracle's scan route and `member` on multiplied-out f^m, g f^m give one report."""
+    assert oracle.scan is not None
+    products = SubspaceOracle(oracle.name, oracle.member)
+    expected = _outcome(products, f, gs, m_max)
+    assert _outcome(oracle, f, gs, m_max) == expected, (f, gs, m_max)
+    return expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), ring=st.sampled_from(_SCAN_RINGS),
+       variables=st.sampled_from((T_VARS, TU_VARS)), m_max=st.integers(1, 8),
+       span=st.sampled_from(((1, 3), (-3, -1), (-2, 2), (0, 2))))
+def test_laurent_scan_matches_products(data, ring, variables, m_max, span):
+    f = data.draw(_polynomials(ring, variables, *span))
+    gs = data.draw(st.lists(_polynomials(ring, variables, -9, 3), min_size=1, max_size=3))
+    _assert_matches_products(laurent_constant_oracle(ring), f, gs, m_max)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), ring=st.sampled_from(_SCAN_RINGS), n=st.integers(1, 2),
+       m_max=st.integers(1, 5), negative_grade=st.booleans())
+def test_kerl_scan_matches_products(data, ring, n, m_max, negative_grade):
+    problem = ImageProblem(n, ring)
+    f = data.draw(_polynomials(ring, problem.variables, 0, 2))
+    if negative_grade:  # more w- than z-degree in every term: the premise holds
+        f = Polynomial(ring, problem.variables, {
+            e: c for e, c in f.terms.items() if sum(e[:n]) > sum(e[n:])})
+    gs = data.draw(st.lists(_polynomials(ring, problem.variables, 0, 2), min_size=1, max_size=3))
+    _assert_matches_products(kerL_oracle(problem), f, gs, m_max)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), ring=st.sampled_from(_SCAN_RINGS + (GF(1000003),)),
+       m_max=st.integers(1, 5), classical=st.booleans())
+def test_moment_scan_matches_products(data, ring, m_max, classical):
+    """Classical moments, and moments that vanish from some degree on.
+
+    Under the latter a constant-free f has f^m in M once m passes that
+    degree, so premises hold and g f^m misses at small m.
+    """
+    f = data.draw(_polynomials(ring, X_VARS, 0 if classical else 1, 3))
+    gs = data.draw(st.lists(_polynomials(ring, X_VARS, 0, 3), min_size=1, max_size=3))
+    count = 3 * (m_max + 1) + 1
+    if classical:
+        spec = data.draw(st.sampled_from((
+            WeightSpec("uniform01"), WeightSpec("hermite"), WeightSpec("laguerre", 1),
+            WeightSpec("jacobi", 1, 2), WeightSpec("legendre"))))
+        functional = moments(spec, count - data.draw(st.integers(0, 4)))
+    else:
+        cut = data.draw(st.integers(1, 6))
+        values = data.draw(st.lists(st.sampled_from((0, 1, -1, Fraction(1, 2))),
+                                    min_size=cut, max_size=cut))
+        functional = MomentFunctional(WeightSpec("hermite"),
+                                      tuple(map(Fraction, values + [0] * (count - cut))))
+    _assert_matches_products(moment_oracle(functional), f, gs, m_max)
+
+
+def _one_scan_per_route():
+    """(oracle, f, gs, m_max) per scan route, each with a premise that holds."""
+    problem = ImageProblem(2, QQ)
+    w1, w2, z1, z2 = (problem.zeta(1), problem.zeta(2), problem.z(1), problem.z(2))
+    x = Polynomial.var(GF(5), X_VARS, "x")
+    # mu_0 = mu_3 = 1 and every other moment 0: x^2m is in M, x^3 is not
+    mu = MomentFunctional(WeightSpec("hermite"), tuple(map(Fraction, (1, 0, 0, 1) + (0,) * 20)))
+    return [
+        (kerL_oracle(problem), w1 * w1 * z1 + w2, [z1, z1 * z2 + z2], 6),
+        (laurent_constant_oracle(QQ), _laurent({1: 2, 3: -1}), [_laurent({-4: 1}),
+                                                                _laurent({-9: 3, -2: 1})], 8),
+        (moment_oracle(mu), x * x, [x + Polynomial.one(GF(5), X_VARS), x.scale(3)], 6),
+    ]
+
+
+def test_scan_edge_cases_match_products():
+    """f = 0, no g, g below every exponent of f^m, mixed signs, moments over F_p."""
+    for oracle, f, gs, m_max in _one_scan_per_route():
+        zero = Polynomial.zero(f.ring, f.variables)
+        report = _assert_matches_products(oracle, zero, gs, m_max)
+        assert report["verdict"] == "consistent"
+        assert [g["stabilization_index"] for g in report["g_results"]] == [1] * len(gs)
+        assert _assert_matches_products(oracle, f, [], m_max)["g_results"] == []
+        assert _assert_matches_products(oracle, f, gs, m_max)["premise_held_through"] == m_max
+    for ring in _SCAN_RINGS:
+        oracle = laurent_constant_oracle(ring)
+        f = _laurent({1: 1, 2: 1}).embed(ring, T_VARS)  # f^m spans t^m .. t^2m
+        below, near = (_laurent({k: 1}).embed(ring, T_VARS) for k in (-30, -3))
+        report = _assert_matches_products(oracle, f, [below, below + near], 6)
+        assert [g["stabilization_index"] for g in report["g_results"]] == [1, 4]
+        mixed = _laurent({-1: 1, 1: 1}).embed(ring, T_VARS)  # f^2 has constant term 2
+        report = _assert_matches_products(oracle, mixed, [below], 6)
+        assert (report["verdict"], report["premise_held_through"]) == ("premise_failed", 1)
+    hermite = moment_oracle(moments(WeightSpec("hermite"), 40))
+    x = Polynomial.var(GF(3), X_VARS, "x")
+    # over F_3 every Hermite moment mu_j with j >= 3 is 0: x^3 F_3[x] lies in M
+    report = _assert_matches_products(hermite, x ** 4 + x ** 3, [x + x ** 0, x * x], 6)
+    assert report["verdict"] == "consistent"
+    x = Polynomial.var(GF(7), X_VARS, "x")
+    assert _assert_matches_products(hermite, x ** 3, [x, x * x], 5)["verdict"] == "premise_failed"
+
+
+def test_premise_failed_scans_ask_no_g():
+    """A failed premise reports no g, and no route asks about one."""
+    problem = ImageProblem(1, QQ)
+    short = moments(WeightSpec("uniform01"), 4)  # too few moments for g * f^m
+    cases = [
+        (kerL_oracle(problem), problem.zeta(1) * problem.z(1), problem.z(1)),
+        (laurent_constant_oracle(QQ), _laurent({-1: 1, 1: 1}), _laurent({-2: 1})),
+        (moment_oracle(short), Polynomial.var(QQ, X_VARS, "x"),
+         Polynomial.var(QQ, X_VARS, "x", 9)),
+    ]
+    for oracle, f, g in cases:
+        asked, route = [], oracle.scan
+
+        def recording(f, gs, m_max, route=route):
+            for member, g_members in route(f, gs, m_max):
+                yield member, lambda g_members=g_members: asked.append(1) or g_members()
+        oracle.scan = recording
+        report = mathieu_scan(oracle, f, [g], 6)
+        assert (report.verdict, report.g_results, asked) == ("premise_failed", [], [])
+        elements = []
+        products = SubspaceOracle(oracle.name, lambda e: elements.append(e) or oracle.member(e))
+        assert mathieu_scan(products, f, [g], 6) == report
+        assert elements == [f ** m for m in range(1, report.premise_held_through + 2)]
+
+
+def test_route_scans_multiply_no_polynomials(monkeypatch):
+    """Scans without a violation read g f^m off the power loop: no Polynomial product."""
+    cases = _one_scan_per_route()
+    products, mul = [], Polynomial.__mul__
+
+    def counting_mul(self, other):
+        products.append(self)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    for oracle, f, gs, m_max in cases:
+        assert mathieu_scan(oracle, f, gs, m_max).verdict == "consistent"
+    assert products == []
+    oracle, f, gs, m_max = cases[1]
+    mathieu_scan(SubspaceOracle(oracle.name, oracle.member), f, gs, m_max)
+    assert products  # the counter sees the multiplied-out path
+
+
+def _claim_a_miss_at_m_max(route):
+    """`route` with every g * f^m_max reported outside the subspace."""
+    def tampered(f, gs, m_max):
+        for m, (member, g_members) in enumerate(route(f, gs, m_max), start=1):
+            yield member, lambda g_members=g_members, last=m == m_max: [
+                x and not last for x in g_members()]
+    return tampered
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_violation_recheck_refuses_a_member_reported_as_a_miss(case):
+    """A route that reports every g f^m_max as a miss fails the re-check.
+
+    In the three scans of `_one_scan_per_route` each g also misses at small
+    m, so the reported element is a true miss and g f^m_max must be
+    re-checked too; with f = g = t, m_max is the only miss.
+    """
+    oracle, f, gs, m_max = (_one_scan_per_route() + [
+        (laurent_constant_oracle(QQ), _laurent({1: 1}), [_laurent({1: 1})], 6)])[case]
+    report = mathieu_scan(oracle, f, gs, m_max)
+    assert report.verdict == "consistent"
+    oracle.scan = _claim_a_miss_at_m_max(oracle.scan)
+    with pytest.raises(VerificationError, match="reported a member as a miss"):
+        mathieu_scan(oracle, f, gs, m_max)

@@ -264,9 +264,12 @@ def _random_terms(rng, problem, coeff, count, exponent):
 
 
 def _cofactor_cases(rng, problem, coeff):
-    """(f, q, m_max): random pairs, q = 0, f with every D_i = 0, and the horizon width edges.
+    """(f, qs, m_max): one to three cofactors whose tops and reaches differ.
 
-    q ranges over all 2n variables, so it carries w-variables too.
+    Random tuples, a zero cofactor, f with every D_i = 0, one cofactor per
+    z_i (so each D_i(q) comes from a different q), and the horizon width
+    edges, where the largest cofactor sets W from anywhere in the tuple.
+    Cofactors range over all 2n variables, so they carry w-variables too.
     """
     n = problem.n
     short = 5 if n == 3 else 6
@@ -274,44 +277,55 @@ def _cofactor_cases(rng, problem, coeff):
     def draw(top):
         return lambda i: rng.randint(0, top)
 
+    def pure(i, e):
+        """The monomial of variable i to the power e, with a random coefficient."""
+        key = [0] * (2 * n)
+        key[i] = e
+        return Polynomial(problem.ring, problem.variables, {tuple(key): _nonzero(rng, coeff)})
+
     for _ in range(5):
         yield (_random_terms(rng, problem, coeff, rng.randint(1, 4), draw(2)),
-               _random_terms(rng, problem, coeff, rng.randint(1, 3), draw(2)),
+               tuple(_random_terms(rng, problem, coeff, rng.randint(1, 3), draw(rng.randint(0, 3)))
+                     for _ in range(rng.randint(1, 3))),
                rng.randint(1, short))
-    yield (_random_terms(rng, problem, coeff, 3, draw(2)), problem.zero(), short)
-    # every term zeta^a z^b with b <= a: D_i(f) = 0, only q's reach is left
+    yield (_random_terms(rng, problem, coeff, 3, draw(2)),
+           (problem.zero(), _random_terms(rng, problem, coeff, 2, draw(1))), short)
+    # every term zeta^a z^b with b <= a: D_i(f) = 0, only the cofactors' reach is left
     a = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(3)]
     no_reach = Polynomial(problem.ring, problem.variables, {
         e + tuple(rng.randint(0, k) for k in e): _nonzero(rng, coeff) for e in a})
-    yield no_reach, _random_terms(rng, problem, coeff, 2, draw(2)), short
+    yield no_reach, (_random_terms(rng, problem, coeff, 2, draw(2)), pure(n - 1, 3)), short
+    # q_i = z_i^(i+1) + w_i: D_i(q) is q_i's alone, and the last q has the largest top
+    yield (_random_terms(rng, problem, coeff, 3, draw(2)),
+           tuple(pure(n + i, i + 1) + pure(i, 1) for i in range(n)), short)
     for top, m_max, top_q in _HORIZON_EDGES:
-        # z_i^top in f and z_i^top_q in q keep b_i + slack at top * m_max + top_q
-        # at every step; w_j^top drives a_j to m * top
+        # z_i^top in f and z_i^top_q in the widest q keep b_i + slack at
+        # top * m_max + top_q at every step; w_j^top drives a_j to m * top
         i, j = rng.randrange(n), rng.randrange(n)
-        z_top, w_top, z_q = [0] * (2 * n), [0] * (2 * n), [0] * (2 * n)
-        z_top[n + i], w_top[j], z_q[n + i] = top, top, top_q
-        f = Polynomial(problem.ring, problem.variables, {
-            tuple(z_top): _nonzero(rng, coeff), tuple(w_top): _nonzero(rng, coeff)})
-        f = f + _random_terms(rng, problem, coeff, 1, draw(top))
-        q = Polynomial(problem.ring, problem.variables, {tuple(z_q): _nonzero(rng, coeff)})
-        yield f, q + _random_terms(rng, problem, coeff, 1, draw(top_q)), m_max
+        f = pure(n + i, top) + pure(j, top) + _random_terms(rng, problem, coeff, 1, draw(top))
+        widest = pure(n + i, top_q) + _random_terms(rng, problem, coeff, 1, draw(top_q))
+        others = [pure(j, top_q), _random_terms(rng, problem, coeff, 2, draw(top_q // 2))]
+        qs = others[:rng.randint(0, 2)]
+        qs.insert(rng.randint(0, len(qs)), widest)
+        yield f, tuple(qs), m_max
 
 
 def test_int_powers_with_cofactor_match_the_kernel_map():
-    """The pruned power loop yields L(f^m) and L(q f^m) exactly: against `f ** m` and L_map."""
+    """The pruned power loop yields L(f^m) and each L(q f^m): against `f ** m` and L_map."""
     rng = random.Random(1501)
     for ring, coeff in _COEFFS:
         for n in (1, 2, 3):
             problem = ImageProblem(n, ring)
-            for f, q, m_max in _cofactor_cases(rng, problem, coeff):
+            for f, qs, m_max in _cofactor_cases(rng, problem, coeff):
                 power = problem.one()
-                loop = _int_powers(f, m_max, n, cofactor=q)
-                for m, ((lf, den), (lq, den_q)) in enumerate(loop, start=1):
+                for m, ((lf, den), *products) in enumerate(_int_powers(f, m_max, n, qs), start=1):
                     power = power * f
                     assert _decode_terms(ring, lf, den) == L_map(problem, power).terms, (
-                        ring, f, q, m_max, m)
-                    assert _decode_terms(ring, lq, den_q) == L_map(problem, q * power).terms, (
-                        ring, f, q, m_max, m)
+                        ring, f, qs, m_max, m)
+                    assert len(products) == len(qs)
+                    for q, (lq, den_q) in zip(qs, products):
+                        assert _decode_terms(ring, lq, den_q) == L_map(problem, q * power).terms, (
+                            ring, f, q, qs, m_max, m)
                 assert m == m_max
 
 

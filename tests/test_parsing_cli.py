@@ -549,6 +549,58 @@ def test_verification_failure_exits_2_under_optimize():
     assert proc.stderr.startswith("verification failure:")
 
 
+def test_decompose_recompose_check_exits_2_under_optimize():
+    """Under python -O a recompose route that is off by 1 makes `decompose` exit 2."""
+    script = textwrap.dedent("""
+        import sys
+        from mathieulab import cli, imagemap
+        if sys.flags.optimize != 1:
+            sys.exit(3)
+        honest = imagemap.recompose
+        imagemap.recompose = lambda d: honest(d) + d.problem.one()
+        sys.exit(cli.main(["decompose", "w1*z1^2 - 3*z1", "--n", "1"]))
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "verification failure: decomposition did not recompose to the input\n"
+
+
+def test_scan_violation_recheck_exits_2_under_optimize():
+    """Under python -O a laurent route that claims g f^m_max as a miss makes `scan` exit 2.
+
+    g f^m = t^-1 (t^2 + t)^m: the miss at m = 1 is real, the one at m_max = 6 is not.
+    """
+    script = textwrap.dedent("""
+        import sys
+        from mathieulab import cli, harness
+        if sys.flags.optimize != 1:
+            sys.exit(3)
+        honest = harness.laurent_constant_oracle
+
+        def tampered(ring):
+            oracle = honest(ring)
+            route = oracle.scan
+
+            def scan(f, gs, m_max):
+                for m, (member, g_members) in enumerate(route(f, gs, m_max), start=1):
+                    yield member, lambda g_members=g_members, last=m == m_max: [
+                        x and not last for x in g_members()]
+            oracle.scan = scan
+            return oracle
+
+        harness.laurent_constant_oracle = tampered
+        sys.exit(cli.main(["scan", "--oracle", "laurent", "t^2 + t", "t^-1", "--mmax", "6"]))
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("verification failure: laurent_constant_Q scan reported a member "
+                           "as a miss\n")
+
+
 @pytest.mark.parametrize("route", ["gram_schmidt", "rodrigues", "lambda_power"])
 def test_ortho_route_disagreement_exits_2_under_optimize(route):
     """Under python -O, one route off at degree 3 makes `ortho` exit 2."""
