@@ -1,17 +1,12 @@
 """Exact-arithmetic toolkit for kernel-map decompositions, classical
 orthogonal polynomials, positive-characteristic membership certificates,
-and bounded Mathieu-subspace experiments."""
+and bounded Mathieu-subspace experiments.
 
-from .imagemap import (
-    ImageProblem,
-    L_map,
-    certify_imD,
-    decompose,
-    power_scan,
-    recompose,
-)
-from .poly import Grading, Polynomial, VariableSet, VerificationError
-from .rings import GF, QI, QQ, RingDescriptor
+The names below are looked up in their module on first access (PEP 562), so
+importing the package alone loads none of its modules.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -32,3 +27,22 @@ __all__ = [
     "recompose",
     "__version__",
 ]
+
+# each exported name -> the module that defines it
+_HOMES = {
+    "ImageProblem": "imagemap", "L_map": "imagemap", "certify_imD": "imagemap",
+    "decompose": "imagemap", "power_scan": "imagemap", "recompose": "imagemap",
+    "Grading": "poly", "Polynomial": "poly", "VariableSet": "poly",
+    "VerificationError": "poly",
+    "GF": "rings", "QI": "rings", "QQ": "rings", "RingDescriptor": "rings",
+}
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

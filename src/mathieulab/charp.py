@@ -10,28 +10,27 @@ Lucas's theorem instead of multiplying out the powers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .harness import SubspaceOracle, one_property_probe
 from .imagemap import ImageProblem, t_apply
 from .poly import NEG_INF, Polynomial, VariableSet, VerificationError
-from .rings import GF, QQ, is_prime, valuation_p
+from .rings import GF, QQ, Immutable, is_prime, valuation_p
 
 
-@dataclass(frozen=True)
-class CharPProblem:
+class CharPProblem(Immutable):
     """n variable pairs over F_p; (w_1..w_n) is a regular sequence by construction."""
 
-    p: int
-    n: int
+    __slots__ = __match_args__ = ("p", "n")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.n < 1:
+    def __init__(self, p: int, n: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if n < 1:
             raise ValueError("need at least one variable pair")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
 
     @property
     def image(self) -> ImageProblem:
@@ -56,11 +55,11 @@ def _shift_operator_apply(problem: ImageProblem, i: int, h: Polynomial,
     return -h if times % 2 else h
 
 
-@dataclass
 class SufficiencyWitness:
-    problem: ImageProblem
-    p: int
-    components: dict  # i -> h_i with b = sum (d/dz_i - w_i)^p h_i
+    def __init__(self, problem: ImageProblem, p: int, components: dict):
+        self.problem = problem
+        self.p = p
+        self.components = components  # i -> h_i with b = sum (d/dz_i - w_i)^p h_i
 
     def verify(self, b: Polynomial) -> bool:
         total = self.problem.zero()
@@ -115,16 +114,18 @@ def koszul_solve(problem: ImageProblem, p_poly: Polynomial,
     return g
 
 
-@dataclass
 class DescentWitness:
     """Chain from the two-pair degree descent, with the final exact identity."""
 
-    d: int
-    g_top: Polynomial  # homogeneous of z-degree d+2
-    g_mid: Polynomial  # homogeneous of z-degree d+1
-    top_component: Polynomial  # b_d
-    identity_lhs: Polynomial
-    identity_rhs: Polynomial
+    def __init__(self, d: int, g_top: Polynomial, g_mid: Polynomial,
+                 top_component: Polynomial, identity_lhs: Polynomial,
+                 identity_rhs: Polynomial):
+        self.d = d
+        self.g_top = g_top  # homogeneous of z-degree d+2
+        self.g_mid = g_mid  # homogeneous of z-degree d+1
+        self.top_component = top_component  # b_d
+        self.identity_lhs = identity_lhs
+        self.identity_rhs = identity_rhs
 
     def verify(self) -> bool:
         return self.identity_lhs == self.identity_rhs
@@ -177,13 +178,15 @@ def crucial_lemma_descent(b: Polynomial, p_wit: Polynomial, q_wit: Polynomial,
     return witness
 
 
-@dataclass
 class Theorem51Report:
-    premise_holds: bool
-    failing_coefficient: str = None
-    power_coefficients_in_J: bool = None
-    sampled_m: tuple = ()
-    products_in_J: bool = None
+    def __init__(self, premise_holds: bool, failing_coefficient: str = None,
+                 power_coefficients_in_J: bool = None, sampled_m: tuple = (),
+                 products_in_J: bool = None):
+        self.premise_holds = premise_holds
+        self.failing_coefficient = failing_coefficient
+        self.power_coefficients_in_J = power_coefficients_in_J
+        self.sampled_m = sampled_m
+        self.products_in_J = products_in_J
 
     def as_report(self) -> dict:
         out = {"premise_holds": self.premise_holds}
@@ -229,14 +232,15 @@ def theorem51_pipeline(f: Polynomial, g: Polynomial,
 
 # -- Laurent counterexample -------------------------------------------
 
-@dataclass
 class WillemsReport:
-    p: int
-    k_max: int
-    constant_terms_vanish: bool
-    violations: list  # m values where t^-1 f^m has nonzero constant coefficient
-    expected_violations: list  # m = p^k - 1 for k <= k_max
-    all_expected_hit: bool
+    def __init__(self, p: int, k_max: int, constant_terms_vanish: bool, violations: list,
+                 expected_violations: list, all_expected_hit: bool):
+        self.p = p
+        self.k_max = k_max
+        self.constant_terms_vanish = constant_terms_vanish
+        self.violations = violations  # m values where t^-1 f^m has nonzero constant coefficient
+        self.expected_violations = expected_violations  # m = p^k - 1 for k <= k_max
+        self.all_expected_hit = all_expected_hit
 
     def as_report(self) -> dict:
         return {"p": self.p, "k_max": self.k_max,
@@ -275,13 +279,14 @@ def willems_scan(p: int, k_max: int) -> WillemsReport:
                          all(m in violations for m in expected))
 
 
-@dataclass
 class Example12Report:
-    p: int
-    degree_bound: int
-    one_in_image: bool
-    missing_monomial: str
-    refuted: bool
+    def __init__(self, p: int, degree_bound: int, one_in_image: bool, missing_monomial: str,
+                 refuted: bool):
+        self.p = p
+        self.degree_bound = degree_bound
+        self.one_in_image = one_in_image
+        self.missing_monomial = missing_monomial
+        self.refuted = refuted
 
     def as_report(self) -> dict:
         return {"p": self.p, "degree_bound": self.degree_bound,
@@ -322,11 +327,11 @@ def example12_refutation(p: int, degree_bound: int = None) -> Example12Report:
 
 # -- valuation machinery (number-field route, instantiated over Q) -----
 
-@dataclass
 class FrobeniusReport:
-    p: int
-    divisible: bool
-    h_values: dict  # exponent -> integer h with remainder coefficient p*h
+    def __init__(self, p: int, divisible: bool, h_values: dict):
+        self.p = p
+        self.divisible = divisible
+        self.h_values = h_values  # exponent -> integer h with remainder coefficient p*h
 
 
 def frobenius_expansion_check(g: Polynomial, p: int) -> FrobeniusReport:
@@ -362,15 +367,16 @@ def frobenius_expansion_check(g: Polynomial, p: int) -> FrobeniusReport:
     return FrobeniusReport(p, divisible, h_values)
 
 
-@dataclass
 class Lemma81Report:
-    status: str  # "certified" | "exhausted"
-    prime: int = None
-    s: int = None
-    value: str = None  # L(g^p) / (sp)!
-    valuation: int = None
-    trace: list = None  # (exponent, summand, valuation) triples
-    tried: tuple = ()
+    def __init__(self, status: str, prime: int = None, s: int = None, value: str = None,
+                 valuation: int = None, trace: list = None, tried: tuple = ()):
+        self.status = status  # "certified" | "exhausted"
+        self.prime = prime
+        self.s = s
+        self.value = value  # L(g^p) / (sp)!
+        self.valuation = valuation
+        self.trace = trace  # (exponent, summand, valuation) triples
+        self.tried = tried
 
     def as_report(self) -> dict:
         out = {"status": self.status, "tried": list(self.tried)}

@@ -2,25 +2,24 @@
 
 `_COMMANDS` names each subcommand and `charp` mode, its handler and the flags
 the handler reads; `_FLAGS` holds each flag's argparse spec, with its range
-check.  Exit codes: 0 completed; 1 `usage error:` (bad flags, unparsable or
-unreadable input, unsatisfiable preconditions); 2 `VerificationError`, a
-result that failed its exact re-check; 141 stdout closed before the report
-was written (128 + SIGPIPE).  Any other exception is a bug.
+check.  Each handler imports the modules it runs on first use, so a cold call
+loads only its subcommand's modules.  Exit codes: 0 completed; 1 `usage
+error:` (bad flags, unparsable or unreadable input, unsatisfiable
+preconditions); 2 `VerificationError`, a result that failed its exact
+re-check; 141 stdout closed before the report was written (128 + SIGPIPE).
+Any other exception is a bug.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 
-from . import charp, harness, imagemap, ortho
 from .parsing import ParseError, parse_polynomial
 from .poly import Polynomial, VariableSet, VerificationError
 from .rings import GF, QI, QQ, is_prime
-from .weyl import WeylElement
 
 
 class UsageError(Exception):
@@ -68,6 +67,7 @@ def _ring_of(args):
 
 
 def _problem(args) -> imagemap.ImageProblem:
+    from . import imagemap
     return imagemap.ImageProblem(args.n, _ring_of(args))
 
 
@@ -98,6 +98,7 @@ def _emit(report: dict, fmt: str, csv_rows):
     if fmt == "json":
         print(json.dumps(report, indent=2))
     elif fmt == "csv":
+        import csv
         csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
     else:
         for line in _text_lines(report, ""):
@@ -118,6 +119,7 @@ def _text_lines(value, prefix):
 # -- subcommands -------------------------------------------------------
 
 def _cmd_lmap(args):
+    from . import imagemap
     problem = _problem(args)
     texts = _read_inputs(args)
     results = []
@@ -129,6 +131,7 @@ def _cmd_lmap(args):
 
 
 def _cmd_decompose(args):
+    from . import imagemap
     problem = imagemap.ImageProblem(args.n, _RINGS[args.ring])
     f = _parse(_read_inputs(args, ("f",))[0], problem.ring, problem.variables)
     d = imagemap.decompose(problem, f)
@@ -141,6 +144,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_certify(args):
+    from . import imagemap
     problem = imagemap.ImageProblem(args.n, _RINGS[args.ring])
     f = _parse(_read_inputs(args, ("f",))[0], problem.ring, problem.variables)
     report = imagemap.certify_imD(problem, f).as_report()  # re-verified before it returns
@@ -149,6 +153,7 @@ def _cmd_certify(args):
 
 
 def _cmd_powerscan(args):
+    from . import imagemap
     problem = _problem(args)
     f = _parse(_read_inputs(args, ("f",))[0], problem.ring, problem.variables)
     scan = imagemap.power_scan(problem, f, args.mmax)
@@ -160,6 +165,7 @@ def _cmd_powerscan(args):
 
 
 def _parse_matrix(text, ring):
+    from . import harness
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise UsageError("matrix literals look like [a,b; c,d]")
@@ -179,6 +185,7 @@ def _parse_matrix(text, ring):
 
 def _scan_context(args):
     """The oracle and the parsed input elements of the `scan` subcommand."""
+    from . import harness, ortho
     choice = args.oracle
     ring = _ring_of(args)
     if choice == "kerl":
@@ -209,6 +216,7 @@ def _scan_context(args):
 
 
 def _cmd_scan(args):
+    from . import harness
     oracle, (f, *gs) = _scan_context(args)
     report = harness.mathieu_scan(oracle, f, gs, args.mmax).as_report()
     report["command"] = "scan"
@@ -216,6 +224,8 @@ def _cmd_scan(args):
 
 
 def _cmd_gvc(args):
+    from . import harness, imagemap
+    from .weyl import WeylElement
     problem = imagemap.ImageProblem(args.n, _RINGS[args.ring])
     texts = _read_inputs(args, ("operator", "P", "Q"))
     d_vars = VariableSet(tuple(f"d{i}" for i in range(1, args.n + 1)))
@@ -231,6 +241,7 @@ def _cmd_gvc(args):
 
 
 def _cmd_jacobian(args):
+    from . import harness
     problem = _problem(args)
     texts = _read_inputs(args, tuple(f"h{i}" for i in range(1, args.n + 1)))
     z_vars = VariableSet(problem.z_names)
@@ -243,6 +254,7 @@ def _cmd_jacobian(args):
 
 
 def _weight_spec(family, args) -> ortho.WeightSpec:
+    from . import ortho
     try:
         return ortho.WeightSpec(family, args.alpha, args.beta)
     except ValueError as exc:
@@ -250,6 +262,7 @@ def _weight_spec(family, args) -> ortho.WeightSpec:
 
 
 def _cmd_ortho(args):
+    from . import ortho
     spec = _weight_spec(args.family, args)
     functional = ortho.moments(spec, 2 * args.dmax)
     monic = ortho.gram_schmidt(functional, args.dmax)
@@ -268,6 +281,7 @@ def _cmd_ortho(args):
 
 
 def _cmd_moments(args):
+    from . import ortho
     spec = _weight_spec(args.family, args)
     functional = ortho.moments(spec, args.nmax)
     rows = [("degree", "numerator", "denominator")]
@@ -281,6 +295,7 @@ def _cmd_moments(args):
 
 
 def _cmd_theorem51(args):
+    from . import charp
     prob = charp.CharPProblem(args.p, args.n)
     problem = prob.image
     f, g = (_parse(t, problem.ring, problem.variables)
@@ -291,12 +306,14 @@ def _cmd_theorem51(args):
 
 
 def _cmd_willems(args):
+    from . import charp
     report = charp.willems_scan(args.p, args.kmax).as_report()
     report["command"] = "charp.willems"
     return report, None
 
 
 def _cmd_example12(args):
+    from . import charp
     try:
         report = charp.example12_refutation(args.p, args.bound).as_report()
     except ValueError as exc:
@@ -306,6 +323,7 @@ def _cmd_example12(args):
 
 
 def _cmd_crucial(args):
+    from . import charp
     prob = charp.CharPProblem(args.p, 2)
     problem = prob.image
     b, p_wit, q_wit = (_parse(t, problem.ring, problem.variables)
@@ -323,6 +341,7 @@ def _cmd_crucial(args):
 
 
 def _cmd_lemma81(args):
+    from . import charp
     g = _parse(_read_inputs(args, ("g",))[0], QQ, VariableSet(("u",)))
     try:
         report = charp.lemma81_nonvanishing(g, args.primes).as_report()
@@ -333,6 +352,7 @@ def _cmd_lemma81(args):
 
 
 def _cmd_conj73(args):
+    from . import imagemap
     problem = imagemap.ImageProblem(1, _RINGS[args.ring])
     f = _parse(_read_inputs(args, ("f",))[0], problem.ring, problem.variables)
     report = imagemap.ic1_pipeline(problem, f, args.mmax)
@@ -341,6 +361,9 @@ def _cmd_conj73(args):
 
 
 # -- the subcommand table ----------------------------------------------
+
+# ortho.FAMILIES, spelled out so that parsing flags does not import ortho
+_FAMILIES = ("hermite", "laguerre", "jacobi", "legendre", "uniform01")
 
 _FLAGS = {
     "inputs": ("inputs", {"nargs": "*", "help": "polynomial expressions"}),
@@ -358,11 +381,11 @@ _FLAGS = {
     "nmax": ("--nmax", {"type": _int_at_least(0), "default": 16}),
     "alpha": ("--alpha", {"type": _int_at_least(0), "default": 0}),
     "beta": ("--beta", {"type": _int_at_least(0), "default": 0}),
-    "family": ("--family", {"choices": ortho.FAMILIES, "required": True}),
+    "family": ("--family", {"choices": _FAMILIES, "required": True}),
     "ortho_family": ("--family", {"choices": ("hermite", "laguerre", "jacobi",
                                               "legendre"), "required": True}),
     "oracle": ("--oracle", {"required": True, "choices": ("kerl", "laurent", "trace")
-                            + tuple(f"moment:{family}" for family in ortho.FAMILIES)}),
+                            + tuple(f"moment:{family}" for family in _FAMILIES)}),
     "primes": ("--primes", {"type": _int_list, "help": "comma-separated candidate primes"}),
     "format": ("--format", {"choices": ("json", "text"), "default": "json"}),
     "table_format": ("--format", {"choices": ("json", "csv", "text"), "default": "json"}),

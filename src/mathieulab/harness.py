@@ -12,8 +12,6 @@ reported violation is multiplied out and re-checked with `member`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .imagemap import ImageProblem, L_map
 from .ortho import MomentFunctional, inner_product
 from .poly import Polynomial, VerificationError, _decode_terms, _int_powers
@@ -21,14 +19,14 @@ from .rings import RingDescriptor
 from .weyl import WeylElement, right_symbol
 
 
-@dataclass
 class SubspaceOracle:
     """Named exact membership predicate.  `scan(f, gs, m_max)`, when given, yields
     per m whether f^m is a member and a callable saying which g * f^m are."""
 
-    name: str
-    member: callable
-    scan: callable = None
+    def __init__(self, name: str, member: callable, scan: callable = None):
+        self.name = name
+        self.member = member
+        self.scan = scan
 
     def __call__(self, element) -> bool:
         return self.member(element)
@@ -42,21 +40,28 @@ class SubspaceOracle:
             yield self(power), lambda power=power: [self(g * power) for g in gs]
 
 
-@dataclass
 class GResult:
-    g_text: str
-    stabilization_index: int = None
-    violation: dict = None
+    def __init__(self, g_text: str, stabilization_index: int = None, violation: dict = None):
+        self.g_text = g_text
+        self.stabilization_index = stabilization_index
+        self.violation = violation
 
 
-@dataclass
 class ScanReport:
-    oracle: str
-    f_text: str
-    m_max: int
-    premise_held_through: int
-    g_results: list
-    verdict: str  # premise_failed | consistent | violation_witness
+    def __init__(self, oracle: str, f_text: str, m_max: int, premise_held_through: int,
+                 g_results: list, verdict: str):
+        self.oracle = oracle
+        self.f_text = f_text
+        self.m_max = m_max
+        self.premise_held_through = premise_held_through
+        self.g_results = g_results
+        self.verdict = verdict  # premise_failed | consistent | violation_witness
+
+    def __eq__(self, other):
+        """Equal reports say the same: every field, each g's result included."""
+        if not isinstance(other, ScanReport):
+            return NotImplemented
+        return self.as_report() == other.as_report()
 
     def as_report(self) -> dict:
         out = {
@@ -115,11 +120,11 @@ def mathieu_scan(oracle: SubspaceOracle, f, gs, m_max: int = 24) -> ScanReport:
     return ScanReport(oracle.name, _text(f), m_max, premise_through, g_results, verdict)
 
 
-@dataclass
 class ProbeReport:
-    oracle: str
-    contains_one: bool
-    refuting_element: str = None
+    def __init__(self, oracle: str, contains_one: bool, refuting_element: str = None):
+        self.oracle = oracle
+        self.contains_one = contains_one
+        self.refuting_element = refuting_element
 
     @property
     def refuted(self) -> bool:
@@ -249,12 +254,13 @@ def kerL_oracle(problem: ImageProblem) -> SubspaceOracle:
 
 # -- vanishing-conjecture bridge ---------------------------------------
 
-@dataclass
 class GvcReport:
-    premise_values: list  # operator^m applied to P^m, m = 1..m_max
-    premise_held_through: int
-    shifted_values: list  # operator^m applied to Q P^m
-    stabilization_index: int = None
+    def __init__(self, premise_values: list, premise_held_through: int,
+                 shifted_values: list, stabilization_index: int = None):
+        self.premise_values = premise_values  # operator^m applied to P^m, m = 1..m_max
+        self.premise_held_through = premise_held_through
+        self.shifted_values = shifted_values  # operator^m applied to Q P^m
+        self.stabilization_index = stabilization_index
 
     def as_report(self) -> dict:
         return {

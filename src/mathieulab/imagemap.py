@@ -14,27 +14,27 @@ into an effective witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, prod
 from operator import sub
 
 from .poly import (NEG_INF, Grading, Polynomial, VariableSet, VerificationError, _decode_terms,
                    _int_powers)
-from .rings import RingDescriptor
+from .rings import Immutable, RingDescriptor
 from .weyl import WeylElement, _falling_product, from_left_symbol, left_symbol
 
 
-@dataclass(frozen=True)
-class ImageProblem:
+class ImageProblem(Immutable):
     """n pairs (w_i, z_i) over a fixed coefficient field."""
 
-    n: int
-    ring: RingDescriptor
+    __match_args__ = ("n", "ring")
+    __slots__ = __match_args__ + ("__dict__",)  # `variables` is cached in __dict__
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, ring: RingDescriptor):
+        if n < 1:
             raise ValueError("need at least one variable pair")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ring", ring)
 
     @property
     def zeta_names(self):
@@ -101,12 +101,12 @@ def _t_terms(problem: ImageProblem, i: int, h: Polynomial):
             yield exps[:z] + (exps[z] - 1,) + exps[z + 1:], c * from_int(-exps[z])
 
 
-@dataclass
 class DecompositionResult:
     """Components f_a of f = sum t^a f_a, each free of the w-variables."""
 
-    problem: ImageProblem
-    components: dict
+    def __init__(self, problem: ImageProblem, components: dict):
+        self.problem = problem
+        self.components = components
 
     def component(self, a) -> Polynomial:
         return self.components.get(tuple(a), self.problem.zero())
@@ -142,14 +142,15 @@ def recompose(d: DecompositionResult) -> Polynomial:
     return total
 
 
-@dataclass
 class MembershipCertificate:
     """Either a witness (h_1..h_n) with sum (d/dz_i - w_i) h_i = f, or the residue L(f)."""
 
-    problem: ImageProblem
-    status: str  # "member" | "nonmember"
-    witness: list = None
-    residue: Polynomial = None
+    def __init__(self, problem: ImageProblem, status: str, witness: list = None,
+                 residue: Polynomial = None):
+        self.problem = problem
+        self.status = status  # "member" | "nonmember"
+        self.witness = witness
+        self.residue = residue
 
     def verify(self, f: Polynomial) -> bool:
         if self.status != "member":
@@ -193,10 +194,10 @@ def certify_imD(problem: ImageProblem, f: Polynomial) -> MembershipCertificate:
     return cert
 
 
-@dataclass
 class PowerScan:
-    values: list  # L(f^m) for m = 1..m_max
-    first_nonzero: int = None  # 1-based power index, None if all vanish
+    def __init__(self, values: list, first_nonzero: int = None):
+        self.values = values  # L(f^m) for m = 1..m_max
+        self.first_nonzero = first_nonzero  # 1-based power index, None if all vanish
 
     def as_report(self) -> dict:
         return {"values": [v.to_str() for v in self.values],
@@ -261,12 +262,13 @@ def to_u_polynomial(problem: ImageProblem, f: Polynomial,
     return Polynomial(f.ring, u_vars, terms)
 
 
-@dataclass
 class MonomialCountScan:
-    monomials: int
-    first_nonzero: int  # first m with nonzero value, None if bound exhausted
-    within_monomial_count: bool
-    values: list
+    def __init__(self, monomials: int, first_nonzero: int, within_monomial_count: bool,
+                 values: list):
+        self.monomials = monomials
+        self.first_nonzero = first_nonzero  # first m with nonzero value, None if bound exhausted
+        self.within_monomial_count = within_monomial_count
+        self.values = values
 
     def as_report(self) -> dict:
         return {"monomials": self.monomials,

@@ -13,36 +13,35 @@ one exact division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
 
 from . import linalg
 from .poly import Polynomial, VariableSet, VerificationError
-from .rings import QQ
+from .rings import QQ, Immutable
 
 X_VARS = VariableSet(("x",))
 
 FAMILIES = ("hermite", "laguerre", "jacobi", "legendre", "uniform01")
 
 
-@dataclass(frozen=True)
-class WeightSpec:
+class WeightSpec(Immutable):
     """One of the shipped weights; parameters are non-negative integers."""
 
-    family: str
-    alpha: int = 0
-    beta: int = 0
+    __slots__ = __match_args__ = ("family", "alpha", "beta")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown weight family {self.family!r}")
-        if self.alpha < 0 or self.beta < 0:
+    def __init__(self, family: str, alpha: int = 0, beta: int = 0):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown weight family {family!r}")
+        if alpha < 0 or beta < 0:
             raise ValueError("weight parameters must be non-negative integers")
-        if self.family in ("hermite", "legendre", "uniform01") and (self.alpha or self.beta):
-            raise ValueError(f"{self.family} takes no parameters")
-        if self.family == "laguerre" and self.beta:
+        if family in ("hermite", "legendre", "uniform01") and (alpha or beta):
+            raise ValueError(f"{family} takes no parameters")
+        if family == "laguerre" and beta:
             raise ValueError("laguerre takes a single parameter alpha")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     def label(self) -> str:
         if self.family == "laguerre":
@@ -52,12 +51,14 @@ class WeightSpec:
         return self.family
 
 
-@dataclass(frozen=True)
-class MomentFunctional:
+class MomentFunctional(Immutable):
     """Normalized exact moments mu_n / mu_0 of a weight."""
 
-    spec: WeightSpec
-    values: tuple
+    __slots__ = __match_args__ = ("spec", "values")
+
+    def __init__(self, spec: WeightSpec, values: tuple):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "values", values)
 
     def moment(self, n: int) -> Fraction:
         if n >= len(self.values):

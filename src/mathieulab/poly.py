@@ -28,13 +28,12 @@ pruning), so a dict L reads is L's input, not the true support of f^m; with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm, perm
 from operator import add
 
-from .rings import GaussianRational, PrimeFieldElement, RingDescriptor
+from .rings import GaussianRational, Immutable, PrimeFieldElement, RingDescriptor
 
 NEG_INF = float("-inf")
 
@@ -43,21 +42,20 @@ class VerificationError(Exception):
     """A computed result failed its exact re-check (raised, so `python -O` keeps it)."""
 
 
-@dataclass(frozen=True)
-class VariableSet:
+class VariableSet(Immutable):
     """Ordered variable names; a name in `laurent` may carry negative exponents."""
 
-    names: tuple
-    laurent: frozenset = frozenset()
+    __slots__ = __match_args__ = ("names", "laurent")
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "laurent", frozenset(self.laurent))
-        if len(set(self.names)) != len(self.names):
+    def __init__(self, names, laurent=frozenset()):
+        names, laurent = tuple(names), frozenset(laurent)
+        if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
-        unknown = self.laurent - set(self.names)
+        unknown = laurent - set(names)
         if unknown:
             raise ValueError(f"laurent flags for unknown variables: {sorted(unknown)}")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "laurent", laurent)
 
     def index(self, name: str) -> int:
         try:
@@ -72,14 +70,13 @@ class VariableSet:
         return len(self.names)
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(Immutable):
     """Integer weight per variable; a term's weight is the weighted exponent sum."""
 
-    weights: dict
+    __slots__ = __match_args__ = ("weights",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", dict(self.weights))
+    def __init__(self, weights: dict):
+        object.__setattr__(self, "weights", dict(weights))
 
     def term_weight(self, variables: VariableSet, exps: tuple) -> int:
         return sum(self.weights.get(n, 0) * e for n, e in zip(variables.names, exps))
@@ -89,10 +86,10 @@ class Grading:
         return Grading({n: 1 for n in variables.names})
 
 
-class Polynomial:
+class Polynomial(Immutable):
     """Immutable sparse polynomial; all operations return fresh values."""
 
-    __slots__ = ("ring", "variables", "terms")
+    __slots__ = __match_args__ = ("ring", "variables", "terms")
 
     def __init__(self, ring: RingDescriptor, variables: VariableSet, terms=()):
         """`terms`: a dict {exponent tuple: coeff} or such pairs; summed, then checked."""
@@ -106,9 +103,6 @@ class Polynomial:
                 if e < 0 and not variables.is_laurent(name):
                     raise ValueError(f"negative exponent on non-Laurent variable {name}")
         object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     # -- constructors -------------------------------------------------
 

@@ -12,9 +12,10 @@ and every element's `str` is its literal in the CLI grammar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+# bound once: the ring elements' constructors run on the scans' hot path
+_set = object.__setattr__
 _SMALL_PRIME_LIMIT = 10**6
 # deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -54,16 +55,57 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class Immutable:
+    """Base of the immutable value types.
+
+    A subclass lists its fields in `__match_args__` and in `__slots__`, and
+    sets each once in `__init__` through `object.__setattr__`.  Equality and
+    hashing compare the fields in that order, and only values of the same
+    class compare equal; the repr is `Name(field=value, ...)`, and a copy or
+    an unpickled value is rebuilt by `Name(*fields)`.
+    """
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__match_args__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
+class GaussianRational(Immutable):
     """Element of Q(i), stored as reduced real and imaginary rationals.
 
     Arithmetic and equality take another `GaussianRational` only; a bare
     number is never coerced, so `x + 1` raises and `x == 1` is False.
     """
 
-    re: Fraction
-    im: Fraction
+    __slots__ = __match_args__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction):
+        _set(self, "re", re)
+        _set(self, "im", im)
 
     @staticmethod
     def of(re, im=0) -> "GaussianRational":
@@ -96,6 +138,13 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    __hash__ = Immutable.__hash__
+
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
@@ -110,8 +159,7 @@ class GaussianRational:
         return f"{self.re}{'+' if self.im > 0 else '-'}{im}"
 
 
-@dataclass(frozen=True)
-class PrimeFieldElement:
+class PrimeFieldElement(Immutable):
     """Residue in F_p.
 
     Arithmetic and equality take another `PrimeFieldElement` only; a bare
@@ -119,8 +167,11 @@ class PrimeFieldElement:
     Mixing moduli is an error, never a coercion.
     """
 
-    residue: int
-    p: int
+    __slots__ = __match_args__ = ("residue", "p")
+
+    def __init__(self, residue: int, p: int):
+        _set(self, "residue", residue)
+        _set(self, "p", p)
 
     def _check(self, other) -> int:
         """The other operand's residue, after checking that the moduli agree."""
@@ -154,6 +205,8 @@ class PrimeFieldElement:
             return NotImplemented
         return self.residue == self._check(other)
 
+    __hash__ = Immutable.__hash__
+
     def __repr__(self) -> str:
         return f"PrimeFieldElement({self.residue}, {self.p})"
 
@@ -162,24 +215,24 @@ class PrimeFieldElement:
         return str(self.residue)
 
 
-@dataclass(frozen=True)
-class RingDescriptor:
+class RingDescriptor(Immutable):
     """Selects one of the three shipped coefficient fields.
 
     kind is "Q", "Qi" or "Fp"; characteristic is 0 or the prime.
     """
 
-    kind: str
-    characteristic: int = 0
+    __slots__ = __match_args__ = ("kind", "characteristic")
 
-    def __post_init__(self):
-        if self.kind not in ("Q", "Qi", "Fp"):
-            raise ValueError(f"unknown ring kind {self.kind!r}")
-        if self.kind == "Fp":
-            if not is_prime(self.characteristic):
-                raise ValueError(f"modulus {self.characteristic} is not prime")
-        elif self.characteristic != 0:
-            raise ValueError(f"{self.kind} has characteristic 0")
+    def __init__(self, kind: str, characteristic: int = 0):
+        if kind not in ("Q", "Qi", "Fp"):
+            raise ValueError(f"unknown ring kind {kind!r}")
+        if kind == "Fp":
+            if not is_prime(characteristic):
+                raise ValueError(f"modulus {characteristic} is not prime")
+        elif characteristic != 0:
+            raise ValueError(f"{kind} has characteristic 0")
+        _set(self, "kind", kind)
+        _set(self, "characteristic", characteristic)
 
     def zero(self):
         return self.from_int(0)

@@ -23,7 +23,7 @@ from math import comb, factorial, perm, prod
 from operator import add, sub
 
 from .poly import Polynomial, VariableSet, _sum_terms
-from .rings import RingDescriptor
+from .rings import Immutable, RingDescriptor
 
 
 def _falling_product(e, d) -> int:
@@ -38,10 +38,10 @@ def _reorder(b, a):
                       for bj, aj, kj in zip(b, a, k))
 
 
-class WeylElement:
+class WeylElement(Immutable):
     """Element of A_n acting on polynomials in the given z-variables."""
 
-    __slots__ = ("ring", "z_names", "terms")
+    __slots__ = __match_args__ = ("ring", "z_names", "terms")
 
     def __init__(self, ring: RingDescriptor, z_names, terms=()):
         """`terms`: a dict {(a, b): coeff} for z^a d^b or such pairs; summed, then checked."""
@@ -55,9 +55,6 @@ class WeylElement:
             if any(e < 0 for e in chain(a, b)):
                 raise ValueError("negative exponents in a Weyl element")
         object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeylElement is immutable")
 
     # -- constructors -------------------------------------------------
 

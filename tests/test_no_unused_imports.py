@@ -1,5 +1,6 @@
-"""Every name a library or test module imports is used in that module, and
-every private module-level name of the library is read somewhere in it."""
+"""Every name a library or test module imports is used in that module,
+every private module-level name of the library is read somewhere in it, and
+no library module imports `dataclasses`."""
 
 import ast
 from pathlib import Path
@@ -88,3 +89,13 @@ def test_packed_key_encoding_stays_in_poly():
                or isinstance(node, ast.Attribute) and node.attr in names
                or isinstance(node, ast.alias) and node.name in names}
     assert readers == {"poly.py"}
+
+
+def test_library_imports_no_dataclasses():
+    """The value types are plain classes: importing them runs no class decorator."""
+    hits = [f"{path.name}:{node.lineno}" for path in LIBRARY
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert not hits

@@ -682,3 +682,59 @@ def test_cli_file_input(capsys, schema, tmp_path):
     code, out, _ = run_cli(capsys, "lmap", "--n", "1", "--file", str(path))
     assert code == 0
     assert len(_validate(schema, out)["results"]) == 2
+
+
+def _choices(path, option):
+    parser = _subparser(cli.build_parser(), path)
+    return next(a.choices for a in parser._actions if option in a.option_strings)
+
+
+def test_family_choices_are_the_ortho_families():
+    """cli spells out the family names; they stay the weights ortho defines."""
+    from mathieulab import ortho
+    assert _choices(("moments",), "--family") == ortho.FAMILIES
+    assert _choices(("scan",), "--oracle") == ("kerl", "laurent", "trace") + tuple(
+        f"moment:{family}" for family in ortho.FAMILIES)
+    assert set(_choices(("ortho",), "--family")) < set(ortho.FAMILIES)
+
+
+_LOADED = "import sys\n{}\nprint(*sorted(sys.modules), file=sys.stderr)"
+_RUN_MAIN = "from mathieulab.cli import main\nif main(sys.argv[1:]):\n    sys.exit('failed')"
+_NOT_FOR_ORTHO = ("imagemap", "weyl", "harness", "charp")
+_NOT_FOR_CERTIFY = ("ortho", "linalg", "harness", "charp")
+
+
+@pytest.mark.parametrize("statement, argv, not_loaded", [
+    ("import mathieulab", (), ("poly", "rings", "cli")),
+    ("import mathieulab.cli", (), _NOT_FOR_ORTHO + _NOT_FOR_CERTIFY),
+    (_RUN_MAIN, ("certify", "w1*z1 - 1"), _NOT_FOR_CERTIFY),
+    (_RUN_MAIN, ("ortho", "--family", "legendre", "--dmax", "3"), _NOT_FOR_ORTHO),
+    (_RUN_MAIN, ("charp", "willems", "--p", "3"), ()),
+    (_RUN_MAIN, ("scan", "--oracle", "laurent", "t^-1 + t", "t"), ()),
+], ids=["package", "cli", "certify", "ortho", "charp-willems", "scan-laurent"])
+def test_cold_call_loads_only_its_modules(statement, argv, not_loaded):
+    """In a fresh interpreter: no dataclasses or inspect, and no module the call does not run."""
+    proc = subprocess.run([sys.executable, "-c", _LOADED.format(statement), *argv],
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert "mathieulab" in loaded
+    absent = ("dataclasses", "inspect") + tuple(f"mathieulab.{m}" for m in not_loaded)
+    assert loaded.isdisjoint(absent), sorted(loaded.intersection(absent))
+
+
+@pytest.mark.parametrize("name", mathieulab.__all__)
+def test_package_name_imports_in_a_fresh_process(name):
+    statement = f"from mathieulab import {name}\nprint(repr({name}))"
+    proc = subprocess.run([sys.executable, "-c", _LOADED.format(statement)],
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+
+
+def test_package_lists_its_names():
+    assert set(mathieulab.__all__) <= set(dir(mathieulab))
+    assert mathieulab.__version__ == "0.1.0"
+    assert mathieulab.Polynomial is Polynomial and mathieulab.QQ is QQ
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        getattr(mathieulab, "nothing")

@@ -1,0 +1,122 @@
+"""The contract of the immutable value types: equality, hashing, repr,
+immutability, copies and the constructor checks."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from mathieulab.charp import CharPProblem
+from mathieulab.imagemap import ImageProblem
+from mathieulab.ortho import MomentFunctional, WeightSpec
+from mathieulab.poly import Grading, Polynomial, VariableSet
+from mathieulab.rings import GF, QI, QQ, GaussianRational, PrimeFieldElement, RingDescriptor
+from mathieulab.weyl import WeylElement
+
+JACOBI = WeightSpec("jacobi", 1, 2)
+
+# (make an equal value afresh, a value differing in one field, its repr)
+VALUES = {
+    "GaussianRational": (lambda: GaussianRational(Fraction(1, 2), Fraction(-3)),
+                         GaussianRational(Fraction(1, 2), Fraction(3)),
+                         "GaussianRational(Fraction(1, 2), Fraction(-3, 1))"),
+    "PrimeFieldElement": (lambda: PrimeFieldElement(3, 7), PrimeFieldElement(4, 7),
+                          "PrimeFieldElement(3, 7)"),
+    "RingDescriptor": (lambda: RingDescriptor("Fp", 7), GF(5),
+                       "RingDescriptor(kind='Fp', characteristic=7)"),
+    "VariableSet": (lambda: VariableSet(["t", "u"], laurent={"t"}), VariableSet(("t", "u")),
+                    "VariableSet(names=('t', 'u'), laurent=frozenset({'t'}))"),
+    "Grading": (lambda: Grading({"x": 1, "y": -1}), Grading({"x": 1}),
+                "Grading(weights={'x': 1, 'y': -1})"),
+    "ImageProblem": (lambda: ImageProblem(2, QQ), ImageProblem(2, QI),
+                     "ImageProblem(n=2, ring=RingDescriptor(kind='Q', characteristic=0))"),
+    "WeightSpec": (lambda: WeightSpec("jacobi", 1, 2), WeightSpec("jacobi", 2, 1),
+                   "WeightSpec(family='jacobi', alpha=1, beta=2)"),
+    "MomentFunctional": (lambda: MomentFunctional(JACOBI, (Fraction(1), Fraction(-1, 5))),
+                         MomentFunctional(JACOBI, (Fraction(1),)),
+                         "MomentFunctional(spec=WeightSpec(family='jacobi', alpha=1, beta=2), "
+                         "values=(Fraction(1, 1), Fraction(-1, 5)))"),
+    "CharPProblem": (lambda: CharPProblem(5, 2), CharPProblem(5, 1),
+                     "CharPProblem(p=5, n=2)"),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_equality_hash_and_repr(name):
+    make, other, shown = VALUES[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name
+    assert a is not b and a == b and not a != b
+    assert a != other and other != a
+    assert repr(a) == shown
+    assert a != 1 and a != repr(a)
+    if name == "Grading":  # its weights are a dict
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_values_are_immutable(name):
+    value = VALUES[name][0]()
+    before = repr(value)
+    for field in value.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert repr(value) == before
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_values_copy_and_pickle(name):
+    value = VALUES[name][0]()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and repr(twin) == repr(value) and twin == value
+
+
+def test_polynomials_copy_and_pickle():
+    f = Polynomial(QI, VariableSet(("t",), laurent={"t"}), {(-1,): QI.imaginary_unit()})
+    for value in (f, WeylElement.d_var(GF(7), ("z1",), 1)):
+        for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and twin.terms is not value.terms
+
+
+def test_ring_elements_never_equal_bare_numbers():
+    for x in (QI.one(), GF(7).one(), QI.zero(), GF(7).zero()):
+        assert (x == 1) is False and (x == 0) is False and (x == Fraction(1)) is False
+    with pytest.raises(ValueError, match="mixed prime-field moduli 7 and 5"):
+        GF(7).one() == GF(5).one()
+
+
+def test_image_problem_caches_its_variables():
+    problem = ImageProblem(2, QQ)
+    assert problem.variables is problem.variables
+    assert problem.variables == VariableSet(("w1", "w2", "z1", "z2"))
+    assert problem == ImageProblem(2, QQ)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RingDescriptor("Z"), "unknown ring kind 'Z'"),
+    (lambda: RingDescriptor("Fp", 6), "modulus 6 is not prime"),
+    (lambda: RingDescriptor("Q", 5), "Q has characteristic 0"),
+    (lambda: VariableSet(("x", "x")), "variable names must be distinct"),
+    (lambda: VariableSet(("x",), laurent={"t", "s"}),
+     "laurent flags for unknown variables: ['s', 't']"),
+    (lambda: ImageProblem(0, QQ), "need at least one variable pair"),
+    (lambda: WeightSpec("gauss"), "unknown weight family 'gauss'"),
+    (lambda: WeightSpec("jacobi", -1), "weight parameters must be non-negative integers"),
+    (lambda: WeightSpec("hermite", 1), "hermite takes no parameters"),
+    (lambda: WeightSpec("laguerre", 1, 1), "laguerre takes a single parameter alpha"),
+    (lambda: CharPProblem(4, 1), "4 is not prime"),
+    (lambda: CharPProblem(5, 0), "need at least one variable pair"),
+])
+def test_constructor_checks(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
