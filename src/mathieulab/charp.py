@@ -13,8 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .harness import SubspaceOracle, one_property_probe
-from .imagemap import ImageProblem, t_apply
 from .poly import NEG_INF, Polynomial, VariableSet, VerificationError
 from .rings import GF, QQ, Immutable, is_prime, valuation_p
 
@@ -34,6 +32,7 @@ class CharPProblem(Immutable):
 
     @property
     def image(self) -> ImageProblem:
+        from .imagemap import ImageProblem
         return ImageProblem(self.n, GF(self.p))
 
 
@@ -50,6 +49,7 @@ def w_ideal_member(f: Polynomial, n: int, e: int) -> bool:
 def _shift_operator_apply(problem: ImageProblem, i: int, h: Polynomial,
                           times: int = 1) -> Polynomial:
     """(d/dz_i - w_i) applied `times` times, i.e. (-t_i)^times."""
+    from .imagemap import t_apply
     for _ in range(times):
         h = t_apply(problem, i, h)
     return -h if times % 2 else h
@@ -298,6 +298,7 @@ class Example12Report:
 def example12_refutation(p: int, degree_bound: int = None) -> Example12Report:
     """Over F_p with D = {d/dz}: the derivative image contains 1 but misses
     z^(p-1), so the 1-property refutes the Mathieu property outright."""
+    from .harness import SubspaceOracle, one_property_probe
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if degree_bound is None:

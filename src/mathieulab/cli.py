@@ -185,7 +185,7 @@ def _parse_matrix(text, ring):
 
 def _scan_context(args):
     """The oracle and the parsed input elements of the `scan` subcommand."""
-    from . import harness, ortho
+    from . import harness
     choice = args.oracle
     ring = _ring_of(args)
     if choice == "kerl":
@@ -205,6 +205,7 @@ def _scan_context(args):
             return harness.trace_oracle(dim, ring), elements
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+    from . import ortho
     spec = _weight_spec(choice.split(":", 1)[1], args)
     polys = [_parse(t, ring, ortho.X_VARS) for t in _read_inputs(args)]
     top = max((0 if p.is_zero() else int(p.total_degree())) for p in polys)

@@ -12,11 +12,8 @@ reported violation is multiplied out and re-checked with `member`.
 
 from __future__ import annotations
 
-from .imagemap import ImageProblem, L_map
-from .ortho import MomentFunctional, inner_product
 from .poly import Polynomial, VerificationError, _decode_terms, _int_powers
 from .rings import RingDescriptor
-from .weyl import WeylElement, right_symbol
 
 
 class SubspaceOracle:
@@ -230,6 +227,7 @@ def _functional_scan(rows, vanishes):
 def moment_oracle(m: MomentFunctional) -> SubspaceOracle:
     """Zero moment sum_j c_j mu_j; the scan weighs the numerators of `_int_powers`."""
     def member(f):
+        from .ortho import inner_product
         one = Polynomial.one(f.ring, f.variables)
         return not inner_product(f, one, m)
 
@@ -244,6 +242,8 @@ def moment_oracle(m: MomentFunctional) -> SubspaceOracle:
 
 def kerL_oracle(problem: ImageProblem) -> SubspaceOracle:
     """ker L; the scan reads L(f^m) and L(g f^m) off `_int_powers`."""
+    from .imagemap import L_map
+
     def scan(f, gs, m_max):
         for x in (f, *gs):
             problem.check(x)
@@ -278,6 +278,7 @@ def gvc_scan(operator: WeylElement, p_poly: Polynomial, q_poly: Polynomial,
     Both sequences are cross-checked against the kernel-map route through
     f = operator-symbol * P, term by term.
     """
+    from .weyl import WeylElement
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     if any(a != (0,) * len(a) for (a, _b) in operator.terms):
@@ -312,6 +313,7 @@ def _gvc_crosscheck(operator, p_poly, q_poly, m_max, problem, premise, shifted):
     (`poly._int_powers` with q as cofactor), which shares no code with
     `WeylElement.compose` or `apply`.
     """
+    from .weyl import right_symbol
     ring, variables = problem.ring, problem.variables
     f = right_symbol(operator, variables) * p_poly.embed(ring, variables)
     powers = _int_powers(f, m_max, problem.n, (q_poly.embed(ring, variables),))

@@ -6,9 +6,9 @@ even the Gaussian weight only ever contributes rational numbers.  The three
 routes share nothing but the weight: `gram_schmidt` turns the moments into
 the monic polynomials by the three-term recurrence (the Chebyshev
 algorithm), `rodrigues` evaluates Rodrigues' formula as its explicit Leibniz
-sum, and `lambda_power` applies the operator d/dx + w'/w literally over the
-common denominator D^j, with D the weight's singular product, and ends with
-one exact division.
+sum, and `lambda_power` applies the operator d/dx + w'/w step by step to
+g^a = D^a, with D the weight's singular product, as one factored recurrence
+on integer coefficient lists that never forms g^a.
 """
 
 from __future__ import annotations
@@ -141,39 +141,25 @@ def gram_schmidt(m: MomentFunctional, d_max: int) -> dict:
     return dict(enumerate(polys))
 
 
-_FACTOR_POLYS = {
-    "x": Polynomial.var(QQ, X_VARS, "x"),
-    "1-x": Polynomial.one(QQ, X_VARS) - Polynomial.var(QQ, X_VARS, "x"),
-    "1+x": Polynomial.one(QQ, X_VARS) + Polynomial.var(QQ, X_VARS, "x"),
-}
+def _operator(spec: WeightSpec) -> tuple:
+    """w'/w = T / D as ascending integer coefficients: T to x^1, D to x^2."""
+    fam = spec.family
+    if fam == "hermite":
+        return [0, -2], [1, 0, 0]
+    if fam == "laguerre":
+        return [spec.alpha, -1], [0, 1, 0]
+    if fam in ("jacobi", "legendre"):
+        return [spec.beta - spec.alpha, -spec.alpha - spec.beta], [1, 0, -1]
+    raise ValueError(f"no first-order operator for {fam}")
+
+
+def _x_poly(coeffs) -> Polynomial:
+    return Polynomial(QQ, X_VARS, {(i,): Fraction(c) for i, c in enumerate(coeffs)})
 
 
 def log_derivative(spec: WeightSpec) -> tuple:
     """w'/w as the pair (T, D) with w'/w = T / D, D the weight's singular product."""
-    fam = spec.family
-    one = Polynomial.one(QQ, X_VARS)
-    x = _FACTOR_POLYS["x"]
-    if fam == "hermite":
-        return x.scale(-2), one
-    if fam == "laguerre":
-        return one.scale(spec.alpha) - x, x
-    if fam in ("jacobi", "legendre"):
-        num = (_FACTOR_POLYS["1+x"].scale(-spec.alpha)
-               + _FACTOR_POLYS["1-x"].scale(spec.beta))
-        return num, _FACTOR_POLYS["1-x"] * _FACTOR_POLYS["1+x"]
-    raise ValueError(f"no first-order operator for {fam}")
-
-
-def generator(spec: WeightSpec) -> Polynomial:
-    """The Rodrigues generator polynomial g."""
-    fam = spec.family
-    if fam == "hermite":
-        return Polynomial.one(QQ, X_VARS)
-    if fam == "laguerre":
-        return _FACTOR_POLYS["x"]
-    if fam in ("jacobi", "legendre"):
-        return _FACTOR_POLYS["1-x"] * _FACTOR_POLYS["1+x"]
-    raise ValueError(f"no Rodrigues generator for {fam}")
+    return tuple(_x_poly(coeffs) for coeffs in _operator(spec))
 
 
 def rodrigues_constant(spec: WeightSpec, a: int) -> Fraction:
@@ -190,18 +176,28 @@ def rodrigues_constant(spec: WeightSpec, a: int) -> Fraction:
 def lambda_power(spec: WeightSpec, a: int, m: int) -> Polynomial:
     """m applications of (d/dx + w'/w) to g^a; polynomial whenever m <= a.
 
-    With w'/w = T / D, the j-th application is N_j / D^j, where N_0 = g^a and
-    N_{j+1} = D N_j' + (T - j D') N_j.  One exact division by D^m ends the
-    route; it raises ValueError when the result is not a polynomial.
+    With w'/w = T / D the generator is g = D (hermite 1, laguerre x, jacobi
+    and legendre (1-x)(1+x)), and for u = D^k P
+    (d/dx + T/D) u = D^(k-1) (D P' + (T + k D') P).  So the m-th application
+    is D^(a-m) P_m, with P_0 = 1 and P_(j+1) = D P_j' + (T + (a-j) D') P_j.
+    T, D and D' have integer coefficients, so P_j (degree <= j) is a dense
+    integer list.  For m > a one exact division by D^(m-a) ends the route;
+    it raises ValueError when the result is not a polynomial.
     """
     if m < 0 or a < 0:
         raise ValueError("a and m must be non-negative")
-    t, den = log_derivative(spec)
-    den_prime = den.partial("x")
-    num = generator(spec) ** a
+    (t0, t1), (d0, d1, d2) = _operator(spec)
+    p = [1]
     for j in range(m):
-        num = den * num.partial("x") + (t - den_prime.scale(j)) * num
-    return num.exact_divide(den ** m)
+        s0, s1 = t0 + (a - j) * d1, t1 + 2 * (a - j) * d2  # T + (a-j) D'
+        # x^i of D P' + (s0 + s1 x) P reads p_(i-1), p_i and p_(i+1)
+        p = [(i + 1) * d0 * high + (i * d1 + s0) * mid + ((i - 1) * d2 + s1) * low
+             for i, (low, mid, high) in enumerate(zip([0] + p, p + [0], p[1:] + [0, 0]))]
+    for _ in range(a - m):
+        p = [d0 * mid + d1 * low + d2 * low2
+             for mid, low, low2 in zip(p + [0, 0], [0] + p + [0], [0, 0] + p)]
+    result = _x_poly(p)
+    return result if m <= a else result.exact_divide(_x_poly([d0, d1, d2]) ** (m - a))
 
 
 def rodrigues(spec: WeightSpec, a: int) -> Polynomial:

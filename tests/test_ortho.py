@@ -137,6 +137,68 @@ def test_degree_one_outputs():
     assert rodrigues(WeightSpec("legendre"), 1) == X
 
 
+OPERATOR_SPECS = ([WeightSpec("hermite"), WeightSpec("legendre")]
+                  + [WeightSpec("laguerre", a) for a in range(4)]
+                  + [WeightSpec("jacobi", a, b) for a in range(4) for b in range(4)])
+GENERATORS = {"hermite": ONE, "laguerre": X, "jacobi": ONE - X * X, "legendre": ONE - X * X}
+
+
+def _literal_operator_oracle(spec, a, m_max):
+    """(d/dx + w'/w)^m g^a for m = 0..m_max, or the ValueError of a non-polynomial.
+
+    With w'/w = T / D the m-th application is N_m / D^m, where N_0 = g^a and
+    N_(j+1) = D N_j' + (T - j D') N_j; each N_m ends in one exact division.
+    """
+    t, den = log_derivative(spec)
+    den_prime = den.partial("x")
+    num, den_power = GENERATORS[spec.family] ** a, ONE
+    for j in range(m_max + 1):
+        try:
+            yield num.exact_divide(den_power)
+        except ValueError as exc:
+            yield exc
+        num = den * num.partial("x") + (t - den_prime.scale(j)) * num
+        den_power = den_power * den
+
+
+@pytest.mark.parametrize("spec", OPERATOR_SPECS, ids=WeightSpec.label)
+def test_lambda_power_matches_literal_oracle(spec):
+    """Equal values, or ValueError on both routes, for a <= 14 and m <= a + 3."""
+    for a in range(15):
+        for m, expected in enumerate(_literal_operator_oracle(spec, a, a + 3)):
+            if isinstance(expected, ValueError):
+                with pytest.raises(ValueError):
+                    lambda_power(spec, a, m)
+            else:
+                assert lambda_power(spec, a, m) == expected, (a, m)
+
+
+def test_lambda_power_builds_no_products(monkeypatch):
+    """lambda_power(spec, a, a) multiplies no Polynomials and builds a fixed number."""
+    products, built = [], []
+    mul, init = Polynomial.__mul__, Polynomial.__init__
+
+    def counting_mul(self, other):
+        products.append(self)
+        return mul(self, other)
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    monkeypatch.setattr(Polynomial, "__init__", counting_init)
+    for spec in (WeightSpec("hermite"), WeightSpec("laguerre", 2), WeightSpec("jacobi", 3, 1)):
+        counts = []
+        for a in (1, 6, 14):
+            built.clear()
+            lambda_power(spec, a, a)
+            counts.append(len(built))
+        assert products == [] and len(set(counts)) == 1, (spec.label(), counts)
+    list(_literal_operator_oracle(WeightSpec("legendre"), 3, 3))
+    assert products  # the counter sees the literal route's products
+
+
 def test_rodrigues_equals_operator_route():
     for spec in ALL_SPECS:
         if spec.family == "uniform01":

@@ -702,6 +702,7 @@ _LOADED = "import sys\n{}\nprint(*sorted(sys.modules), file=sys.stderr)"
 _RUN_MAIN = "from mathieulab.cli import main\nif main(sys.argv[1:]):\n    sys.exit('failed')"
 _NOT_FOR_ORTHO = ("imagemap", "weyl", "harness", "charp")
 _NOT_FOR_CERTIFY = ("ortho", "linalg", "harness", "charp")
+_NOT_FOR_CHARP = ("harness", "imagemap", "weyl", "ortho", "linalg")
 
 
 @pytest.mark.parametrize("statement, argv, not_loaded", [
@@ -709,9 +710,13 @@ _NOT_FOR_CERTIFY = ("ortho", "linalg", "harness", "charp")
     ("import mathieulab.cli", (), _NOT_FOR_ORTHO + _NOT_FOR_CERTIFY),
     (_RUN_MAIN, ("certify", "w1*z1 - 1"), _NOT_FOR_CERTIFY),
     (_RUN_MAIN, ("ortho", "--family", "legendre", "--dmax", "3"), _NOT_FOR_ORTHO),
-    (_RUN_MAIN, ("charp", "willems", "--p", "3"), ()),
-    (_RUN_MAIN, ("scan", "--oracle", "laurent", "t^-1 + t", "t"), ()),
-], ids=["package", "cli", "certify", "ortho", "charp-willems", "scan-laurent"])
+    (_RUN_MAIN, ("charp", "willems", "--p", "3"), _NOT_FOR_CHARP),
+    (_RUN_MAIN, ("lemma81", "u - 1"), _NOT_FOR_CHARP),
+    (_RUN_MAIN, ("charp", "example12", "--p", "3"), ("ortho", "linalg")),
+    (_RUN_MAIN, ("scan", "--oracle", "laurent", "t^-1 + t", "t"),
+     ("imagemap", "weyl", "ortho", "linalg", "charp")),
+], ids=["package", "cli", "certify", "ortho", "charp-willems", "lemma81", "charp-example12",
+        "scan-laurent"])
 def test_cold_call_loads_only_its_modules(statement, argv, not_loaded):
     """In a fresh interpreter: no dataclasses or inspect, and no module the call does not run."""
     proc = subprocess.run([sys.executable, "-c", _LOADED.format(statement), *argv],
