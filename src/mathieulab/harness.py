@@ -12,6 +12,8 @@ reported violation is multiplied out and re-checked with `member`.
 
 from __future__ import annotations
 
+from operator import sub
+
 from .poly import Polynomial, VerificationError, _decode_terms, _int_powers
 from .rings import RingDescriptor
 
@@ -275,26 +277,30 @@ def gvc_scan(operator: WeylElement, p_poly: Polynomial, q_poly: Polynomial,
              m_max: int, problem: ImageProblem) -> GvcReport:
     """Exact scan of operator^m(P^m) and operator^m(Q P^m).
 
+    The operator sum c d^b is read once as its symbol s = sum c w^b in the
+    problem's variables; operator^m has symbol s^m, a `Polynomial` power,
+    and acts term by term through the derivative rule (`_apply_symbol`).
     Both sequences are cross-checked against the kernel-map route through
-    f = operator-symbol * P, term by term.
+    f = s * P, term by term.
     """
-    from .weyl import WeylElement
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     if any(a != (0,) * len(a) for (a, _b) in operator.terms):
         raise ValueError("scan requires a constant-coefficient operator")
+    symbol = Polynomial(operator.ring, problem.variables,
+                        {b + (0,) * problem.n: c for (_a, b), c in operator.terms.items()})
     premise, shifted = [], []
     premise_through = 0
-    op_power = WeylElement.one(operator.ring, operator.z_names)
+    s_power = Polynomial.one(operator.ring, problem.variables)
     p_power = Polynomial.one(p_poly.ring, p_poly.variables)
     for m in range(1, m_max + 1):
-        op_power = op_power.compose(operator)
+        s_power = s_power * symbol
         p_power = p_power * p_poly
-        v = op_power.apply(p_power)
+        v = _apply_symbol(s_power, p_power)
         premise.append(v)
         if v.is_zero() and premise_through == m - 1:
             premise_through = m
-        shifted.append(op_power.apply(q_poly * p_power))
+        shifted.append(_apply_symbol(s_power, q_poly * p_power))
     stabilization = None
     for m in range(m_max, 0, -1):
         if not shifted[m - 1].is_zero():
@@ -302,20 +308,31 @@ def gvc_scan(operator: WeylElement, p_poly: Polynomial, q_poly: Polynomial,
             break
     else:
         stabilization = 1
-    _gvc_crosscheck(operator, p_poly, q_poly, m_max, problem, premise, shifted)
+    _gvc_crosscheck(symbol, p_poly, q_poly, m_max, problem, premise, shifted)
     return GvcReport(premise, premise_through, shifted, stabilization)
 
 
-def _gvc_crosscheck(operator, p_poly, q_poly, m_max, problem, premise, shifted):
-    """Check both sequences against L(f^m) and L(q f^m), f = operator-symbol * P.
+def _apply_symbol(symbol: Polynomial, h: Polynomial) -> Polynomial:
+    """The operator sum c d^b with symbol sum c w^b, applied to h in z alone:
+    c d^b z^e = c e!/(e-b)! z^(e-b)."""
+    from .imagemap import _falling_product
+    n, from_int = len(h.variables), h.ring.from_int
+    return Polynomial(h.ring, h.variables, (
+        (tuple(map(sub, e, b[:n])), c * hc * from_int(scale))
+        for b, c in symbol.terms.items() for e, hc in h.terms.items()
+        if (scale := _falling_product(e, b[:n]))))
+
+
+def _gvc_crosscheck(symbol, p_poly, q_poly, m_max, problem, premise, shifted):
+    """Check both sequences against L(f^m) and L(q f^m), f = symbol * P.
 
     The kernel-map route runs through the integer power loop
-    (`poly._int_powers` with q as cofactor), which shares no code with
-    `WeylElement.compose` or `apply`.
+    (`poly._int_powers` with q as cofactor) and L on packed keys, which
+    share no code with the `Polynomial` powers of the symbol or with
+    `_apply_symbol`.
     """
-    from .weyl import right_symbol
     ring, variables = problem.ring, problem.variables
-    f = right_symbol(operator, variables) * p_poly.embed(ring, variables)
+    f = symbol * p_poly.embed(ring, variables)
     powers = _int_powers(f, m_max, problem.n, (q_poly.embed(ring, variables),))
     for m, ((lf, den), (lq, den_q)) in enumerate(powers, start=1):
         if (_decode_terms(ring, lf, den) != premise[m - 1].embed(ring, variables).terms

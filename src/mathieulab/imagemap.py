@@ -4,24 +4,27 @@ Variable pairs are spelled w1..wn (the zeta stand-ins) and z1..zn.  The
 decomposition writes f = sum t^a f_a with t_i h = w_i h - d(h)/dz_i and each
 f_a free of the w-variables.  Since w_i = t_i + d/dz_i, the closed form
 
-    w^a z^b = sum_k  C(a,k) C(b,k) k!  t^(a-k) z^(b-k)
+    w^a z^b = sum_k  C(a,k) b!/(b-k)!  t^(a-k) z^(b-k)
 
-is the Weyl reorder rule: t^a z^c is the left symbol of z^c d^a, so the
-components are read off the right-normal terms of `from_left_symbol(f)`.
-The zero-index component is exactly L(f), which turns kernel membership
-into an effective witness.
+gives the components term by term (`_expansion`), and its inverse
+
+    t^a z^c = sum_k  (-1)^|k| C(a,k) c!/(c-k)!  w^(a-k) z^(c-k)
+
+writes the certificate witness back in the w- and z-variables.  The
+zero-index component is exactly L(f), which turns kernel membership into
+an effective witness.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from math import factorial, prod
+from itertools import product
+from math import comb, factorial, perm, prod
 from operator import sub
 
 from .poly import (NEG_INF, Grading, Polynomial, VariableSet, VerificationError, _decode_terms,
                    _int_powers)
 from .rings import Immutable, RingDescriptor
-from .weyl import WeylElement, _falling_product, from_left_symbol, left_symbol
 
 
 class ImageProblem(Immutable):
@@ -74,6 +77,17 @@ class ImageProblem(Immutable):
             raise ValueError("polynomial does not live in this problem's ring")
 
 
+def _falling_product(e, d) -> int:
+    """prod_i e_i (e_i - 1) ... (e_i - d_i + 1) for e_i >= 0; zero when some d_i > e_i."""
+    return prod(map(perm, e, d))
+
+
+def _expansion(a, b):
+    """Yield (k, C(a,k) b!/(b-k)!) for every multi-index k <= min(a, b)."""
+    for k in product(*(range(m + 1) for m in map(min, a, b))):
+        yield k, prod(map(comb, a, k)) * _falling_product(b, k)
+
+
 def L_map(problem: ImageProblem, f: Polynomial) -> Polynomial:
     """Linear extension of zeta^a z^b -> d^a(z^b); zero when any a_i > b_i.
 
@@ -113,7 +127,7 @@ class DecompositionResult:
 
 
 def decompose(problem: ImageProblem, f: Polynomial) -> DecompositionResult:
-    """Unique decomposition: the term c z^b d^a of `from_left_symbol(f)` is c z^b in f_a.
+    """Unique decomposition: the term c w^a z^b adds c C(a,k) b!/(b-k)! z^(b-k) to f_(a-k).
 
     The closed form has integer coefficients, but F_p is not offered until
     positive characteristic-p tests exist, so characteristic 0 only.
@@ -121,13 +135,17 @@ def decompose(problem: ImageProblem, f: Polynomial) -> DecompositionResult:
     problem.check(f)
     if problem.ring.characteristic != 0:
         raise ValueError("decomposition requires characteristic 0")
-    w_free = (0,) * problem.n
-    components = {}
-    for (b, a), c in from_left_symbol(f, problem.z_names).terms.items():
-        components.setdefault(a, {})[w_free + b] = c
+    n, from_int = problem.n, problem.ring.from_int
+    w_free = (0,) * n
+    pairs = {}
+    for exps, c in f.terms.items():
+        a, b = exps[:n], exps[n:]
+        for k, scale in _expansion(a, b):
+            pairs.setdefault(tuple(map(sub, a, k)), []).append(
+                (w_free + tuple(map(sub, b, k)), c * from_int(scale)))
     return DecompositionResult(problem, {
-        a: Polynomial(problem.ring, problem.variables, terms)
-        for a, terms in components.items()})
+        a: comp for a, terms in pairs.items()
+        if not (comp := Polynomial(problem.ring, problem.variables, terms)).is_zero()})
 
 
 def recompose(d: DecompositionResult) -> Polynomial:
@@ -179,15 +197,17 @@ def certify_imD(problem: ImageProblem, f: Polynomial) -> MembershipCertificate:
     if not f0.is_zero():
         return MembershipCertificate(problem, "nonmember", residue=f0)
     # t^a f_a = t_i t^(a-e_i) f_a with i the first index where a_i > 0, and
-    # t^(a-e_i) z^c is the left symbol of z^c d^(a-e_i); t_i = -(d/dz_i - w_i)
-    parts = [{} for _ in range(n)]
+    # t_i = -(d/dz_i - w_i), so h_i = -sum t^(a-e_i) f_a over those a
+    parts = [[] for _ in range(n)]
     for a, comp in d.components.items():
         i = next(j for j, e in enumerate(a) if e)
-        lowered = a[:i] + (a[i] - 1,) + a[i + 1:]
-        for exps, c in comp.terms.items():
-            parts[i][(exps[n:], lowered)] = -c
-    witness = [left_symbol(WeylElement(problem.ring, problem.z_names, terms), problem.variables)
-               for terms in parts]
+        parts[i].append((a[:i] + (a[i] - 1,) + a[i + 1:], comp))
+    from_int = problem.ring.from_int
+    witness = [Polynomial(problem.ring, problem.variables, (
+        (tuple(map(sub, lowered, k)) + tuple(map(sub, exps[n:], k)),
+         c * from_int(scale if sum(k) % 2 else -scale))
+        for lowered, comp in part for exps, c in comp.terms.items()
+        for k, scale in _expansion(lowered, exps[n:]))) for part in parts]
     cert = MembershipCertificate(problem, "member", witness=witness)
     if not cert.verify(f):
         raise VerificationError("certificate failed to re-verify")

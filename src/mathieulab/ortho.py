@@ -16,7 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from . import linalg
 from .poly import Polynomial, VariableSet, VerificationError
 from .rings import QQ, Immutable
 
@@ -231,6 +230,7 @@ def rodrigues(spec: WeightSpec, a: int) -> Polynomial:
 
 
 def hankel_determinant(m: MomentFunctional, d: int) -> Fraction:
+    from . import linalg
     hankel = [[m.moment(i + j) for j in range(d + 1)] for i in range(d + 1)]
     return linalg.determinant(hankel, Fraction(0), Fraction(1))
 

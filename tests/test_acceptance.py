@@ -22,7 +22,8 @@ from mathieulab.imagemap import (
 )
 from mathieulab.poly import NEG_INF, Polynomial, VariableSet
 from mathieulab.rings import QI, QQ
-from mathieulab.weyl import WeylElement, from_left_symbol, right_symbol
+from mathieulab.weyl import WeylElement
+from weyl_algebra import from_left_symbol, right_symbol
 
 
 class _Criterion:

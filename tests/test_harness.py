@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_polynomial
+from conftest import random_coeff, random_polynomial
+from mathieulab import harness
 from mathieulab.harness import (
     MatrixValue,
     SubspaceOracle,
@@ -24,6 +25,7 @@ from mathieulab.ortho import X_VARS, MomentFunctional, WeightSpec, moments
 from mathieulab.poly import Polynomial, VariableSet, VerificationError
 from mathieulab.rings import GF, QI, QQ, GaussianRational
 from mathieulab.weyl import WeylElement
+from weyl_algebra import apply, compose
 
 T_VARS = VariableSet(("t",), laurent=frozenset(("t",)))
 TU_VARS = VariableSet(("t", "u"), laurent=frozenset(("t", "u")))
@@ -142,7 +144,7 @@ def test_gvc_scan_with_crosscheck():
 
 @pytest.mark.parametrize("wrong_call", [0, 1, 6, 11])
 def test_gvc_crosscheck_refuses_a_wrong_operator_value(monkeypatch, wrong_call):
-    """One operator-route value off by 1 (calls alternate premise m, shifted m; m_max = 6)."""
+    """One derivative-route value off by 1 (calls alternate premise m, shifted m; m_max = 6)."""
     problem = ImageProblem(2, QQ)
     zv = VariableSet(problem.z_names)
     op = WeylElement(QQ, problem.z_names, {((0, 0), (2, 0)): QQ.one(),
@@ -150,23 +152,42 @@ def test_gvc_crosscheck_refuses_a_wrong_operator_value(monkeypatch, wrong_call):
     z1, z2 = (Polynomial.var(QQ, zv, name) for name in problem.z_names)
     p_poly, q_poly = z1 + z2 * z2.scale(Fraction(1, 2)), z1 * z2
     gvc_scan(op, p_poly, q_poly, 6, problem=problem)  # the honest values pass
-    apply, calls = WeylElement.apply, []
+    apply, calls = harness._apply_symbol, []
 
-    def tampered(self, h):
-        value = apply(self, h)
+    def tampered(symbol, h):
+        value = apply(symbol, h)
         calls.append(h)
         return value + Polynomial.one(QQ, zv) if len(calls) - 1 == wrong_call else value
 
-    monkeypatch.setattr(WeylElement, "apply", tampered)
+    monkeypatch.setattr(harness, "_apply_symbol", tampered)
     with pytest.raises(VerificationError):
         gvc_scan(op, p_poly, q_poly, 6, problem=problem)
     assert len(calls) == 12
 
 
+def test_gvc_values_match_the_normal_ordered_powers(rng):
+    """operator^m(P^m) and operator^m(Q P^m) equal the test-side Weyl route:
+    the m-fold normal-ordered composition, applied."""
+    for problem in (ImageProblem(1, QQ), ImageProblem(2, QI)):
+        n, zv = problem.n, VariableSet(problem.z_names)
+        for _ in range(6):
+            op = WeylElement(problem.ring, problem.z_names, {
+                ((0,) * n, tuple(rng.randint(0, 2) for _ in range(n))):
+                random_coeff(rng, problem.ring) for _ in range(3)})
+            p_poly, q_poly = (random_polynomial(rng, problem.ring, zv, max_degree=2, max_terms=3)
+                              for _ in range(2))
+            report = gvc_scan(op, p_poly, q_poly, 4, problem=problem)
+            power = op
+            for m in range(1, 5):
+                assert report.premise_values[m - 1] == apply(power, p_poly ** m)
+                assert report.shifted_values[m - 1] == apply(power, q_poly * p_poly ** m)
+                power = compose(power, op)
+
+
 def test_gvc_requires_constant_coefficients():
     problem = ImageProblem(1, QQ)
     zv = VariableSet(problem.z_names)
-    z_op = WeylElement.z_var(QQ, problem.z_names, 1)
+    z_op = WeylElement(QQ, problem.z_names, {((1,), (0,)): QQ.one()})  # multiplication by z1
     with pytest.raises(ValueError):
         gvc_scan(z_op, Polynomial.one(QQ, zv), Polynomial.one(QQ, zv), 3, problem=problem)
 

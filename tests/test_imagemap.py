@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_coeff, random_components, random_polynomial
+from mathieulab import imagemap
 from mathieulab.imagemap import (
     DecompositionResult,
     ImageProblem,
@@ -21,8 +22,10 @@ from mathieulab.imagemap import (
     t_apply,
     to_u_polynomial,
 )
-from mathieulab.poly import Polynomial, VariableSet, _decode_terms, _int_powers
+from mathieulab.poly import Polynomial, VariableSet, VerificationError, _decode_terms, _int_powers
 from mathieulab.rings import GF, QI, QQ, GaussianRational
+from mathieulab.weyl import WeylElement
+from weyl_algebra import from_left_symbol, left_symbol
 
 P1 = ImageProblem(1, QQ)
 P2 = ImageProblem(2, QQ)
@@ -111,6 +114,53 @@ def test_zero_component_is_lmap(rng):
         f = random_polynomial(rng, QQ, P2.variables)
         d = decompose(P2, f)
         assert d.component((0, 0)) == L_map(P2, f)
+
+
+def _symbol_map_route(problem, f):
+    """The components and the witness parts read off the test-side Weyl symbol maps.
+
+    The term c z^b d^a of `from_left_symbol(f)` is c z^b in f_a, and h_i is the
+    left symbol of sum -c z^c d^(a-e_i) over the components f_a whose first
+    nonzero index is i.
+    """
+    n = problem.n
+    components, parts = {}, [{} for _ in range(n)]
+    for (b, a), c in from_left_symbol(f, problem.z_names).terms.items():
+        components.setdefault(a, {})[(0,) * n + b] = c
+        if any(a):
+            i = next(j for j, e in enumerate(a) if e)
+            parts[i][(b, a[:i] + (a[i] - 1,) + a[i + 1:])] = -c
+    witness = [left_symbol(WeylElement(problem.ring, problem.z_names, terms), problem.variables)
+               for terms in parts]
+    return {a: Polynomial(problem.ring, problem.variables, terms)
+            for a, terms in components.items()}, witness
+
+
+def test_closed_forms_match_the_symbol_map_route(rng):
+    """decompose's components and certify_imD's witnesses equal the Weyl route term for term."""
+    members = 0
+    for problem in [ImageProblem(n, ring) for n in (1, 2, 3) for ring in (QQ, QI)]:
+        for case in range(40):
+            f = random_polynomial(rng, problem.ring, problem.variables, max_terms=5)
+            if case % 2:
+                f = f - L_map(problem, f)  # in the kernel of L, so in Im D
+            components, witness = _symbol_map_route(problem, f)
+            assert {a: c.terms for a, c in decompose(problem, f).components.items()} == {
+                a: c.terms for a, c in components.items()}
+            cert = certify_imD(problem, f)
+            if cert.status == "member":
+                members += 1
+                assert [h.terms for h in cert.witness] == [h.terms for h in witness]
+    assert members >= 120
+
+
+def test_certify_refuses_a_zero_component_that_is_not_lmap(monkeypatch):
+    """certify_imD compares the decomposition's f_0 with L(f) before it uses either."""
+    honest = imagemap.L_map
+    monkeypatch.setattr(imagemap, "L_map", lambda problem, f: honest(problem, f) + problem.one())
+    for f in (P1.one() - P1.zeta(1) * P1.z(1), P1.zeta(1) * P1.z(1)):
+        with pytest.raises(VerificationError, match="zero component"):
+            certify_imD(P1, f)
 
 
 def test_decompose_rejects_char_p():

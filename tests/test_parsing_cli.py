@@ -549,6 +549,25 @@ def test_verification_failure_exits_2_under_optimize():
     assert proc.stderr.startswith("verification failure:")
 
 
+def test_zero_component_check_exits_2_under_optimize():
+    """Under python -O an L route that is off by 1 makes `certify` exit 2."""
+    script = textwrap.dedent("""
+        import sys
+        from mathieulab import cli, imagemap
+        if sys.flags.optimize != 1:
+            sys.exit(3)
+        honest = imagemap.L_map
+        imagemap.L_map = lambda problem, f: honest(problem, f) + problem.one()
+        sys.exit(cli.main(["certify", "1 - w1*z1"]))
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("verification failure: the zero component of the decomposition "
+                           "is not L(f)\n")
+
+
 def test_decompose_recompose_check_exits_2_under_optimize():
     """Under python -O a recompose route that is off by 1 makes `decompose` exit 2."""
     script = textwrap.dedent("""
@@ -703,20 +722,26 @@ _RUN_MAIN = "from mathieulab.cli import main\nif main(sys.argv[1:]):\n    sys.ex
 _NOT_FOR_ORTHO = ("imagemap", "weyl", "harness", "charp")
 _NOT_FOR_CERTIFY = ("ortho", "linalg", "harness", "charp")
 _NOT_FOR_CHARP = ("harness", "imagemap", "weyl", "ortho", "linalg")
+_NOT_FOR_KERNEL_MAP = _NOT_FOR_CERTIFY + ("weyl",)
 
 
 @pytest.mark.parametrize("statement, argv, not_loaded", [
     ("import mathieulab", (), ("poly", "rings", "cli")),
     ("import mathieulab.cli", (), _NOT_FOR_ORTHO + _NOT_FOR_CERTIFY),
-    (_RUN_MAIN, ("certify", "w1*z1 - 1"), _NOT_FOR_CERTIFY),
-    (_RUN_MAIN, ("ortho", "--family", "legendre", "--dmax", "3"), _NOT_FOR_ORTHO),
+    (_RUN_MAIN, ("certify", "w1*z1 - 1"), _NOT_FOR_KERNEL_MAP),
+    (_RUN_MAIN, ("lmap", "w1*z1^2"), _NOT_FOR_KERNEL_MAP),
+    (_RUN_MAIN, ("powerscan", "w1*z1^2", "--mmax", "3"), _NOT_FOR_KERNEL_MAP),
+    (_RUN_MAIN, ("conj73", "w1*z1^2", "--mmax", "3"), _NOT_FOR_KERNEL_MAP),
+    (_RUN_MAIN, ("ortho", "--family", "legendre", "--dmax", "3"), _NOT_FOR_ORTHO + ("linalg",)),
+    (_RUN_MAIN, ("scan", "--oracle", "moment:hermite", "x^2 - 1/2", "x", "--mmax", "3"),
+     ("imagemap", "weyl", "linalg", "charp")),
     (_RUN_MAIN, ("charp", "willems", "--p", "3"), _NOT_FOR_CHARP),
     (_RUN_MAIN, ("lemma81", "u - 1"), _NOT_FOR_CHARP),
     (_RUN_MAIN, ("charp", "example12", "--p", "3"), ("ortho", "linalg")),
     (_RUN_MAIN, ("scan", "--oracle", "laurent", "t^-1 + t", "t"),
      ("imagemap", "weyl", "ortho", "linalg", "charp")),
-], ids=["package", "cli", "certify", "ortho", "charp-willems", "lemma81", "charp-example12",
-        "scan-laurent"])
+], ids=["package", "cli", "certify", "lmap", "powerscan", "conj73", "ortho", "scan-moment",
+        "charp-willems", "lemma81", "charp-example12", "scan-laurent"])
 def test_cold_call_loads_only_its_modules(statement, argv, not_loaded):
     """In a fresh interpreter: no dataclasses or inspect, and no module the call does not run."""
     proc = subprocess.run([sys.executable, "-c", _LOADED.format(statement), *argv],

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_polynomial
+from mathieulab.imagemap import _falling_product
 from mathieulab.poly import (NEG_INF, Grading, Polynomial, VariableSet, _int_powers, _pack,
                             _pair_mask, _unpacker)
 from mathieulab.rings import GF, QI, QQ
-from mathieulab.weyl import _falling_product
 
 XY = VariableSet(("x", "y"))
 LT = VariableSet(("t",), laurent=frozenset(("t",)))
