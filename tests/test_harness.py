@@ -152,10 +152,10 @@ def test_gvc_crosscheck_refuses_a_wrong_operator_value(monkeypatch, wrong_call):
     z1, z2 = (Polynomial.var(QQ, zv, name) for name in problem.z_names)
     p_poly, q_poly = z1 + z2 * z2.scale(Fraction(1, 2)), z1 * z2
     gvc_scan(op, p_poly, q_poly, 6, problem=problem)  # the honest values pass
-    apply, calls = harness._apply_symbol, []
+    honest, calls = harness._apply_symbol, []
 
     def tampered(symbol, h):
-        value = apply(symbol, h)
+        value = honest(symbol, h)
         calls.append(h)
         return value + Polynomial.one(QQ, zv) if len(calls) - 1 == wrong_call else value
 
