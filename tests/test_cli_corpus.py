@@ -1,10 +1,14 @@
-"""Byte-identical CLI output for the kernel-map subcommands.
+"""Byte-identical CLI output for the kernel-map, char-p and Jacobian subcommands.
 
 Every case runs `cli.main` in this process and compares the sha256 digests
 of its stdout and stderr, and its exit code, with `cli_corpus.json`.  The
 corpus covers `decompose`, `certify`, `gvc`, `conj73`, `lmap` and
 `powerscan` over `--ring q` and `qi`, with n = 1..3 where the subcommand
-takes `--n`, in json and text, plus one usage error each.  Re-record with
+takes `--n`, in json and text, plus one usage error each.  It also covers
+the four `charp` modes, `jacobian` and `lemma81`: `charp theorem51` with a
+premise that holds and one that fails, `charp crucial` with a valid witness
+and with each of its two usage errors, and `charp example12` at the default
+bound and at --bound p, 2p+1 and p-1.  Re-record with
 
     PYTHONPATH=src python tests/test_cli_corpus.py
 
@@ -46,6 +50,20 @@ _CONJ73 = {
     "q": ("w1*z1^2 + w1^2*z1^3", "z1 - w1*z1^2", "w1^2 - 3*w1"),
     "qi": ("i*w1*z1^2 + w1^2*z1^3", "z1 - i*w1*z1^2", "i*w1^2 - w1"),
 }
+# per n: (f, g) with f's coefficients in I = (w_i), then (f, g) with one outside
+_THEOREM51 = {
+    1: (("w1*z1 + 2*w1^2", "z1 - 1"), ("w1*z1 + z1^2", "z1")),
+    2: (("w1*z2 + w2*z1^2", "z1*z2 - w1"), ("w1*z1 + w2 - 1", "z2")),
+}
+# b, p and q over the two pairs: a valid witness, a wrong identity, and a
+# valid identity (b = 0) whose witnesses exceed the z-degree hypothesis
+_CRUCIAL = [
+    ("1 - w1*z1", "z1", "0"),
+    ("1", "z1", "0"),
+    ("0", "w2*z1^3", "3*z1^2 - w1*z1^3"),
+]
+_JACOBIAN = [("z2^2", "0"), ("z1^2", "z2")]
+_LEMMA81 = [("1 + u",), ("u + 2*u^3", "--primes", "2,4,11")]
 _USAGE_ERRORS = [
     ("decompose", "w1*z1", "z1", "--n", "1"),
     ("certify", "w1*z1 $", "--n", "1"),
@@ -69,6 +87,21 @@ def _cases():
         for ring, texts in _CONJ73.items():
             for text in texts:
                 yield ("conj73", text, "--mmax", "6", "--ring", ring, "--format", fmt)
+        tail = ("--format", fmt)
+        for p in (2, 3, 5):
+            for n, pairs in _THEOREM51.items():
+                for f, g in pairs:
+                    yield ("charp", "theorem51", f, g, "--p", str(p), "--n", str(n)) + tail
+            yield ("charp", "willems", "--p", str(p), "--kmax", "2") + tail
+            yield ("charp", "example12", "--p", str(p)) + tail
+            for bound in (p, 2 * p + 1, p - 1):
+                yield ("charp", "example12", "--p", str(p), "--bound", str(bound)) + tail
+        for texts in _CRUCIAL:
+            yield ("charp", "crucial") + texts + ("--p", "3") + tail
+        for texts in _JACOBIAN:
+            yield ("jacobian",) + texts + ("--n", "2") + tail
+        for args in _LEMMA81:
+            yield ("lemma81",) + args + tail
     yield from _USAGE_ERRORS
 
 
