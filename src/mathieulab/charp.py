@@ -1,9 +1,11 @@
 """Positive characteristic and valuation arguments.
 
 The coefficient algebra is F_p[w_1..w_n] with a_i = w_i, sitting inside the
-same (w, z) polynomial ring used everywhere else.  The operator d/dz_i - w_i
-raised to the p-th power collapses to multiplication by -w_i^p, which is the
-engine behind the sufficiency certificate and the full-pipeline check.
+same (w, z) polynomial ring used everywhere else: the char-p arguments take
+an `ImageProblem` over GF(p) and read p off its ring.  The operator
+d/dz_i - w_i = -t_i raised to the p-th power collapses to -t_i^p, that is
+multiplication by -w_i^p, which is the engine behind the sufficiency
+certificate and the full-pipeline check.
 The Willems scan of f = t^-1 (1 + t^p) reads each coefficient of f^m off
 Lucas's theorem instead of multiplying out the powers.
 """
@@ -14,26 +16,15 @@ from fractions import Fraction
 from math import factorial
 
 from .poly import NEG_INF, Polynomial, VariableSet, VerificationError
-from .rings import GF, QQ, Immutable, is_prime, valuation_p
+from .rings import GF, QQ, is_prime, valuation_p
 
 
-class CharPProblem(Immutable):
-    """n variable pairs over F_p; (w_1..w_n) is a regular sequence by construction."""
-
-    __slots__ = __match_args__ = ("p", "n")
-
-    def __init__(self, p: int, n: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if n < 1:
-            raise ValueError("need at least one variable pair")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-
-    @property
-    def image(self) -> ImageProblem:
-        from .imagemap import ImageProblem
-        return ImageProblem(self.n, GF(self.p))
+def _characteristic(problem: ImageProblem) -> int:
+    """The prime p of `problem`'s ring GF(p); characteristic 0 is out of scope."""
+    p = problem.ring.characteristic
+    if not p:
+        raise ValueError("the char-p arguments need a ring GF(p), not characteristic 0")
+    return p
 
 
 def _w_index(exps, n: int, e: int):
@@ -46,46 +37,41 @@ def w_ideal_member(f: Polynomial, n: int, e: int) -> bool:
     return all(_w_index(exps, n, e) for exps in f.terms)
 
 
-def _shift_operator_apply(problem: ImageProblem, i: int, h: Polynomial,
-                          times: int = 1) -> Polynomial:
-    """(d/dz_i - w_i) applied `times` times, i.e. (-t_i)^times."""
-    from .imagemap import t_apply
-    for _ in range(times):
-        h = t_apply(problem, i, h)
-    return -h if times % 2 else h
-
-
 class SufficiencyWitness:
-    def __init__(self, problem: ImageProblem, p: int, components: dict):
+    def __init__(self, problem: ImageProblem, components: dict):
         self.problem = problem
-        self.p = p
         self.components = components  # i -> h_i with b = sum (d/dz_i - w_i)^p h_i
 
     def verify(self, b: Polynomial) -> bool:
+        """(d/dz_i - w_i)^p = (-t_i)^p = -t_i^p in characteristic p."""
+        from .imagemap import t_apply
         total = self.problem.zero()
         for i, h in self.components.items():
-            total = total + _shift_operator_apply(self.problem, i, h, self.p)
+            for _ in range(self.problem.ring.characteristic):
+                h = t_apply(self.problem, i, h)
+            total = total - h
         return total == b
 
 
-def sufficient_membership(b: Polynomial, prob: CharPProblem):
+def sufficient_membership(b: Polynomial, problem: ImageProblem):
     """Membership witness when every coefficient of b lies in J = (w_i^p).
 
-    Each qualifying term c w^a z^e equals (d/dz_i - w_i)^p applied to
-    -c w^(a - p e_i) z^e, because the p-th power of the shift operator is
-    multiplication by -w_i^p.  Returns None (decline) when some term fails.
+    `problem` is over GF(p).  Each qualifying term c w^a z^e equals
+    (d/dz_i - w_i)^p applied to -c w^(a - p e_i) z^e, because the p-th power
+    of the shift operator is multiplication by -w_i^p.  Returns None
+    (decline) when some term fails.
     """
-    problem = prob.image
+    p = _characteristic(problem)
     problem.check(b)
     pairs = {}
     for exps, c in b.terms.items():
-        i = _w_index(exps, prob.n, prob.p)
+        i = _w_index(exps, problem.n, p)
         if i is None:
             return None
         key = list(exps)
-        key[i - 1] -= prob.p
+        key[i - 1] -= p
         pairs.setdefault(i, []).append((tuple(key), -c))
-    witness = SufficiencyWitness(problem, prob.p, {
+    witness = SufficiencyWitness(problem, {
         i: Polynomial(problem.ring, problem.variables, terms) for i, terms in pairs.items()})
     if not witness.verify(b):
         raise VerificationError("sufficiency witness failed to re-verify")
@@ -118,36 +104,35 @@ class DescentWitness:
     """Chain from the two-pair degree descent, with the final exact identity."""
 
     def __init__(self, d: int, g_top: Polynomial, g_mid: Polynomial,
-                 top_component: Polynomial, identity_lhs: Polynomial,
-                 identity_rhs: Polynomial):
+                 top_component: Polynomial, identity_rhs: Polynomial):
         self.d = d
         self.g_top = g_top  # homogeneous of z-degree d+2
         self.g_mid = g_mid  # homogeneous of z-degree d+1
         self.top_component = top_component  # b_d
-        self.identity_lhs = identity_lhs
         self.identity_rhs = identity_rhs
 
     def verify(self) -> bool:
-        return self.identity_lhs == self.identity_rhs
+        return self.top_component == self.identity_rhs
 
 
 def crucial_lemma_descent(b: Polynomial, p_wit: Polynomial, q_wit: Polynomial,
-                          prob: CharPProblem) -> DescentWitness:
+                          problem: ImageProblem) -> DescentWitness:
     """Descend the witness identity to express the top component of b in I.
 
-    Requires the simplifying degree hypothesis: both witnesses have z-degree
-    at most deg(b) + 2.  The chain is checked step by step and the final
-    identity b_d = -w1*(p_d + d2 g_mid) - w2*(q_d - d1 g_mid) is asserted
-    exactly, whence all coefficients of b_d lie in I = (w1, w2).
+    `problem` has two variable pairs over GF(p).  Requires the simplifying
+    degree hypothesis: both witnesses have z-degree at most deg(b) + 2.  The
+    chain is checked step by step and the final identity
+    b_d = -w1*(p_d + d2 g_mid) - w2*(q_d - d1 g_mid) is asserted exactly,
+    whence all coefficients of b_d lie in I = (w1, w2).
     """
-    if prob.n != 2:
+    from .imagemap import t_apply
+    if problem.n != 2:
         raise ValueError("the descent is implemented for two variable pairs")
-    problem = prob.image
+    _characteristic(problem)
     for poly in (b, p_wit, q_wit):
         problem.check(poly)
-    built = (_shift_operator_apply(problem, 1, p_wit)
-             + _shift_operator_apply(problem, 2, q_wit))
-    if built != b:
+    # (d/dz_i - w_i) = -t_i
+    if -(t_apply(problem, 1, p_wit) + t_apply(problem, 2, q_wit)) != b:
         raise ValueError("witness identity fails: b != (d1-w1)p + (d2-w2)q")
     grading = problem.z_grading()
     d = b.grade_degree(grading)
@@ -169,11 +154,10 @@ def crucial_lemma_descent(b: Polynomial, p_wit: Polynomial, q_wit: Polynomial,
     q_mid = q_comp.get(d + 1, zero) - g_top.partial("z1")
     g_mid = koszul_solve(problem, p_mid, q_mid)
     b_d = b.homogeneous_components(grading).get(d, zero)
-    lhs = b_d
     rhs = (-(problem.zeta(1) * (p_comp.get(d, zero) + g_mid.partial("z2")))
            - problem.zeta(2) * (q_comp.get(d, zero) - g_mid.partial("z1")))
-    witness = DescentWitness(d, g_top, g_mid, b_d, lhs, rhs)
-    if not (witness.verify() and w_ideal_member(b_d, prob.n, 1)):
+    witness = DescentWitness(d, g_top, g_mid, b_d, rhs)
+    if not (witness.verify() and w_ideal_member(b_d, problem.n, 1)):
         raise VerificationError("descent identity failed to verify")
     return witness
 
@@ -200,31 +184,31 @@ class Theorem51Report:
 
 
 def theorem51_pipeline(f: Polynomial, g: Polynomial,
-                       prob: CharPProblem) -> Theorem51Report:
+                       problem: ImageProblem) -> Theorem51Report:
     """Check the positive-characteristic membership pipeline by expansion.
 
-    Premise surrogate: every coefficient of f (in the w-algebra) lies in
-    I = (w_i).  Then f^(p^2) has coefficients in J = (w_i^p) and so does
-    g f^m for every sampled m >= p^2.
+    `problem` is over GF(p).  Premise surrogate: every coefficient of f (in
+    the w-algebra) lies in I = (w_i).  Then f^(p^2) has coefficients in
+    J = (w_i^p) and so does g f^m for every sampled m >= p^2.
     """
-    problem = prob.image
+    p = _characteristic(problem)
     problem.check(f)
     problem.check(g)
     for exps, c in f.terms.items():
-        if _w_index(exps, prob.n, 1) is None:
+        if _w_index(exps, problem.n, 1) is None:
             mono = Polynomial(problem.ring, problem.variables, {exps: c})
             return Theorem51Report(False, failing_coefficient=mono.to_str())
-    p2 = prob.p ** 2
+    p2 = p ** 2
     # Frobenius is a ring map fixing F_p: f^(p^2) is the sum of c * M^(p^2) over f's terms c * M
     power = Polynomial(problem.ring, problem.variables,
                        {tuple(p2 * e for e in exps): c for exps, c in f.terms.items()})
-    power_ok = w_ideal_member(power, prob.n, prob.p)
+    power_ok = w_ideal_member(power, problem.n, p)
     sampled = (p2, p2 + 1, p2 + 2)
     products_ok = True
     for m in sampled:
         if m > p2:
             power = power * f
-        if not w_ideal_member(g * power, prob.n, prob.p):
+        if not w_ideal_member(g * power, problem.n, p):
             products_ok = False
     return Theorem51Report(True, power_coefficients_in_J=power_ok,
                            sampled_m=sampled, products_in_J=products_ok)
@@ -319,25 +303,19 @@ def example12_refutation(p: int, degree_bound: int = None) -> Example12Report:
     one = Polynomial.one(ring, z_vars)
     basis = [Polynomial.var(ring, z_vars, "z", e) for e in range(1, degree_bound)]
     probe = one_property_probe(oracle, one, basis)
-    missing = Polynomial.var(ring, z_vars, "z", p - 1)
-    if member(missing):
-        raise VerificationError(f"{missing.to_str()} lies in the derivative image")
+    expected = Polynomial.var(ring, z_vars, "z", p - 1).to_str()
+    if probe.refuting_element != expected:
+        raise VerificationError(f"the probe refuted with {probe.refuting_element}, "
+                                f"not {expected}")
     return Example12Report(p, degree_bound, probe.contains_one,
-                           missing.to_str(), probe.refuted)
+                           probe.refuting_element, probe.refuted)
 
 
 # -- valuation machinery (number-field route, instantiated over Q) -----
 
-class FrobeniusReport:
-    def __init__(self, p: int, divisible: bool, h_values: dict):
-        self.p = p
-        self.divisible = divisible
-        self.h_values = h_values  # exponent -> integer h with remainder coefficient p*h
-
-
-def frobenius_expansion_check(g: Polynomial, p: int) -> FrobeniusReport:
-    """For integer g = u^s + sum c_i u^i: g^p minus (u^(sp) + sum c_i^p u^(ip))
-    has every coefficient divisible by p."""
+def frobenius_expansion_check(g: Polynomial, p: int) -> bool:
+    """Whether, for integer g = u^s + sum c_i u^i, every coefficient of g^p
+    minus (u^(sp) + sum c_i^p u^(ip)) is divisible by p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if len(g.variables) != 1 or g.variables.laurent:
@@ -351,21 +329,10 @@ def frobenius_expansion_check(g: Polynomial, p: int) -> FrobeniusReport:
     for c in coeffs.values():
         if Fraction(c).denominator != 1:
             raise ValueError("coefficients must be integers")
-    gp = g ** p
-    expected = {s * p: Fraction(1)}
-    for i, c in coeffs.items():
-        if i != s:
-            expected[i * p] = expected.get(i * p, Fraction(0)) + Fraction(c) ** p
-    actual = {e[0]: Fraction(c) for e, c in gp.terms.items()}
-    h_values = {}
-    divisible = True
-    for exponent in sorted(set(actual) | set(expected)):
-        rem = actual.get(exponent, Fraction(0)) - expected.get(exponent, Fraction(0))
-        if rem:
-            if rem.numerator % p:
-                divisible = False
-            h_values[exponent] = rem / p
-    return FrobeniusReport(p, divisible, h_values)
+    expected = {i * p: Fraction(c) ** p for i, c in coeffs.items()}
+    actual = {e[0]: Fraction(c) for e, c in (g ** p).terms.items()}
+    return all((actual.get(e, 0) - expected.get(e, 0)).numerator % p == 0
+               for e in actual.keys() | expected.keys())
 
 
 class Lemma81Report:

@@ -134,13 +134,12 @@ def _cmd_decompose(args):
     from . import imagemap
     problem = imagemap.ImageProblem(args.n, _RINGS[args.ring])
     f = _parse(_read_inputs(args, ("f",))[0], problem.ring, problem.variables)
-    d = imagemap.decompose(problem, f)
-    if imagemap.recompose(d) != f:
+    components = imagemap.decompose(problem, f)
+    if imagemap.recompose(problem, components) != f:
         raise VerificationError("decomposition did not recompose to the input")
-    components = {",".join(map(str, a)): comp.to_str()
-                  for a, comp in sorted(d.components.items())}
     return {"command": "decompose", "input": f.to_str(),
-            "components": components}, None
+            "components": {",".join(map(str, a)): comp.to_str()
+                           for a, comp in sorted(components.items())}}, None
 
 
 def _cmd_certify(args):
@@ -296,12 +295,11 @@ def _cmd_moments(args):
 
 
 def _cmd_theorem51(args):
-    from . import charp
-    prob = charp.CharPProblem(args.p, args.n)
-    problem = prob.image
+    from . import charp, imagemap
+    problem = imagemap.ImageProblem(args.n, GF(args.p))
     f, g = (_parse(t, problem.ring, problem.variables)
             for t in _read_inputs(args, ("f", "g")))
-    report = charp.theorem51_pipeline(f, g, prob).as_report()
+    report = charp.theorem51_pipeline(f, g, problem).as_report()
     report["command"] = "charp.theorem51"
     return report, None
 
@@ -324,13 +322,12 @@ def _cmd_example12(args):
 
 
 def _cmd_crucial(args):
-    from . import charp
-    prob = charp.CharPProblem(args.p, 2)
-    problem = prob.image
+    from . import charp, imagemap
+    problem = imagemap.ImageProblem(2, GF(args.p))
     b, p_wit, q_wit = (_parse(t, problem.ring, problem.variables)
                        for t in _read_inputs(args, ("b", "p_witness", "q_witness")))
     try:
-        witness = charp.crucial_lemma_descent(b, p_wit, q_wit, prob)
+        witness = charp.crucial_lemma_descent(b, p_wit, q_wit, problem)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return {"d": witness.d,

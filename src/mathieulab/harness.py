@@ -1,7 +1,7 @@
 """Generic Mathieu-property experiments: named membership oracles, bounded
 power scans, the trace / constant-term / moment / kernel instances, the
-vanishing-conjecture bridge, and the Jacobian matrix with its nilpotency
-test (`jacobian_matrix`, `jacobian_nilpotent`).
+vanishing-conjecture bridge, and the Jacobian matrix (`jacobian_matrix`,
+whose `is_nilpotent` is the nilpotency test).
 
 A bounded scan never proves anything; its verdicts are "premise_failed",
 "consistent" (up to m_max), or a concrete re-checkable violation witness.
@@ -344,7 +344,3 @@ def _gvc_crosscheck(symbol, p_poly, q_poly, m_max, problem, premise, shifted):
 
 def jacobian_matrix(h_polys, z_names) -> MatrixValue:
     return MatrixValue([[h.partial(name) for name in z_names] for h in h_polys])
-
-
-def jacobian_nilpotent(h_polys, z_names) -> bool:
-    return jacobian_matrix(h_polys, z_names).is_nilpotent()

@@ -115,19 +115,11 @@ def _t_terms(problem: ImageProblem, i: int, h: Polynomial):
             yield exps[:z] + (exps[z] - 1,) + exps[z + 1:], c * from_int(-exps[z])
 
 
-class DecompositionResult:
-    """Components f_a of f = sum t^a f_a, each free of the w-variables."""
+def decompose(problem: ImageProblem, f: Polynomial) -> dict:
+    """Unique decomposition f = sum t^a f_a, each f_a free of the w-variables.
 
-    def __init__(self, problem: ImageProblem, components: dict):
-        self.problem = problem
-        self.components = components
-
-    def component(self, a) -> Polynomial:
-        return self.components.get(tuple(a), self.problem.zero())
-
-
-def decompose(problem: ImageProblem, f: Polynomial) -> DecompositionResult:
-    """Unique decomposition: the term c w^a z^b adds c C(a,k) b!/(b-k)! z^(b-k) to f_(a-k).
+    Returns {a: f_a} over the non-zero components; the term c w^a z^b adds
+    c C(a,k) b!/(b-k)! z^(b-k) to f_(a-k).
 
     The closed form has integer coefficients, but F_p is not offered until
     positive characteristic-p tests exist, so characteristic 0 only.
@@ -143,15 +135,14 @@ def decompose(problem: ImageProblem, f: Polynomial) -> DecompositionResult:
         for k, scale in _expansion(a, b):
             pairs.setdefault(tuple(map(sub, a, k)), []).append(
                 (w_free + tuple(map(sub, b, k)), c * from_int(scale)))
-    return DecompositionResult(problem, {
-        a: comp for a, terms in pairs.items()
-        if not (comp := Polynomial(problem.ring, problem.variables, terms)).is_zero()})
+    return {a: comp for a, terms in pairs.items()
+            if not (comp := Polynomial(problem.ring, problem.variables, terms)).is_zero()}
 
 
-def recompose(d: DecompositionResult) -> Polynomial:
-    problem = d.problem
+def recompose(problem: ImageProblem, components: dict) -> Polynomial:
+    """sum t^a f_a over the components {a: f_a}."""
     total = problem.zero()
-    for a, comp in d.components.items():
+    for a, comp in components.items():
         acc = comp
         for i, k in enumerate(a, start=1):
             for _ in range(k):
@@ -190,8 +181,8 @@ def certify_imD(problem: ImageProblem, f: Polynomial) -> MembershipCertificate:
     """Decide membership in sum_i (d/dz_i - w_i) C[w,z] via the decomposition."""
     problem.check(f)
     n = problem.n
-    d = decompose(problem, f)
-    f0 = d.component((0,) * n)
+    components = decompose(problem, f)
+    f0 = components.get((0,) * n, problem.zero())
     if L_map(problem, f) != f0:
         raise VerificationError("the zero component of the decomposition is not L(f)")
     if not f0.is_zero():
@@ -199,7 +190,7 @@ def certify_imD(problem: ImageProblem, f: Polynomial) -> MembershipCertificate:
     # t^a f_a = t_i t^(a-e_i) f_a with i the first index where a_i > 0, and
     # t_i = -(d/dz_i - w_i), so h_i = -sum t^(a-e_i) f_a over those a
     parts = [[] for _ in range(n)]
-    for a, comp in d.components.items():
+    for a, comp in components.items():
         i = next(j for j, e in enumerate(a) if e)
         parts[i].append((a[:i] + (a[i] - 1,) + a[i + 1:], comp))
     from_int = problem.ring.from_int

@@ -233,7 +233,3 @@ def hankel_determinant(m: MomentFunctional, d: int) -> Fraction:
     from . import linalg
     hankel = [[m.moment(i + j) for j in range(d + 1)] for i in range(d + 1)]
     return linalg.determinant(hankel, Fraction(0), Fraction(1))
-
-
-def hankel_nonsingularity(m: MomentFunctional, d: int) -> bool:
-    return hankel_determinant(m, d) != 0

@@ -6,10 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_polynomial
-from mathieulab import charp
+from mathieulab import charp, harness, imagemap
 from mathieulab.charp import (
-    CharPProblem,
-    _shift_operator_apply,
     crucial_lemma_descent,
     example12_refutation,
     frobenius_expansion_check,
@@ -20,9 +18,10 @@ from mathieulab.charp import (
     w_ideal_member,
     willems_scan,
 )
-from mathieulab.imagemap import monomial_count_scan
-from mathieulab.poly import NEG_INF, Polynomial, VariableSet
-from mathieulab.rings import GF, QQ, valuation_p
+from mathieulab.imagemap import ImageProblem, monomial_count_scan, t_apply
+from mathieulab.parsing import parse_polynomial
+from mathieulab.poly import NEG_INF, Polynomial, VariableSet, VerificationError
+from mathieulab.rings import GF, QI, QQ, valuation_p
 
 U_VARS = VariableSet(("u",))
 
@@ -32,63 +31,70 @@ def _u_poly(coeffs):
                       {(e,): QQ.from_fraction(Fraction(c)) for e, c in coeffs.items()})
 
 
-def test_problem_validation():
-    with pytest.raises(ValueError):
-        CharPProblem(4, 1)
-    with pytest.raises(ValueError):
-        CharPProblem(3, 0)
+@pytest.mark.parametrize("ring", (QQ, QI))
+def test_char_p_arguments_reject_characteristic_zero(ring):
+    problem = ImageProblem(2, ring)
+    one, zero = problem.one(), problem.zero()
+    with pytest.raises(ValueError, match="not characteristic 0"):
+        theorem51_pipeline(problem.zeta(1), one, problem)
+    with pytest.raises(ValueError, match="not characteristic 0"):
+        sufficient_membership(problem.zeta(1) ** 2, problem)
+    with pytest.raises(ValueError, match="not characteristic 0"):
+        crucial_lemma_descent(zero, zero, zero, problem)
+
+
+def _shift(problem, i, h):
+    """d/dz_i - w_i applied to h, which is -t_i h."""
+    return -t_apply(problem, i, h)
 
 
 def test_shift_operator_p_th_power_is_multiplication():
     """(d/dz_i - w_i)^p acts as multiplication by -w_i^p."""
     rng = random.Random(3)
     for p in (2, 3):
-        prob = CharPProblem(p, 2)
-        problem = prob.image
+        problem = ImageProblem(2, GF(p))
         for _ in range(20):
             h = random_polynomial(rng, problem.ring, problem.variables)
             for i in (1, 2):
-                lhs = _shift_operator_apply(problem, i, h, p)
+                lhs = h
+                for _ in range(p):
+                    lhs = _shift(problem, i, lhs)
                 assert lhs == -(problem.zeta(i) ** p) * h
 
 
 def test_monomial_ideal_membership():
     """I = (w_i) is the exponent threshold 1 and J = (w_i^p) the threshold p."""
-    prob = CharPProblem(3, 2)
-    problem = prob.image
+    problem = ImageProblem(2, GF(3))
     f = problem.zeta(1) ** 3 * problem.z(2) + problem.zeta(2) ** 4
-    assert w_ideal_member(f, prob.n, prob.p)
-    assert w_ideal_member(f, prob.n, 1)
-    assert not w_ideal_member(f + problem.one(), prob.n, 1)
-    assert w_ideal_member(problem.zero(), prob.n, prob.p)
+    assert w_ideal_member(f, 2, 3)
+    assert w_ideal_member(f, 2, 1)
+    assert not w_ideal_member(f + problem.one(), 2, 1)
+    assert w_ideal_member(problem.zero(), 2, 3)
     in_i_only = problem.zeta(1) * problem.z(2)
-    assert w_ideal_member(in_i_only, prob.n, 1)
-    assert not w_ideal_member(in_i_only, prob.n, prob.p)
+    assert w_ideal_member(in_i_only, 2, 1)
+    assert not w_ideal_member(in_i_only, 2, 3)
 
 
 def test_sufficient_membership_witness():
     rng = random.Random(5)
     for p in (2, 3):
-        prob = CharPProblem(p, 2)
-        problem = prob.image
+        problem = ImageProblem(2, GF(p))
         for _ in range(15):
             base = random_polynomial(rng, problem.ring, problem.variables)
             b = (problem.zeta(1) ** p) * base
-            witness = sufficient_membership(b, prob)
+            witness = sufficient_membership(b, problem)
             assert witness is not None
             assert witness.verify(b)
 
 
 def test_sufficient_membership_declines():
-    prob = CharPProblem(3, 1)
-    problem = prob.image
-    assert sufficient_membership(problem.one(), prob) is None
-    assert sufficient_membership(problem.zeta(1), prob) is None
+    problem = ImageProblem(1, GF(3))
+    assert sufficient_membership(problem.one(), problem) is None
+    assert sufficient_membership(problem.zeta(1), problem) is None
 
 
 def test_koszul_solve():
-    prob = CharPProblem(2, 2)
-    problem = prob.image
+    problem = ImageProblem(2, GF(2))
     g = problem.z(1) * problem.z(2)
     p_poly = problem.zeta(2) * g
     q_poly = -(problem.zeta(1) * g)
@@ -101,40 +107,36 @@ def test_descent_on_random_witnesses():
     rng = random.Random(11)
     checked = 0
     for p in (2, 3):
-        prob = CharPProblem(p, 2)
-        problem = prob.image
+        problem = ImageProblem(2, GF(p))
         grading = problem.z_grading()
         for _ in range(60):
             p_wit = random_polynomial(rng, problem.ring, problem.variables,
                                       max_degree=1)
             q_wit = random_polynomial(rng, problem.ring, problem.variables,
                                       max_degree=1)
-            b = (_shift_operator_apply(problem, 1, p_wit)
-                 + _shift_operator_apply(problem, 2, q_wit))
+            b = _shift(problem, 1, p_wit) + _shift(problem, 2, q_wit)
             d = b.grade_degree(grading)
             d = 0 if d == NEG_INF else int(d)
             top = max(p_wit.grade_degree(grading), q_wit.grade_degree(grading))
             if top != NEG_INF and top > d + 2:
                 continue
-            witness = crucial_lemma_descent(b, p_wit, q_wit, prob)
+            witness = crucial_lemma_descent(b, p_wit, q_wit, problem)
             assert witness.verify()
-            assert w_ideal_member(witness.top_component, prob.n, 1)
+            assert w_ideal_member(witness.top_component, 2, 1)
             checked += 1
     assert checked >= 40
 
 
 def test_descent_rejects_bad_witness():
-    prob = CharPProblem(3, 2)
-    problem = prob.image
+    problem = ImageProblem(2, GF(3))
     with pytest.raises(ValueError):
-        crucial_lemma_descent(problem.one(), problem.zero(), problem.zero(), prob)
+        crucial_lemma_descent(problem.one(), problem.zero(), problem.zero(), problem)
 
 
 def test_theorem51_pipeline_positive():
     rng = random.Random(17)
     for p in (2, 3):
-        prob = CharPProblem(p, 2)
-        problem = prob.image
+        problem = ImageProblem(2, GF(p))
         for _ in range(5):
             f = problem.zero()
             for i in (1, 2):
@@ -143,7 +145,7 @@ def test_theorem51_pipeline_positive():
                     max_terms=2)
             g = random_polynomial(rng, problem.ring, problem.variables,
                                   max_degree=1, max_terms=2)
-            report = theorem51_pipeline(f, g, prob)
+            report = theorem51_pipeline(f, g, problem)
             assert report.premise_holds
             assert report.power_coefficients_in_J
             assert report.products_in_J
@@ -157,23 +159,22 @@ def test_theorem51_power_matches_repeated_multiplication(monkeypatch):
     monkeypatch.setattr(charp, "w_ideal_member",
                         lambda h, n, p: tested.append(h) or member(h, n, p))
     for _ in range(40):
-        prob = CharPProblem(rng.choice((2, 3, 5, 7)), rng.choice((1, 2)))
-        problem = prob.image
+        p = rng.choice((2, 3, 5, 7))
+        problem = ImageProblem(rng.choice((1, 2)), GF(p))
         f = problem.zero()
-        for i in range(1, prob.n + 1):
+        for i in range(1, problem.n + 1):
             f = f + problem.zeta(i) * random_polynomial(
                 rng, problem.ring, problem.variables, max_degree=1, max_terms=2)
         g = random_polynomial(rng, problem.ring, problem.variables, max_degree=1, max_terms=2)
         tested.clear()
-        theorem51_pipeline(f, g, prob)
-        power = f ** prob.p ** 2
+        theorem51_pipeline(f, g, problem)
+        power = f ** p ** 2
         assert tested == [power, g * power, g * power * f, g * power * f * f]
 
 
 def test_theorem51_pipeline_premise_failure():
-    prob = CharPProblem(2, 1)
-    problem = prob.image
-    report = theorem51_pipeline(problem.one(), problem.one(), prob)
+    problem = ImageProblem(1, GF(2))
+    report = theorem51_pipeline(problem.one(), problem.one(), problem)
     assert not report.premise_holds
     assert report.failing_coefficient == "1"
 
@@ -237,6 +238,59 @@ def test_example12():
     assert example12_refutation(3, 3).refuted
 
 
+# -- each re-check refuses a tampered route -----------------------------
+
+def test_sufficiency_check_refuses_a_wrong_t_operator(monkeypatch):
+    problem = ImageProblem(2, GF(3))
+    b = problem.zeta(2) ** 3 * problem.z(1)
+    assert sufficient_membership(b, problem).verify(b)
+    honest = imagemap.t_apply
+    monkeypatch.setattr(imagemap, "t_apply",
+                        lambda problem, i, h: honest(problem, i, h) + problem.one())
+    with pytest.raises(VerificationError, match="sufficiency witness failed to re-verify"):
+        sufficient_membership(b, problem)
+
+
+def test_koszul_check_refuses_a_wrong_quotient(monkeypatch):
+    problem = ImageProblem(2, GF(3))
+    g = problem.z(1) * problem.z(2)
+    p_poly, q_poly = problem.zeta(2) * g, -(problem.zeta(1) * g)
+    honest = Polynomial.exact_divide
+    monkeypatch.setattr(Polynomial, "exact_divide",
+                        lambda self, divisor: honest(self, divisor) + problem.z(1))
+    with pytest.raises(VerificationError, match="Koszul solution failed to re-verify"):
+        koszul_solve(problem, p_poly, q_poly)
+
+
+# b = (d1-w1)p + (d2-w2)q with p = w2*z1^2, q = -w1*z1^2: g_top = 0, g_mid = z1^2
+_DESCENT = ("2*w2*z1", "w2*z1^2", "0 - w1*z1^2")
+
+
+def test_descent_check_refuses_a_wrong_derivative(monkeypatch):
+    """Doubled derivatives change only the final identity's right-hand side."""
+    problem = ImageProblem(2, GF(3))
+    b, p_wit, q_wit = (parse_polynomial(t, problem.ring, problem.variables) for t in _DESCENT)
+    witness = crucial_lemma_descent(b, p_wit, q_wit, problem)
+    assert witness.g_top.is_zero() and witness.g_mid == problem.z(1) ** 2
+    honest = Polynomial.partial
+    monkeypatch.setattr(Polynomial, "partial", lambda self, name: honest(self, name).scale(2))
+    with pytest.raises(VerificationError, match="descent identity failed to verify"):
+        crucial_lemma_descent(b, p_wit, q_wit, problem)
+
+
+def test_example12_check_refuses_a_wrong_refutation(monkeypatch):
+    honest = harness.one_property_probe
+
+    def off_by_one(oracle, one, basis):
+        report = honest(oracle, one, basis)
+        report.refuting_element = basis[-1].to_str()
+        return report
+
+    monkeypatch.setattr(harness, "one_property_probe", off_by_one)
+    with pytest.raises(VerificationError, match="the probe refuted with z\\^11, not z\\^2"):
+        example12_refutation(3)
+
+
 def test_frobenius_expansion_random():
     rng = random.Random(23)
     for _ in range(60):
@@ -247,8 +301,7 @@ def test_frobenius_expansion_random():
         coeffs[s] = 1
         g = _u_poly({e: c for e, c in coeffs.items() if c})
         for p in (2, 3, 5, 7):
-            report = frobenius_expansion_check(g, p)
-            assert report.divisible, (coeffs, p)
+            assert frobenius_expansion_check(g, p), (coeffs, p)
 
 
 def test_frobenius_rejects_nonmonic():

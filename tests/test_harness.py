@@ -12,7 +12,7 @@ from mathieulab.harness import (
     MatrixValue,
     SubspaceOracle,
     gvc_scan,
-    jacobian_nilpotent,
+    jacobian_matrix,
     kerL_oracle,
     laurent_constant_oracle,
     mathieu_scan,
@@ -227,9 +227,8 @@ def test_jacobian_nilpotent_triangular():
     z2 = Polynomial.var(QQ, zv, "z2")
     z3 = Polynomial.var(QQ, zv, "z3")
     h = [z2 * z2, z3 * z3 * z3, Polynomial.zero(QQ, zv)]
-    assert jacobian_nilpotent(h, problem.z_names)
-    assert not jacobian_nilpotent([z2 * z2, z2 * z3, z3 * z3],
-                                  problem.z_names)
+    assert jacobian_matrix(h, problem.z_names).is_nilpotent()
+    assert not jacobian_matrix([z2 * z2, z2 * z3, z3 * z3], problem.z_names).is_nilpotent()
 
 
 

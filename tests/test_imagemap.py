@@ -9,7 +9,6 @@ import pytest
 from conftest import random_coeff, random_components, random_polynomial
 from mathieulab import imagemap
 from mathieulab.imagemap import (
-    DecompositionResult,
     ImageProblem,
     L_map,
     certify_imD,
@@ -93,9 +92,9 @@ def test_decompose_recompose_round_trip(rng):
     for problem in (P1, P2, ImageProblem(3, QQ), ImageProblem(2, QI)):
         for _ in range(25):
             f = random_polynomial(rng, problem.ring, problem.variables)
-            d = decompose(problem, f)
-            assert recompose(d) == f
-            for comp in d.components.values():
+            components = decompose(problem, f)
+            assert recompose(problem, components) == f
+            for comp in components.values():
                 for name in problem.zeta_names:
                     assert comp.partial(name).is_zero()
 
@@ -105,15 +104,14 @@ def test_decompose_uniqueness(rng):
     for problem in (P1, P2, ImageProblem(3, QQ), ImageProblem(2, QI), ImageProblem(3, QI)):
         for _ in range(25):
             components = random_components(rng, problem)
-            f = recompose(DecompositionResult(problem, components))
-            assert decompose(problem, f).components == components
+            f = recompose(problem, components)
+            assert decompose(problem, f) == components
 
 
 def test_zero_component_is_lmap(rng):
     for _ in range(40):
         f = random_polynomial(rng, QQ, P2.variables)
-        d = decompose(P2, f)
-        assert d.component((0, 0)) == L_map(P2, f)
+        assert decompose(P2, f).get((0, 0), P2.zero()) == L_map(P2, f)
 
 
 def _symbol_map_route(problem, f):
@@ -145,7 +143,7 @@ def test_closed_forms_match_the_symbol_map_route(rng):
             if case % 2:
                 f = f - L_map(problem, f)  # in the kernel of L, so in Im D
             components, witness = _symbol_map_route(problem, f)
-            assert {a: c.terms for a, c in decompose(problem, f).components.items()} == {
+            assert {a: c.terms for a, c in decompose(problem, f).items()} == {
                 a: c.terms for a, c in components.items()}
             cert = certify_imD(problem, f)
             if cert.status == "member":

@@ -1,6 +1,8 @@
 """Every name a library or test module imports is used in that module,
-every private module-level name of the library is read somewhere in it, and
-no library module imports `dataclasses`."""
+every private module-level name of the library is read somewhere in it,
+every public module-level function and class is read by the library or the
+benchmark (or is allowlisted below with its reason), and no library module
+imports `dataclasses`."""
 
 import ast
 from pathlib import Path
@@ -9,6 +11,16 @@ import mathieulab
 
 TESTS = Path(__file__).parent
 LIBRARY = sorted(Path(mathieulab.__file__).parent.glob("*.py"))
+BENCH = sorted((TESTS.parent / "bench").glob("*.py"))
+
+# public names that neither the library nor the benchmark reads, and why they stay
+READ_ONLY_BY_TESTS = {
+    "sufficient_membership": "criterion 8: the p-th power membership witness",
+    "frobenius_expansion_check": "criterion 11: the p-divisible power expansion",
+    "hankel_determinant": "criterion 10: the non-zero Hankel minors",
+    "log_derivative": "oracle for the operator route's factored recurrence",
+    "factorial_functional": "oracle for the monomial-count scan's integer loop",
+}
 
 
 def _unused_imports(path):
@@ -53,6 +65,20 @@ def test_no_unused_private_names():
               if defined.startswith("_") and not defined.startswith("__")
               and defined not in read]
     assert not unused
+
+
+def test_public_names_are_read_outside_tests():
+    """A wrapper that only tests call does not come back unnoticed."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in LIBRARY + BENCH]
+    read = {node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else node.name
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, (ast.Attribute, ast.alias))}
+    unread = {node.name for tree in trees[:len(LIBRARY)] for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in read}
+    assert unread == set(READ_ONLY_BY_TESTS)
 
 
 def _readers(tree, name):

@@ -576,7 +576,8 @@ def test_decompose_recompose_check_exits_2_under_optimize():
         if sys.flags.optimize != 1:
             sys.exit(3)
         honest = imagemap.recompose
-        imagemap.recompose = lambda d: honest(d) + d.problem.one()
+        imagemap.recompose = lambda problem, components: (
+            honest(problem, components) + problem.one())
         sys.exit(cli.main(["decompose", "w1*z1^2 - 3*z1", "--n", "1"]))
     """)
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
@@ -584,6 +585,51 @@ def test_decompose_recompose_check_exits_2_under_optimize():
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == "verification failure: decomposition did not recompose to the input\n"
+
+
+def test_descent_check_exits_2_under_optimize():
+    """Under python -O doubled derivatives make `charp crucial` exit 2."""
+    script = textwrap.dedent("""
+        import sys
+        from mathieulab import cli
+        from mathieulab.poly import Polynomial
+        if sys.flags.optimize != 1:
+            sys.exit(3)
+        honest = Polynomial.partial
+        Polynomial.partial = lambda self, name: honest(self, name).scale(2)
+        sys.exit(cli.main(["charp", "crucial", "2*w2*z1", "w2*z1^2", "0 - w1*z1^2",
+                           "--p", "3"]))
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "verification failure: descent identity failed to verify\n"
+
+
+def test_example12_check_exits_2_under_optimize():
+    """Under python -O a probe that refutes with the wrong monomial makes
+    `charp example12` exit 2."""
+    script = textwrap.dedent("""
+        import sys
+        from mathieulab import cli, harness
+        if sys.flags.optimize != 1:
+            sys.exit(3)
+        honest = harness.one_property_probe
+
+        def off_by_one(oracle, one, basis):
+            report = honest(oracle, one, basis)
+            report.refuting_element = basis[-1].to_str()
+            return report
+
+        harness.one_property_probe = off_by_one
+        sys.exit(cli.main(["charp", "example12", "--p", "3"]))
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "verification failure: the probe refuted with z^11, not z^2\n"
 
 
 def test_scan_violation_recheck_exits_2_under_optimize():

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from mathieulab.charp import CharPProblem
 from mathieulab.imagemap import ImageProblem
 from mathieulab.ortho import MomentFunctional, WeightSpec
 from mathieulab.poly import Grading, Polynomial, VariableSet
@@ -37,8 +36,6 @@ VALUES = {
                          MomentFunctional(JACOBI, (Fraction(1),)),
                          "MomentFunctional(spec=WeightSpec(family='jacobi', alpha=1, beta=2), "
                          "values=(Fraction(1, 1), Fraction(-1, 5)))"),
-    "CharPProblem": (lambda: CharPProblem(5, 2), CharPProblem(5, 1),
-                     "CharPProblem(p=5, n=2)"),
 }
 
 
@@ -113,8 +110,7 @@ def test_image_problem_caches_its_variables():
     (lambda: WeightSpec("jacobi", -1), "weight parameters must be non-negative integers"),
     (lambda: WeightSpec("hermite", 1), "hermite takes no parameters"),
     (lambda: WeightSpec("laguerre", 1, 1), "laguerre takes a single parameter alpha"),
-    (lambda: CharPProblem(4, 1), "4 is not prime"),
-    (lambda: CharPProblem(5, 0), "need at least one variable pair"),
+    (lambda: GF(4), "modulus 4 is not prime"),
 ])
 def test_constructor_checks(build, message):
     with pytest.raises(ValueError) as info:
