@@ -1,4 +1,4 @@
-"""Byte-identical CLI output for the kernel-map, char-p and Jacobian subcommands.
+"""Byte-identical CLI output for every subcommand.
 
 Every case runs `cli.main` in this process and compares the sha256 digests
 of its stdout and stderr, and its exit code, with `cli_corpus.json`.  The
@@ -8,7 +8,11 @@ takes `--n`, in json and text, plus one usage error each.  It also covers
 the four `charp` modes, `jacobian` and `lemma81`: `charp theorem51` with a
 premise that holds and one that fails, `charp crucial` with a valid witness
 and with each of its two usage errors, and `charp example12` at the default
-bound and at --bound p, 2p+1 and p-1.  Re-record with
+bound and at --bound p, 2p+1 and p-1.  Then `scan` with every oracle over
+`--ring q`, `qi` and `fp`; `ortho` for its four families and `moments` for
+its five, with `--alpha`/`--beta` where they apply; `powerscan` and
+`moments` in csv; `lmap`, `powerscan` and `jacobian` over `--ring fp`;
+`--help` at every level; and one line per usage-error class.  Re-record with
 
     PYTHONPATH=src python tests/test_cli_corpus.py
 
@@ -19,7 +23,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -72,6 +78,32 @@ _USAGE_ERRORS = [
     ("lmap", "--n", "1"),
     ("powerscan", "w2*z1", "--n", "1"),
 ]
+# per oracle: its flags, then f and the gs; one f per oracle holds its premise
+_SCANS = [
+    (("kerl", "--mmax", "4"), ("w1^2*z1", "z1^3", "w1")),
+    (("kerl", "--mmax", "4"), ("w1*z1^2", "z1")),
+    (("laurent", "--mmax", "4"), ("t", "t^-1", "t^-4")),
+    (("laurent", "--mmax", "4"), ("t - t^-1", "t^-1")),
+    (("trace", "--mmax", "4"), ("[0,1; 0,0]", "[1,0; 0,2]", "[0,0; 1,0]")),
+    (("moment:hermite", "--mmax", "1"), ("x", "x^2", "x^3")),
+    (("moment:laguerre", "--mmax", "1", "--alpha", "1"), ("x - 2", "x")),
+    (("moment:jacobi", "--mmax", "1", "--alpha", "1", "--beta", "2"), ("5*x - 1", "x^2")),
+    (("moment:legendre", "--mmax", "1"), ("x", "x^2")),
+    (("moment:uniform01", "--mmax", "1"), ("x - 1/2", "x")),
+    (("moment:hermite", "--mmax", "3"), ("x", "x^2")),
+]
+_FP = ("--ring", "fp", "--p", "11")
+_WEIGHTS = [("hermite",), ("laguerre",), ("laguerre", "--alpha", "2"), ("jacobi",),
+            ("jacobi", "--alpha", "1", "--beta", "2"), ("legendre",)]
+_USAGE_CLASSES = [
+    ("lmap", "w1*z1", "--bogus"),  # unknown flag
+    ("powerscan", "w1*z1", "--mm", "3"),  # abbreviated flag
+    ("powerscan", "w1*z1", "--mmax", "x"),  # bad integer
+    ("lmap", "w1*z1", "--ring", "fp", "--p", "4"),  # non-prime --p
+    ("lmap", "w1*z1", "--ring", "fp"),  # --ring fp without --p
+    ("lmap", "--file", "no-such-dir/inputs.txt"),  # unreadable --file
+    ("charp", "theorem51", "w1*z1", "--p", "3"),  # wrong input count
+]
 
 
 def _cases():
@@ -103,6 +135,33 @@ def _cases():
         for args in _LEMMA81:
             yield ("lemma81",) + args + tail
     yield from _USAGE_ERRORS
+    for fmt in ("json", "text"):
+        tail = ("--format", fmt)
+        for (oracle, *flags), texts in _SCANS:
+            for ring in (("--ring", "q"), ("--ring", "qi"), _FP):
+                yield ("scan", "--oracle", oracle) + texts + tuple(flags) + ring + tail
+        for weight in _WEIGHTS:
+            yield ("ortho", "--family") + weight + ("--dmax", "4") + tail
+        for n in (1, 2, 3):
+            texts = _INPUTS["q", n]
+            yield ("lmap",) + texts + _FP + ("--n", str(n)) + tail
+            yield ("powerscan", texts[1], "--mmax", "4") + _FP + ("--n", str(n)) + tail
+        for texts in _JACOBIAN:
+            yield ("jacobian",) + texts + _FP + ("--n", "2") + tail
+    for fmt in ("json", "csv", "text"):
+        for weight in _WEIGHTS[:3] + _WEIGHTS[4:] + [("uniform01",)]:
+            yield ("moments", "--family") + weight + ("--nmax", "5", "--format", fmt)
+    for (ring, n), texts in _INPUTS.items():
+        yield ("powerscan", texts[1], "--mmax", "4", "--ring", ring, "--n", str(n),
+               "--format", "csv")
+    yield ("powerscan", _INPUTS["q", 2][1], "--mmax", "4") + _FP + ("--n", "2", "--format", "csv")
+    yield ("--help",)
+    for name, entry in cli._COMMANDS.items():
+        yield (name, "--help")
+        if isinstance(entry, dict):
+            for mode in entry:
+                yield (name, mode, "--help")
+    yield from _USAGE_CLASSES
 
 
 CASES = [list(argv) for argv in _cases()]
@@ -113,10 +172,17 @@ def _digest(text: str) -> str:
 
 
 def run(argv) -> dict:
-    """The digests of one in-process `cli.main` call's stdout and stderr, and its exit code."""
+    """The digests of one in-process `cli.main` call's stdout and stderr, and its exit code.
+
+    `--help` exits through `SystemExit`; its pages are wrapped at a fixed width.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return {"stdout": _digest(out.getvalue()), "stderr": _digest(err.getvalue()), "exit": code}
 
 
