@@ -10,24 +10,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GF",
-    "Grading",
-    "ImageProblem",
-    "L_map",
-    "Polynomial",
-    "QI",
-    "QQ",
-    "RingDescriptor",
-    "VariableSet",
-    "VerificationError",
-    "certify_imD",
-    "decompose",
-    "power_scan",
-    "recompose",
-    "__version__",
-]
-
 # each exported name -> the module that defines it
 _HOMES = {
     "ImageProblem": "imagemap", "L_map": "imagemap", "certify_imD": "imagemap",
@@ -36,6 +18,8 @@ _HOMES = {
     "VerificationError": "poly",
     "GF": "rings", "QI": "rings", "QQ": "rings", "RingDescriptor": "rings",
 }
+
+__all__ = sorted(_HOMES) + ["__version__"]
 
 
 def __getattr__(name):

@@ -4,10 +4,13 @@ vanishing-conjecture bridge, and the Jacobian matrix (`jacobian_matrix`,
 whose `is_nilpotent` is the nilpotency test).
 
 A bounded scan never proves anything; its verdicts are "premise_failed",
-"consistent" (up to m_max), or a concrete re-checkable violation witness.
-The kernel, constant-term and moment oracles scan through the integer power
-loop (`poly._int_powers`), the trace oracle by multiplying matrices out; a
-reported violation is multiplied out and re-checked with `member`.
+"consistent" (up to m_max), or a concrete re-checkable violation witness,
+and each g's result is built as the dict the report prints.  The kernel,
+constant-term and moment oracles scan through the integer power loop
+(`poly._int_powers`), the trace oracle by multiplying matrices out; a
+reported violation is multiplied out and re-checked with `member`.  The
+bridge (`gvc_scan`) reads a constant-coefficient operator's d-symbol and
+powers it as a `Polynomial`.
 """
 
 from __future__ import annotations
@@ -39,13 +42,6 @@ class SubspaceOracle:
             yield self(power), lambda power=power: [self(g * power) for g in gs]
 
 
-class GResult:
-    def __init__(self, g_text: str, stabilization_index: int = None, violation: dict = None):
-        self.g_text = g_text
-        self.stabilization_index = stabilization_index
-        self.violation = violation
-
-
 class ScanReport:
     def __init__(self, oracle: str, f_text: str, m_max: int, premise_held_through: int,
                  g_results: list, verdict: str):
@@ -53,7 +49,7 @@ class ScanReport:
         self.f_text = f_text
         self.m_max = m_max
         self.premise_held_through = premise_held_through
-        self.g_results = g_results
+        self.g_results = g_results  # per g: {"g", then "stabilization_index" or "violation"}
         self.verdict = verdict  # premise_failed | consistent | violation_witness
 
     def __eq__(self, other):
@@ -63,22 +59,14 @@ class ScanReport:
         return self.as_report() == other.as_report()
 
     def as_report(self) -> dict:
-        out = {
+        return {
             "oracle": self.oracle,
             "f": self.f_text,
             "m_max": self.m_max,
             "premise_held_through": self.premise_held_through,
-            "g_results": [],
+            "g_results": self.g_results,
             "verdict": self.verdict,
         }
-        for g in self.g_results:
-            entry = {"g": g.g_text}
-            if g.violation is not None:
-                entry["violation"] = g.violation
-            else:
-                entry["stabilization_index"] = g.stabilization_index
-            out["g_results"].append(entry)
-        return out
 
 
 def _text(x) -> str:
@@ -106,16 +94,16 @@ def mathieu_scan(oracle: SubspaceOracle, f, gs, m_max: int = 24) -> ScanReport:
     for g, column in zip(gs, zip(*(row() for row in rows))):
         misses = [m for m, member in enumerate(column, start=1) if not member]
         if not misses:
-            g_results.append(GResult(_text(g), stabilization_index=1))
+            g_results.append({"g": _text(g), "stabilization_index": 1})
         elif misses[-1] == m_max:
             m = misses[0]
             element = g * f ** m
             if oracle(element) or m < m_max and oracle(g * f ** m_max):
                 raise VerificationError(f"{oracle.name} scan reported a member as a miss")
-            g_results.append(GResult(_text(g), violation={"m": m, "element": _text(element)}))
+            g_results.append({"g": _text(g), "violation": {"m": m, "element": _text(element)}})
             verdict = "violation_witness"
         else:
-            g_results.append(GResult(_text(g), stabilization_index=misses[-1] + 1))
+            g_results.append({"g": _text(g), "stabilization_index": misses[-1] + 1})
     return ScanReport(oracle.name, _text(f), m_max, premise_through, g_results, verdict)
 
 
@@ -277,21 +265,20 @@ def gvc_scan(operator: WeylElement, p_poly: Polynomial, q_poly: Polynomial,
              m_max: int, problem: ImageProblem) -> GvcReport:
     """Exact scan of operator^m(P^m) and operator^m(Q P^m).
 
-    The operator sum c d^b is read once as its symbol s = sum c w^b in the
-    problem's variables; operator^m has symbol s^m, a `Polynomial` power,
-    and acts term by term through the derivative rule (`_apply_symbol`).
-    Both sequences are cross-checked against the kernel-map route through
-    f = s * P, term by term.
+    The operator's d-symbol sum c d^b is read once as s = sum c w^b in the
+    problem's variables, over the symbol's own ring; operator^m has symbol
+    s^m, a `Polynomial` power, and acts term by term through the derivative
+    rule (`_apply_symbol`).  Both sequences are cross-checked against the
+    kernel-map route through f = s * P, term by term.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    if any(a != (0,) * len(a) for (a, _b) in operator.terms):
-        raise ValueError("scan requires a constant-coefficient operator")
-    symbol = Polynomial(operator.ring, problem.variables,
-                        {b + (0,) * problem.n: c for (_a, b), c in operator.terms.items()})
+    ring = operator.symbol.ring
+    symbol = Polynomial(ring, problem.variables,
+                        {b + (0,) * problem.n: c for b, c in operator.symbol.terms.items()})
     premise, shifted = [], []
     premise_through = 0
-    s_power = Polynomial.one(operator.ring, problem.variables)
+    s_power = Polynomial.one(ring, problem.variables)
     p_power = Polynomial.one(p_poly.ring, p_poly.variables)
     for m in range(1, m_max + 1):
         s_power = s_power * symbol

@@ -254,25 +254,6 @@ def factorial_functional(f: Polynomial):
     return total
 
 
-def to_u_polynomial(problem: ImageProblem, f: Polynomial,
-                    u_vars: VariableSet = None) -> Polynomial:
-    """Rewrite a polynomial in the monomials (w_i z_i)^k as a u-polynomial.
-
-    Fails when some term is not of the balanced shape w^a z^a.
-    """
-    problem.check(f)
-    n = problem.n
-    if u_vars is None:
-        u_vars = VariableSet(tuple(f"u{i}" for i in range(1, n + 1)))
-    terms = {}
-    for exps, c in f.terms.items():
-        a, b = exps[:n], exps[n:]
-        if a != b:
-            raise ValueError("polynomial is not supported on the diagonal monomials w_i z_i")
-        terms[a] = c
-    return Polynomial(f.ring, u_vars, terms)
-
-
 class MonomialCountScan:
     def __init__(self, monomials: int, first_nonzero: int, within_monomial_count: bool,
                  values: list):
@@ -321,8 +302,10 @@ def ic1_pipeline(problem: ImageProblem, f: Polynomial, m_max: int = 12) -> dict:
     """Composite one-pair demonstration: grade, shift by w^r, reduce to u, scan.
 
     Mirrors the degree argument that settles the one-pair case: a polynomial
-    with top grade r >= 0 is multiplied by w^r, its grade-zero part becomes a
-    u-polynomial, and the monomial-count scan exhibits a nonvanishing power.
+    with top grade r >= 0 is multiplied by w^r, and its grade-zero part, read
+    as a u-polynomial, goes to the monomial-count scan, which exhibits a
+    nonvanishing power.  That part is read off f itself: the terms
+    c w^a z^b of grade b - a = r become c (w z)^b = c u^b.
     """
     if problem.n != 1:
         raise ValueError("pipeline is specific to one variable pair")
@@ -335,9 +318,8 @@ def ic1_pipeline(problem: ImageProblem, f: Polynomial, m_max: int = 12) -> dict:
         report["power_scan"] = scan.as_report()
         return report
     r = int(deg)
-    g = (problem.zeta(1) ** r) * f
-    g0 = g.homogeneous_components(problem.deg_grading()).get(0, problem.zero())
-    u_poly = to_u_polynomial(problem, g0)
+    u_poly = Polynomial(problem.ring, VariableSet(("u1",)),
+                        {(b,): c for (a, b), c in f.terms.items() if b - a == r})
     scan = monomial_count_scan(u_poly)
     report["branch"] = "shifted_to_diagonal"
     report["shift_power"] = r

@@ -4,10 +4,10 @@ Terms are keyed by dense exponent tuples aligned with the declared variable
 order, so two equal polynomials always have identical representations.
 Canonical printing uses graded lexicographic order, highest first.
 
-The `Polynomial` and `WeylElement` constructors sum (key, coefficient) pairs
-with `_sum_terms`: sums, products, derivatives, the kernel map, the
-t-operators and the image map's closed forms pass their pairs straight in,
-and a key whose coefficients cancel is dropped.  Every sequence L(g * f^m), m = 1..m_max,
+The `Polynomial` constructor sums (key, coefficient) pairs with
+`_sum_terms`, its only reader: sums, products, derivatives, the kernel map,
+the t-operators and the image map's closed forms pass their pairs straight
+in, and a key whose coefficients cancel is dropped.  Every sequence L(g * f^m), m = 1..m_max,
 takes the other route, the integer power loop: `_int_powers` puts f over one
 common denominator d once and multiplies integer numerators (an `int` over Q,
 an `(re, im)` pair over Q(i), a residue over F_p), and `_decode_terms` sums

@@ -149,12 +149,12 @@ def test_criterion_05_operator_bridge():
             order = rng.randint(1, 3)
             homogeneous = case % 2 == 0
             if homogeneous:
-                op_terms = {((0,), (order,)): QQ.from_int(rng.choice([1, 2, -1]))}
+                op_terms = {(order,): QQ.from_int(rng.choice([1, 2, -1]))}
             else:
-                op_terms = {((0,), (b,)): QQ.from_int(rng.randint(-3, 3))
-                            for b in range(order + 1)}
-                op_terms[((0,), (order,))] = QQ.from_int(rng.choice([1, 2, -1]))
-            operator = WeylElement(QQ, problem.z_names, op_terms)
+                op_terms = {(b,): QQ.from_int(rng.randint(-3, 3)) for b in range(order + 1)}
+                op_terms[(order,)] = QQ.from_int(rng.choice([1, 2, -1]))
+            operator = WeylElement.constant_coefficient(
+                Polynomial(QQ, VariableSet(("d1",)), op_terms), problem.z_names)
             p_poly = random_polynomial(rng, QQ, zv, max_degree=3, max_terms=3)
             q_poly = random_polynomial(rng, QQ, zv, max_degree=3, max_terms=3)
             # the cross-check inside gvc_scan raises on any route disagreement

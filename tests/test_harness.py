@@ -25,7 +25,7 @@ from mathieulab.ortho import X_VARS, MomentFunctional, WeightSpec, moments
 from mathieulab.poly import Polynomial, VariableSet, VerificationError
 from mathieulab.rings import GF, QI, QQ, GaussianRational
 from mathieulab.weyl import WeylElement
-from weyl_algebra import apply, compose
+from weyl_algebra import apply, compose, lift
 
 T_VARS = VariableSet(("t",), laurent=frozenset(("t",)))
 TU_VARS = VariableSet(("t", "u"), laurent=frozenset(("t", "u")))
@@ -33,6 +33,13 @@ TU_VARS = VariableSet(("t", "u"), laurent=frozenset(("t", "u")))
 
 def _laurent(terms):
     return Polynomial(QQ, T_VARS, {(k,): QQ.from_int(c) for k, c in terms.items()})
+
+
+def _operator(problem, terms):
+    """The constant-coefficient operator sum c d^b, from its d-symbol's terms {b: c}."""
+    d_vars = VariableSet(tuple(f"d{i}" for i in range(1, problem.n + 1)))
+    return WeylElement.constant_coefficient(Polynomial(problem.ring, d_vars, terms),
+                                            problem.z_names)
 
 
 def test_mathieu_scan_consistent():
@@ -43,7 +50,7 @@ def test_mathieu_scan_consistent():
     assert report.verdict == "consistent"
     assert report.premise_held_through == 6
     # g f^m has a constant term exactly at m = 2
-    assert report.g_results[0].stabilization_index == 3
+    assert report.g_results[0]["stabilization_index"] == 3
 
 
 def test_mathieu_scan_premise_failed():
@@ -60,7 +67,7 @@ def test_mathieu_scan_violation_witness():
     g = _laurent({-6: 1})  # misses at the scan boundary m = 6
     report = mathieu_scan(oracle, f, [g], m_max=6)
     assert report.verdict == "violation_witness"
-    violation = report.g_results[0].violation
+    violation = report.g_results[0]["violation"]
     assert violation["m"] == 6
     out = report.as_report()
     assert out["verdict"] == "violation_witness"
@@ -131,7 +138,7 @@ def test_kerl_oracle(rng):
 def test_gvc_scan_with_crosscheck():
     problem = ImageProblem(1, QQ)
     zv = VariableSet(problem.z_names)
-    lap = WeylElement(QQ, problem.z_names, {((0,), (2,)): QQ.one()})
+    lap = _operator(problem, {(2,): QQ.one()})
     p_poly = Polynomial.var(QQ, zv, "z1")
     q_poly = Polynomial.var(QQ, zv, "z1", 3)
     report = gvc_scan(lap, p_poly, q_poly, 6, problem=problem)
@@ -147,8 +154,7 @@ def test_gvc_crosscheck_refuses_a_wrong_operator_value(monkeypatch, wrong_call):
     """One derivative-route value off by 1 (calls alternate premise m, shifted m; m_max = 6)."""
     problem = ImageProblem(2, QQ)
     zv = VariableSet(problem.z_names)
-    op = WeylElement(QQ, problem.z_names, {((0, 0), (2, 0)): QQ.one(),
-                                           ((0, 0), (0, 1)): QQ.from_int(3)})
+    op = _operator(problem, {(2, 0): QQ.one(), (0, 1): QQ.from_int(3)})
     z1, z2 = (Polynomial.var(QQ, zv, name) for name in problem.z_names)
     p_poly, q_poly = z1 + z2 * z2.scale(Fraction(1, 2)), z1 * z2
     gvc_scan(op, p_poly, q_poly, 6, problem=problem)  # the honest values pass
@@ -171,31 +177,22 @@ def test_gvc_values_match_the_normal_ordered_powers(rng):
     for problem in (ImageProblem(1, QQ), ImageProblem(2, QI)):
         n, zv = problem.n, VariableSet(problem.z_names)
         for _ in range(6):
-            op = WeylElement(problem.ring, problem.z_names, {
-                ((0,) * n, tuple(rng.randint(0, 2) for _ in range(n))):
-                random_coeff(rng, problem.ring) for _ in range(3)})
+            op = _operator(problem, {tuple(rng.randint(0, 2) for _ in range(n)):
+                                     random_coeff(rng, problem.ring) for _ in range(3)})
             p_poly, q_poly = (random_polynomial(rng, problem.ring, zv, max_degree=2, max_terms=3)
                               for _ in range(2))
             report = gvc_scan(op, p_poly, q_poly, 4, problem=problem)
-            power = op
+            power = general = lift(op)
             for m in range(1, 5):
                 assert report.premise_values[m - 1] == apply(power, p_poly ** m)
                 assert report.shifted_values[m - 1] == apply(power, q_poly * p_poly ** m)
-                power = compose(power, op)
-
-
-def test_gvc_requires_constant_coefficients():
-    problem = ImageProblem(1, QQ)
-    zv = VariableSet(problem.z_names)
-    z_op = WeylElement(QQ, problem.z_names, {((1,), (0,)): QQ.one()})  # multiplication by z1
-    with pytest.raises(ValueError):
-        gvc_scan(z_op, Polynomial.one(QQ, zv), Polynomial.one(QQ, zv), 3, problem=problem)
+                power = compose(power, general)
 
 
 def test_gvc_rejects_empty_scan():
     problem = ImageProblem(1, QQ)
     zv = VariableSet(problem.z_names)
-    lap = WeylElement(QQ, problem.z_names, {((0,), (2,)): QQ.one()})
+    lap = _operator(problem, {(2,): QQ.one()})
     one = Polynomial.one(QQ, zv)
     for m_max in (0, -5):
         with pytest.raises(ValueError, match="m_max must be at least 1"):
@@ -206,7 +203,7 @@ def test_gvc_one_dim_stabilization_bound(rng):
     """Observed stabilization never exceeds the first m with 2m > deg(Q P^m)."""
     problem = ImageProblem(1, QQ)
     zv = VariableSet(problem.z_names)
-    op = WeylElement(QQ, problem.z_names, {((0,), (2,)): QQ.one()})
+    op = _operator(problem, {(2,): QQ.one()})
     for _ in range(10):
         p_poly = random_polynomial(rng, QQ, zv, max_degree=1, max_terms=2)
         q_poly = random_polynomial(rng, QQ, zv, max_degree=3, max_terms=2)

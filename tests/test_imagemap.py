@@ -19,12 +19,10 @@ from mathieulab.imagemap import (
     power_scan,
     recompose,
     t_apply,
-    to_u_polynomial,
 )
 from mathieulab.poly import Polynomial, VariableSet, VerificationError, _decode_terms, _int_powers
 from mathieulab.rings import GF, QI, QQ, GaussianRational
-from mathieulab.weyl import WeylElement
-from weyl_algebra import from_left_symbol, left_symbol
+from weyl_algebra import Element, from_left_symbol, left_symbol
 
 P1 = ImageProblem(1, QQ)
 P2 = ImageProblem(2, QQ)
@@ -128,7 +126,7 @@ def _symbol_map_route(problem, f):
         if any(a):
             i = next(j for j, e in enumerate(a) if e)
             parts[i][(b, a[:i] + (a[i] - 1,) + a[i + 1:])] = -c
-    witness = [left_symbol(WeylElement(problem.ring, problem.z_names, terms), problem.variables)
+    witness = [left_symbol(Element(problem.ring, problem.z_names, terms), problem.variables)
                for terms in parts]
     return {a: Polynomial(problem.ring, problem.variables, terms)
             for a, terms in components.items()}, witness
@@ -400,15 +398,6 @@ def test_factorial_functional_matches_lmap(rng):
             QQ, P2.variables, factorial_functional(f))
 
 
-def test_u_round_trip(rng):
-    u2 = VariableSet(("u1", "u2"))
-    for _ in range(20):
-        f = random_polynomial(rng, QQ, u2, max_degree=3)
-        assert to_u_polynomial(P2, _pair_polynomial(f), u2) == f
-    with pytest.raises(ValueError):
-        to_u_polynomial(P2, P2.zeta(1))
-
-
 def test_monomial_count_scan_examples():
     u1 = VariableSet(("u",))
     u = Polynomial.var(QQ, u1, "u")
@@ -425,6 +414,29 @@ def test_monomial_count_scan_examples():
         monomial_count_scan(Polynomial.zero(QQ, u1))
     with pytest.raises(ValueError):
         monomial_count_scan(u - one, bound=1)
+
+
+def test_ic1_diagonal_part_matches_the_shifted_grade_zero_part():
+    """The shifted branch's diagonal part and count scan equal the route the
+    one-pair argument spells out: w^r * f, its grade-0 component, rewritten in u1."""
+    rng = random.Random(7301)
+    u1 = VariableSet(("u1",))
+    shifted = 0
+    for case in range(700):
+        problem = ImageProblem(1, (QQ, QI)[case % 2])
+        f = random_polynomial(rng, problem.ring, problem.variables, max_degree=4, max_terms=4)
+        report = ic1_pipeline(problem, f, 6)
+        if report["branch"] != "shifted_to_diagonal":
+            continue
+        shifted += 1
+        r = report["shift_power"]
+        g = problem.zeta(1) ** r * f
+        g0 = g.homogeneous_components(problem.deg_grading()).get(0, problem.zero())
+        assert all(a == b for a, b in g0.terms)
+        u_poly = Polynomial(problem.ring, u1, {(b,): c for (_a, b), c in g0.terms.items()})
+        assert report["diagonal_part"] == u_poly.to_str()
+        assert report["count_scan"] == monomial_count_scan(u_poly).as_report()
+    assert shifted >= 500
 
 
 def test_ic1_pipeline_branches():

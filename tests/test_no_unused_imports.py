@@ -102,7 +102,7 @@ def test_terms_summed_only_by_constructors():
     # every other map hands its (key, coeff) pairs to a constructor, which sums them once
     readers = set().union(*(_readers(ast.parse(path.read_text(), filename=str(path)), "_sum_terms")
                             for path in LIBRARY))
-    assert readers == {"Polynomial.__init__", "WeylElement.__init__"}
+    assert readers == {"Polynomial.__init__"}
 
 
 def test_packed_key_encoding_stays_in_poly():

@@ -12,8 +12,7 @@ from mathieulab import ortho
 from mathieulab.imagemap import ImageProblem, L_map
 from mathieulab.poly import VariableSet
 from mathieulab.rings import QQ
-from mathieulab.weyl import WeylElement
-from weyl_algebra import apply, compose, from_left_symbol, left_normal_terms
+from weyl_algebra import Element, apply, compose, from_left_symbol, left_normal_terms
 
 sympy = pytest.importorskip("sympy")
 
@@ -55,7 +54,7 @@ def random_weyl(rng, max_exp=3, max_terms=4):
         a = (rng.randint(0, max_exp), rng.randint(0, max_exp))
         b = (rng.randint(0, max_exp), rng.randint(0, max_exp))
         terms[(a, b)] = QQ.from_int(rng.randint(-5, 5))
-    return WeylElement(QQ, P2.z_names, terms)
+    return Element(QQ, P2.z_names, terms)
 
 
 def same(lhs, rhs):

@@ -11,9 +11,10 @@ from mathieulab.imagemap import ImageProblem
 from mathieulab.ortho import MomentFunctional, WeightSpec
 from mathieulab.poly import Grading, Polynomial, VariableSet
 from mathieulab.rings import GF, QI, QQ, GaussianRational, PrimeFieldElement, RingDescriptor
-from weyl_algebra import d_var
+from mathieulab.weyl import WeylElement
 
 JACOBI = WeightSpec("jacobi", 1, 2)
+D1 = VariableSet(("d1",))
 
 # (make an equal value afresh, a value differing in one field, its repr)
 VALUES = {
@@ -36,6 +37,9 @@ VALUES = {
                          MomentFunctional(JACOBI, (Fraction(1),)),
                          "MomentFunctional(spec=WeightSpec(family='jacobi', alpha=1, beta=2), "
                          "values=(Fraction(1, 1), Fraction(-1, 5)))"),
+    "WeylElement": (lambda: WeylElement(Polynomial.var(QQ, D1, "d1", 2), ("z1",)),
+                    WeylElement(Polynomial.var(QQ, D1, "d1", 2), ("z2",)),
+                    "WeylElement(symbol=<Polynomial d1^2>, z_names=('z1',))"),
 }
 
 
@@ -79,9 +83,10 @@ def test_values_copy_and_pickle(name):
 
 def test_polynomials_copy_and_pickle():
     f = Polynomial(QI, VariableSet(("t",), laurent={"t"}), {(-1,): QI.imaginary_unit()})
-    for value in (f, d_var(GF(7), ("z1",), 1)):
+    op = WeylElement.constant_coefficient(Polynomial.var(GF(7), D1, "d1", 3), ("z1",))
+    for value, terms in ((f, lambda v: v.terms), (op, lambda v: v.symbol.terms)):
         for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-            assert twin == value and twin.terms is not value.terms
+            assert twin == value and terms(twin) is not terms(value)
 
 
 def test_ring_elements_never_equal_bare_numbers():
@@ -111,6 +116,8 @@ def test_image_problem_caches_its_variables():
     (lambda: WeightSpec("hermite", 1), "hermite takes no parameters"),
     (lambda: WeightSpec("laguerre", 1, 1), "laguerre takes a single parameter alpha"),
     (lambda: GF(4), "modulus 4 is not prime"),
+    (lambda: WeylElement(Polynomial.var(QQ, D1, "d1"), ("z1", "z2")),
+     "d-symbol count must match the z-variable count"),
 ])
 def test_constructor_checks(build, message):
     with pytest.raises(ValueError) as info:

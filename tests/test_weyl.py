@@ -1,5 +1,5 @@
 """The test-side Weyl oracle (`weyl_algebra`): normal ordering, operator action,
-the left-symbol bijection and the right-symbol map, and the `WeylElement`
+the left-symbol bijection and the right-symbol map, and the general `Element`
 constructor it builds on."""
 
 import pytest
@@ -7,8 +7,8 @@ import pytest
 from conftest import random_polynomial
 from mathieulab.poly import Polynomial, VariableSet
 from mathieulab.rings import GF, QQ
-from mathieulab.weyl import WeylElement
 from weyl_algebra import (
+    Element,
     apply,
     compose,
     d_var,
@@ -33,7 +33,7 @@ def random_weyl(rng, ring, z_names, max_exp=3, max_terms=4):
         a = tuple(rng.randint(0, max_exp) for _ in range(n))
         b = tuple(rng.randint(0, max_exp) for _ in range(n))
         terms[(a, b)] = ring.from_int(rng.randint(-4, 4))
-    return WeylElement(ring, z_names, terms)
+    return Element(ring, z_names, terms)
 
 
 def test_canonical_commutator():
@@ -46,7 +46,7 @@ def test_canonical_commutator():
 
 def test_apply_single_term():
     # (z d^2)(z^3) = z * 6z = 6 z^2
-    op = WeylElement(QQ, ("z1",), {((1,), (2,)): QQ.one()})
+    op = Element(QQ, ("z1",), {((1,), (2,)): QQ.one()})
     f = Polynomial.var(QQ, VariableSet(("z1",)), "z1", 3)
     assert apply(op, f) == Polynomial.var(QQ, VariableSet(("z1",)), "z1", 2).scale(6)
 
@@ -98,12 +98,12 @@ def test_pairs_are_summed_and_checked_like_a_dict():
     dz2 = ((0, 0), (0, 2))
     pairs = [(z, QQ.from_int(2)), (dz2, QQ.one()), (z, QQ.from_int(-1)),
              (dz2, QQ.from_int(-1)), (((0, 1), (1, 0)), QQ.zero())]
-    w = WeylElement(QQ, Z2, iter(pairs))
+    w = Element(QQ, Z2, iter(pairs))
     assert w == z_var(QQ, Z2, 1)
     assert w.terms == {z: QQ.one()}
     for key in (((-1, 0), (0, 0)), ((0, 0), (0, -1)), ((1,), (0, 0)), ((0, 0), (1, 0, 0))):
         with pytest.raises(ValueError):
-            WeylElement(QQ, Z2, ((k, QQ.one()) for k in [z, key]))
+            Element(QQ, Z2, ((k, QQ.one()) for k in [z, key]))
 
 
 def test_apply_variable_mismatch():

@@ -1,6 +1,8 @@
-"""Weyl-algebra normal ordering over `mathieulab.weyl.WeylElement`, as a test oracle.
+"""The general Weyl-algebra element and its normal ordering, as a test oracle.
 
-Reordering uses the closed-form rewrite
+The library's `mathieulab.weyl.WeylElement` holds only a constant-coefficient
+operator, as its d-symbol; `Element` here is the general sum c z^a d^b, and
+`lift` turns the one into the other.  Reordering uses the closed-form rewrite
 
     d^b z^a = sum_k  C(b,k) C(a,k) k!  z^(a-k) d^(b-k)
 
@@ -18,7 +20,37 @@ from math import comb, factorial, perm, prod
 from operator import add, sub
 
 from mathieulab.poly import Polynomial, VariableSet, _sum_terms
-from mathieulab.weyl import WeylElement
+from mathieulab.rings import Immutable
+
+
+class Element(Immutable):
+    """Element of A_n acting on polynomials in the given z-variables.
+
+    `terms` maps the exponent pair (a, b) of z^a d^b (right-normal order) to
+    its coefficient.
+    """
+
+    __slots__ = __match_args__ = ("ring", "z_names", "terms")
+
+    def __init__(self, ring, z_names, terms=()):
+        """`terms`: a dict {(a, b): coeff} for z^a d^b or such pairs; summed, then checked."""
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "z_names", tuple(z_names))
+        terms = _sum_terms(terms.items() if isinstance(terms, dict) else terms)
+        n = len(self.z_names)
+        for a, b in terms:
+            if len(a) != n or len(b) != n:
+                raise ValueError("exponent tuple length mismatch")
+            if any(e < 0 for e in chain(a, b)):
+                raise ValueError("negative exponents in a Weyl element")
+        object.__setattr__(self, "terms", terms)
+
+
+def lift(operator) -> Element:
+    """The general element sum c d^b of a library `WeylElement` with d-symbol sum c d^b."""
+    n = len(operator.z_names)
+    return Element(operator.symbol.ring, operator.z_names,
+                   {((0,) * n, b): c for b, c in operator.symbol.terms.items()})
 
 
 def reorder(b, a):
@@ -32,21 +64,21 @@ def reorder(b, a):
 
 def one(ring, z_names):
     n = len(z_names)
-    return WeylElement(ring, z_names, {((0,) * n, (0,) * n): ring.one()})
+    return Element(ring, z_names, {((0,) * n, (0,) * n): ring.one()})
 
 
 def z_var(ring, z_names, i: int):
     """Multiplication by z_i (1-based index)."""
     n = len(z_names)
     a = tuple(1 if j == i - 1 else 0 for j in range(n))
-    return WeylElement(ring, z_names, {(a, (0,) * n): ring.one()})
+    return Element(ring, z_names, {(a, (0,) * n): ring.one()})
 
 
 def d_var(ring, z_names, i: int):
     """The derivation d/dz_i (1-based index)."""
     n = len(z_names)
     b = tuple(1 if j == i - 1 else 0 for j in range(n))
-    return WeylElement(ring, z_names, {((0,) * n, b): ring.one()})
+    return Element(ring, z_names, {((0,) * n, b): ring.one()})
 
 
 # -- arithmetic --------------------------------------------------------
@@ -58,11 +90,11 @@ def _compat(u, v):
 
 def plus(u, v):
     _compat(u, v)
-    return WeylElement(u.ring, u.z_names, chain(u.terms.items(), v.terms.items()))
+    return Element(u.ring, u.z_names, chain(u.terms.items(), v.terms.items()))
 
 
 def neg(u):
-    return WeylElement(u.ring, u.z_names, {k: -c for k, c in u.terms.items()})
+    return Element(u.ring, u.z_names, {k: -c for k, c in u.terms.items()})
 
 
 def minus(u, v):
@@ -86,7 +118,7 @@ def compose(u, v):
     """Normal-ordered product: u acts after v."""
     _compat(u, v)
     from_int = u.ring.from_int
-    return WeylElement(u.ring, u.z_names, (
+    return Element(u.ring, u.z_names, (
         ((tuple(map(sub, map(add, a1, a2), k)), tuple(map(sub, map(add, b1, b2), k))),
          c1 * c2 * from_int(scale))
         for (a1, b1), c1 in u.terms.items() for (a2, b2), c2 in v.terms.items()
@@ -115,12 +147,12 @@ def left_symbol(w, symbol_vars: VariableSet) -> Polynomial:
                       ((b + a, c) for (b, a), c in left_normal_terms(w).items()))
 
 
-def from_left_symbol(p: Polynomial, z_names) -> WeylElement:
+def from_left_symbol(p: Polynomial, z_names) -> Element:
     """Inverse of `left_symbol`: zeta^a z^b becomes the operator d^a z^b."""
     n = len(z_names)
     _check_symbol_vars(p.variables, n)
     from_int = p.ring.from_int
-    return WeylElement(p.ring, z_names, (
+    return Element(p.ring, z_names, (
         ((tuple(map(sub, exps[n:], k)), tuple(map(sub, exps[:n], k))), c * from_int(scale))
         for exps, c in p.terms.items() for k, scale in reorder(exps[:n], exps[n:])))
 
