@@ -11,8 +11,9 @@ and with each of its two usage errors, and `charp example12` at the default
 bound and at --bound p, 2p+1 and p-1.  Then `scan` with every oracle over
 `--ring q`, `qi` and `fp`; `ortho` for its four families and `moments` for
 its five, with `--alpha`/`--beta` where they apply; `powerscan` and
-`moments` in csv; `lmap`, `powerscan` and `jacobian` over `--ring fp`;
-`--help` at every level; and one line per usage-error class.  Re-record with
+`moments` in csv; `lmap` and `powerscan` over `--ring fp` and `jacobian`
+over `qi` and `fp`; `--help` at every level; and one line per usage-error
+class.  Re-record with
 
     PYTHONPATH=src python tests/test_cli_corpus.py
 
@@ -147,7 +148,8 @@ def _cases():
             yield ("lmap",) + texts + _FP + ("--n", str(n)) + tail
             yield ("powerscan", texts[1], "--mmax", "4") + _FP + ("--n", str(n)) + tail
         for texts in _JACOBIAN:
-            yield ("jacobian",) + texts + _FP + ("--n", "2") + tail
+            for ring in (("--ring", "qi"), _FP):
+                yield ("jacobian",) + texts + ring + ("--n", "2") + tail
     for fmt in ("json", "csv", "text"):
         for weight in _WEIGHTS[:3] + _WEIGHTS[4:] + [("uniform01",)]:
             yield ("moments", "--family") + weight + ("--nmax", "5", "--format", fmt)
