@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .poly import NEG_INF, Polynomial, VariableSet, VerificationError
+from .poly import NEG_INF, Polynomial, Report, VariableSet, VerificationError, _printed
 from .rings import GF, QQ, is_prime, valuation_p
 
 
@@ -162,34 +162,16 @@ def crucial_lemma_descent(b: Polynomial, p_wit: Polynomial, q_wit: Polynomial,
     return witness
 
 
-class Theorem51Report:
-    def __init__(self, premise_holds: bool, failing_coefficient: str = None,
-                 power_coefficients_in_J: bool = None, sampled_m: tuple = (),
-                 products_in_J: bool = None):
-        self.premise_holds = premise_holds
-        self.failing_coefficient = failing_coefficient
-        self.power_coefficients_in_J = power_coefficients_in_J
-        self.sampled_m = sampled_m
-        self.products_in_J = products_in_J
-
-    def as_report(self) -> dict:
-        out = {"premise_holds": self.premise_holds}
-        if not self.premise_holds:
-            out["failing_coefficient"] = self.failing_coefficient
-            return out
-        out["f_power_coefficients_in_J"] = self.power_coefficients_in_J
-        out["sampled_m"] = list(self.sampled_m)
-        out["products_in_J"] = self.products_in_J
-        return out
-
-
 def theorem51_pipeline(f: Polynomial, g: Polynomial,
-                       problem: ImageProblem) -> Theorem51Report:
+                       problem: ImageProblem) -> Report:
     """Check the positive-characteristic membership pipeline by expansion.
 
     `problem` is over GF(p).  Premise surrogate: every coefficient of f (in
     the w-algebra) lies in I = (w_i).  Then f^(p^2) has coefficients in
-    J = (w_i^p) and so does g f^m for every sampled m >= p^2.
+    J = (w_i^p) and so does g f^m for every sampled m >= p^2.  The report
+    gives `premise_holds` and then either the `failing_coefficient`, the
+    first term of f outside I, or `f_power_coefficients_in_J`, the
+    `sampled_m` and `products_in_J`.
     """
     p = _characteristic(problem)
     problem.check(f)
@@ -197,7 +179,7 @@ def theorem51_pipeline(f: Polynomial, g: Polynomial,
     for exps, c in f.terms.items():
         if _w_index(exps, problem.n, 1) is None:
             mono = Polynomial(problem.ring, problem.variables, {exps: c})
-            return Theorem51Report(False, failing_coefficient=mono.to_str())
+            return Report(premise_holds=False, failing_coefficient=mono.to_str())
     p2 = p ** 2
     # Frobenius is a ring map fixing F_p: f^(p^2) is the sum of c * M^(p^2) over f's terms c * M
     power = Polynomial(problem.ring, problem.variables,
@@ -210,29 +192,11 @@ def theorem51_pipeline(f: Polynomial, g: Polynomial,
             power = power * f
         if not w_ideal_member(g * power, problem.n, p):
             products_ok = False
-    return Theorem51Report(True, power_coefficients_in_J=power_ok,
-                           sampled_m=sampled, products_in_J=products_ok)
+    return Report(premise_holds=True, f_power_coefficients_in_J=power_ok,
+                  sampled_m=sampled, products_in_J=products_ok)
 
 
 # -- Laurent counterexample -------------------------------------------
-
-class WillemsReport:
-    def __init__(self, p: int, k_max: int, constant_terms_vanish: bool, violations: list,
-                 expected_violations: list, all_expected_hit: bool):
-        self.p = p
-        self.k_max = k_max
-        self.constant_terms_vanish = constant_terms_vanish
-        self.violations = violations  # m values where t^-1 f^m has nonzero constant coefficient
-        self.expected_violations = expected_violations  # m = p^k - 1 for k <= k_max
-        self.all_expected_hit = all_expected_hit
-
-    def as_report(self) -> dict:
-        return {"p": self.p, "k_max": self.k_max,
-                "constant_terms_vanish": self.constant_terms_vanish,
-                "violations": self.violations,
-                "expected_violations": self.expected_violations,
-                "all_expected_hit": self.all_expected_hit}
-
 
 def _willems_coefficient_nonzero(p: int, m: int, j: int) -> bool:
     """The t^j coefficient of (t^-1 (1 + t^p))^m is C(m, (m+j)/p) if p | m+j,
@@ -247,9 +211,15 @@ def _willems_coefficient_nonzero(p: int, m: int, j: int) -> bool:
     return True
 
 
-def willems_scan(p: int, k_max: int) -> WillemsReport:
+def willems_scan(p: int, k_max: int) -> Report:
     """f = t^-1 + t^(p-1) over F_p: powers have zero constant term, yet
-    t^-1 f^m has a nonzero constant coefficient at every m = p^k - 1."""
+    t^-1 f^m has a nonzero constant coefficient at every m = p^k - 1.
+
+    Over m < p^k_max the report gives whether every f^m has a zero constant
+    term (`constant_terms_vanish`), the `violations`, every m where t^-1 f^m
+    has a nonzero constant coefficient, the `expected_violations`
+    m = p^k - 1 for k <= k_max, and whether all of those are hit.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k_max < 1:
@@ -259,27 +229,12 @@ def willems_scan(p: int, k_max: int) -> WillemsReport:
     # the constant coefficient of t^-1 f^m is the t^1 coefficient of f^m
     violations = [m for m in ms if _willems_coefficient_nonzero(p, m, 1)]
     expected = [p ** k - 1 for k in range(1, k_max + 1)]
-    return WillemsReport(p, k_max, constant_ok, violations, expected,
-                         all(m in violations for m in expected))
+    return Report(p=p, k_max=k_max, constant_terms_vanish=constant_ok, violations=violations,
+                  expected_violations=expected,
+                  all_expected_hit=all(m in violations for m in expected))
 
 
-class Example12Report:
-    def __init__(self, p: int, degree_bound: int, one_in_image: bool, missing_monomial: str,
-                 refuted: bool):
-        self.p = p
-        self.degree_bound = degree_bound
-        self.one_in_image = one_in_image
-        self.missing_monomial = missing_monomial
-        self.refuted = refuted
-
-    def as_report(self) -> dict:
-        return {"p": self.p, "degree_bound": self.degree_bound,
-                "one_in_image": self.one_in_image,
-                "missing_monomial": self.missing_monomial,
-                "refuted": self.refuted}
-
-
-def example12_refutation(p: int, degree_bound: int = None) -> Example12Report:
+def example12_refutation(p: int, degree_bound: int = None) -> Report:
     """Over F_p with D = {d/dz}: the derivative image contains 1 but misses
     z^(p-1), so the 1-property refutes the Mathieu property outright."""
     from .harness import SubspaceOracle, one_property_probe
@@ -303,12 +258,12 @@ def example12_refutation(p: int, degree_bound: int = None) -> Example12Report:
     one = Polynomial.one(ring, z_vars)
     basis = [Polynomial.var(ring, z_vars, "z", e) for e in range(1, degree_bound)]
     probe = one_property_probe(oracle, one, basis)
+    refuting = _printed(probe.refuting_element)
     expected = Polynomial.var(ring, z_vars, "z", p - 1).to_str()
-    if probe.refuting_element != expected:
-        raise VerificationError(f"the probe refuted with {probe.refuting_element}, "
-                                f"not {expected}")
-    return Example12Report(p, degree_bound, probe.contains_one,
-                           probe.refuting_element, probe.refuted)
+    if refuting != expected:
+        raise VerificationError(f"the probe refuted with {refuting}, not {expected}")
+    return Report(p=p, degree_bound=degree_bound, one_in_image=probe.contains_one,
+                  missing_monomial=refuting, refuted=probe.refuting_element is not None)
 
 
 # -- valuation machinery (number-field route, instantiated over Q) -----
@@ -335,28 +290,7 @@ def frobenius_expansion_check(g: Polynomial, p: int) -> bool:
                for e in actual.keys() | expected.keys())
 
 
-class Lemma81Report:
-    def __init__(self, status: str, prime: int = None, s: int = None, value: str = None,
-                 valuation: int = None, trace: list = None, tried: tuple = ()):
-        self.status = status  # "certified" | "exhausted"
-        self.prime = prime
-        self.s = s
-        self.value = value  # L(g^p) / (sp)!
-        self.valuation = valuation
-        self.trace = trace  # (exponent, summand, valuation) triples
-        self.tried = tried
-
-    def as_report(self) -> dict:
-        out = {"status": self.status, "tried": list(self.tried)}
-        if self.status == "certified":
-            out.update({"prime": self.prime, "s": self.s, "value": self.value,
-                        "valuation": self.valuation,
-                        "trace": [{"exponent": e, "summand": str(t), "valuation": str(v)}
-                                  for e, t, v in self.trace]})
-        return out
-
-
-def lemma81_nonvanishing(g: Polynomial, prime_candidates=None) -> Lemma81Report:
+def lemma81_nonvanishing(g: Polynomial, prime_candidates=None) -> Report:
     """Certify L(g^p) != 0 for a suitable prime via the valuation trace.
 
     g is a non-zero rational polynomial in one variable; it is normalized so
@@ -364,6 +298,12 @@ def lemma81_nonvanishing(g: Polynomial, prime_candidates=None) -> Lemma81Report:
     scale-equivariant, so nothing is lost).  An admissible prime exceeds the
     degree and every coefficient denominator; for such p the normalized sum
     L(g^p)/(sp)! is 1 plus terms of positive p-valuation, so it cannot vanish.
+
+    The report's `status` is "certified" or "exhausted", and `tried` lists
+    the candidates tried.  A certificate adds the `prime`, s (the lowest
+    exponent), the `value` L(g^p)/(sp)!, its `valuation` 0, and the `trace`:
+    per term u^e of g^p, by e, the summand e!/(sp)! times its coefficient
+    and the summand's p-valuation, as the report prints them.
     """
     if g.is_zero():
         raise ValueError("the zero polynomial is out of scope")
@@ -392,16 +332,15 @@ def lemma81_nonvanishing(g: Polynomial, prime_candidates=None) -> Lemma81Report:
         sp_fact = Fraction(factorial(s * p))
         total = Fraction(0)
         trace = []
-        for exps, c in gp.terms.items():
-            summand = c * Fraction(factorial(exps[0])) / sp_fact
+        for (e,), c in sorted(gp.terms.items()):
+            summand = c * Fraction(factorial(e)) / sp_fact
             total += summand
-            trace.append((exps[0], summand, valuation_p(summand, p)))
-        trace.sort()
-        v = valuation_p(total, p)
-        if v == 0:
-            return Lemma81Report("certified", prime=p, s=s, value=str(total),
-                                 valuation=0, trace=trace, tried=tuple(tried))
-    return Lemma81Report("exhausted", tried=tuple(tried))
+            trace.append({"exponent": e, "summand": summand,
+                          "valuation": str(valuation_p(summand, p))})
+        if valuation_p(total, p) == 0:
+            return Report(status="certified", tried=tuple(tried), prime=p, s=s, value=total,
+                          valuation=0, trace=trace)
+    return Report(status="exhausted", tried=tuple(tried))
 
 
 _DEFAULT_PRIME_COUNT = 25

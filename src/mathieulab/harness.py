@@ -4,20 +4,20 @@ vanishing-conjecture bridge, and the Jacobian matrix (`jacobian_matrix`,
 whose `is_nilpotent` is the nilpotency test).
 
 A bounded scan never proves anything; its verdicts are "premise_failed",
-"consistent" (up to m_max), or a concrete re-checkable violation witness,
-and each g's result is built as the dict the report prints.  The kernel,
-constant-term and moment oracles scan through the integer power loop
-(`poly._int_powers`), the trace oracle by multiplying matrices out; a
-reported violation is multiplied out and re-checked with `member`.  The
-bridge (`gvc_scan`) reads a constant-coefficient operator's d-symbol and
-powers it as a `Polynomial`.
+"consistent" (up to m_max), or a concrete re-checkable violation witness.
+Each result is a `poly.Report`, and each g's result in it is a dict with
+the keys the report prints.  The kernel, constant-term and moment oracles
+scan through the integer power loop (`poly._int_powers`), the trace oracle
+by multiplying matrices out; a reported violation is multiplied out and
+re-checked with `member`.  The bridge (`gvc_scan`) reads a
+constant-coefficient operator's d-symbol and powers it as a `Polynomial`.
 """
 
 from __future__ import annotations
 
 from operator import sub
 
-from .poly import Polynomial, VerificationError, _decode_terms, _int_powers
+from .poly import Polynomial, Report, VerificationError, _decode_terms, _int_powers, _printed
 from .rings import RingDescriptor
 
 
@@ -42,41 +42,15 @@ class SubspaceOracle:
             yield self(power), lambda power=power: [self(g * power) for g in gs]
 
 
-class ScanReport:
-    def __init__(self, oracle: str, f_text: str, m_max: int, premise_held_through: int,
-                 g_results: list, verdict: str):
-        self.oracle = oracle
-        self.f_text = f_text
-        self.m_max = m_max
-        self.premise_held_through = premise_held_through
-        self.g_results = g_results  # per g: {"g", then "stabilization_index" or "violation"}
-        self.verdict = verdict  # premise_failed | consistent | violation_witness
-
-    def __eq__(self, other):
-        """Equal reports say the same: every field, each g's result included."""
-        if not isinstance(other, ScanReport):
-            return NotImplemented
-        return self.as_report() == other.as_report()
-
-    def as_report(self) -> dict:
-        return {
-            "oracle": self.oracle,
-            "f": self.f_text,
-            "m_max": self.m_max,
-            "premise_held_through": self.premise_held_through,
-            "g_results": self.g_results,
-            "verdict": self.verdict,
-        }
-
-
-def _text(x) -> str:
-    return x.to_str() if hasattr(x, "to_str") else str(x)
-
-
-def mathieu_scan(oracle: SubspaceOracle, f, gs, m_max: int = 24) -> ScanReport:
+def mathieu_scan(oracle: SubspaceOracle, f, gs, m_max: int = 24) -> Report:
     """Scan f^m membership, then g f^m stabilization for each supplied g.
 
-    A violation's g f^m and g f^m_max are multiplied out and re-checked.
+    The report's `premise_held_through` is the last m up to which every f^m
+    is a member.  Only when that is m_max does each g get a `g_results`
+    entry: {"g", "stabilization_index"}, or {"g", "violation": {"m",
+    "element"}} when g f^m_max misses.  The `verdict` is "premise_failed",
+    "consistent" or "violation_witness".  A violation's g f^m and g f^m_max
+    are multiplied out and re-checked.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
@@ -85,47 +59,36 @@ def mathieu_scan(oracle: SubspaceOracle, f, gs, m_max: int = 24) -> ScanReport:
         if not member:
             break
         rows.append(g_members)
-    premise_through = len(rows)
-    if premise_through < m_max:
-        return ScanReport(oracle.name, _text(f), m_max, premise_through, [],
-                          "premise_failed")
-    g_results = []
-    verdict = "consistent"
+    report = Report(oracle=oracle.name, f=f, m_max=m_max, premise_held_through=len(rows),
+                    g_results=[], verdict="premise_failed")
+    if len(rows) < m_max:
+        return report
+    report.verdict = "consistent"
     for g, column in zip(gs, zip(*(row() for row in rows))):
         misses = [m for m, member in enumerate(column, start=1) if not member]
         if not misses:
-            g_results.append({"g": _text(g), "stabilization_index": 1})
+            report.g_results.append({"g": g, "stabilization_index": 1})
         elif misses[-1] == m_max:
             m = misses[0]
             element = g * f ** m
             if oracle(element) or m < m_max and oracle(g * f ** m_max):
                 raise VerificationError(f"{oracle.name} scan reported a member as a miss")
-            g_results.append({"g": _text(g), "violation": {"m": m, "element": _text(element)}})
-            verdict = "violation_witness"
+            report.g_results.append({"g": g, "violation": {"m": m, "element": element}})
+            report.verdict = "violation_witness"
         else:
-            g_results.append({"g": _text(g), "stabilization_index": misses[-1] + 1})
-    return ScanReport(oracle.name, _text(f), m_max, premise_through, g_results, verdict)
+            report.g_results.append({"g": g, "stabilization_index": misses[-1] + 1})
+    return report
 
 
-class ProbeReport:
-    def __init__(self, oracle: str, contains_one: bool, refuting_element: str = None):
-        self.oracle = oracle
-        self.contains_one = contains_one
-        self.refuting_element = refuting_element
+def one_property_probe(oracle: SubspaceOracle, one, basis) -> Report:
+    """A Mathieu subspace containing 1 must be everything; search for a non-member.
 
-    @property
-    def refuted(self) -> bool:
-        return self.refuting_element is not None
-
-
-def one_property_probe(oracle: SubspaceOracle, one, basis) -> ProbeReport:
-    """A Mathieu subspace containing 1 must be everything; search for a non-member."""
-    if not oracle(one):
-        return ProbeReport(oracle.name, False)
-    for g in basis:
-        if not oracle(g):
-            return ProbeReport(oracle.name, True, refuting_element=_text(g))
-    return ProbeReport(oracle.name, True)
+    The `refuting_element` is the first non-member of `basis`, None when the
+    subspace lacks 1 (`contains_one` false) or holds all of `basis`.
+    """
+    contains_one = oracle(one)
+    refuting = next((g for g in basis if not oracle(g)), None) if contains_one else None
+    return Report(oracle=oracle.name, contains_one=contains_one, refuting_element=refuting)
 
 
 # -- exact matrices ----------------------------------------------------
@@ -174,7 +137,7 @@ class MatrixValue:
 
     def to_str(self) -> str:
         return "[" + "; ".join(
-            ", ".join(_text(e) for e in row) for row in self.entries) + "]"
+            ", ".join(map(_printed, row)) for row in self.entries) + "]"
 
 
 # -- concrete oracles --------------------------------------------------
@@ -244,26 +207,14 @@ def kerL_oracle(problem: ImageProblem) -> SubspaceOracle:
 
 # -- vanishing-conjecture bridge ---------------------------------------
 
-class GvcReport:
-    def __init__(self, premise_values: list, premise_held_through: int,
-                 shifted_values: list, stabilization_index: int = None):
-        self.premise_values = premise_values  # operator^m applied to P^m, m = 1..m_max
-        self.premise_held_through = premise_held_through
-        self.shifted_values = shifted_values  # operator^m applied to Q P^m
-        self.stabilization_index = stabilization_index
-
-    def as_report(self) -> dict:
-        return {
-            "premise_values": [v.to_str() for v in self.premise_values],
-            "premise_held_through": self.premise_held_through,
-            "shifted_values": [v.to_str() for v in self.shifted_values],
-            "stabilization_index": self.stabilization_index,
-        }
-
-
 def gvc_scan(operator: WeylElement, p_poly: Polynomial, q_poly: Polynomial,
-             m_max: int, problem: ImageProblem) -> GvcReport:
+             m_max: int, problem: ImageProblem) -> Report:
     """Exact scan of operator^m(P^m) and operator^m(Q P^m).
+
+    The report gives `premise_values`, operator^m(P^m) for m = 1..m_max;
+    `premise_held_through`, the last m up to which they all vanish;
+    `shifted_values`, operator^m(Q P^m); and `stabilization_index`, one
+    more than the last m with operator^m(Q P^m) != 0 (1 if none).
 
     The operator's d-symbol sum c d^b is read once as s = sum c w^b in the
     problem's variables, over the symbol's own ring; operator^m has symbol
@@ -296,7 +247,8 @@ def gvc_scan(operator: WeylElement, p_poly: Polynomial, q_poly: Polynomial,
     else:
         stabilization = 1
     _gvc_crosscheck(symbol, p_poly, q_poly, m_max, problem, premise, shifted)
-    return GvcReport(premise, premise_through, shifted, stabilization)
+    return Report(premise_values=premise, premise_held_through=premise_through,
+                  shifted_values=shifted, stabilization_index=stabilization)
 
 
 def _apply_symbol(symbol: Polynomial, h: Polynomial) -> Polynomial:

@@ -22,8 +22,8 @@ from itertools import product
 from math import comb, factorial, perm, prod
 from operator import sub
 
-from .poly import (NEG_INF, Grading, Polynomial, VariableSet, VerificationError, _decode_terms,
-                   _int_powers)
+from .poly import (NEG_INF, Grading, Polynomial, Report, VariableSet, VerificationError,
+                   _decode_terms, _int_powers)
 from .rings import Immutable, RingDescriptor
 
 
@@ -205,18 +205,11 @@ def certify_imD(problem: ImageProblem, f: Polynomial) -> MembershipCertificate:
     return cert
 
 
-class PowerScan:
-    def __init__(self, values: list, first_nonzero: int = None):
-        self.values = values  # L(f^m) for m = 1..m_max
-        self.first_nonzero = first_nonzero  # 1-based power index, None if all vanish
-
-    def as_report(self) -> dict:
-        return {"values": [v.to_str() for v in self.values],
-                "first_nonzero": self.first_nonzero}
-
-
-def power_scan(problem: ImageProblem, f: Polynomial, m_max: int) -> PowerScan:
+def power_scan(problem: ImageProblem, f: Polynomial, m_max: int) -> Report:
     """L(f^m) for m = 1..m_max, from the integer power loop.
+
+    `values` holds L(f^m) for m = 1..m_max, and `first_nonzero` is the
+    first m with L(f^m) != 0 (None if all vanish).
 
     Each f^m stays a dict of integer numerators over d^m (`_int_powers`),
     multiplied on packed exponent keys and pruned to the terms that can
@@ -233,7 +226,7 @@ def power_scan(problem: ImageProblem, f: Polynomial, m_max: int) -> PowerScan:
         values.append(v)
         if first is None and not v.is_zero():
             first = m
-    return PowerScan(values, first)
+    return Report(values=values, first_nonzero=first)
 
 
 def _factorial_weight(exps) -> int:
@@ -254,28 +247,16 @@ def factorial_functional(f: Polynomial):
     return total
 
 
-class MonomialCountScan:
-    def __init__(self, monomials: int, first_nonzero: int, within_monomial_count: bool,
-                 values: list):
-        self.monomials = monomials
-        self.first_nonzero = first_nonzero  # first m with nonzero value, None if bound exhausted
-        self.within_monomial_count = within_monomial_count
-        self.values = values
-
-    def as_report(self) -> dict:
-        return {"monomials": self.monomials,
-                "first_nonzero": self.first_nonzero,
-                "within_monomial_count": self.within_monomial_count,
-                "values": [str(v) for v in self.values]}
-
-
-def monomial_count_scan(f: Polynomial, bound: int = None) -> MonomialCountScan:
+def monomial_count_scan(f: Polynomial, bound: int = None) -> Report:
     """Scan factorial_functional(f^m) for the first nonvanishing power.
 
     Evidence gathering for the N-monomial stopping rule: with N the number
     of monomials of f, a nonzero value is expected at some m <= N.  The
     functional is summed over the integer numerators of f^m
-    (`_int_powers`), and one ring value is built per m.
+    (`_int_powers`), and one ring value is built per m.  The report gives N
+    (`monomials`), the first m with a nonzero value (`first_nonzero`, None
+    if the bound is exhausted), whether that m is at most N
+    (`within_monomial_count`), and the `values` up to the first nonzero one.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no nonvanishing power")
@@ -294,8 +275,8 @@ def monomial_count_scan(f: Polynomial, bound: int = None) -> MonomialCountScan:
         if v:
             first = m
             break
-    return MonomialCountScan(count, first,
-                             first is not None and first <= count, values)
+    return Report(monomials=count, first_nonzero=first,
+                  within_monomial_count=first is not None and first <= count, values=values)
 
 
 def ic1_pipeline(problem: ImageProblem, f: Polynomial, m_max: int = 12) -> dict:

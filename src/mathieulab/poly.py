@@ -32,6 +32,7 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm, perm
 from operator import add
+from types import SimpleNamespace
 
 from .rings import GaussianRational, Immutable, PrimeFieldElement, RingDescriptor
 
@@ -40,6 +41,33 @@ NEG_INF = float("-inf")
 
 class VerificationError(Exception):
     """A computed result failed its exact re-check (raised, so `python -O` keeps it)."""
+
+
+class Report(SimpleNamespace):
+    """A result with a printed report: keyword fields, in the order the JSON prints them.
+
+    The values stay typed (polynomials, ring elements, fractions); equality
+    compares every field.  `as_report` prints them once, into a fresh dict.
+    """
+
+    def as_report(self) -> dict:
+        return _printed(vars(self))
+
+
+def _printed(value):
+    """`value` as the report prints it.
+
+    Dicts, lists and tuples are printed item by item (a tuple as a list);
+    None, bool, int and str stay as they are; anything else becomes its
+    `to_str()` if it has one, else its `str()`.
+    """
+    if isinstance(value, dict):
+        return {k: _printed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_printed(v) for v in value]
+    if value is None or isinstance(value, (int, str)):  # a bool is an int
+        return value
+    return value.to_str() if hasattr(value, "to_str") else str(value)
 
 
 class VariableSet(Immutable):
@@ -169,9 +197,6 @@ class Polynomial(Immutable):
         return Polynomial(self.ring, self.variables, (
             (tuple(map(add, e1, e2)), c1 * c2)
             for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()))
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def scale(self, c) -> "Polynomial":
         if isinstance(c, int):

@@ -233,7 +233,7 @@ def test_criterion_08_char_p_pipeline():
                                       max_degree=1, max_terms=2)
                 report = charp.theorem51_pipeline(f, g, problem)
                 assert report.premise_holds
-                assert report.power_coefficients_in_J
+                assert report.f_power_coefficients_in_J
                 assert report.products_in_J
             grading = problem.z_grading()
             verified = 0

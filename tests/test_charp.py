@@ -147,7 +147,7 @@ def test_theorem51_pipeline_positive():
                                   max_degree=1, max_terms=2)
             report = theorem51_pipeline(f, g, problem)
             assert report.premise_holds
-            assert report.power_coefficients_in_J
+            assert report.f_power_coefficients_in_J
             assert report.products_in_J
 
 
@@ -319,14 +319,14 @@ def test_lemma81_certificate_structure():
     assert report.valuation == 0
     # trace: the i = s*p summand has valuation 0, all others positive
     total = Fraction(0)
-    for exponent, summand, v in report.trace:
-        total += summand
-        if exponent == report.s * report.prime:
-            assert v == 0
+    for entry in report.trace:
+        total += entry["summand"]
+        if entry["exponent"] == report.s * report.prime:
+            assert entry["valuation"] == "0"
         else:
-            assert v == float("inf") or v > 0
+            assert entry["valuation"] == "inf" or int(entry["valuation"]) > 0
     assert valuation_p(total, report.prime) == 0
-    assert str(total) == report.value
+    assert total == report.value
 
 
 def test_lemma81_cross_checks_count_scan():

@@ -77,12 +77,12 @@ def test_one_property_probe():
     oracle = laurent_constant_oracle(QQ)
     # the constant-free subspace does not contain 1
     probe = one_property_probe(oracle, _laurent({0: 1}), [])
-    assert not probe.contains_one and not probe.refuted
+    assert not probe.contains_one and probe.refuting_element is None
 
     everything = SubspaceOracle("all", lambda p: True)
     probe = one_property_probe(everything, _laurent({0: 1}),
                                [_laurent({k: 1}) for k in range(-3, 4)])
-    assert probe.contains_one and not probe.refuted
+    assert probe.contains_one and probe.refuting_element is None
 
 
 def test_matrix_arithmetic():

@@ -1,8 +1,9 @@
 """Every name a library or test module imports is used in that module,
 every private module-level name of the library is read somewhere in it,
 every public module-level function and class is read by the library or the
-benchmark (or is allowlisted below with its reason), and no library module
-imports `dataclasses`."""
+benchmark (or is allowlisted below with its reason), no library module
+imports `dataclasses`, and only `Report` and `MembershipCertificate` define
+`as_report`."""
 
 import ast
 from pathlib import Path
@@ -124,3 +125,13 @@ def test_library_imports_no_dataclasses():
             and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
     assert not hits
+
+
+def test_only_report_and_the_certificate_define_as_report():
+    """Every other printed result is a `Report`, printed by its one `as_report`."""
+    owners = sorted(f"{path.name}:{node.name}" for path in LIBRARY
+                    for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                    if isinstance(node, ast.ClassDef)
+                    and any(isinstance(item, ast.FunctionDef) and item.name == "as_report"
+                            for item in node.body))
+    assert owners == ["imagemap.py:MembershipCertificate", "poly.py:Report"]

@@ -1,5 +1,6 @@
 """The contract of the immutable value types: equality, hashing, repr,
-immutability, copies and the constructor checks."""
+immutability, copies and the constructor checks; and the printed results
+(`Report`)."""
 
 import copy
 import pickle
@@ -7,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+from mathieulab.harness import MatrixValue
 from mathieulab.imagemap import ImageProblem
 from mathieulab.ortho import MomentFunctional, WeightSpec
-from mathieulab.poly import Grading, Polynomial, VariableSet
+from mathieulab.poly import Grading, Polynomial, Report, VariableSet
 from mathieulab.rings import GF, QI, QQ, GaussianRational, PrimeFieldElement, RingDescriptor
 from mathieulab.weyl import WeylElement
 
@@ -87,6 +89,43 @@ def test_polynomials_copy_and_pickle():
     for value, terms in ((f, lambda v: v.terms), (op, lambda v: v.symbol.terms)):
         for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert twin == value and terms(twin) is not terms(value)
+
+
+def test_scaling_takes_the_polynomial_on_the_left():
+    p = Polynomial.var(QQ, D1, "d1")
+    assert p * 2 == p.scale(2) == p + p
+    with pytest.raises(TypeError):
+        2 * p
+
+
+def test_report_prints_every_value_as_its_literal():
+    x = Polynomial.var(QQ, VariableSet(("x",)), "x")
+    half, residue = Fraction(-1, 2), PrimeFieldElement(3, 7)
+    report = Report(poly=x * x - x, matrix=MatrixValue([[half, Fraction(0)], [x, x * 2]]),
+                    fraction=half, gaussian=GaussianRational(Fraction(1, 2), Fraction(3)),
+                    residue=residue, nested=[(x, {"k": [residue, None]}), {"pair": (1, "s")}],
+                    none=None, yes=True, no=False, count=-3, text="x^2")
+    printed = {"poly": "x^2 - x", "matrix": "[-1/2, 0; x, 2*x]", "fraction": "-1/2",
+               "gaussian": "1/2+3*i", "residue": "3",
+               "nested": [["x", {"k": ["3", None]}], {"pair": [1, "s"]}],
+               "none": None, "yes": True, "no": False, "count": -3, "text": "x^2"}
+    out = report.as_report()
+    assert out == printed
+    assert list(out) == list(vars(report))  # the fields print in the order given
+    assert [type(out[k]) for k in ("yes", "no", "count")] == [bool, bool, int]
+    # a fresh dict each time: a caller's update leaves the Report as it was
+    out.update({"command": "scan"})
+    out["nested"][1]["pair"].append(2)
+    assert report.as_report() == printed
+    assert report.nested[1]["pair"] == (1, "s") and "command" not in vars(report)
+
+
+def test_reports_with_equal_fields_are_equal():
+    x = Polynomial.var(QQ, VariableSet(("x",)), "x")
+    assert Report(f=x, g_results=[{"g": x}]) == Report(f=x * 1, g_results=[{"g": x + x - x}])
+    assert Report(f=x, verdict="consistent") != Report(f=x, verdict="premise_failed")
+    assert Report(f=x) != Report(f=x * 2)
+    assert Report(a=1, b=2) != Report(a=1)
 
 
 def test_ring_elements_never_equal_bare_numbers():
