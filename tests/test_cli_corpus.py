@@ -62,10 +62,12 @@ _THEOREM51 = {
     1: (("w1*z1 + 2*w1^2", "z1 - 1"), ("w1*z1 + z1^2", "z1")),
     2: (("w1*z2 + w2*z1^2", "z1*z2 - w1"), ("w1*z1 + w2 - 1", "z2")),
 }
-# b, p and q over the two pairs: a valid witness, a wrong identity, and a
-# valid identity (b = 0) whose witnesses exceed the z-degree hypothesis
+# b, p and q over the two pairs: a valid witness, one whose Koszul steps
+# find non-zero g_top and g_mid, a wrong identity, and a valid identity
+# (b = 0) whose witnesses exceed the z-degree hypothesis
 _CRUCIAL = [
     ("1 - w1*z1", "z1", "0"),
+    ("2*w2*z1", "w2*z1^3 + w2*z1^2", "-w1*z1^3 - w1*z1^2"),
     ("1", "z1", "0"),
     ("0", "w2*z1^3", "3*z1^2 - w1*z1^3"),
 ]
