@@ -81,7 +81,11 @@ def sufficient_membership(b: Polynomial, problem: ImageProblem):
 def koszul_solve(problem: ImageProblem, p_poly: Polynomial,
                  q_poly: Polynomial) -> Polynomial:
     """Given w1*P + w2*Q = 0 with P, Q z-homogeneous of equal degree,
-    return the unique g with P = w2*g and Q = -w1*g."""
+    return the unique g with P = w2*g and Q = -w1*g.
+
+    w1*P = -w2*Q puts w2 in every term of P, so g is read off P's terms by
+    lowering the w2 exponent by one; P = w2*g and Q = -w1*g are re-checked.
+    """
     if problem.n != 2:
         raise ValueError("Koszul relation is the two-pair case")
     relation = problem.zeta(1) * p_poly + problem.zeta(2) * q_poly
@@ -91,10 +95,8 @@ def koszul_solve(problem: ImageProblem, p_poly: Polynomial,
         comps = poly.homogeneous_components(problem.z_grading())
         if len(comps) > 1:
             raise ValueError("inputs must be z-homogeneous")
-    if p_poly.is_zero():
-        g = problem.zero()
-    else:
-        g = p_poly.exact_divide(problem.zeta(2))
+    g = Polynomial(problem.ring, problem.variables,
+                   {(w1, w2 - 1, *z): c for (w1, w2, *z), c in p_poly.terms.items()})
     if p_poly != problem.zeta(2) * g or q_poly != -(problem.zeta(1) * g):
         raise VerificationError("Koszul solution failed to re-verify")
     return g

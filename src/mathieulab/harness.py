@@ -4,11 +4,11 @@ vanishing-conjecture bridge, and the Jacobian matrix (`jacobian_matrix`,
 whose `is_nilpotent` is the nilpotency test).
 
 A bounded scan never proves anything; its verdicts are "premise_failed",
-"consistent" (up to m_max), or a concrete re-checkable violation witness.
-Each result is a `poly.Report`, and each g's result in it is a dict with
-the keys the report prints.  The kernel, constant-term and moment oracles
-scan through the integer power loop (`poly._int_powers`), the trace oracle
-by multiplying matrices out; a reported violation is multiplied out and
+"consistent" (up to m_max), or "unknown" when some g f^m still misses at
+m_max.  Each result is a `poly.Report`, and each g's result in it is a dict
+with the keys the report prints.  The kernel, constant-term and moment
+oracles scan through the integer power loop (`poly._int_powers`), the trace
+oracle by multiplying matrices out; a reported miss is multiplied out and
 re-checked with `member`.  The bridge (`gvc_scan`) reads a
 constant-coefficient operator's d-symbol and powers it as a `Polynomial`.
 """
@@ -47,10 +47,12 @@ def mathieu_scan(oracle: SubspaceOracle, f, gs, m_max: int = 24) -> Report:
 
     The report's `premise_held_through` is the last m up to which every f^m
     is a member.  Only when that is m_max does each g get a `g_results`
-    entry: {"g", "stabilization_index"}, or {"g", "violation": {"m",
-    "element"}} when g f^m_max misses.  The `verdict` is "premise_failed",
-    "consistent" or "violation_witness".  A violation's g f^m and g f^m_max
-    are multiplied out and re-checked.
+    entry: {"g", "stabilization_index"}, or, when g f^m_max misses,
+    {"g", "miss": {"m", "element"}} with the first m whose g f^m misses.
+    The `verdict` is "premise_failed", "consistent", or "unknown" when some
+    g misses: a premise that holds through m_max and a miss at m_max show
+    neither that every f^m is a member nor that g f^m keeps missing.  A
+    miss's g f^m and g f^m_max are multiplied out and re-checked.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
@@ -73,8 +75,8 @@ def mathieu_scan(oracle: SubspaceOracle, f, gs, m_max: int = 24) -> Report:
             element = g * f ** m
             if oracle(element) or m < m_max and oracle(g * f ** m_max):
                 raise VerificationError(f"{oracle.name} scan reported a member as a miss")
-            report.g_results.append({"g": g, "violation": {"m": m, "element": element}})
-            report.verdict = "violation_witness"
+            report.g_results.append({"g": g, "miss": {"m": m, "element": element}})
+            report.verdict = "unknown"
         else:
             report.g_results.append({"g": g, "stabilization_index": misses[-1] + 1})
     return report
@@ -128,12 +130,6 @@ class MatrixValue:
 
     def is_nilpotent(self) -> bool:
         return (self ** self.dim).is_zero()
-
-    def __eq__(self, other):
-        return isinstance(other, MatrixValue) and self.entries == other.entries
-
-    def __repr__(self):
-        return f"MatrixValue({self.entries!r})"
 
     def to_str(self) -> str:
         return "[" + "; ".join(

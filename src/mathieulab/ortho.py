@@ -6,7 +6,7 @@ even the Gaussian weight only ever contributes rational numbers.  The three
 routes share nothing but the weight: `gram_schmidt` turns the moments into
 the monic polynomials by the three-term recurrence (the Chebyshev
 algorithm), `rodrigues` evaluates Rodrigues' formula as its explicit Leibniz
-sum, and `lambda_power` applies the operator d/dx + w'/w step by step to
+sum, and `lambda_power` applies the operator d/dx + w'/w m <= a times to
 g^a = D^a, with D the weight's singular product, as one factored recurrence
 on integer coefficient lists that never forms g^a.
 """
@@ -173,18 +173,18 @@ def rodrigues_constant(spec: WeightSpec, a: int) -> Fraction:
 
 
 def lambda_power(spec: WeightSpec, a: int, m: int) -> Polynomial:
-    """m applications of (d/dx + w'/w) to g^a; polynomial whenever m <= a.
+    """m <= a applications of (d/dx + w'/w) to g^a, a polynomial.
 
     With w'/w = T / D the generator is g = D (hermite 1, laguerre x, jacobi
     and legendre (1-x)(1+x)), and for u = D^k P
     (d/dx + T/D) u = D^(k-1) (D P' + (T + k D') P).  So the m-th application
     is D^(a-m) P_m, with P_0 = 1 and P_(j+1) = D P_j' + (T + (a-j) D') P_j.
     T, D and D' have integer coefficients, so P_j (degree <= j) is a dense
-    integer list.  For m > a one exact division by D^(m-a) ends the route;
-    it raises ValueError when the result is not a polynomial.
+    integer list.  m > a raises ValueError, although for hermite (D = 1)
+    the value would still be a polynomial.
     """
-    if m < 0 or a < 0:
-        raise ValueError("a and m must be non-negative")
+    if not 0 <= m <= a:
+        raise ValueError(f"lambda_power takes 0 <= m <= a, got a = {a}, m = {m}")
     (t0, t1), (d0, d1, d2) = _operator(spec)
     p = [1]
     for j in range(m):
@@ -195,8 +195,7 @@ def lambda_power(spec: WeightSpec, a: int, m: int) -> Polynomial:
     for _ in range(a - m):
         p = [d0 * mid + d1 * low + d2 * low2
              for mid, low, low2 in zip(p + [0, 0], [0] + p + [0], [0, 0] + p)]
-    result = _x_poly(p)
-    return result if m <= a else result.exact_divide(_x_poly([d0, d1, d2]) ** (m - a))
+    return _x_poly(p)
 
 
 def rodrigues(spec: WeightSpec, a: int) -> Polynomial:

@@ -153,13 +153,6 @@ class Polynomial(Immutable):
         exps[variables.index(name)] = exp
         return Polynomial(ring, variables, {tuple(exps): ring.one()})
 
-    @staticmethod
-    def monomial(ring, variables, coeff, exps_by_name) -> "Polynomial":
-        exps = [0] * len(variables)
-        for name, e in exps_by_name.items():
-            exps[variables.index(name)] = e
-        return Polynomial(ring, variables, {tuple(exps): coeff})
-
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -303,33 +296,6 @@ class Polynomial(Immutable):
                 key[j] = e
             terms[tuple(key)] = _convert_coeff(c, self.ring, ring)
         return Polynomial(ring, variables, terms)
-
-    def exact_divide(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact division; raises ValueError when the quotient is not polynomial."""
-        self._compat(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        remainder = self
-        quotient = Polynomial.zero(self.ring, self.variables)
-        lead_exps, lead_coeff = max(
-            divisor.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        last_lead = None
-        while remainder.terms:
-            r_exps, r_coeff = max(
-                remainder.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-            lead_key = (sum(r_exps), r_exps)
-            if last_lead is not None and lead_key >= last_lead:
-                raise ValueError("division is not exact")
-            last_lead = lead_key
-            diff = tuple(a - b for a, b in zip(r_exps, lead_exps))
-            for name, e in zip(self.variables.names, diff):
-                if e < 0 and not self.variables.is_laurent(name):
-                    raise ValueError("division is not exact")
-            piece = Polynomial(self.ring, self.variables,
-                               {diff: r_coeff / lead_coeff})
-            quotient = quotient + piece
-            remainder = remainder - piece * divisor
-        return quotient
 
 
 def _sum_terms(pairs) -> dict:

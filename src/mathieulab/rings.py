@@ -107,10 +107,6 @@ class GaussianRational(Immutable):
         _set(self, "re", re)
         _set(self, "im", im)
 
-    @staticmethod
-    def of(re, im=0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
-
     def __add__(self, other):
         return GaussianRational(self.re + other.re, self.im + other.im)
 

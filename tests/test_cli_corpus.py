@@ -6,14 +6,21 @@ corpus covers `decompose`, `certify`, `gvc`, `conj73`, `lmap` and
 `powerscan` over `--ring q` and `qi`, with n = 1..3 where the subcommand
 takes `--n`, in json and text, plus one usage error each.  It also covers
 the four `charp` modes, `jacobian` and `lemma81`: `charp theorem51` with a
-premise that holds and one that fails, `charp crucial` with a valid witness
-and with each of its two usage errors, and `charp example12` at the default
-bound and at --bound p, 2p+1 and p-1.  Then `scan` with every oracle over
+premise that holds and one that fails, `charp crucial` with two valid
+witnesses (the second with non-zero Koszul quotients) and with each of its
+two usage errors, and `charp example12` at the default bound and at
+--bound p, 2p+1 and p-1.  Then `scan` with every oracle over
 `--ring q`, `qi` and `fp`; `ortho` for its four families and `moments` for
 its five, with `--alpha`/`--beta` where they apply; `powerscan` and
 `moments` in csv; `lmap` and `powerscan` over `--ring fp` and `jacobian`
 over `qi` and `fp`; `--help` at every level; and one line per usage-error
-class.  Re-record with
+class.  Each JSON report that exits 0 must also validate against
+`report.schema.json`.
+
+The same pass runs under a call-only trace function, and
+`test_every_library_function_is_reached` fails when a library function is
+entered by no corpus line and is not in `UNREACHED` with its reason, or when
+an entry there is reached or names no function.  Re-record with
 
     PYTHONPATH=src python tests/test_cli_corpus.py
 
@@ -22,15 +29,24 @@ only when an output changes on purpose.
 
 import contextlib
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
+import sys
+import types
+from importlib import resources
 from pathlib import Path
 from unittest import mock
 
+import jsonschema
 import pytest
 
+import mathieulab
 from mathieulab import cli
+from test_no_unused_imports import READ_ONLY_BY_TESTS
 
 DIGESTS = Path(__file__).with_name("cli_corpus.json")
 
@@ -175,8 +191,9 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run(argv) -> dict:
-    """The digests of one in-process `cli.main` call's stdout and stderr, and its exit code.
+def run(argv) -> tuple:
+    """The digests of one in-process `cli.main` call's stdout and stderr, and its
+    exit code; then its stdout.
 
     `--help` exits through `SystemExit`; its pages are wrapped at a fixed width.
     """
@@ -187,12 +204,94 @@ def run(argv) -> dict:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    return {"stdout": _digest(out.getvalue()), "stderr": _digest(err.getvalue()), "exit": code}
+    digests = {"stdout": _digest(out.getvalue()), "stderr": _digest(err.getvalue()), "exit": code}
+    return digests, out.getvalue()
+
+
+# -- reach: the corpus enters every library function --------------------
+
+def _defs(code):
+    """The code of every function defined inside `code`, nested defs included;
+    a lambda or a comprehension is part of the function that holds it."""
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            if const.co_flags & inspect.CO_NEWLOCALS and not const.co_name.startswith("<"):
+                yield const
+            yield from _defs(const)
+
+
+def _site(code) -> tuple:
+    return code.co_filename, code.co_firstlineno, code.co_name
+
+
+# every library module is imported here, so what runs at import time never
+# counts as reached; FUNCTIONS maps each library function's site to its name
+_MODULES = [mathieulab] + [importlib.import_module(f"mathieulab.{info.name}")
+                           for info in pkgutil.iter_modules(mathieulab.__path__)]
+FUNCTIONS = {_site(code): code.co_qualname for module in _MODULES
+             for code in _defs(compile(Path(module.__file__).read_text(), module.__file__,
+                                       "exec"))}
+
+# library functions that no corpus line enters, and why each stays.  An entry
+# naming a class covers its methods; one naming a function does not cover the
+# defs nested in it.  The names only tests read keep their reasons from
+# `READ_ONLY_BY_TESTS`.
+_REPR = "debugging text; a report prints `str` or `to_str`"
+_FIELD_OP = "field arithmetic (+ - * /) of a ring element, which no command runs"
+_SHORTHAND = "test shorthand: moving it grows the tests by more than src shrinks"
+UNREACHED = {
+    **READ_ONLY_BY_TESTS,
+    "SufficiencyWitness": "the witness `sufficient_membership` returns",
+    "determinant": "the elimination behind `hankel_determinant`",
+    "__getattr__": "loads the module of a name imported from the package itself",
+    "__dir__": "`dir(mathieulab)` lists the names the package loads on first access",
+    "_int_at_least": "runs at import, to build `_FLAGS`; each `parse` it returns is reached",
+    "ImageProblem.z": _SHORTHAND,
+    "ImageProblem.one": _SHORTHAND,
+    "Immutable.__setattr__": "the immutability guard: assignment raises",
+    "Immutable.__delattr__": "the immutability guard: deletion raises",
+    "Immutable.__hash__": "a value type hashes by its fields",
+    "Polynomial.__hash__": "a polynomial hashes by its terms",
+    "Immutable.__reduce__": "a copy or an unpickled value is rebuilt from its fields",
+    "Immutable.__repr__": _REPR,
+    "Polynomial.__repr__": _REPR,
+    "GaussianRational.__repr__": _REPR,
+    "PrimeFieldElement.__repr__": _REPR,
+    "GaussianRational.__sub__": _FIELD_OP,
+    "GaussianRational.__truediv__": _FIELD_OP,
+    "PrimeFieldElement.__sub__": _FIELD_OP,
+}
+
+_ENTERED = set()  # the code objects that the traced corpus lines entered
+_TRACED = set()  # the traced corpus lines
+
+
+def _enter(frame, event, arg):
+    """Global trace function: note the code a call enters, trace nothing inside it."""
+    _ENTERED.add(frame.f_code)
+
+
+def _traced_run(argv) -> tuple:
+    """`run(argv)` with every Python function it enters noted in `_ENTERED`."""
+    previous = sys.gettrace()
+    sys.settrace(_enter)
+    try:
+        return run(argv)
+    finally:
+        sys.settrace(previous)
+        _TRACED.add(" ".join(argv))
 
 
 @pytest.fixture(scope="module")
 def recorded():
     return json.loads(DIGESTS.read_text())
+
+
+@pytest.fixture(scope="module")
+def report_schema():
+    schema = json.loads(resources.files("mathieulab").joinpath(
+        "schemas/report.schema.json").read_text())
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def test_corpus_is_recorded_in_full(recorded):
@@ -201,9 +300,32 @@ def test_corpus_is_recorded_in_full(recorded):
 
 
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
-def test_cli_output_matches_recording(argv, recorded):
-    assert run(argv) == recorded[" ".join(argv)]
+def test_cli_output_matches_recording(argv, recorded, report_schema):
+    """The recorded digests; a JSON report that exits 0 also validates against the schema."""
+    digests, out = _traced_run(argv)
+    assert digests == recorded[" ".join(argv)]
+    if digests["exit"] == 0 and "--format" in argv and argv[argv.index("--format") + 1] == "json":
+        report_schema.validate(json.loads(out))
+
+
+def test_every_library_function_is_reached():
+    """Each library function is entered by some corpus line or is in `UNREACHED`;
+    each entry there names functions, and none of them is reached.
+
+    The lines a `-k` deselected run here first.
+    """
+    for argv in CASES:
+        if " ".join(argv) not in _TRACED:
+            _traced_run(argv)
+    reached = {_site(code) for code in _ENTERED}
+    unreached = {name for site, name in FUNCTIONS.items() if site not in reached}
+    covers = {entry: {name for name in FUNCTIONS.values()
+                      if entry in (name, name.rpartition(".")[0])} for entry in UNREACHED}
+    assert [entry for entry, names in covers.items() if not names] == []  # names no function
+    assert [entry for entry, names in covers.items() if names - unreached] == []  # reached
+    assert sorted(unreached - set().union(*covers.values())) == []  # neither reached nor listed
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps({" ".join(argv): run(argv) for argv in CASES}, indent=1) + "\n")
+    DIGESTS.write_text(json.dumps({" ".join(argv): run(argv)[0] for argv in CASES}, indent=1)
+                       + "\n")

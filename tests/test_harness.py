@@ -61,16 +61,16 @@ def test_mathieu_scan_premise_failed():
     assert report.premise_held_through == 1
 
 
-def test_mathieu_scan_violation_witness():
+def test_mathieu_scan_bounded_miss_is_unknown():
+    """g f^m = t^(m-6) misses at the scan boundary m = 6 only: no violation."""
     oracle = laurent_constant_oracle(QQ)
     f = _laurent({1: 1})
-    g = _laurent({-6: 1})  # misses at the scan boundary m = 6
+    g = _laurent({-6: 1})
     report = mathieu_scan(oracle, f, [g], m_max=6)
-    assert report.verdict == "violation_witness"
-    violation = report.g_results[0]["violation"]
-    assert violation["m"] == 6
-    out = report.as_report()
-    assert out["verdict"] == "violation_witness"
+    assert report.verdict == "unknown"
+    assert report.g_results[0]["miss"] == {"m": 6, "element": _laurent({0: 1})}
+    assert report.as_report()["verdict"] == "unknown"
+    assert mathieu_scan(oracle, f, [g], m_max=7).verdict == "consistent"
 
 
 def test_one_property_probe():

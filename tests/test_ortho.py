@@ -142,34 +142,34 @@ OPERATOR_SPECS = ([WeightSpec("hermite"), WeightSpec("legendre")]
 GENERATORS = {"hermite": ONE, "laguerre": X, "jacobi": ONE - X * X, "legendre": ONE - X * X}
 
 
-def _literal_operator_oracle(spec, a, m_max):
-    """(d/dx + w'/w)^m g^a for m = 0..m_max, or the ValueError of a non-polynomial.
+def _literal_operator_oracle(spec, a):
+    """(N_m, D^m) for m = 0..a, where (d/dx + w'/w)^m g^a = N_m / D^m.
 
-    With w'/w = T / D the m-th application is N_m / D^m, where N_0 = g^a and
-    N_(j+1) = D N_j' + (T - j D') N_j; each N_m ends in one exact division.
+    With w'/w = T / D, N_0 = g^a and N_(j+1) = D N_j' + (T - j D') N_j.
     """
     t, den = log_derivative(spec)
     den_prime = den.partial("x")
     num, den_power = GENERATORS[spec.family] ** a, ONE
-    for j in range(m_max + 1):
-        try:
-            yield num.exact_divide(den_power)
-        except ValueError as exc:
-            yield exc
+    for j in range(a + 1):
+        yield num, den_power
         num = den * num.partial("x") + (t - den_prime.scale(j)) * num
         den_power = den_power * den
 
 
 @pytest.mark.parametrize("spec", OPERATOR_SPECS, ids=WeightSpec.label)
 def test_lambda_power_matches_literal_oracle(spec):
-    """Equal values, or ValueError on both routes, for a <= 14 and m <= a + 3."""
+    """D^m lambda_power(spec, a, m) = N_m for a <= 14 and m <= a."""
     for a in range(15):
-        for m, expected in enumerate(_literal_operator_oracle(spec, a, a + 3)):
-            if isinstance(expected, ValueError):
-                with pytest.raises(ValueError):
-                    lambda_power(spec, a, m)
-            else:
-                assert lambda_power(spec, a, m) == expected, (a, m)
+        for m, (num, den_power) in enumerate(_literal_operator_oracle(spec, a)):
+            assert lambda_power(spec, a, m) * den_power == num, (a, m)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=WeightSpec.label)
+def test_lambda_power_takes_m_at_most_a(spec):
+    """m > a raises, even where the value is a polynomial (hermite: D = 1)."""
+    for a, m in ((0, 1), (2, 3), (3, 5), (0, -1)):
+        with pytest.raises(ValueError):
+            lambda_power(spec, a, m)
 
 
 def test_lambda_power_builds_no_products(monkeypatch):
@@ -194,7 +194,7 @@ def test_lambda_power_builds_no_products(monkeypatch):
             lambda_power(spec, a, a)
             counts.append(len(built))
         assert products == [] and len(set(counts)) == 1, (spec.label(), counts)
-    list(_literal_operator_oracle(WeightSpec("legendre"), 3, 3))
+    list(_literal_operator_oracle(WeightSpec("legendre"), 3))
     assert products  # the counter sees the literal route's products
 
 

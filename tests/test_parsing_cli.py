@@ -254,6 +254,34 @@ def test_cli_scan_oracles(capsys, schema):
     _validate(schema, out)
 
 
+# Bounded misses that are no violations: each scan ends `unknown` at m_max, and
+# one more power settles it.  Laurent: g f^m = t^(m-4) is constant-free from
+# m = 5.  Moments: over Q and Q(i) these f are real, so f^2 has a positive
+# moment.  Kernel: L(f^2) = 1, and L(f^3) = -10 - 4i over Q(i).
+_BOUNDED_MISSES = [(args + ring, m_max, settled) for args, m_max, settled in [
+    (("laurent", "t", "t^-1", "t^-4"), 4, "consistent"),
+    (("moment:hermite", "x", "x^2", "x^3"), 1, "premise_failed"),
+    (("moment:laguerre", "x - 2", "x", "--alpha", "1"), 1, "premise_failed"),
+    (("moment:jacobi", "5*x - 1", "x^2", "--alpha", "1", "--beta", "2"), 1, "premise_failed"),
+    (("moment:uniform01", "x - 1/2", "x"), 1, "premise_failed"),
+] for ring in (("--ring", "q"), ("--ring", "qi"), ("--ring", "fp", "--p", "11"))] + [
+    (("kerl", "w1*z1 - 1", "z1"), 1, "premise_failed"),
+    (("kerl", "1/2*i*w1^2*z1^2 + (1-2*i)*w1*z1 - 1 + i", "z1", "--ring", "qi"), 2,
+     "premise_failed"),
+]
+
+
+@pytest.mark.parametrize("args, m_max, settled", _BOUNDED_MISSES)
+def test_a_bounded_miss_is_unknown(capsys, schema, args, m_max, settled):
+    oracle, *rest = args
+    verdicts = []
+    for mmax in (m_max, m_max + 1):
+        code, out, _ = run_cli(capsys, "scan", "--oracle", oracle, *rest, "--mmax", str(mmax))
+        assert code == 0
+        verdicts.append(_validate(schema, out)["verdict"])
+    assert verdicts == ["unknown", settled]
+
+
 def test_cli_gvc_and_jacobian(capsys, schema):
     code, out, _ = run_cli(capsys, "gvc", "d1^2", "z1", "z1^3",
                            "--n", "1", "--mmax", "5")
@@ -331,7 +359,7 @@ def test_cli_prints_ring_literals(capsys, schema):
     assert code == 0
     values = _validate(schema, out)["count_scan"]["values"]
     assert values == ["-1/2+i"]
-    assert _reparsed(values[0], QI) == GaussianRational.of(Fraction(-1, 2), 1)
+    assert _reparsed(values[0], QI) == GaussianRational(Fraction(-1, 2), Fraction(1))
 
     cases = [(GF(5), ("--ring", "fp", "--p", "5"), "[0,2;0,0]", "[1,0;0,0]",
               "[0, 2; 0, 0]", "[1, 0; 0, 0]"),

@@ -110,20 +110,6 @@ def test_grading_and_components(rng):
     assert Polynomial.zero(QQ, XY).grade_degree(grading) == NEG_INF
 
 
-def test_exact_divide(rng):
-    for _ in range(60):
-        f = random_polynomial(rng, QQ, XY)
-        g = random_polynomial(rng, QQ, XY)
-        if g.is_zero():
-            continue
-        assert (f * g).exact_divide(g) == f
-    x = Polynomial.var(QQ, XY, "x")
-    with pytest.raises(ValueError):
-        (x + Polynomial.one(QQ, XY)).exact_divide(x)
-    with pytest.raises(ZeroDivisionError):
-        x.exact_divide(Polynomial.zero(QQ, XY))
-
-
 def test_embed_by_name():
     small = VariableSet(("y",))
     f = Polynomial.var(QQ, small, "y", 2)
