@@ -9,8 +9,11 @@ m_max.  Each result is a `poly.Report`, and each g's result in it is a dict
 with the keys the report prints.  The kernel, constant-term and moment
 oracles scan through the integer power loop (`poly._int_powers`), the trace
 oracle by multiplying matrices out; a reported miss is multiplied out and
-re-checked with `member`.  The bridge (`gvc_scan`) reads a
-constant-coefficient operator's d-symbol and powers it as a `Polynomial`.
+re-checked with `member`.  The constant-term scan turns t_j into 1/t_j where
+every exponent of f is negative and caps f^m's exponents at what a later read
+can reach, so its powers run empty (the rule: `laurent_constant_oracle`).  The
+bridge (`gvc_scan`) reads a constant-coefficient operator's d-symbol and powers
+it as a `Polynomial`.
 """
 
 from __future__ import annotations
@@ -148,15 +151,26 @@ def trace_oracle(dim: int, ring: RingDescriptor) -> SubspaceOracle:
 
 
 def laurent_constant_oracle(ring: RingDescriptor) -> SubspaceOracle:
-    """Constant-term-free; with f = t^s f_0, s the lowest exponent of each variable,
-    the scan reads [t^0](g f^m) = sum_k g_k [t^(-k - m s)] f_0^m off `_int_powers`."""
+    """Constant-term-free.  The scan sends t_j to 1/t_j in f and the gs for each t_j
+    in which every exponent of f is negative (no constant term changes).  Then,
+    with f = t^s f_0, s the lowest exponent of each variable, it reads
+    [t^0](g f^m) = sum_k g_k [t^(-k - m s)] f_0^m off `_int_powers`.  With
+    K_j = max(0, max over the gs' terms t^k of -k_j), no read at step m or later
+    reaches a term of f_0^m with e_j > K_j - m s_j (s_j >= 0) or with
+    e_j > K_j + m_max |s_j| (s_j < 0): that is the power loop's ceiling."""
     def scan(f, gs, m_max):
-        s = [min(e) for e in zip(*f.terms)] or [0] * len(f.variables)
+        columns = list(zip(*f.terms)) or [(0,)] * len(f.variables)
+        sign = [-1 if max(c) < 0 else 1 for c in columns]
+        s = [min(x * e for e in c) for x, c in zip(sign, columns)]
         f_0 = Polynomial(f.ring, f.variables, {
-            tuple(a - b for a, b in zip(e, s)): c for e, c in f.terms.items()})
-        for m, ((triples, den),) in enumerate(_int_powers(f_0, m_max), start=1):
+            tuple(x * a - b for x, a, b in zip(sign, e, s)): c for e, c in f.terms.items()})
+        top = [max([0] + [-x * k[j] for g in gs for k in g.terms]) for j, x in enumerate(sign)]
+        powers = _int_powers(f_0, m_max, ceiling=lambda m: [
+            t - min(m * b, m_max * b) for t, b in zip(top, s)])
+        for m, ((triples, den),) in enumerate(powers, start=1):
             # f^m's numerators over den, keyed by the negated exponent: g's t^k meets t^-k
-            power = {tuple(-a - m * b for a, b in zip(e, s)): c for e, c, _ in triples}
+            power = {tuple(x * (-a - m * b) for x, a, b in zip(sign, e, s)): c
+                     for e, c, _ in triples}
 
             def constant_free(g, power=power, den=den):
                 hits = _decode_terms(f.ring, [(k, power[k], 1) for k in g.terms if k in power],
@@ -174,7 +188,8 @@ def _functional_scan(rows, vanishes):
 
 
 def moment_oracle(m: MomentFunctional) -> SubspaceOracle:
-    """Zero moment sum_j c_j mu_j; the scan weighs the numerators of `_int_powers`."""
+    """Zero moment sum_j c_j mu_j; the scan weighs the numerators of `_int_powers`,
+    and over F_p reduces a moment mod p only when it reads it."""
     def member(f):
         from .ortho import inner_product
         one = Polynomial.one(f.ring, f.variables)

@@ -22,8 +22,9 @@ lets one add-subtract-and-mask (`_pair_mask`) test a_i <= b_i + s_i on every
 pair of a key zeta^a z^b at once, and L reads its output key z^(b-a) off the
 packed key by one subtraction.  With `pairs=n` the loop drops each term of
 f^m that no later product can bring back into L's support (horizon
-pruning), so a dict L reads is L's input, not the true support of f^m; with
-`pairs=0` it is the true support.  This encoding and its inverse live here and nowhere else.
+pruning), so a dict L reads is L's input, not the true support of f^m.  With
+`pairs=0` a per-step exponent ceiling (`_below`) may prune it instead; with
+neither it is the true support.  This encoding and its inverse live here and nowhere else.
 """
 
 from __future__ import annotations
@@ -317,7 +318,7 @@ def _sum_terms(pairs) -> dict:
     return out
 
 
-def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=()):
+def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=(), ceiling=None):
     """Yield, for m = 1..m_max, one (triples, den) per g in (1, *cofactors): L(g * f^m).
 
     L(g * f^m) = `_decode_terms(ring, triples, den)`, where `triples` holds
@@ -339,7 +340,10 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=()):
     + D_i(q).  Each later factor f raises b_i - a_i by at most D_i(f) and
     any q by at most D_i(q), so no such term reaches L's support.  With
     `pairs=0`, L is the identity: the triples are (exponent tuple,
-    numerator, 1) over the true support of f^m (and of q * f^m).
+    numerator, 1) over the true support of f^m (and of q * f^m), unless
+    `ceiling(m)` lists per variable the largest exponent that a read of f^m
+    or of a later power needs: no later factor lowers an exponent, so the
+    product at step m drops every term above it, and an empty power stays empty.
     """
     gs = (f, *cofactors)
     exponents = [list(chain.from_iterable(g.terms)) for g in gs]
@@ -353,17 +357,18 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=()):
         multiply = _gaussian_product
     elif f.ring.kind == "Q":
         def multiply(g, h, keep):
-            return {k: c for k, c in _int_product(g, h).items() if c and keep(k)}
+            return {k: c for k, c in _int_product(g, h).items() if c and (not keep or keep(k))}
     else:
         p = f.ring.characteristic
 
         def multiply(g, h, keep):
-            return {k: r for k, c in _int_product(g, h).items() if (r := c % p) and keep(k)}
+            return {k: r for k, c in _int_product(g, h).items()
+                    if (r := c % p) and (not keep or keep(k))}
     reach, *reach_q = [_reach(g, pairs) for g in gs]
     reach_q = [max(r) for r in zip([0] * pairs, *reach_q)]  # D(q) = 0 without a cofactor
     shift, field = pairs * width, (1 << width) - 1
     low, shifts = (1 << shift) - 1, range(0, shift, width)
-    in_kernel = _pair_mask(pairs, width)
+    in_kernel = _pair_mask(pairs, width) if pairs else None
     unpack, keys = _unpacker(len(f.variables) - pairs, width), {}
 
     def kernel(power):
@@ -384,7 +389,9 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=()):
     for m in range(1, m_max + 1):
         if m > 1:
             slack = _pack([(m_max - m) * r + r_q for r, r_q in zip(reach, reach_q)], width)
-            power, den = multiply(power, base, _pair_mask(pairs, width, slack)), den * d
+            keep = (_below(ceiling(m), width) if ceiling else
+                    _pair_mask(pairs, width, slack) if pairs else None)
+            power, den = multiply(power, base, keep), den * d
         yield [(kernel(power), den)] + [(kernel(multiply(power, q, in_kernel)), den * d_q)
                                         for q, d_q in numerators]
 
@@ -434,6 +441,18 @@ def _pair_mask(n: int, width: int, slack: int = 0):
     return lambda key: (((key >> shift) + slack | guard) - (key & low)) & guard == guard
 
 
+def _below(ceiling, width: int):
+    """Predicate on packed keys: every e_j <= c_j, and none when some c_j < 0.  As in
+    `_pair_mask`, field j of (packed ceiling | guard) - key borrows from its guard
+    bit exactly when e_j > c_j; a c_j past the field is clamped below the guard bit."""
+    if min(ceiling) < 0:
+        return lambda key: False
+    top = (1 << (width - 1)) - 1
+    guard = _pack([top + 1] * len(ceiling), width)
+    bound = _pack([min(c, top) for c in ceiling], width) | guard
+    return lambda key: (bound - key) & guard == guard
+
+
 def _int_product(g: dict, h: dict) -> dict:
     """Product of two integer-numerator term dicts on packed keys, zero sums included.
 
@@ -451,7 +470,7 @@ def _int_product(g: dict, h: dict) -> dict:
 def _gaussian_product(g: dict, h: dict, keep) -> dict:
     """Product of two (re, im) numerator term dicts: (a+bi)(c+di) = (ac-bd) + (ad+bc)i.
 
-    Only the nonzero sums whose key passes `keep` are returned.
+    Only the nonzero sums whose key passes `keep` (None: every key) are returned.
     """
     re, im = {}, {}
     re_get, im_get = re.get, im.get
@@ -460,7 +479,7 @@ def _gaussian_product(g: dict, h: dict, keep) -> dict:
             key = e1 + e2
             re[key] = re_get(key, 0) + a * c - b * d
             im[key] = im_get(key, 0) + a * d + b * c
-    return {k: (r, im[k]) for k, r in re.items() if (r or im[k]) and keep(k)}
+    return {k: (r, im[k]) for k, r in re.items() if (r or im[k]) and (not keep or keep(k))}
 
 
 def _decode_terms(ring: RingDescriptor, triples, den: int) -> dict:

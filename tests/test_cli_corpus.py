@@ -13,9 +13,10 @@ two usage errors, and `charp example12` at the default bound and at
 `--ring q`, `qi` and `fp`; `ortho` for its four families and `moments` for
 its five, with `--alpha`/`--beta` where they apply; `powerscan` and
 `moments` in csv; `lmap` and `powerscan` over `--ring fp` and `jacobian`
-over `qi` and `fp`; `--help` at every level; and one line per usage-error
-class.  Each JSON report that exits 0 must also validate against
-`report.schema.json`.
+over `qi` and `fp`; in json, two `--mmax 200` Laurent scans over every
+ring and one F_11 moment scan at two bounds; `--help` at every level; and
+one line per usage-error class.  Each JSON report that exits 0 must also
+validate against `report.schema.json`.
 
 The same pass runs under a call-only trace function, and
 `test_every_library_function_is_reached` fails when a library function is
@@ -111,7 +112,18 @@ _SCANS = [
     (("moment:uniform01", "--mmax", "1"), ("x - 1/2", "x")),
     (("moment:hermite", "--mmax", "3"), ("x", "x^2")),
 ]
+# json only, over every ring: Laurent scans whose powers the exponent ceiling
+# empties (the second only once t -> 1/t is applied)
+_LONG_SCANS = [
+    ("laurent", "2*t + t^3", "t^-5", "--mmax", "200"),
+    ("laurent", "t^-1 + 2*t^-2", "t^3", "--mmax", "200"),
+]
 _FP = ("--ring", "fp", "--p", "11")
+# json only: a jacobi(1,2) moment scan over F_11 that fails its premise at m = 2,
+# so it never reads mu_7 = 1/33; the moments up to deg * (m_max + 1) stop
+# below mu_7 at --mmax 2 and hold it at --mmax 4
+_MOMENT_FP = [("scan", "--oracle", "moment:jacobi", "5*x - 1", "x^2", "--mmax", m, "--alpha",
+               "1", "--beta", "2") + _FP + ("--format", "json") for m in ("2", "4")]
 _WEIGHTS = [("hermite",), ("laguerre",), ("laguerre", "--alpha", "2"), ("jacobi",),
             ("jacobi", "--alpha", "1", "--beta", "2"), ("legendre",)]
 _USAGE_CLASSES = [
@@ -168,6 +180,10 @@ def _cases():
         for texts in _JACOBIAN:
             for ring in (("--ring", "qi"), _FP):
                 yield ("jacobian",) + texts + ring + ("--n", "2") + tail
+    for texts in _LONG_SCANS:
+        for ring in (("--ring", "q"), ("--ring", "qi"), _FP):
+            yield ("scan", "--oracle") + texts + ring + ("--format", "json")
+    yield from _MOMENT_FP
     for fmt in ("json", "csv", "text"):
         for weight in _WEIGHTS[:3] + _WEIGHTS[4:] + [("uniform01",)]:
             yield ("moments", "--family") + weight + ("--nmax", "5", "--format", fmt)

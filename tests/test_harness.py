@@ -268,12 +268,45 @@ def _assert_matches_products(oracle, f, gs, m_max):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), ring=st.sampled_from(_SCAN_RINGS),
-       variables=st.sampled_from((T_VARS, TU_VARS)), m_max=st.integers(1, 8),
+       variables=st.sampled_from((T_VARS, TU_VARS)),
+       m_max=st.one_of(st.integers(1, 8), st.integers(9, 30)),
        span=st.sampled_from(((1, 3), (-3, -1), (-2, 2), (0, 2))))
 def test_laurent_scan_matches_products(data, ring, variables, m_max, span):
+    """Past m = 9 no g's term reaches f_0^m when f's exponents in some variable
+    are all positive or all negative, so the power loop's ceiling empties it."""
     f = data.draw(_polynomials(ring, variables, *span))
     gs = data.draw(st.lists(_polynomials(ring, variables, -9, 3), min_size=1, max_size=3))
     _assert_matches_products(laurent_constant_oracle(ring), f, gs, m_max)
+
+
+@pytest.mark.parametrize("m_max", [1, 2, 3, 4])
+def test_laurent_ceiling_past_the_field_matches_products(m_max):
+    """f = i*t*u + i*t.  At m_max = 3 a packed field holds exponents up to 3, and
+    u^-9 sets u's ceiling to 9: the ceiling is clamped below the guard bit
+    instead of wrapping into it (this g fails without the clamp)."""
+    def term(a, b):
+        return Polynomial(QI, TU_VARS, {(a, b): QI.imaginary_unit()})
+    f = term(1, 1) + term(1, 0)
+    for gs in ([term(-1, -1) + term(-5, 0)], [term(-3, -3), term(0, -9)]):
+        _assert_matches_products(laurent_constant_oracle(QI), f, gs, m_max)
+
+
+@pytest.mark.parametrize("f, g, last", [({1: 2, 3: 1}, {-5: 1}, 5),  # 2*t + t^3, t^-5
+                                        ({-1: 1, -2: 2}, {3: 1}, 3)])  # t^-1 + 2*t^-2, t^3
+def test_laurent_ceiling_empties_the_power(monkeypatch, f, g, last):
+    """Past m = `last` no read reaches f_0^m: every later row comes from an
+    empty power (the second f only once t -> 1/t is applied)."""
+    sizes, powers = [], harness._int_powers
+
+    def recording(*args, **kwargs):
+        for row in powers(*args, **kwargs):
+            sizes.append(len(row[0][0]))
+            yield row
+    monkeypatch.setattr(harness, "_int_powers", recording)
+    f, g = _laurent(f), _laurent(g)
+    report = mathieu_scan(laurent_constant_oracle(QQ), f, [g], 400)
+    assert report.verdict == "consistent" and len(sizes) == 400
+    assert all(sizes[:last]) and not any(sizes[last:]), sizes[:last + 1]
 
 
 @settings(max_examples=120, deadline=None)

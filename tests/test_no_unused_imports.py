@@ -108,7 +108,7 @@ def test_terms_summed_only_by_constructors():
 
 def test_packed_key_encoding_stays_in_poly():
     # the poly module docstring: the packed-key encoding and its inverse live there alone
-    names = {"_pack", "_unpacker", "_pair_mask"}
+    names = {"_pack", "_unpacker", "_pair_mask", "_below"}
     readers = {path.name for path in LIBRARY
                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                if isinstance(node, ast.Name) and node.id in names

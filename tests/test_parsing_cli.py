@@ -415,7 +415,8 @@ def test_cli_usage_errors(capsys, tmp_path):
         ("lemma81", "u - 1", "u"),
         # values that do not exist in F_p
         ("lmap", "1/3*w1", "--ring", "fp", "--p", "3"),
-        ("scan", "x - 1", "x", "--oracle", "moment:uniform01", "--ring", "fp", "--p", "3"),
+        # mu_2 = 1/3, read at m = 1 (x - 1 fails its premise before any scan reads mu_2)
+        ("scan", "x^2", "x", "--oracle", "moment:uniform01", "--ring", "fp", "--p", "3"),
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import random_polynomial
 from mathieulab.imagemap import _falling_product
-from mathieulab.poly import (NEG_INF, Grading, Polynomial, VariableSet, _int_powers, _pack,
-                            _pair_mask, _unpacker)
+from mathieulab.poly import (NEG_INF, Grading, Polynomial, VariableSet, _below, _int_powers,
+                            _pack, _pair_mask, _unpacker)
 from mathieulab.rings import GF, QI, QQ
 
 XY = VariableSet(("x", "y"))
@@ -183,3 +183,20 @@ def test_pair_mask_keeps_exactly_the_terms_L_keeps():
                 key = _pack(exps, width)
                 assert unpack(key) == exps
                 assert keep(key) == (_falling_product(exps[n:], exps[:n]) != 0), (n, width, exps)
+
+
+def test_below_keeps_exactly_the_keys_under_the_ceiling():
+    """At widths near their minimum, a key passes exactly when every e_j <= c_j,
+    with ceilings past the field (clamped) and below zero (no key passes)."""
+    rng = random.Random(2707)
+    for nvars in (1, 2, 3):
+        for width in (1, 2, 3, 4):
+            top = (1 << (width - 1)) - 1  # the largest exponent below the guard bit
+            for _ in range(100):
+                ceiling = [rng.choice((-1, 0, top, top + 1, 1 << width, rng.randint(0, top)))
+                           for _ in range(nvars)]
+                keep = _below(ceiling, width)
+                for _ in range(10):
+                    exps = [rng.choice((0, top, rng.randint(0, top))) for _ in range(nvars)]
+                    assert keep(_pack(exps, width)) == all(map(int.__le__, exps, ceiling)), (
+                        width, ceiling, exps)
