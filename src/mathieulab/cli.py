@@ -183,42 +183,45 @@ def _parse_matrix(text, ring):
 
 
 def _scan_context(args):
-    """The oracle and the parsed input elements of the `scan` subcommand."""
+    """The oracle and the parsed input elements of the `scan` subcommand, and the
+    usage error that a ZeroDivisionError in its scan means (None: no such error)."""
     from . import harness
     choice = args.oracle
     ring = _ring_of(args)
     if choice == "kerl":
         problem = _problem(args)
         return (harness.kerL_oracle(problem),
-                [_parse(t, ring, problem.variables) for t in _read_inputs(args)])
+                [_parse(t, ring, problem.variables) for t in _read_inputs(args)], None)
     if choice == "laurent":
         t_vars = VariableSet(("t",), laurent=frozenset(("t",)))
         return (harness.laurent_constant_oracle(ring),
-                [_parse(t, ring, t_vars) for t in _read_inputs(args)])
+                [_parse(t, ring, t_vars) for t in _read_inputs(args)], None)
     if choice == "trace":
         elements = [_parse_matrix(t, ring) for t in _read_inputs(args)]
         dim = elements[0].dim
         if any(e.dim != dim for e in elements):
             raise UsageError("all matrices must share one dimension")
         try:
-            return harness.trace_oracle(dim, ring), elements
+            return harness.trace_oracle(dim, ring), elements, None
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     from . import ortho
     spec = _weight_spec(choice.split(":", 1)[1], args)
     polys = [_parse(t, ring, ortho.X_VARS) for t in _read_inputs(args)]
     top = max((0 if p.is_zero() else int(p.total_degree())) for p in polys)
-    return harness.moment_oracle(ortho.moments(spec, top * (args.mmax + 1))), polys
+    return (harness.moment_oracle(ortho.moments(spec, top * (args.mmax + 1))), polys,
+            f"the {spec.label()} moments have no value mod {ring.characteristic}")
 
 
 def _cmd_scan(args):
     from . import harness
-    oracle, (f, *gs) = _scan_context(args)
+    oracle, (f, *gs), no_value = _scan_context(args)
     try:
         report = harness.mathieu_scan(oracle, f, gs, args.mmax).as_report()
     except ZeroDivisionError:  # over F_p, a moment that the scan reads has p in its denominator
-        spec = _weight_spec(args.oracle.split(":", 1)[1], args)
-        raise UsageError(f"the {spec.label()} moments have no value mod {args.p}") from None
+        if no_value is None:
+            raise
+        raise UsageError(no_value) from None
     report["command"] = "scan"
     return report, None
 

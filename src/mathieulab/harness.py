@@ -9,16 +9,15 @@ m_max.  Each result is a `poly.Report`, and each g's result in it is a dict
 with the keys the report prints.  The kernel, constant-term and moment
 oracles scan through the integer power loop (`poly._int_powers`), the trace
 oracle by multiplying matrices out; a reported miss is multiplied out and
-re-checked with `member`.  The constant-term scan turns t_j into 1/t_j where
-every exponent of f is negative and caps f^m's exponents at what a later read
-can reach, so its powers run empty (the rule: `laurent_constant_oracle`).  The
-bridge (`gvc_scan`) reads a constant-coefficient operator's d-symbol and powers
-it as a `Polynomial`.
+re-checked with `member`.  The constant-term scan caps f^m's exponents at what
+a later read can reach, so its powers can run empty (`laurent_constant_oracle`).
+The bridge (`gvc_scan`) reads a constant-coefficient operator's d-symbol and
+powers it as a `Polynomial`.
 """
 
 from __future__ import annotations
 
-from operator import sub
+from operator import mul, sub
 
 from .poly import Polynomial, Report, VerificationError, _decode_terms, _int_powers, _printed
 from .rings import RingDescriptor
@@ -159,18 +158,18 @@ def laurent_constant_oracle(ring: RingDescriptor) -> SubspaceOracle:
     reaches a term of f_0^m with e_j > K_j - m s_j (s_j >= 0) or with
     e_j > K_j + m_max |s_j| (s_j < 0): that is the power loop's ceiling."""
     def scan(f, gs, m_max):
-        columns = list(zip(*f.terms)) or [(0,)] * len(f.variables)
-        sign = [-1 if max(c) < 0 else 1 for c in columns]
-        s = [min(x * e for e in c) for x, c in zip(sign, columns)]
+        sign = [-1 if max(c) < 0 else 1 for c in zip(*f.terms)] or [1] * len(f.variables)
+        f, *gs = [Polynomial(g.ring, g.variables, {tuple(map(mul, sign, e)): c
+                                                   for e, c in g.terms.items()}) for g in (f, *gs)]
+        s = [min(e) for e in zip(*f.terms)] or [0] * len(f.variables)
         f_0 = Polynomial(f.ring, f.variables, {
-            tuple(x * a - b for x, a, b in zip(sign, e, s)): c for e, c in f.terms.items()})
-        top = [max([0] + [-x * k[j] for g in gs for k in g.terms]) for j, x in enumerate(sign)]
+            tuple(a - b for a, b in zip(e, s)): c for e, c in f.terms.items()})
+        top = [max([0] + [-k[j] for g in gs for k in g.terms]) for j in range(len(s))]
         powers = _int_powers(f_0, m_max, ceiling=lambda m: [
             t - min(m * b, m_max * b) for t, b in zip(top, s)])
         for m, ((triples, den),) in enumerate(powers, start=1):
             # f^m's numerators over den, keyed by the negated exponent: g's t^k meets t^-k
-            power = {tuple(x * (-a - m * b) for x, a, b in zip(sign, e, s)): c
-                     for e, c, _ in triples}
+            power = {tuple(-a - m * b for a, b in zip(e, s)): c for e, c, _ in triples}
 
             def constant_free(g, power=power, den=den):
                 hits = _decode_terms(f.ring, [(k, power[k], 1) for k in g.terms if k in power],

@@ -357,18 +357,17 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=(), ceiling
         multiply = _gaussian_product
     elif f.ring.kind == "Q":
         def multiply(g, h, keep):
-            return {k: c for k, c in _int_product(g, h).items() if c and (not keep or keep(k))}
+            return {k: c for k, c in _int_product(g, h).items() if c and keep(k)}
     else:
         p = f.ring.characteristic
 
         def multiply(g, h, keep):
-            return {k: r for k, c in _int_product(g, h).items()
-                    if (r := c % p) and (not keep or keep(k))}
+            return {k: r for k, c in _int_product(g, h).items() if (r := c % p) and keep(k)}
     reach, *reach_q = [_reach(g, pairs) for g in gs]
     reach_q = [max(r) for r in zip([0] * pairs, *reach_q)]  # D(q) = 0 without a cofactor
     shift, field = pairs * width, (1 << width) - 1
     low, shifts = (1 << shift) - 1, range(0, shift, width)
-    in_kernel = _pair_mask(pairs, width) if pairs else None
+    in_kernel = _pair_mask(pairs, width)
     unpack, keys = _unpacker(len(f.variables) - pairs, width), {}
 
     def kernel(power):
@@ -389,8 +388,7 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=(), ceiling
     for m in range(1, m_max + 1):
         if m > 1:
             slack = _pack([(m_max - m) * r + r_q for r, r_q in zip(reach, reach_q)], width)
-            keep = (_below(ceiling(m), width) if ceiling else
-                    _pair_mask(pairs, width, slack) if pairs else None)
+            keep = _below(ceiling(m), width) if ceiling else _pair_mask(pairs, width, slack)
             power, den = multiply(power, base, keep), den * d
         yield [(kernel(power), den)] + [(kernel(multiply(power, q, in_kernel)), den * d_q)
                                         for q, d_q in numerators]
@@ -470,7 +468,7 @@ def _int_product(g: dict, h: dict) -> dict:
 def _gaussian_product(g: dict, h: dict, keep) -> dict:
     """Product of two (re, im) numerator term dicts: (a+bi)(c+di) = (ac-bd) + (ad+bc)i.
 
-    Only the nonzero sums whose key passes `keep` (None: every key) are returned.
+    Only the nonzero sums whose key passes `keep` are returned.
     """
     re, im = {}, {}
     re_get, im_get = re.get, im.get
@@ -479,7 +477,7 @@ def _gaussian_product(g: dict, h: dict, keep) -> dict:
             key = e1 + e2
             re[key] = re_get(key, 0) + a * c - b * d
             im[key] = im_get(key, 0) + a * d + b * c
-    return {k: (r, im[k]) for k, r in re.items() if (r or im[k]) and (not keep or keep(k))}
+    return {k: (r, im[k]) for k, r in re.items() if (r or im[k]) and keep(k)}
 
 
 def _decode_terms(ring: RingDescriptor, triples, den: int) -> dict:
