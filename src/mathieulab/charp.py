@@ -102,30 +102,17 @@ def koszul_solve(problem: ImageProblem, p_poly: Polynomial,
     return g
 
 
-class DescentWitness:
-    """Chain from the two-pair degree descent, with the final exact identity."""
-
-    def __init__(self, d: int, g_top: Polynomial, g_mid: Polynomial,
-                 top_component: Polynomial, identity_rhs: Polynomial):
-        self.d = d
-        self.g_top = g_top  # homogeneous of z-degree d+2
-        self.g_mid = g_mid  # homogeneous of z-degree d+1
-        self.top_component = top_component  # b_d
-        self.identity_rhs = identity_rhs
-
-    def verify(self) -> bool:
-        return self.top_component == self.identity_rhs
-
-
 def crucial_lemma_descent(b: Polynomial, p_wit: Polynomial, q_wit: Polynomial,
-                          problem: ImageProblem) -> DescentWitness:
+                          problem: ImageProblem) -> Report:
     """Descend the witness identity to express the top component of b in I.
 
     `problem` has two variable pairs over GF(p).  Requires the simplifying
     degree hypothesis: both witnesses have z-degree at most deg(b) + 2.  The
     chain is checked step by step and the final identity
     b_d = -w1*(p_d + d2 g_mid) - w2*(q_d - d1 g_mid) is asserted exactly,
-    whence all coefficients of b_d lie in I = (w1, w2).
+    whence all coefficients of b_d lie in I = (w1, w2).  The report gives
+    d, `g_top` (z-degree d+2), `g_mid` (z-degree d+1), the `top_component`
+    b_d and `verified`, true once both checks pass.
     """
     from .imagemap import t_apply
     if problem.n != 2:
@@ -158,10 +145,9 @@ def crucial_lemma_descent(b: Polynomial, p_wit: Polynomial, q_wit: Polynomial,
     b_d = b.homogeneous_components(grading).get(d, zero)
     rhs = (-(problem.zeta(1) * (p_comp.get(d, zero) + g_mid.partial("z2")))
            - problem.zeta(2) * (q_comp.get(d, zero) - g_mid.partial("z1")))
-    witness = DescentWitness(d, g_top, g_mid, b_d, rhs)
-    if not (witness.verify() and w_ideal_member(b_d, problem.n, 1)):
+    if not (b_d == rhs and w_ideal_member(b_d, problem.n, 1)):
         raise VerificationError("descent identity failed to verify")
-    return witness
+    return Report(d=d, g_top=g_top, g_mid=g_mid, top_component=b_d, verified=True)
 
 
 def theorem51_pipeline(f: Polynomial, g: Polynomial,
@@ -180,8 +166,8 @@ def theorem51_pipeline(f: Polynomial, g: Polynomial,
     problem.check(g)
     for exps, c in f.terms.items():
         if _w_index(exps, problem.n, 1) is None:
-            mono = Polynomial(problem.ring, problem.variables, {exps: c})
-            return Report(premise_holds=False, failing_coefficient=mono.to_str())
+            return Report(premise_holds=False, failing_coefficient=Polynomial(
+                problem.ring, problem.variables, {exps: c}))
     p2 = p ** 2
     # Frobenius is a ring map fixing F_p: f^(p^2) is the sum of c * M^(p^2) over f's terms c * M
     power = Polynomial(problem.ring, problem.variables,
@@ -260,12 +246,13 @@ def example12_refutation(p: int, degree_bound: int = None) -> Report:
     one = Polynomial.one(ring, z_vars)
     basis = [Polynomial.var(ring, z_vars, "z", e) for e in range(1, degree_bound)]
     probe = one_property_probe(oracle, one, basis)
-    refuting = _printed(probe.refuting_element)
-    expected = Polynomial.var(ring, z_vars, "z", p - 1).to_str()
+    refuting = probe.refuting_element
+    expected = Polynomial.var(ring, z_vars, "z", p - 1)
     if refuting != expected:
-        raise VerificationError(f"the probe refuted with {refuting}, not {expected}")
+        raise VerificationError(f"the probe refuted with {_printed(refuting)}, "
+                                f"not {expected.to_str()}")
     return Report(p=p, degree_bound=degree_bound, one_in_image=probe.contains_one,
-                  missing_monomial=refuting, refuted=probe.refuting_element is not None)
+                  missing_monomial=refuting, refuted=True)
 
 
 # -- valuation machinery (number-field route, instantiated over Q) -----

@@ -3,7 +3,9 @@
 `_COMMANDS` names each subcommand and `charp` mode, its handler and the flags
 the handler reads; `_FLAGS` holds each flag's argparse spec, with its range
 check.  Each handler imports the modules it runs on first use, so a cold call
-loads only its subcommand's modules.  Exit codes: 0 completed; 1 `usage
+loads only its subcommand's modules.  A handler returns a `Report` of typed
+values and, for `--format csv`, its rows; `main` prints both, the one place
+that turns a value into text.  Exit codes: 0 completed; 1 `usage
 error:` (bad flags, unparsable or unreadable input, unsatisfiable
 preconditions); 2 `VerificationError`, a result that failed its exact
 re-check; 141 stdout closed before the report was written (128 + SIGPIPE).
@@ -18,7 +20,7 @@ import os
 import sys
 
 from .parsing import ParseError, parse_polynomial
-from .poly import Polynomial, VariableSet, VerificationError
+from .poly import Polynomial, Report, VariableSet, VerificationError, _printed
 from .rings import GF, QI, QQ, is_prime
 
 
@@ -125,9 +127,8 @@ def _cmd_lmap(args):
     results = []
     for text in texts:
         f = _parse(text, problem.ring, problem.variables)
-        results.append({"input": f.to_str(),
-                        "result": imagemap.L_map(problem, f).to_str()})
-    return {"command": "lmap", "n": args.n, "results": results}, None
+        results.append({"input": f, "result": imagemap.L_map(problem, f)})
+    return Report(command="lmap", n=args.n, results=results), None
 
 
 def _cmd_decompose(args):
@@ -137,18 +138,16 @@ def _cmd_decompose(args):
     components = imagemap.decompose(problem, f)
     if imagemap.recompose(problem, components) != f:
         raise VerificationError("decomposition did not recompose to the input")
-    return {"command": "decompose", "input": f.to_str(),
-            "components": {",".join(map(str, a)): comp.to_str()
-                           for a, comp in sorted(components.items())}}, None
+    return Report(command="decompose", input=f, components={
+        ",".join(map(str, a)): comp for a, comp in sorted(components.items())}), None
 
 
 def _cmd_certify(args):
     from . import imagemap
     problem = imagemap.ImageProblem(args.n, _RINGS[args.ring])
     f = _parse(_read_inputs(args, ("f",))[0], problem.ring, problem.variables)
-    report = imagemap.certify_imD(problem, f).as_report()  # re-verified before it returns
-    report.update({"command": "certify", "input": f.to_str()})
-    return report, None
+    cert = imagemap.certify_imD(problem, f)  # re-verified before it returns
+    return Report(**vars(cert), command="certify", input=f), None
 
 
 def _cmd_powerscan(args):
@@ -156,11 +155,8 @@ def _cmd_powerscan(args):
     problem = _problem(args)
     f = _parse(_read_inputs(args, ("f",))[0], problem.ring, problem.variables)
     scan = imagemap.power_scan(problem, f, args.mmax)
-    report = scan.as_report()
-    report.update({"command": "powerscan", "input": f.to_str()})
-    rows = [("m", "value")] + [(m, v) for m, v in
-                               enumerate(report["values"], start=1)]
-    return report, rows
+    rows = [("m", "value")] + list(enumerate(scan.values, start=1))
+    return Report(**vars(scan), command="powerscan", input=f), rows
 
 
 def _parse_matrix(text, ring):
@@ -217,13 +213,12 @@ def _cmd_scan(args):
     from . import harness
     oracle, (f, *gs), no_value = _scan_context(args)
     try:
-        report = harness.mathieu_scan(oracle, f, gs, args.mmax).as_report()
+        scan = harness.mathieu_scan(oracle, f, gs, args.mmax)
     except ZeroDivisionError:  # over F_p, a moment that the scan reads has p in its denominator
         if no_value is None:
             raise
         raise UsageError(no_value) from None
-    report["command"] = "scan"
-    return report, None
+    return Report(**vars(scan), command="scan"), None
 
 
 def _cmd_gvc(args):
@@ -237,10 +232,8 @@ def _cmd_gvc(args):
     operator = WeylElement.constant_coefficient(op_poly, problem.z_names)
     p_poly = _parse(texts[1], problem.ring, z_vars)
     q_poly = _parse(texts[2], problem.ring, z_vars)
-    report = harness.gvc_scan(operator, p_poly, q_poly, args.mmax,
-                              problem=problem).as_report()
-    report.update({"command": "gvc", "operator": texts[0]})
-    return report, None
+    scan = harness.gvc_scan(operator, p_poly, q_poly, args.mmax, problem=problem)
+    return Report(**vars(scan), command="gvc", operator=texts[0]), None
 
 
 def _cmd_jacobian(args):
@@ -250,10 +243,8 @@ def _cmd_jacobian(args):
     z_vars = VariableSet(problem.z_names)
     h_polys = [_parse(t, problem.ring, z_vars) for t in texts]
     matrix = harness.jacobian_matrix(h_polys, problem.z_names)
-    return {"command": "jacobian",
-            "map": [h.to_str() for h in h_polys],
-            "matrix": matrix.to_str(),
-            "nilpotent": matrix.is_nilpotent()}, None
+    return Report(command="jacobian", map=h_polys, matrix=matrix,
+                  nilpotent=matrix.is_nilpotent()), None
 
 
 def _weight_spec(family, args) -> ortho.WeightSpec:
@@ -276,11 +267,9 @@ def _cmd_ortho(args):
         lead = rod.terms.get((d,), QQ.one())
         if lam != rod or rod != monic[d].scale(lead):
             raise VerificationError(f"generation routes disagree at degree {d}")
-        rows.append({"degree": d, "polynomial": rod.to_str(),
-                     "monic": monic[d].to_str(),
-                     "leading_scalar": str(lead)})
-    return {"command": "ortho", "family": spec.label(),
-            "routes_agree": True, "polynomials": rows}, None
+        rows.append({"degree": d, "polynomial": rod, "monic": monic[d], "leading_scalar": lead})
+    return Report(command="ortho", family=spec.label(), routes_agree=True,
+                  polynomials=rows), None
 
 
 def _cmd_moments(args):
@@ -294,7 +283,7 @@ def _cmd_moments(args):
         rows.append((n, mu.numerator, mu.denominator))
         table.append({"degree": n, "numerator": str(mu.numerator),
                       "denominator": str(mu.denominator)})
-    return {"command": "moments", "family": spec.label(), "moments": table}, rows
+    return Report(command="moments", family=spec.label(), moments=table), rows
 
 
 def _cmd_theorem51(args):
@@ -302,26 +291,22 @@ def _cmd_theorem51(args):
     problem = imagemap.ImageProblem(args.n, GF(args.p))
     f, g = (_parse(t, problem.ring, problem.variables)
             for t in _read_inputs(args, ("f", "g")))
-    report = charp.theorem51_pipeline(f, g, problem).as_report()
-    report["command"] = "charp.theorem51"
-    return report, None
+    report = charp.theorem51_pipeline(f, g, problem)
+    return Report(**vars(report), command="charp.theorem51"), None
 
 
 def _cmd_willems(args):
     from . import charp
-    report = charp.willems_scan(args.p, args.kmax).as_report()
-    report["command"] = "charp.willems"
-    return report, None
+    return Report(**vars(charp.willems_scan(args.p, args.kmax)), command="charp.willems"), None
 
 
 def _cmd_example12(args):
     from . import charp
     try:
-        report = charp.example12_refutation(args.p, args.bound).as_report()
+        report = charp.example12_refutation(args.p, args.bound)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    report["command"] = "charp.example12"
-    return report, None
+    return Report(**vars(report), command="charp.example12"), None
 
 
 def _cmd_crucial(args):
@@ -330,26 +315,20 @@ def _cmd_crucial(args):
     b, p_wit, q_wit = (_parse(t, problem.ring, problem.variables)
                        for t in _read_inputs(args, ("b", "p_witness", "q_witness")))
     try:
-        witness = charp.crucial_lemma_descent(b, p_wit, q_wit, problem)
+        report = charp.crucial_lemma_descent(b, p_wit, q_wit, problem)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return {"d": witness.d,
-            "g_top": witness.g_top.to_str(),
-            "g_mid": witness.g_mid.to_str(),
-            "top_component": witness.top_component.to_str(),
-            "verified": witness.verify(),
-            "command": "charp.crucial"}, None
+    return Report(**vars(report), command="charp.crucial"), None
 
 
 def _cmd_lemma81(args):
     from . import charp
     g = _parse(_read_inputs(args, ("g",))[0], QQ, VariableSet(("u",)))
     try:
-        report = charp.lemma81_nonvanishing(g, args.primes).as_report()
+        report = charp.lemma81_nonvanishing(g, args.primes)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    report.update({"command": "lemma81", "input": g.to_str()})
-    return report, None
+    return Report(**vars(report), command="lemma81", input=g), None
 
 
 def _cmd_conj73(args):
@@ -357,8 +336,7 @@ def _cmd_conj73(args):
     problem = imagemap.ImageProblem(1, _RINGS[args.ring])
     f = _parse(_read_inputs(args, ("f",))[0], problem.ring, problem.variables)
     report = imagemap.ic1_pipeline(problem, f, args.mmax)
-    report.update({"command": "conj73", "input": f.to_str()})
-    return report, None
+    return Report(**vars(report), command="conj73", input=f), None
 
 
 # -- the subcommand table ----------------------------------------------
@@ -451,7 +429,7 @@ def main(argv=None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
     try:
-        _emit(report, args.format, csv_rows)
+        _emit(report.as_report(), args.format, _printed(csv_rows))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early; point it at devnull so that the

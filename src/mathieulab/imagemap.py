@@ -151,30 +151,21 @@ def recompose(problem: ImageProblem, components: dict) -> Polynomial:
     return total
 
 
-class MembershipCertificate:
-    """Either a witness (h_1..h_n) with sum (d/dz_i - w_i) h_i = f, or the residue L(f)."""
-
-    def __init__(self, problem: ImageProblem, status: str, witness: list = None,
-                 residue: Polynomial = None):
-        self.problem = problem
-        self.status = status  # "member" | "nonmember"
-        self.witness = witness
-        self.residue = residue
+class MembershipCertificate(Report):
+    """Either `status` "member" with a `witness` (h_1..h_n), sum (d/dz_i - w_i) h_i = f,
+    or "nonmember" with the `residue` L(f) != 0."""
 
     def verify(self, f: Polynomial) -> bool:
         if self.status != "member":
-            return self.residue is not None and not self.residue.is_zero()
-        # sum_i (d/dz_i - w_i) h_i = -sum_i t_i h_i, summed in one pass
-        problem = self.problem
-        return Polynomial(problem.ring, problem.variables, (
+            problem = ImageProblem(len(f.variables) // 2, f.ring)
+            return not self.residue.is_zero() and self.residue == L_map(problem, f)
+        # sum_i (d/dz_i - w_i) h_i = -sum_i t_i h_i, summed in one pass in the
+        # witness's own ring; the equality also checks that f lives there
+        h1 = self.witness[0]
+        problem = ImageProblem(len(self.witness), h1.ring)
+        return Polynomial(h1.ring, h1.variables, (
             pair for i, h in enumerate(self.witness, start=1)
             for pair in _t_terms(problem, i, h))) == -f
-
-    def as_report(self) -> dict:
-        if self.status == "member":
-            return {"status": "member",
-                    "witness": [h.to_str() for h in self.witness]}
-        return {"status": "nonmember", "residue": self.residue.to_str()}
 
 
 def certify_imD(problem: ImageProblem, f: Polynomial) -> MembershipCertificate:
@@ -186,7 +177,7 @@ def certify_imD(problem: ImageProblem, f: Polynomial) -> MembershipCertificate:
     if L_map(problem, f) != f0:
         raise VerificationError("the zero component of the decomposition is not L(f)")
     if not f0.is_zero():
-        return MembershipCertificate(problem, "nonmember", residue=f0)
+        return MembershipCertificate(status="nonmember", residue=f0)
     # t^a f_a = t_i t^(a-e_i) f_a with i the first index where a_i > 0, and
     # t_i = -(d/dz_i - w_i), so h_i = -sum t^(a-e_i) f_a over those a
     parts = [[] for _ in range(n)]
@@ -199,7 +190,7 @@ def certify_imD(problem: ImageProblem, f: Polynomial) -> MembershipCertificate:
          c * from_int(scale if sum(k) % 2 else -scale))
         for lowered, comp in part for exps, c in comp.terms.items()
         for k, scale in _expansion(lowered, exps[n:]))) for part in parts]
-    cert = MembershipCertificate(problem, "member", witness=witness)
+    cert = MembershipCertificate(status="member", witness=witness)
     if not cert.verify(f):
         raise VerificationError("certificate failed to re-verify")
     return cert
@@ -279,7 +270,7 @@ def monomial_count_scan(f: Polynomial, bound: int = None) -> Report:
                   within_monomial_count=first is not None and first <= count, values=values)
 
 
-def ic1_pipeline(problem: ImageProblem, f: Polynomial, m_max: int = 12) -> dict:
+def ic1_pipeline(problem: ImageProblem, f: Polynomial, m_max: int = 12) -> Report:
     """Composite one-pair demonstration: grade, shift by w^r, reduce to u, scan.
 
     Mirrors the degree argument that settles the one-pair case: a polynomial
@@ -291,19 +282,11 @@ def ic1_pipeline(problem: ImageProblem, f: Polynomial, m_max: int = 12) -> dict:
     if problem.n != 1:
         raise ValueError("pipeline is specific to one variable pair")
     problem.check(f)
-    deg = f.grade_degree(problem.deg_grading())
-    report = {"deg": None if deg == NEG_INF else int(deg)}
-    if deg == NEG_INF or deg <= -1:
-        scan = power_scan(problem, f, m_max)
-        report["branch"] = "negative_degree"
-        report["power_scan"] = scan.as_report()
-        return report
-    r = int(deg)
+    r = f.grade_degree(problem.deg_grading())
+    if r == NEG_INF or r <= -1:
+        return Report(deg=None if r == NEG_INF else r, branch="negative_degree",
+                      power_scan=power_scan(problem, f, m_max))
     u_poly = Polynomial(problem.ring, VariableSet(("u1",)),
                         {(b,): c for (a, b), c in f.terms.items() if b - a == r})
-    scan = monomial_count_scan(u_poly)
-    report["branch"] = "shifted_to_diagonal"
-    report["shift_power"] = r
-    report["diagonal_part"] = u_poly.to_str()
-    report["count_scan"] = scan.as_report()
-    return report
+    return Report(deg=r, branch="shifted_to_diagonal", shift_power=r, diagonal_part=u_poly,
+                  count_scan=monomial_count_scan(u_poly))

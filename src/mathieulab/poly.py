@@ -47,21 +47,25 @@ class VerificationError(Exception):
 class Report(SimpleNamespace):
     """A result with a printed report: keyword fields, in the order the JSON prints them.
 
-    The values stay typed (polynomials, ring elements, fractions); equality
-    compares every field.  `as_report` prints them once, into a fresh dict.
+    The values stay typed (polynomials, ring elements, fractions, matrices,
+    nested Reports); equality compares every field.  `as_report` prints them
+    once, into a fresh dict, and a nested Report prints as the dict of its fields.
     """
 
     def as_report(self) -> dict:
-        return _printed(vars(self))
+        return _printed(self)
 
 
 def _printed(value):
     """`value` as the report prints it.
 
-    Dicts, lists and tuples are printed item by item (a tuple as a list);
-    None, bool, int and str stay as they are; anything else becomes its
-    `to_str()` if it has one, else its `str()`.
+    A Report prints as the dict of its fields; dicts, lists and tuples are
+    printed item by item (a tuple as a list); None, bool, int and str stay
+    as they are; anything else becomes its `to_str()` if it has one, else
+    its `str()`.
     """
+    if isinstance(value, Report):
+        value = vars(value)
     if isinstance(value, dict):
         return {k: _printed(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -250,7 +250,8 @@ def test_criterion_08_char_p_pipeline():
                           q_wit.grade_degree(grading))
                 if top != NEG_INF and top > d + 2:
                     continue
-                assert charp.crucial_lemma_descent(b, p_wit, q_wit, problem).verify()
+                r = charp.crucial_lemma_descent(b, p_wit, q_wit, problem)
+                assert r.verified and charp.w_ideal_member(r.top_component, 2, 1)
                 verified += 1
             for _ in range(20):
                 base = random_polynomial(rng, problem.ring, problem.variables,

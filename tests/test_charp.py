@@ -120,9 +120,9 @@ def test_descent_on_random_witnesses():
             top = max(p_wit.grade_degree(grading), q_wit.grade_degree(grading))
             if top != NEG_INF and top > d + 2:
                 continue
-            witness = crucial_lemma_descent(b, p_wit, q_wit, problem)
-            assert witness.verify()
-            assert w_ideal_member(witness.top_component, 2, 1)
+            r = crucial_lemma_descent(b, p_wit, q_wit, problem)
+            assert r.verified
+            assert w_ideal_member(r.top_component, 2, 1)
             checked += 1
     assert checked >= 40
 
@@ -176,7 +176,7 @@ def test_theorem51_pipeline_premise_failure():
     problem = ImageProblem(1, GF(2))
     report = theorem51_pipeline(problem.one(), problem.one(), problem)
     assert not report.premise_holds
-    assert report.failing_coefficient == "1"
+    assert report.as_report()["failing_coefficient"] == "1"
 
 
 def test_willems_counterexample():
@@ -231,7 +231,7 @@ def test_example12():
         report = example12_refutation(p)
         assert report.one_in_image
         assert report.refuted
-        assert report.missing_monomial == ("z" if p == 2 else f"z^{p - 1}")
+        assert report.as_report()["missing_monomial"] == ("z" if p == 2 else f"z^{p - 1}")
         # a probe basis that stops below z^(p-1) cannot refute
         with pytest.raises(ValueError):
             example12_refutation(p, p - 1)

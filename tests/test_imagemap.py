@@ -179,6 +179,26 @@ def test_certify_examples():
     assert all(h.is_zero() for h in cert.witness)
 
 
+def test_a_nonmember_certificate_verifies_only_the_polynomial_it_certifies():
+    """A residue certifies the f whose L(f) it is, and only a non-zero one."""
+    f = Polynomial(QQ, P1.variables, {(1, 2): QQ.one(), (0, 0): QQ.from_int(3)})  # w1*z1^2 + 3
+    cert = certify_imD(P1, f)
+    assert cert.as_report() == {"status": "nonmember", "residue": "2*z1 + 3"}
+    assert cert.verify(f)
+    member = P1.zeta(1) * P1.z(1) - P1.one()  # L = 0
+    assert not cert.verify(member)
+    assert not cert.verify(P1.z(1))  # L = z1, another residue
+    assert not imagemap.MembershipCertificate(status="nonmember", residue=P1.zero()).verify(
+        P1.zero())
+
+
+def test_a_certificate_does_not_verify_a_polynomial_of_another_problem():
+    one_pair = certify_imD(P1, P1.one() - P1.zeta(1) * P1.z(1))
+    for problem in (P2, ImageProblem(1, QI)):
+        for cert in (one_pair, certify_imD(P1, P1.z(1))):
+            assert not cert.verify(problem.one() - problem.zeta(1) * problem.z(1))
+
+
 def test_certificate_iff_kernel(rng):
     for _ in range(60):
         f = random_polynomial(rng, QQ, P2.variables)
@@ -423,7 +443,7 @@ def test_ic1_diagonal_part_matches_the_shifted_grade_zero_part():
     for case in range(700):
         problem = ImageProblem(1, (QQ, QI)[case % 2])
         f = random_polynomial(rng, problem.ring, problem.variables, max_degree=4, max_terms=4)
-        report = ic1_pipeline(problem, f, 6)
+        report = ic1_pipeline(problem, f, 6).as_report()
         if report["branch"] != "shifted_to_diagonal":
             continue
         shifted += 1
@@ -439,12 +459,12 @@ def test_ic1_diagonal_part_matches_the_shifted_grade_zero_part():
 
 def test_ic1_pipeline_branches():
     neg = P1.zeta(1) ** 2 * P1.z(1)
-    report = ic1_pipeline(P1, neg)
+    report = ic1_pipeline(P1, neg).as_report()
     assert report["branch"] == "negative_degree"
     assert report["power_scan"]["first_nonzero"] is None
 
     f = P1.zeta(1) * P1.z(1) - P1.one()
-    report = ic1_pipeline(P1, f)
+    report = ic1_pipeline(P1, f).as_report()
     assert report["branch"] == "shifted_to_diagonal"
     assert report["count_scan"]["within_monomial_count"]
 

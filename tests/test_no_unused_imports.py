@@ -2,8 +2,8 @@
 every private module-level name of the library is read somewhere in it,
 every public module-level function and class is read by the library or the
 benchmark (or is allowlisted below with its reason), no library module
-imports `dataclasses`, and only `Report` and `MembershipCertificate` define
-`as_report`."""
+imports `dataclasses`, only `Report` defines `as_report`, and the CLI prints
+in one place: `cli.main`."""
 
 import ast
 from pathlib import Path
@@ -127,11 +127,27 @@ def test_library_imports_no_dataclasses():
     assert not hits
 
 
-def test_only_report_and_the_certificate_define_as_report():
-    """Every other printed result is a `Report`, printed by its one `as_report`."""
+def test_only_report_defines_as_report():
+    """Every printed result is a `Report`, printed by its one `as_report`."""
     owners = sorted(f"{path.name}:{node.name}" for path in LIBRARY
                     for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                     if isinstance(node, ast.ClassDef)
                     and any(isinstance(item, ast.FunctionDef) and item.name == "as_report"
                             for item in node.body))
-    assert owners == ["imagemap.py:MembershipCertificate", "poly.py:Report"]
+    assert owners == ["poly.py:Report"]
+
+
+def test_cli_prints_only_in_main():
+    """Handlers return typed `Report`s: `main` calls `as_report` once, and
+    nothing else in `cli.py` calls `to_str` or `as_report`."""
+    tree = ast.parse((Path(mathieulab.__file__).parent / "cli.py").read_text())
+
+    def printing_calls(node):
+        return [call.func.attr for call in ast.walk(node)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr in ("to_str", "as_report")]
+
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    assert printing_calls(main) == ["as_report"]
+    assert printing_calls(tree) == ["as_report"]

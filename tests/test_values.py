@@ -104,11 +104,13 @@ def test_report_prints_every_value_as_its_literal():
     report = Report(poly=x * x - x, matrix=MatrixValue([[half, Fraction(0)], [x, x * 2]]),
                     fraction=half, gaussian=GaussianRational(Fraction(1, 2), Fraction(3)),
                     residue=residue, nested=[(x, {"k": [residue, None]}), {"pair": (1, "s")}],
-                    none=None, yes=True, no=False, count=-3, text="x^2")
+                    none=None, yes=True, no=False, count=-3, text="x^2",
+                    report=Report(values=[x, x * x], rows=[Report(g=x)]))
     printed = {"poly": "x^2 - x", "matrix": "[-1/2, 0; x, 2*x]", "fraction": "-1/2",
                "gaussian": "1/2+3*i", "residue": "3",
                "nested": [["x", {"k": ["3", None]}], {"pair": [1, "s"]}],
-               "none": None, "yes": True, "no": False, "count": -3, "text": "x^2"}
+               "none": None, "yes": True, "no": False, "count": -3, "text": "x^2",
+               "report": {"values": ["x", "x^2"], "rows": [{"g": "x"}]}}
     out = report.as_report()
     assert out == printed
     assert list(out) == list(vars(report))  # the fields print in the order given
