@@ -9,7 +9,7 @@ from conftest import random_polynomial
 from mathieulab.imagemap import _falling_product
 from mathieulab.poly import (NEG_INF, Grading, Polynomial, VariableSet, _below, _int_powers,
                             _pack, _pair_mask, _unpacker)
-from mathieulab.rings import GF, QI, QQ
+from mathieulab.rings import GF, QI, QQ, GaussianRational
 
 XY = VariableSet(("x", "y"))
 LT = VariableSet(("t",), laurent=frozenset(("t",)))
@@ -148,14 +148,82 @@ X = VariableSet(("x",))
     (QI, QI.from_fraction(Fraction(1, 2))
      - QI.from_fraction(Fraction(2, 3)) * QI.imaginary_unit(),
      ("(1/2-2/3*i)", "(1/2-2/3*i)*x", "x + (1/2-2/3*i)", "x^2 + (1/2-2/3*i)*x")),
+    (QI, QI.from_int(3) * QI.imaginary_unit(), ("3*i", "3*i*x", "x + 3*i", "x^2 + 3*i*x")),
+    (QI, QI.from_int(-3) * QI.imaginary_unit(),
+     ("-3*i", "-3*i*x", "x - 3*i", "x^2 - 3*i*x")),
+    (QI, QI.from_int(2) + QI.imaginary_unit(),
+     ("(2+i)", "(2+i)*x", "x + (2+i)", "x^2 + (2+i)*x")),
+    (QI, QI.from_int(2) - QI.imaginary_unit(),
+     ("(2-i)", "(2-i)*x", "x + (2-i)", "x^2 + (2-i)*x")),
+    (QI, QI.from_fraction(Fraction(-1, 2))
+     + QI.from_fraction(Fraction(2, 3)) * QI.imaginary_unit(),
+     ("(-1/2+2/3*i)", "(-1/2+2/3*i)*x", "x + (-1/2+2/3*i)", "x^2 + (-1/2+2/3*i)*x")),
+    (QI, QI.from_fraction(Fraction(-5, 4)), ("-5/4", "-5/4*x", "x - 5/4", "x^2 - 5/4*x")),
 ], ids=["Q-1", "Q-neg1", "Q-7_3", "Q-neg7_3", "F7-1", "F7-5", "Qi-1", "Qi-neg3_2",
-        "Qi-i", "Qi-neg-i", "Qi-2_3i", "Qi-neg2_3i", "Qi-mixed"])
+        "Qi-i", "Qi-neg-i", "Qi-2_3i", "Qi-neg2_3i", "Qi-mixed", "Qi-3i", "Qi-neg3i",
+        "Qi-2+i", "Qi-2-i", "Qi-neg1_2+2_3i", "Qi-real-neg5_4"])
 def test_printed_coefficient(ring, coeff, expected):
     # c alone, c before a monomial, then each as a later term
     one = ring.one()
     shapes = [{(0,): coeff}, {(1,): coeff}, {(1,): one, (0,): coeff},
               {(2,): one, (1,): coeff}]
     assert tuple(Polynomial(ring, X, t).to_str() for t in shapes) == expected
+
+
+def _fraction_formatted(c) -> str:
+    """The Q(i) literal as printed by comparing `Fraction`s: the reference formatter."""
+    if not c.im:
+        return str(c.re)
+    mag = abs(c.im)
+    im = "i" if mag == 1 else f"{mag}*i"
+    if not c.re:
+        return im if c.im > 0 else f"-{im}"
+    return f"{c.re}{'+' if c.im > 0 else '-'}{im}"
+
+
+def test_gaussian_literals_match_the_fraction_formatter():
+    """Random Gaussian rationals, zero parts and unit magnitudes included, print
+    as the reference formatter prints them, alone and as the coefficient of x."""
+    rng = random.Random(2929)
+
+    def part():
+        num = rng.choice((0, 0, 1, -1, rng.randint(-40, 40)))
+        return Fraction(num, rng.choice((1, 1, rng.randint(1, 12))))
+    for _ in range(1500):
+        c = GaussianRational(part(), part())
+        text = _fraction_formatted(c)
+        assert str(c) == text
+        if not c:
+            continue
+        if c.re and c.im:
+            sign, body = "+", f"({text})"
+        else:
+            sign, body = ("-", text[1:]) if text.startswith("-") else ("+", text)
+        alone = "x" if body == "1" else f"{body}*x"
+        assert Polynomial(QI, X, {(1,): c}).to_str() == ("-" if sign == "-" else "") + alone
+        assert Polynomial(QI, X, {(2,): QI.one(), (1,): c}).to_str() == f"x^2 {sign} {alone}"
+
+
+MIXED = VariableSet(("x", "t"), laurent=frozenset(("t",)))
+
+
+@pytest.mark.parametrize("variables, before, key, message", [
+    (XY, (0, 0), (1,), "exponent tuple length mismatch"),
+    (XY, (0, 0), (1, 0, 0), "exponent tuple length mismatch"),
+    (XY, (0, 0), (0, -1), "negative exponent on non-Laurent variable y"),
+    (MIXED, (1, -3), (-1, 2), "negative exponent on non-Laurent variable x"),
+    (MIXED, (0, -1), (-1, -2), "negative exponent on non-Laurent variable x"),
+])
+def test_constructor_error_texts(variables, before, key, message):
+    """Dict and pair input raise the same text, after a valid term; in a mixed
+    set only x's negative exponent fails, and t's is accepted."""
+    one = QQ.one()
+    for terms in ({before: one, key: one}, [(before, one), (key, one)]):
+        with pytest.raises(ValueError) as raised:
+            Polynomial(QQ, variables, terms)
+        assert str(raised.value) == message
+    assert Polynomial(QQ, MIXED, {(2, -3): one, (0, -1): one}).terms == {(2, -3): one,
+                                                                         (0, -1): one}
 
 
 def test_immutability():
