@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from operator import mul, sub
 
-from .poly import Polynomial, Report, VerificationError, _decode_terms, _int_powers, _printed
+from .poly import (Polynomial, Report, VerificationError, _decode_terms, _int_powers, _printed,
+                   _weighted_sum)
 from .rings import RingDescriptor
 
 
@@ -167,13 +168,12 @@ def laurent_constant_oracle(ring: RingDescriptor) -> SubspaceOracle:
         top = [max([0] + [-k[j] for g in gs for k in g.terms]) for j in range(len(s))]
         powers = _int_powers(f_0, m_max, ceiling=lambda m: [
             t - min(m * b, m_max * b) for t, b in zip(top, s)])
-        for m, ((triples, den),) in enumerate(powers, start=1):
+        for m, ((sums, den),) in enumerate(powers, start=1):
             # f^m's numerators over den, keyed by the negated exponent: g's t^k meets t^-k
-            power = {tuple(-a - m * b for a, b in zip(e, s)): c for e, c, _ in triples}
+            power = {tuple(-a - m * b for a, b in zip(e, s)): c for e, c in sums.items()}
 
             def constant_free(g, power=power, den=den):
-                hits = _decode_terms(f.ring, [(k, power[k], 1) for k in g.terms if k in power],
-                                     den)
+                hits = _decode_terms(f.ring, {k: power[k] for k in g.terms if k in power}, den)
                 return not sum((g.terms[k] * v for k, v in hits.items()), f.ring.zero())
             yield (0,) * len(s) not in power, lambda one=constant_free: [one(g) for g in gs]
     return SubspaceOracle(f"laurent_constant_{ring.kind}{ring.characteristic or ''}",
@@ -181,25 +181,26 @@ def laurent_constant_oracle(ring: RingDescriptor) -> SubspaceOracle:
 
 
 def _functional_scan(rows, vanishes):
-    """`SubspaceOracle.scan` over `_int_powers` rows: f^m's (triples, den), then each g f^m's."""
+    """`SubspaceOracle.scan` over `_int_powers` rows: f^m's (sums, den), then each g f^m's."""
     for power, *products in rows:
         yield vanishes(*power), lambda products=products: [vanishes(*q) for q in products]
 
 
 def moment_oracle(m: MomentFunctional) -> SubspaceOracle:
-    """Zero moment sum_j c_j mu_j; the scan weighs the numerators of `_int_powers`,
-    and over F_p reduces a moment mod p only when it reads it."""
+    """Zero moment sum_j c_j mu_j; the scan weighs the numerators of `_int_powers`
+    by the moments into one sum, and over F_p reduces a moment mod p only when
+    it reads it."""
     def member(f):
         from .ortho import inner_product
         one = Polynomial.one(f.ring, f.variables)
         return not inner_product(f, one, m)
 
     def scan(f, gs, m_max):
-        weight = m.moment if not f.ring.characteristic else (
+        moment = m.moment if not f.ring.characteristic else (
             lambda j: f.ring.from_fraction(m.moment(j)).residue)
-        return _functional_scan(_int_powers(f, m_max, 0, gs), lambda triples, den: not
-                                _decode_terms(f.ring, (((), c, weight(j))
-                                                       for (j,), c, _ in triples), den))
+        return _functional_scan(_int_powers(f, m_max, 0, gs), lambda sums, den: not
+                                _decode_terms(f.ring, _weighted_sum(
+                                    f.ring, sums, lambda key: moment(key[0])), den))
     return SubspaceOracle(f"moment_zero_{m.spec.label()}", member, scan)
 
 
@@ -210,8 +211,8 @@ def kerL_oracle(problem: ImageProblem) -> SubspaceOracle:
     def scan(f, gs, m_max):
         for x in (f, *gs):
             problem.check(x)
-        return _functional_scan(_int_powers(f, m_max, problem.n, gs), lambda triples, den: not
-                                _decode_terms(problem.ring, triples, den))
+        return _functional_scan(_int_powers(f, m_max, problem.n, gs), lambda sums, den: not
+                                _decode_terms(problem.ring, sums, den))
     return SubspaceOracle(f"kerL_n{problem.n}", lambda f: L_map(problem, f).is_zero(), scan)
 
 

@@ -23,7 +23,7 @@ from math import comb, factorial, perm, prod
 from operator import sub
 
 from .poly import (NEG_INF, Grading, Polynomial, Report, VariableSet, VerificationError,
-                   _decode_terms, _int_powers)
+                   _decode_terms, _int_powers, _weighted_sum)
 from .rings import Immutable, RingDescriptor
 
 
@@ -212,8 +212,8 @@ def power_scan(problem: ImageProblem, f: Polynomial, m_max: int) -> Report:
         raise ValueError("m_max must be at least 1")
     values = []
     first = None
-    for m, ((triples, den),) in enumerate(_int_powers(f, m_max, problem.n), start=1):
-        v = Polynomial(problem.ring, problem.variables, _decode_terms(problem.ring, triples, den))
+    for m, ((sums, den),) in enumerate(_int_powers(f, m_max, problem.n), start=1):
+        v = Polynomial(problem.ring, problem.variables, _decode_terms(problem.ring, sums, den))
         values.append(v)
         if first is None and not v.is_zero():
             first = m
@@ -259,9 +259,9 @@ def monomial_count_scan(f: Polynomial, bound: int = None) -> Report:
     _check_plain(f)
     values = []
     first = None
-    for m, ((triples, den),) in enumerate(_int_powers(f, bound), start=1):
-        v = _decode_terms(f.ring, (((), c, _factorial_weight(exps))
-                                   for exps, c, _ in triples), den).get((), f.ring.zero())
+    for m, ((sums, den),) in enumerate(_int_powers(f, bound), start=1):
+        v = _decode_terms(f.ring, _weighted_sum(f.ring, sums, _factorial_weight),
+                          den).get((), f.ring.zero())
         values.append(v)
         if v:
             first = m

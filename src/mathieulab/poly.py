@@ -7,11 +7,13 @@ Canonical printing uses graded lexicographic order, highest first.
 The `Polynomial` constructor sums (key, coefficient) pairs with
 `_sum_terms`, its only reader: sums, products, derivatives, the kernel map,
 the t-operators and the image map's closed forms pass their pairs straight
-in, and a key whose coefficients cancel is dropped.  Every sequence L(g * f^m), m = 1..m_max,
-takes the other route, the integer power loop: `_int_powers` puts f over one
-common denominator d once and multiplies integer numerators (an `int` over Q,
-an `(re, im)` pair over Q(i), a residue over F_p), and `_decode_terms` sums
-integer-scaled numerators and turns only the surviving sums back into ring
+in, and a key whose coefficients cancel is dropped.  A dict's keys are
+already distinct, so it is only copied without its zero coefficients.
+Every sequence L(g * f^m), m = 1..m_max, takes the other route, the integer
+power loop: `_int_powers` puts f over one common denominator d once,
+multiplies integer numerators (an `int` over Q, an `(re, im)` pair over
+Q(i), a residue over F_p) and sums L's output on them, one numerator per
+key; `_decode_terms` turns only the nonzero numerators back into ring
 elements.  Inside the loop an exponent tuple is one packed int: variable j
 takes the W-bit field at offset j*W, where W is one more than the bit length
 of top * m_max + top(q) (top: f's largest exponent; top(q): the cofactors'
@@ -19,8 +21,9 @@ largest, 0 without one).  No exponent of q * f^m, and no b_i plus the pruning
 slack s_i, exceeds that, so the top bit of every field stays clear and a
 product's key is the sum of its factors' keys.  That clear guard bit also
 lets one add-subtract-and-mask (`_pair_mask`) test a_i <= b_i + s_i on every
-pair of a key zeta^a z^b at once, and L reads its output key z^(b-a) off the
-packed key by one subtraction.  With `pairs=n` the loop drops each term of
+pair of a key zeta^a z^b at once: L skips a key outside its support by
+that test (s = 0) before it computes a scale, and reads its output key
+z^(b-a) off the packed key by one subtraction.  With `pairs=n` the loop drops each term of
 f^m that no later product can bring back into L's support (horizon
 pruning), so a dict L reads is L's input, not the true support of f^m.  With
 `pairs=0` a per-step exponent ceiling (`_below`) may prune it instead; with
@@ -32,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import lcm, perm
-from operator import add
+from operator import add, mul
 from types import SimpleNamespace
 
 from .rings import GaussianRational, Immutable, PrimeFieldElement, RingDescriptor
@@ -125,16 +128,21 @@ class Polynomial(Immutable):
     __slots__ = __match_args__ = ("ring", "variables", "terms")
 
     def __init__(self, ring: RingDescriptor, variables: VariableSet, terms=()):
-        """`terms`: a dict {exponent tuple: coeff} or such pairs; summed, then checked."""
+        """`terms`: a dict {exponent tuple: coeff}, copied without its zero
+        coefficients, or such pairs, summed; then checked."""
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "variables", variables)
-        terms = _sum_terms(terms.items() if isinstance(terms, dict) else terms)
-        for exps in terms:
-            if len(exps) != len(variables):
-                raise ValueError("exponent tuple length mismatch")
-            for name, e in zip(variables.names, exps):
-                if e < 0 and not variables.is_laurent(name):
-                    raise ValueError(f"negative exponent on non-Laurent variable {name}")
+        terms = ({e: c for e, c in terms.items() if c} if isinstance(terms, dict)
+                 else _sum_terms(terms))
+        if terms and {*map(len, terms)} != {len(variables.names)}:
+            raise ValueError("exponent tuple length mismatch")
+        if min(chain.from_iterable(terms), default=0) < 0 and any(
+                min(column) < 0 for name, column in zip(variables.names, zip(*terms))
+                if not variables.is_laurent(name)):
+            for exps in terms:  # name the variable of the first offending term
+                for name, e in zip(variables.names, exps):
+                    if e < 0 and not variables.is_laurent(name):
+                        raise ValueError(f"negative exponent on non-Laurent variable {name}")
         object.__setattr__(self, "terms", terms)
 
     # -- constructors -------------------------------------------------
@@ -261,32 +269,25 @@ class Polynomial(Immutable):
 
     # -- canonical form ----------------------------------------------
 
-    def sorted_terms(self):
-        """Graded-lex order on the declared variable order, highest first."""
-        def key(item):
-            exps = item[0]
-            return (sum(exps), exps)
-        return sorted(self.terms.items(), key=key, reverse=True)
-
     def to_str(self) -> str:
-        if not self.terms:
-            return "0"
+        """Terms in graded-lex order on the declared variables, highest first.
+
+        Each coefficient prints as its literal (`str`); a 1 before a monomial
+        is implicit, and a Gaussian coefficient with both parts nonzero is
+        parenthesized so the text re-parses.
+        """
+        names, gaussian = self.variables.names, self.ring.kind == "Qi"
         pieces = []
-        for exps, coeff in self.sorted_terms():
-            mono = "*".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(self.variables.names, exps) if e != 0
-            )
-            text, negative = _format_coeff(self.ring, coeff, bool(mono))
-            if mono:
-                body = mono if text == "" else f"{text}*{mono}"
-            else:
-                body = text
-            if not pieces:
-                pieces.append(f"-{body}" if negative else body)
-            else:
-                pieces.append(f" - {body}" if negative else f" + {body}")
-        return "".join(pieces)
+        for exps, c in sorted(self.terms.items(), key=_graded_lex, reverse=True):
+            mono = "*".join([n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e])
+            text, sign = str(c), " + "
+            if gaussian and c.re.numerator and c.im.numerator:
+                text = f"({text})"
+            elif text[0] == "-":
+                text, sign = text[1:], " - "
+            pieces.append(sign + (text if not mono else mono if text == "1" else f"{text}*{mono}"))
+        text = "".join(pieces)
+        return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self):
         return f"<Polynomial {self.to_str()}>"
@@ -301,6 +302,11 @@ class Polynomial(Immutable):
                 key[j] = e
             terms[tuple(key)] = _convert_coeff(c, self.ring, ring)
         return Polynomial(ring, variables, terms)
+
+
+def _graded_lex(term) -> tuple:
+    """Sort key of a (key, coeff) term: total degree, then the exponent tuple."""
+    return sum(term[0]), term[0]
 
 
 def _sum_terms(pairs) -> dict:
@@ -323,10 +329,11 @@ def _sum_terms(pairs) -> dict:
 
 
 def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=(), ceiling=None):
-    """Yield, for m = 1..m_max, one (triples, den) per g in (1, *cofactors): L(g * f^m).
+    """Yield, for m = 1..m_max, one (sums, den) per g in (1, *cofactors): L(g * f^m).
 
-    L(g * f^m) = `_decode_terms(ring, triples, den)`, where `triples` holds
-    (key, numerator, scale) for each term L keeps, unsummed.  d is the lcm
+    L(g * f^m) = `_decode_terms(ring, sums, den)`, where `sums` maps each
+    output exponent tuple to the numerator of its coefficient, summed once
+    over the terms L sends there (zero sums included).  d is the lcm
     of the denominators of f's coefficients (1 over F_p), den is d^m (times
     q's own lcm for g = q).  A numerator is an `int` over Q, an `(re, im)`
     pair of ints over Q(i), and a residue mod p over F_p, reduced after each
@@ -343,11 +350,12 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=(), ceiling
     product at step m drops every term with a_i > b_i + (m_max - m) D_i(f)
     + D_i(q).  Each later factor f raises b_i - a_i by at most D_i(f) and
     any q by at most D_i(q), so no such term reaches L's support.  With
-    `pairs=0`, L is the identity: the triples are (exponent tuple,
-    numerator, 1) over the true support of f^m (and of q * f^m), unless
-    `ceiling(m)` lists per variable the largest exponent that a read of f^m
-    or of a later power needs: no later factor lowers an exponent, so the
-    product at step m drops every term above it, and an empty power stays empty.
+    `pairs=0`, L is the identity: `sums` holds the numerators of the true
+    support of f^m (and of q * f^m), unless `ceiling(m)` lists per variable
+    the largest exponent that a read of f^m or of a later power needs: no
+    later factor lowers an exponent, so the product at step m drops every
+    term above it.  A pruned power that is empty stays empty, so its later
+    rows are empty and cost no predicate and no product.
     """
     gs = (f, *cofactors)
     exponents = [list(chain.from_iterable(g.terms)) for g in gs]
@@ -357,7 +365,8 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=(), ceiling
     # b_i + slack <= top(f) * m_max + top(q): every field keeps its guard bit clear
     width = (top[0] * m_max + max(top[1:], default=0)).bit_length() + 1
     (base, d), *numerators = [_numerators(g, width) for g in gs]
-    if f.ring.kind == "Qi":
+    gaussian = f.ring.kind == "Qi"
+    if gaussian:
         multiply = _gaussian_product
     elif f.ring.kind == "Q":
         def multiply(g, h, keep):
@@ -371,31 +380,40 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=(), ceiling
     reach_q = [max(r) for r in zip([0] * pairs, *reach_q)]  # D(q) = 0 without a cofactor
     shift, field = pairs * width, (1 << width) - 1
     low, shifts = (1 << shift) - 1, range(0, shift, width)
+    guard = _pack([1 << (width - 1)] * pairs, width)
     in_kernel = _pair_mask(pairs, width)
     unpack, keys = _unpacker(len(f.variables) - pairs, width), {}
 
     def kernel(power):
-        """L's (key, numerator, scale) triples; the key b - a is formed on the packed key."""
-        triples = []
+        """L's numerators c * prod perm(b_i, a_i), summed on the output key b - a."""
+        out = {}
+        get = out.get
         for k, c in power.items():
             a, b = k & low, k >> shift
+            if (b | guard) - a & guard != guard:  # some a_i > b_i: the `_pair_mask` test
+                continue
             scale = 1
             for s in shifts:
-                scale *= perm(b >> s & field, a >> s & field)  # 0 when a_i > b_i
-            if scale:
-                if (key := keys.get(b - a)) is None:
-                    key = keys[b - a] = (0,) * pairs + unpack(b - a)
-                triples.append((key, c, scale))
-        return triples
+                scale *= perm(b >> s & field, a >> s & field)
+            if (key := keys.get(b - a)) is None:
+                key = keys[b - a] = (0,) * pairs + unpack(b - a)
+            if gaussian:
+                re, im = get(key, (0, 0))
+                out[key] = re + c[0] * scale, im + c[1] * scale
+            else:
+                out[key] = get(key, 0) + c * scale
+        return out
 
     power, den = base, d
     for m in range(1, m_max + 1):
         if m > 1:
-            slack = _pack([(m_max - m) * r + r_q for r, r_q in zip(reach, reach_q)], width)
-            keep = _below(ceiling(m), width) if ceiling else _pair_mask(pairs, width, slack)
-            power, den = multiply(power, base, keep), den * d
-        yield [(kernel(power), den)] + [(kernel(multiply(power, q, in_kernel)), den * d_q)
-                                        for q, d_q in numerators]
+            if power:
+                slack = _pack([(m_max - m) * r + r_q for r, r_q in zip(reach, reach_q)], width)
+                keep = _below(ceiling(m), width) if ceiling else _pair_mask(pairs, width, slack)
+                power = multiply(power, base, keep)
+            den *= d
+        yield [(kernel(power), den)] + [(kernel(multiply(power, q, in_kernel) if power else {}),
+                                         den * d_q) for q, d_q in numerators]
 
 
 def _numerators(g: Polynomial, width: int):
@@ -484,27 +502,29 @@ def _gaussian_product(g: dict, h: dict, keep) -> dict:
     return {k: (r, im[k]) for k, r in re.items() if (r or im[k]) and keep(k)}
 
 
-def _decode_terms(ring: RingDescriptor, triples, den: int) -> dict:
-    """Ring-element terms of sum(numerator * k) / den over (key, numerator, k) triples.
+def _decode_terms(ring: RingDescriptor, sums: dict, den: int) -> dict:
+    """Ring-element terms numerator / den of a {key: numerator} dict.
 
-    The inverse of `_int_powers`' encoding: sums are formed on integers, keys
-    whose sum is zero (mod p over F_p) are dropped, and only the survivors
-    become `Fraction`, `GaussianRational` or `PrimeFieldElement` values.
+    The inverse of `_int_powers`' encoding: a zero numerator (mod p over
+    F_p) is dropped, and only the others become `Fraction`,
+    `GaussianRational` or `PrimeFieldElement` values.
     """
-    if ring.kind == "Qi":
-        re, im = {}, {}
-        for key, (a, b), k in triples:
-            re[key] = re.get(key, 0) + a * k
-            im[key] = im.get(key, 0) + b * k
-        return {key: GaussianRational(Fraction(r, den), Fraction(im[key], den))
-                for key, r in re.items() if r or im[key]}
-    sums = {}
-    for key, c, k in triples:
-        sums[key] = sums.get(key, 0) + c * k
     if ring.kind == "Q":
         return {key: Fraction(c, den) for key, c in sums.items() if c}
+    if ring.kind == "Qi":
+        return {key: GaussianRational(Fraction(r, den), Fraction(i, den))
+                for key, (r, i) in sums.items() if r or i}
     p = ring.characteristic
     return {key: PrimeFieldElement(r, p) for key, c in sums.items() if (r := c % p)}
+
+
+def _weighted_sum(ring: RingDescriptor, sums: dict, weight) -> dict:
+    """{(): the sum of numerator * weight(key)}: one numerator for `_decode_terms`."""
+    weights = list(map(weight, sums))
+    if ring.kind == "Qi":
+        return {(): (sum(map(mul, weights, (re for re, _ in sums.values()))),
+                     sum(map(mul, weights, (im for _, im in sums.values()))))}
+    return {(): sum(map(mul, weights, sums.values()))}
 
 
 def _convert_coeff(c, source: RingDescriptor, target: RingDescriptor):
@@ -514,19 +534,3 @@ def _convert_coeff(c, source: RingDescriptor, target: RingDescriptor):
         return target.from_fraction(c)
     raise ValueError(f"cannot convert coefficients from {source.kind} to {target.kind}")
 
-
-def _format_coeff(ring, coeff, has_monomial):
-    """Return (text, negative) for canonical printing, from `str(coeff)`.
-
-    Each coefficient class's `str` is its literal in the parser's grammar
-    ("a/b", "a/b+c/d*i", or a residue).  text == "" means the coefficient is
-    an implicit 1 before a monomial.  Mixed Gaussian coefficients are
-    parenthesized so the output re-parses.
-    """
-    text = str(coeff)
-    if ring.kind == "Qi" and coeff.re and coeff.im:
-        return f"({text})", False
-    negative = text.startswith("-")
-    if negative:
-        text = text[1:]
-    return ("" if has_monomial and text == "1" else text), negative

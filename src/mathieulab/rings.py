@@ -145,14 +145,17 @@ class GaussianRational(Immutable):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
-        """The Q(i) literal: "a/b", "c/d*i", "a/b+c/d*i" or "a/b-c/d*i"."""
-        if not self.im:
+        """The Q(i) literal: "a/b", "c/d*i", "a/b+c/d*i" or "a/b-c/d*i".
+
+        Zero, sign and a unit magnitude are read off the integer numerator
+        and denominator of each part."""
+        n, d = self.im.numerator, self.im.denominator
+        if not n:
             return str(self.re)
-        mag = abs(self.im)
-        im = "i" if mag == 1 else f"{mag}*i"
-        if not self.re:
-            return im if self.im > 0 else f"-{im}"
-        return f"{self.re}{'+' if self.im > 0 else '-'}{im}"
+        im = f"{abs(n)}/{d}*i" if d != 1 else "i" if n in (1, -1) else f"{abs(n)}*i"
+        if not self.re.numerator:
+            return im if n > 0 else f"-{im}"
+        return f"{self.re}{'+' if n > 0 else '-'}{im}"
 
 
 class PrimeFieldElement(Immutable):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_coeff, random_components, random_polynomial
-from mathieulab import imagemap
+from mathieulab import imagemap, poly
 from mathieulab.imagemap import (
     ImageProblem,
     L_map,
@@ -391,6 +391,40 @@ def test_int_powers_with_cofactor_match_the_kernel_map():
                         assert _decode_terms(ring, lq, den_q) == L_map(problem, q * power).terms, (
                             ring, f, q, qs, m_max, m)
                 assert m == m_max
+
+
+def test_power_scan_decodes_only_the_printed_terms(monkeypatch):
+    """Over Q, `_int_powers` yields one {exponent tuple: int numerator} per row,
+    zero sums included, and `power_scan` builds one `Fraction` per printed term."""
+    built, rows = [], []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    def recording(*args):
+        for row in _int_powers(*args):
+            rows.append(row)
+            yield row
+    monkeypatch.setattr(poly, "Fraction", CountingFraction)
+    monkeypatch.setattr(imagemap, "_int_powers", recording)
+    rng = random.Random(2929)
+    problem = ImageProblem(2, QQ)
+    cancelling = Polynomial(QQ, problem.variables, {(1, 0, 2, 0): Fraction(1),  # L: 2*z1 - 2*z1
+                                                    (0, 0, 1, 0): Fraction(-2)})
+    zero_sums = 0
+    for f in [cancelling] + [random_polynomial(rng, QQ, problem.variables) for _ in range(30)]:
+        built.clear()
+        rows.clear()
+        values = power_scan(problem, f, 6).values
+        assert len(built) == sum(len(v.terms) for v in values), f
+        for ((sums, den),), v in zip(rows, values, strict=True):
+            assert type(sums) is dict and all(type(c) is int for c in sums.values())
+            assert sums.keys() >= v.terms.keys()
+            assert {k: Fraction(c, den) for k, c in sums.items() if c} == v.terms
+            zero_sums += sum(1 for c in sums.values() if not c)
+    assert zero_sums  # the scan does drop zero sums
 
 
 def test_factorial_functional_values():
