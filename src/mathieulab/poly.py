@@ -136,7 +136,7 @@ class Polynomial(Immutable):
                  else _sum_terms(terms))
         if terms and {*map(len, terms)} != {len(variables.names)}:
             raise ValueError("exponent tuple length mismatch")
-        if min(chain.from_iterable(terms), default=0) < 0 and any(
+        if variables.names and terms and min(chain.from_iterable(terms)) < 0 and any(
                 min(column) < 0 for name, column in zip(variables.names, zip(*terms))
                 if not variables.is_laurent(name)):
             for exps in terms:  # name the variable of the first offending term
