@@ -14,8 +14,11 @@ two usage errors, and `charp example12` at the default bound and at
 its five, with `--alpha`/`--beta` where they apply; `powerscan` and
 `moments` in csv; `lmap` and `powerscan` over `--ring fp` and `jacobian`
 over `qi` and `fp`; in json, two `--mmax 200` Laurent scans over every
-ring and one F_11 moment scan at two bounds; `--help` at every level; and
-one line per usage-error class.  Each JSON report that exits 0 must also
+ring and one F_11 moment scan at two bounds; `--help` at every level;
+one line per usage-error class; and, in json and text, moment scans whose
+premise holds over F_7, that miss over Q(i), and that fail on a moment with
+no value mod 5 in f's and in a g's answer, an exhausted `lemma81` and a
+`gvc` scan that stabilizes at 1.  Each JSON report that exits 0 must also
 validate against `report.schema.json`.
 
 The same pass runs under a call-only trace function, and
@@ -124,6 +127,23 @@ _FP = ("--ring", "fp", "--p", "11")
 # below mu_7 at --mmax 2 and hold it at --mmax 4
 _MOMENT_FP = [("scan", "--oracle", "moment:jacobi", "5*x - 1", "x^2", "--mmax", m, "--alpha",
                "1", "--beta", "2") + _FP + ("--format", "json") for m in ("2", "4")]
+# json and text: an F_7 moment scan whose premise holds, a Q(i) Laguerre scan
+# with a re-checked miss (f = -L_1 + i*L_2 in u = x, so int f w = int f^2 w = 0),
+# the uniform01 moments' F_5 usage error from f's answer and from a g's
+# answer, a lemma 8.1 search that exhausts its primes, and a gvc scan whose
+# shifted values all vanish (stabilization index 1)
+_EDGES = [
+    ("scan", "--oracle", "moment:hermite", "x^7 + 3*x^9", "1", "x", "--ring", "fp", "--p", "7",
+     "--mmax", "6"),
+    ("scan", "--oracle", "moment:laguerre", "x - 1 + 1/2*i*x^2 - 2*i*x + i", "x", "1",
+     "--ring", "qi", "--mmax", "2"),
+    ("scan", "--oracle", "moment:uniform01", "x^4", "x", "--ring", "fp", "--p", "5",
+     "--mmax", "3"),
+    ("scan", "--oracle", "moment:uniform01", "x - 1/2", "x^4", "--ring", "fp", "--p", "5",
+     "--mmax", "1"),
+    ("lemma81", "u - 1", "--primes", "4,6"),
+    ("gvc", "d1^2", "z1", "1", "--n", "1", "--mmax", "4"),
+]
 _WEIGHTS = [("hermite",), ("laguerre",), ("laguerre", "--alpha", "2"), ("jacobi",),
             ("jacobi", "--alpha", "1", "--beta", "2"), ("legendre",)]
 _USAGE_CLASSES = [
@@ -198,6 +218,9 @@ def _cases():
             for mode in entry:
                 yield (name, mode, "--help")
     yield from _USAGE_CLASSES
+    for fmt in ("json", "text"):
+        for argv in _EDGES:
+            yield argv + ("--format", fmt)
 
 
 CASES = [list(argv) for argv in _cases()]
