@@ -6,21 +6,21 @@ whose `is_nilpotent` is the nilpotency test).
 A bounded scan never proves anything; its verdicts are "premise_failed",
 "consistent" (up to m_max), or "unknown" when some g f^m still misses at
 m_max.  Each result is a `poly.Report`, and each g's result in it is a dict
-with the keys the report prints.  The kernel, constant-term and moment
-oracles scan through the integer power loop (`poly._int_powers`), the trace
-oracle by multiplying matrices out; a reported miss is multiplied out and
-re-checked with `member`.  The constant-term scan caps f^m's exponents at what
-a later read can reach, so its powers can run empty (`laurent_constant_oracle`).
-The bridge (`gvc_scan`) reads a constant-coefficient operator's d-symbol and
-powers it as a `Polynomial`.
+with the keys the report prints.  The kernel and constant-term oracles
+scan through the integer power loop (`poly._int_powers`); the moment and
+trace oracles have no scan of their own, so f^m and g f^m are multiplied
+out and asked of `member` (`SubspaceOracle._products`).  A reported miss is
+multiplied out and re-checked with `member`.  The constant-term scan caps
+f^m's exponents at what a later read can reach, so its powers can run empty
+(`laurent_constant_oracle`).  The bridge (`gvc_scan`) reads a
+constant-coefficient operator's d-symbol and powers it as a `Polynomial`.
 """
 
 from __future__ import annotations
 
 from operator import mul, sub
 
-from .poly import (Polynomial, Report, VerificationError, _decode_terms, _int_powers, _printed,
-                   _weighted_sum)
+from .poly import Polynomial, Report, VerificationError, _int_powers, _printed
 from .rings import RingDescriptor
 
 
@@ -168,40 +168,26 @@ def laurent_constant_oracle(ring: RingDescriptor) -> SubspaceOracle:
         top = [max([0] + [-k[j] for g in gs for k in g.terms]) for j in range(len(s))]
         powers = _int_powers(f_0, m_max, ceiling=lambda m: [
             t - min(m * b, m_max * b) for t, b in zip(top, s)])
-        for m, ((sums, den),) in enumerate(powers, start=1):
-            # f^m's numerators over den, keyed by the negated exponent: g's t^k meets t^-k
-            power = {tuple(-a - m * b for a, b in zip(e, s)): c for e, c in sums.items()}
+        for m, (terms,) in enumerate(powers, start=1):
+            # f^m's terms keyed by the negated exponent: g's t^k meets t^-k
+            power = {tuple(-a - m * b for a, b in zip(e, s)): c for e, c in terms.items()}
 
-            def constant_free(g, power=power, den=den):
-                hits = _decode_terms(f.ring, {k: power[k] for k in g.terms if k in power}, den)
-                return not sum((g.terms[k] * v for k, v in hits.items()), f.ring.zero())
+            def constant_free(g, power=power):
+                return not sum((c * power[k] for k, c in g.terms.items() if k in power),
+                               f.ring.zero())
             yield (0,) * len(s) not in power, lambda one=constant_free: [one(g) for g in gs]
     return SubspaceOracle(f"laurent_constant_{ring.kind}{ring.characteristic or ''}",
                           lambda p: not p.constant_coefficient(), scan)
 
 
-def _functional_scan(rows, vanishes):
-    """`SubspaceOracle.scan` over `_int_powers` rows: f^m's (sums, den), then each g f^m's."""
-    for power, *products in rows:
-        yield vanishes(*power), lambda products=products: [vanishes(*q) for q in products]
-
-
 def moment_oracle(m: MomentFunctional) -> SubspaceOracle:
-    """Zero moment sum_j c_j mu_j; the scan weighs the numerators of `_int_powers`
-    by the moments into one sum, and over F_p reduces a moment mod p only when
-    it reads it."""
+    """Zero moment sum_j c_j mu_j, read off each term of f; a scan multiplies f^m
+    and g f^m out, and over F_p a moment is reduced mod p only when it is read."""
     def member(f):
         from .ortho import inner_product
         one = Polynomial.one(f.ring, f.variables)
         return not inner_product(f, one, m)
-
-    def scan(f, gs, m_max):
-        moment = m.moment if not f.ring.characteristic else (
-            lambda j: f.ring.from_fraction(m.moment(j)).residue)
-        return _functional_scan(_int_powers(f, m_max, 0, gs), lambda sums, den: not
-                                _decode_terms(f.ring, _weighted_sum(
-                                    f.ring, sums, lambda key: moment(key[0])), den))
-    return SubspaceOracle(f"moment_zero_{m.spec.label()}", member, scan)
+    return SubspaceOracle(f"moment_zero_{m.spec.label()}", member)
 
 
 def kerL_oracle(problem: ImageProblem) -> SubspaceOracle:
@@ -211,8 +197,8 @@ def kerL_oracle(problem: ImageProblem) -> SubspaceOracle:
     def scan(f, gs, m_max):
         for x in (f, *gs):
             problem.check(x)
-        return _functional_scan(_int_powers(f, m_max, problem.n, gs), lambda sums, den: not
-                                _decode_terms(problem.ring, sums, den))
+        return ((not lf, lambda products=products: [not lq for lq in products])
+                for lf, *products in _int_powers(f, m_max, problem.n, gs))
     return SubspaceOracle(f"kerL_n{problem.n}", lambda f: L_map(problem, f).is_zero(), scan)
 
 
@@ -284,9 +270,9 @@ def _gvc_crosscheck(symbol, p_poly, q_poly, m_max, problem, premise, shifted):
     ring, variables = problem.ring, problem.variables
     f = symbol * p_poly.embed(ring, variables)
     powers = _int_powers(f, m_max, problem.n, (q_poly.embed(ring, variables),))
-    for m, ((lf, den), (lq, den_q)) in enumerate(powers, start=1):
-        if (_decode_terms(ring, lf, den) != premise[m - 1].embed(ring, variables).terms
-                or _decode_terms(ring, lq, den_q) != shifted[m - 1].embed(ring, variables).terms):
+    for m, (lf, lq) in enumerate(powers, start=1):
+        if (lf != premise[m - 1].embed(ring, variables).terms
+                or lq != shifted[m - 1].embed(ring, variables).terms):
             raise VerificationError("kernel-map route disagrees with operator route")
 
 

@@ -17,13 +17,11 @@ an effective witness.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import product
 from math import comb, factorial, perm, prod
 from operator import sub
 
-from .poly import (NEG_INF, Grading, Polynomial, Report, VariableSet, VerificationError,
-                   _decode_terms, _int_powers, _weighted_sum)
+from .poly import NEG_INF, Grading, Polynomial, Report, VariableSet, VerificationError, _int_powers
 from .rings import Immutable, RingDescriptor
 
 
@@ -31,25 +29,23 @@ class ImageProblem(Immutable):
     """n pairs (w_i, z_i) over a fixed coefficient field."""
 
     __match_args__ = ("n", "ring")
-    __slots__ = __match_args__ + ("__dict__",)  # `variables` is cached in __dict__
+    __slots__ = __match_args__ + ("variables",)  # built from n, so not a field
 
     def __init__(self, n: int, ring: RingDescriptor):
         if n < 1:
             raise ValueError("need at least one variable pair")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "variables", VariableSet(
+            [f"w{i}" for i in range(1, n + 1)] + [f"z{i}" for i in range(1, n + 1)]))
 
     @property
     def zeta_names(self):
-        return tuple(f"w{i}" for i in range(1, self.n + 1))
+        return self.variables.names[:self.n]
 
     @property
     def z_names(self):
-        return tuple(f"z{i}" for i in range(1, self.n + 1))
-
-    @cached_property
-    def variables(self) -> VariableSet:
-        return VariableSet(self.zeta_names + self.z_names)
+        return self.variables.names[self.n:]
 
     def zeta(self, i: int) -> Polynomial:
         return Polynomial.var(self.ring, self.variables, f"w{i}")
@@ -202,39 +198,31 @@ def power_scan(problem: ImageProblem, f: Polynomial, m_max: int) -> Report:
     `values` holds L(f^m) for m = 1..m_max, and `first_nonzero` is the
     first m with L(f^m) != 0 (None if all vanish).
 
-    Each f^m stays a dict of integer numerators over d^m (`_int_powers`),
-    multiplied on packed exponent keys and pruned to the terms that can
-    still reach L's support; L runs on the packed keys, and ring elements
-    are built only for the terms of L(f^m) that survive.
+    Each f^m stays a dict of integer numerators over d^m inside
+    `_int_powers`, multiplied on packed exponent keys and pruned to the terms
+    that can still reach L's support; L runs on the packed keys, and the loop
+    yields ring elements only for the terms of L(f^m) that survive.
     """
     problem.check(f)
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     values = []
     first = None
-    for m, ((sums, den),) in enumerate(_int_powers(f, m_max, problem.n), start=1):
-        v = Polynomial(problem.ring, problem.variables, _decode_terms(problem.ring, sums, den))
+    for m, (terms,) in enumerate(_int_powers(f, m_max, problem.n), start=1):
+        v = Polynomial(problem.ring, problem.variables, terms)
         values.append(v)
         if first is None and not v.is_zero():
             first = m
     return Report(values=values, first_nonzero=first)
 
 
-def _factorial_weight(exps) -> int:
-    return prod(map(factorial, exps))
-
-
-def _check_plain(f: Polynomial):
-    if f.variables.laurent:
-        raise ValueError("factorial functional is defined on plain polynomial variables")
-
-
 def factorial_functional(f: Polynomial):
     """sum over terms of coeff * prod(exponent!), the exponential-moment value."""
-    _check_plain(f)
+    if f.variables.laurent:
+        raise ValueError("factorial functional is defined on plain polynomial variables")
     total = f.ring.zero()
     for exps, c in f.terms.items():
-        total = total + c * f.ring.from_int(_factorial_weight(exps))
+        total = total + c * f.ring.from_int(prod(map(factorial, exps)))
     return total
 
 
@@ -242,12 +230,12 @@ def monomial_count_scan(f: Polynomial, bound: int = None) -> Report:
     """Scan factorial_functional(f^m) for the first nonvanishing power.
 
     Evidence gathering for the N-monomial stopping rule: with N the number
-    of monomials of f, a nonzero value is expected at some m <= N.  The
-    functional is summed over the integer numerators of f^m
-    (`_int_powers`), and one ring value is built per m.  The report gives N
-    (`monomials`), the first m with a nonzero value (`first_nonzero`, None
-    if the bound is exhausted), whether that m is at most N
-    (`within_monomial_count`), and the `values` up to the first nonzero one.
+    of monomials of f, a nonzero value is expected at some m <= N.  Each
+    f^m = f^(m-1) * f is multiplied out as a `Polynomial`, and
+    `factorial_functional` reads it.  The report gives N (`monomials`), the
+    first m with a nonzero value (`first_nonzero`, None if the bound is
+    exhausted), whether that m is at most N (`within_monomial_count`), and
+    the `values` up to the first nonzero one.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no nonvanishing power")
@@ -256,12 +244,12 @@ def monomial_count_scan(f: Polynomial, bound: int = None) -> Report:
         bound = count
     if bound < count:
         raise ValueError("scan bound must be at least the monomial count")
-    _check_plain(f)
     values = []
     first = None
-    for m, ((sums, den),) in enumerate(_int_powers(f, bound), start=1):
-        v = _decode_terms(f.ring, _weighted_sum(f.ring, sums, _factorial_weight),
-                          den).get((), f.ring.zero())
+    power = Polynomial.one(f.ring, f.variables)
+    for m in range(1, bound + 1):
+        power = power * f
+        v = factorial_functional(power)
         values.append(v)
         if v:
             first = m

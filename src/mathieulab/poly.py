@@ -9,25 +9,27 @@ The `Polynomial` constructor sums (key, coefficient) pairs with
 the t-operators and the image map's closed forms pass their pairs straight
 in, and a key whose coefficients cancel is dropped.  A dict's keys are
 already distinct, so it is only copied without its zero coefficients.
-Every sequence L(g * f^m), m = 1..m_max, takes the other route, the integer
-power loop: `_int_powers` puts f over one common denominator d once,
-multiplies integer numerators (an `int` over Q, an `(re, im)` pair over
-Q(i), a residue over F_p) and sums L's output on them, one numerator per
-key; `_decode_terms` turns only the nonzero numerators back into ring
-elements.  Inside the loop an exponent tuple is one packed int: variable j
-takes the W-bit field at offset j*W, where W is one more than the bit length
-of top * m_max + top(q) (top: f's largest exponent; top(q): the cofactors'
-largest, 0 without one).  No exponent of q * f^m, and no b_i plus the pruning
-slack s_i, exceeds that, so the top bit of every field stays clear and a
-product's key is the sum of its factors' keys.  That clear guard bit also
-lets one add-subtract-and-mask (`_pair_mask`) test a_i <= b_i + s_i on every
-pair of a key zeta^a z^b at once: L skips a key outside its support by
-that test (s = 0) before it computes a scale, and reads its output key
+The kernel-map and constant-term scans read L(g * f^m), m = 1..m_max, off
+the other route, the integer power loop: `_int_powers` puts f over one
+common denominator d once, multiplies integer numerators (an `int` over Q,
+an `(re, im)` pair over Q(i), a residue over F_p), sums L's output on them,
+one numerator per key, and turns only the nonzero numerators back into ring
+elements (`_decode_terms`), so only ring elements leave the loop.  Inside
+the loop an exponent tuple is one packed int: variable j takes the W-bit
+field at offset j*W, where W is one more than the bit length of
+top * m_max + top(q) (top: f's largest exponent; top(q): the cofactors'
+largest, 0 without one).  No exponent of q * f^m, and no b_i plus the
+pruning slack s_i, exceeds that, so the top bit of every field stays clear
+and a product's key is the sum of its factors' keys.  That clear guard bit
+also lets one add-subtract-and-mask (`_pair_mask`) test a_i <= b_i + s_i on
+every pair of a key zeta^a z^b at once: L skips a key outside its support
+by that test (s = 0) before it computes a scale, and reads its output key
 z^(b-a) off the packed key by one subtraction.  With `pairs=n` the loop drops each term of
-f^m that no later product can bring back into L's support (horizon
-pruning), so a dict L reads is L's input, not the true support of f^m.  With
-`pairs=0` a per-step exponent ceiling (`_below`) may prune it instead; with
-neither it is the true support.  This encoding and its inverse live here and nowhere else.
+f^m that no later product can bring back into L's support (horizon pruning),
+so a dict L reads is L's input, not the true support of f^m.  With `pairs=0`
+a per-step exponent ceiling (`_below`) may prune it instead; with neither it
+is the true support.  This encoding and its inverse live here and nowhere
+else.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import lcm, perm
-from operator import add, mul
+from operator import add
 from types import SimpleNamespace
 
 from .rings import GaussianRational, Immutable, PrimeFieldElement, RingDescriptor
@@ -329,16 +331,17 @@ def _sum_terms(pairs) -> dict:
 
 
 def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=(), ceiling=None):
-    """Yield, for m = 1..m_max, one (sums, den) per g in (1, *cofactors): L(g * f^m).
+    """Yield, for m = 1..m_max, one term dict per g in (1, *cofactors): L(g * f^m).
 
-    L(g * f^m) = `_decode_terms(ring, sums, den)`, where `sums` maps each
-    output exponent tuple to the numerator of its coefficient, summed once
-    over the terms L sends there (zero sums included).  d is the lcm
-    of the denominators of f's coefficients (1 over F_p), den is d^m (times
-    q's own lcm for g = q).  A numerator is an `int` over Q, an `(re, im)`
-    pair of ints over Q(i), and a residue mod p over F_p, reduced after each
-    product.  The products run on packed keys (see the module docstring),
-    so f and every q take non-negative exponents only.
+    Each dict maps an output exponent tuple to its nonzero ring-element
+    coefficient.  Inside, f^m is a dict of integer numerators over den = d^m,
+    d the lcm of the denominators of f's coefficients (1 over F_p), and g * f^m
+    is over den times q's own lcm.  A numerator is an `int` over Q, an
+    `(re, im)` pair of ints over Q(i), and a residue mod p over F_p, reduced
+    after each product.  L's output numerators are summed once per output key
+    and only the nonzero sums are decoded (`_decode_terms`).  The products
+    run on packed keys (see the module docstring), so f and every q take
+    non-negative exponents only.
 
     With `pairs=n`, f and q live in zeta_1..zeta_n, z_1..z_n and L is the
     kernel map, the rule of `imagemap.L_map`: zeta^a z^b goes to
@@ -350,8 +353,8 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=(), ceiling
     product at step m drops every term with a_i > b_i + (m_max - m) D_i(f)
     + D_i(q).  Each later factor f raises b_i - a_i by at most D_i(f) and
     any q by at most D_i(q), so no such term reaches L's support.  With
-    `pairs=0`, L is the identity: `sums` holds the numerators of the true
-    support of f^m (and of q * f^m), unless `ceiling(m)` lists per variable
+    `pairs=0`, L is the identity: a dict holds the true support of f^m (and
+    of q * f^m), unless `ceiling(m)` lists per variable
     the largest exponent that a read of f^m or of a later power needs: no
     later factor lowers an exponent, so the product at step m drops every
     term above it.  A pruned power that is empty stays empty, so its later
@@ -412,8 +415,9 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=(), ceiling
                 keep = _below(ceiling(m), width) if ceiling else _pair_mask(pairs, width, slack)
                 power = multiply(power, base, keep)
             den *= d
-        yield [(kernel(power), den)] + [(kernel(multiply(power, q, in_kernel) if power else {}),
-                                         den * d_q) for q, d_q in numerators]
+        yield [_decode_terms(f.ring, kernel(power), den)] + [
+            _decode_terms(f.ring, kernel(multiply(power, q, in_kernel)) if power else {},
+                          den * d_q) for q, d_q in numerators]
 
 
 def _numerators(g: Polynomial, width: int):
@@ -503,9 +507,9 @@ def _gaussian_product(g: dict, h: dict, keep) -> dict:
 
 
 def _decode_terms(ring: RingDescriptor, sums: dict, den: int) -> dict:
-    """Ring-element terms numerator / den of a {key: numerator} dict.
+    """Ring-element terms numerator / den of a {key: numerator} dict: one row of `_int_powers`.
 
-    The inverse of `_int_powers`' encoding: a zero numerator (mod p over
+    The inverse of the power loop's encoding: a zero numerator (mod p over
     F_p) is dropped, and only the others become `Fraction`,
     `GaussianRational` or `PrimeFieldElement` values.
     """
@@ -516,15 +520,6 @@ def _decode_terms(ring: RingDescriptor, sums: dict, den: int) -> dict:
                 for key, (r, i) in sums.items() if r or i}
     p = ring.characteristic
     return {key: PrimeFieldElement(r, p) for key, c in sums.items() if (r := c % p)}
-
-
-def _weighted_sum(ring: RingDescriptor, sums: dict, weight) -> dict:
-    """{(): the sum of numerator * weight(key)}: one numerator for `_decode_terms`."""
-    weights = list(map(weight, sums))
-    if ring.kind == "Qi":
-        return {(): (sum(map(mul, weights, (re for re, _ in sums.values()))),
-                     sum(map(mul, weights, (im for _, im in sums.values()))))}
-    return {(): sum(map(mul, weights, sums.values()))}
 
 
 def _convert_coeff(c, source: RingDescriptor, target: RingDescriptor):

@@ -300,7 +300,7 @@ def test_laurent_ceiling_empties_the_power(monkeypatch, f, g, last):
 
     def recording(*args, **kwargs):
         for row in powers(*args, **kwargs):
-            sizes.append(len(row[0][0]))
+            sizes.append(len(row[0]))
             yield row
     monkeypatch.setattr(harness, "_int_powers", recording)
     f, g = _laurent(f), _laurent(g)
@@ -322,49 +322,43 @@ def test_kerl_scan_matches_products(data, ring, n, m_max, negative_grade):
     _assert_matches_products(kerL_oracle(problem), f, gs, m_max)
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), ring=st.sampled_from(_SCAN_RINGS + (GF(1000003),)),
-       m_max=st.integers(1, 5), classical=st.booleans())
-def test_moment_scan_matches_products(data, ring, m_max, classical):
-    """Classical moments, and moments that vanish from some degree on.
-
-    Under the latter a constant-free f has f^m in M once m passes that
-    degree, so premises hold and g f^m misses at small m.
-    """
-    f = data.draw(_polynomials(ring, X_VARS, 0 if classical else 1, 3))
-    gs = data.draw(st.lists(_polynomials(ring, X_VARS, 0, 3), min_size=1, max_size=3))
-    count = 3 * (m_max + 1) + 1
-    if classical:
-        spec = data.draw(st.sampled_from((
-            WeightSpec("uniform01"), WeightSpec("hermite"), WeightSpec("laguerre", 1),
-            WeightSpec("jacobi", 1, 2), WeightSpec("legendre"))))
-        functional = moments(spec, count - data.draw(st.integers(0, 4)))
-    else:
-        cut = data.draw(st.integers(1, 6))
-        values = data.draw(st.lists(st.sampled_from((0, 1, -1, Fraction(1, 2))),
-                                    min_size=cut, max_size=cut))
-        functional = MomentFunctional(WeightSpec("hermite"),
-                                      tuple(map(Fraction, values + [0] * (count - cut))))
-    _assert_matches_products(moment_oracle(functional), f, gs, m_max)
-
-
 def _one_scan_per_route():
     """(oracle, f, gs, m_max) per scan route, each with a premise that holds."""
     problem = ImageProblem(2, QQ)
     w1, w2, z1, z2 = (problem.zeta(1), problem.zeta(2), problem.z(1), problem.z(2))
-    x = Polynomial.var(GF(5), X_VARS, "x")
-    # mu_0 = mu_3 = 1 and every other moment 0: x^2m is in M, x^3 is not
-    mu = MomentFunctional(WeightSpec("hermite"), tuple(map(Fraction, (1, 0, 0, 1) + (0,) * 20)))
     return [
         (kerL_oracle(problem), w1 * w1 * z1 + w2, [z1, z1 * z2 + z2], 6),
         (laurent_constant_oracle(QQ), _laurent({1: 2, 3: -1}), [_laurent({-4: 1}),
                                                                 _laurent({-9: 3, -2: 1})], 8),
-        (moment_oracle(mu), x * x, [x + Polynomial.one(GF(5), X_VARS), x.scale(3)], 6),
     ]
 
 
+def _moment_scan():
+    """A moment scan over F_5 whose premise holds, and whose gs miss at m = 1 only."""
+    x = Polynomial.var(GF(5), X_VARS, "x")
+    # mu_0 = mu_3 = 1 and every other moment 0: x^2m is in M, x^3 is not
+    mu = MomentFunctional(WeightSpec("hermite"), tuple(map(Fraction, (1, 0, 0, 1) + (0,) * 20)))
+    return moment_oracle(mu), x * x, [x + Polynomial.one(GF(5), X_VARS), x.scale(3)], 6
+
+
+def test_moment_scans_multiply_out():
+    """A moment oracle has no scan of its own: its scans ask `member` of f^m and g f^m."""
+    oracle, f, gs, m_max = _moment_scan()
+    assert oracle.scan is None
+    report = mathieu_scan(oracle, f, gs, m_max)
+    assert (report.verdict, report.premise_held_through) == ("consistent", m_max)
+    assert [g["stabilization_index"] for g in report.g_results] == [2, 2]
+    hermite = moment_oracle(moments(WeightSpec("hermite"), 40))
+    x = Polynomial.var(GF(3), X_VARS, "x")
+    # over F_3 every Hermite moment mu_j with j >= 3 is 0: x^3 F_3[x] lies in M
+    report = mathieu_scan(hermite, x ** 4 + x ** 3, [x + x ** 0, x * x], 6)
+    assert report.verdict == "consistent"
+    x = Polynomial.var(GF(7), X_VARS, "x")
+    assert mathieu_scan(hermite, x ** 3, [x, x * x], 5).verdict == "premise_failed"
+
+
 def test_scan_edge_cases_match_products():
-    """f = 0, no g, g below every exponent of f^m, mixed signs, moments over F_p."""
+    """f = 0, no g, g below every exponent of f^m, mixed signs."""
     for oracle, f, gs, m_max in _one_scan_per_route():
         zero = Polynomial.zero(f.ring, f.variables)
         report = _assert_matches_products(oracle, zero, gs, m_max)
@@ -381,17 +375,10 @@ def test_scan_edge_cases_match_products():
         mixed = _laurent({-1: 1, 1: 1}).embed(ring, T_VARS)  # f^2 has constant term 2
         report = _assert_matches_products(oracle, mixed, [below], 6)
         assert (report["verdict"], report["premise_held_through"]) == ("premise_failed", 1)
-    hermite = moment_oracle(moments(WeightSpec("hermite"), 40))
-    x = Polynomial.var(GF(3), X_VARS, "x")
-    # over F_3 every Hermite moment mu_j with j >= 3 is 0: x^3 F_3[x] lies in M
-    report = _assert_matches_products(hermite, x ** 4 + x ** 3, [x + x ** 0, x * x], 6)
-    assert report["verdict"] == "consistent"
-    x = Polynomial.var(GF(7), X_VARS, "x")
-    assert _assert_matches_products(hermite, x ** 3, [x, x * x], 5)["verdict"] == "premise_failed"
 
 
 def test_premise_failed_scans_ask_no_g():
-    """A failed premise reports no g, and no route asks about one."""
+    """A failed premise reports no g, and neither a route nor `member` is asked about one."""
     problem = ImageProblem(1, QQ)
     short = moments(WeightSpec("uniform01"), 4)  # too few moments for g * f^m
     cases = [
@@ -406,7 +393,8 @@ def test_premise_failed_scans_ask_no_g():
         def recording(f, gs, m_max, route=route):
             for member, g_members in route(f, gs, m_max):
                 yield member, lambda g_members=g_members: asked.append(1) or g_members()
-        oracle.scan = recording
+        if route:  # the moment oracle has none
+            oracle.scan = recording
         report = mathieu_scan(oracle, f, [g], 6)
         assert (report.verdict, report.g_results, asked) == ("premise_failed", [], [])
         elements = []
@@ -446,14 +434,15 @@ def _claim_a_miss_at_m_max(route):
 def test_violation_recheck_refuses_a_member_reported_as_a_miss(case):
     """A route that reports every g f^m_max as a miss fails the re-check.
 
-    In the three scans of `_one_scan_per_route` each g also misses at small
-    m, so the reported element is a true miss and g f^m_max must be
-    re-checked too; with f = g = t, m_max is the only miss.
+    In the two route scans of `_one_scan_per_route` and the moment scan,
+    which multiplies out, each g also misses at small m, so the reported
+    element is a true miss and g f^m_max must be re-checked too; with
+    f = g = t, m_max is the only miss.
     """
-    oracle, f, gs, m_max = (_one_scan_per_route() + [
-        (laurent_constant_oracle(QQ), _laurent({1: 1}), [_laurent({1: 1})], 6)])[case]
+    oracle, f, gs, m_max = (_one_scan_per_route() + [_moment_scan(), (
+        laurent_constant_oracle(QQ), _laurent({1: 1}), [_laurent({1: 1})], 6)])[case]
     report = mathieu_scan(oracle, f, gs, m_max)
     assert report.verdict == "consistent"
-    oracle.scan = _claim_a_miss_at_m_max(oracle.scan)
+    oracle.scan = _claim_a_miss_at_m_max(oracle.scan or oracle._products)
     with pytest.raises(VerificationError, match="reported a member as a miss"):
         mathieu_scan(oracle, f, gs, m_max)

@@ -20,7 +20,6 @@ READ_ONLY_BY_TESTS = {
     "frobenius_expansion_check": "criterion 11: the p-divisible power expansion",
     "hankel_determinant": "criterion 10: the non-zero Hankel minors",
     "log_derivative": "oracle for the operator route's factored recurrence",
-    "factorial_functional": "oracle for the monomial-count scan's integer loop",
 }
 
 
