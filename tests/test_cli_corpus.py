@@ -18,7 +18,9 @@ ring and one F_11 moment scan at two bounds; `--help` at every level;
 one line per usage-error class; and, in json and text, moment scans whose
 premise holds over F_7, that miss over Q(i), and that fail on a moment with
 no value mod 5 in f's and in a g's answer, an exhausted `lemma81` and a
-`gvc` scan that stabilizes at 1.  Each JSON report that exits 0 must also
+`gvc` scan that stabilizes at 1; and `moments` to n = 40, `ortho` for
+jacobi(4,3) to degree 12 and a Hermite scan at `--mmax 400` that fails its
+premise at m = 2.  Each JSON report that exits 0 must also
 validate against `report.schema.json`.
 
 The same pass runs under a call-only trace function, and
@@ -144,6 +146,17 @@ _EDGES = [
     ("lemma81", "u - 1", "--primes", "4,6"),
     ("gvc", "d1^2", "z1", "1", "--n", "1", "--mmax", "4"),
 ]
+# json and text: moments well past the small tables above, from both ends of
+# the parameter range; and a scan whose bound is far beyond the m = 2 at which
+# its premise fails
+_DEEP_MOMENTS = [
+    ("moments", "--family", "jacobi", "--alpha", "4", "--beta", "1", "--nmax", "40"),
+    ("moments", "--family", "laguerre", "--alpha", "3", "--nmax", "40"),
+    ("moments", "--family", "hermite", "--nmax", "40"),
+    ("moments", "--family", "uniform01", "--nmax", "40"),
+    ("ortho", "--family", "jacobi", "--alpha", "4", "--beta", "3", "--dmax", "12"),
+    ("scan", "--oracle", "moment:hermite", "x", "x^2", "--mmax", "400"),
+]
 _WEIGHTS = [("hermite",), ("laguerre",), ("laguerre", "--alpha", "2"), ("jacobi",),
             ("jacobi", "--alpha", "1", "--beta", "2"), ("legendre",)]
 _USAGE_CLASSES = [
@@ -219,7 +232,7 @@ def _cases():
                 yield (name, mode, "--help")
     yield from _USAGE_CLASSES
     for fmt in ("json", "text"):
-        for argv in _EDGES:
+        for argv in _EDGES + _DEEP_MOMENTS:
             yield argv + ("--format", fmt)
 
 
