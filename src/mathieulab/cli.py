@@ -204,8 +204,7 @@ def _scan_context(args):
     from . import ortho
     spec = _weight_spec(choice.split(":", 1)[1], args)
     polys = [_parse(t, ring, ortho.X_VARS) for t in _read_inputs(args)]
-    top = max((0 if p.is_zero() else int(p.total_degree())) for p in polys)
-    return (harness.moment_oracle(ortho.moments(spec, top * (args.mmax + 1))), polys,
+    return (harness.moment_oracle(ortho.MomentFunctional(spec)), polys,
             f"the {spec.label()} moments have no value mod {ring.characteristic}")
 
 
@@ -258,14 +257,15 @@ def _weight_spec(family, args) -> ortho.WeightSpec:
 def _cmd_ortho(args):
     from . import ortho
     spec = _weight_spec(args.family, args)
-    functional = ortho.moments(spec, 2 * args.dmax)
-    monic = ortho.gram_schmidt(functional, args.dmax)
+    monic = ortho.gram_schmidt(ortho.MomentFunctional(spec), args.dmax)
     rows = []
     for d in range(args.dmax + 1):
         rod = ortho.rodrigues(spec, d)
         lam = ortho.lambda_power(spec, d, d).scale(ortho.rodrigues_constant(spec, d))
         lead = rod.terms.get((d,), QQ.one())
-        if lam != rod or rod != monic[d].scale(lead):
+        if lam != rod:
+            raise VerificationError(f"generation routes disagree at degree {d}")
+        if rod != monic[d].scale(lead):
             raise VerificationError(f"generation routes disagree at degree {d}")
         rows.append({"degree": d, "polynomial": rod, "monic": monic[d], "leading_scalar": lead})
     return Report(command="ortho", family=spec.label(), routes_agree=True,
@@ -275,7 +275,7 @@ def _cmd_ortho(args):
 def _cmd_moments(args):
     from . import ortho
     spec = _weight_spec(args.family, args)
-    functional = ortho.moments(spec, args.nmax)
+    functional = ortho.MomentFunctional(spec)
     rows = [("degree", "numerator", "denominator")]
     table = []
     for n in range(args.nmax + 1):

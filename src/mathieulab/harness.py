@@ -182,7 +182,8 @@ def laurent_constant_oracle(ring: RingDescriptor) -> SubspaceOracle:
 
 def moment_oracle(m: MomentFunctional) -> SubspaceOracle:
     """Zero moment sum_j c_j mu_j, read off each term of f; a scan multiplies f^m
-    and g f^m out, and over F_p a moment is reduced mod p only when it is read."""
+    and g f^m out, and m makes a moment (over F_p, reduces it mod p) only when a
+    term reads it, so a scan that stops early meets no higher moment."""
     def member(f):
         from .ortho import inner_product
         one = Polynomial.one(f.ring, f.variables)

@@ -98,13 +98,13 @@ def L_map(problem: ImageProblem, f: Polynomial) -> Polynomial:
 
 def t_apply(problem: ImageProblem, i: int, h: Polynomial) -> Polynomial:
     """One application of t_i: h -> w_i h - dh/dz_i."""
-    return Polynomial(problem.ring, problem.variables, _t_terms(problem, i, h))
+    return Polynomial(problem.ring, problem.variables, _t_terms(problem.n, i, h))
 
 
-def _t_terms(problem: ImageProblem, i: int, h: Polynomial):
-    """The (key, coeff) pairs of t_i h, from one pass over the terms of h."""
-    w, z = i - 1, problem.n + i - 1
-    from_int = problem.ring.from_int
+def _t_terms(n: int, i: int, h: Polynomial):
+    """The (key, coeff) pairs of t_i h, h in n pairs (w, z), from one pass over its terms."""
+    w, z = i - 1, n + i - 1
+    from_int = h.ring.from_int
     for exps, c in h.terms.items():
         yield exps[:w] + (exps[w] + 1,) + exps[w + 1:], c
         if exps[z]:
@@ -157,11 +157,10 @@ class MembershipCertificate(Report):
             return not self.residue.is_zero() and self.residue == L_map(problem, f)
         # sum_i (d/dz_i - w_i) h_i = -sum_i t_i h_i, summed in one pass in the
         # witness's own ring; the equality also checks that f lives there
-        h1 = self.witness[0]
-        problem = ImageProblem(len(self.witness), h1.ring)
+        h1, n = self.witness[0], len(self.witness)
         return Polynomial(h1.ring, h1.variables, (
             pair for i, h in enumerate(self.witness, start=1)
-            for pair in _t_terms(problem, i, h))) == -f
+            for pair in _t_terms(n, i, h))) == -f
 
 
 def certify_imD(problem: ImageProblem, f: Polynomial) -> MembershipCertificate:

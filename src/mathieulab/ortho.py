@@ -2,13 +2,13 @@
 polynomials.
 
 Everything stays rational: moments are normalized by the zeroth moment, so
-even the Gaussian weight only ever contributes rational numbers.  The three
-routes share nothing but the weight: `gram_schmidt` turns the moments into
-the monic polynomials by the three-term recurrence (the Chebyshev
-algorithm), `rodrigues` evaluates Rodrigues' formula as its explicit Leibniz
-sum, and `lambda_power` applies the operator d/dx + w'/w m <= a times to
-g^a = D^a, with D the weight's singular product, as one factored recurrence
-on integer coefficient lists that never forms g^a.
+even the Gaussian weight only ever contributes rational numbers.  Each weight
+is one pair (T, D) with w'/w = T / D (`_operator`).  `MomentFunctional` reads
+the moments off it by Pearson's recurrence and `gram_schmidt` turns them into
+the monic polynomials by the three-term recurrence (the Chebyshev algorithm);
+`lambda_power` applies d/dx + w'/w m <= a times to g^a = D^a on integer
+coefficient lists.  Those two routes share the pair, so the independent one is
+`rodrigues`: Rodrigues' formula as its Leibniz sum, in per-family closed forms.
 """
 
 from __future__ import annotations
@@ -51,52 +51,31 @@ class WeightSpec(Immutable):
 
 
 class MomentFunctional(Immutable):
-    """Normalized exact moments mu_n / mu_0 of a weight."""
+    """Normalized exact moments mu_n / mu_0 of a weight, each made when first read.
 
-    __slots__ = __match_args__ = ("spec", "values")
+    With w'/w = T / D, T = t0 + t1 x and D = d0 + d1 x + d2 x^2: D w vanishes at
+    both ends of each shipped weight's interval and D w' = T w, so the integral
+    of (x^n D w)' = w (n x^(n-1) D + x^n (D' + T)) is 0, Pearson's equation
+    (Szegő, *Orthogonal Polynomials*, ch. 4)
+        n d0 mu_(n-1) + ((n+1) d1 + t0) mu_n + ((n+2) d2 + t1) mu_(n+1) = 0,
+    whose last coefficient is never 0 here.  A read never changes an earlier one.
+    """
 
-    def __init__(self, spec: WeightSpec, values: tuple):
+    __match_args__ = ("spec",)
+    __slots__ = __match_args__ + ("_values",)  # a cache of the spec's moments, so not a field
+
+    def __init__(self, spec: WeightSpec):
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_values", [Fraction(1)])
 
     def moment(self, n: int) -> Fraction:
-        if n >= len(self.values):
-            raise ValueError(f"moment {n} not available (have {len(self.values)})")
-        return self.values[n]
-
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
-
-def moments(spec: WeightSpec, n_max: int) -> MomentFunctional:
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    fam = spec.family
-    if fam == "hermite":
-        vals = [Fraction(factorial(n), 4 ** (n // 2) * factorial(n // 2))
-                if n % 2 == 0 else Fraction(0) for n in range(n_max + 1)]
-    elif fam == "laguerre":
-        vals = [Fraction(factorial(n + spec.alpha), factorial(spec.alpha))
-                for n in range(n_max + 1)]
-    elif fam == "uniform01":
-        vals = [Fraction(1, n + 1) for n in range(n_max + 1)]
-    else:
-        mu0 = _jacobi_raw_moment(0, spec.alpha, spec.beta)
-        vals = [_jacobi_raw_moment(n, spec.alpha, spec.beta) / mu0
-                for n in range(n_max + 1)]
-    return MomentFunctional(spec, tuple(vals))
-
-
-def _jacobi_raw_moment(n: int, alpha: int, beta: int) -> Fraction:
-    """Integral of x^n (1-x)^alpha (1+x)^beta over (-1, 1), exactly."""
-    total = Fraction(0)
-    for j in range(alpha + 1):
-        for k in range(beta + 1):
-            e = n + j + k
-            if e % 2 == 0:
-                total += Fraction((-1) ** j * comb(alpha, j) * comb(beta, k) * 2, e + 1)
-    return total
+        values = self._values
+        if n >= len(values):
+            (t0, t1), (d0, d1, d2) = _operator(self.spec)
+            for k in range(len(values) - 1, n):  # at k = 0, mu_(k-1) has coefficient 0
+                values.append(-(k * d0 * values[k - 1] + ((k + 1) * d1 + t0) * values[k])
+                              / ((k + 2) * d2 + t1))
+        return values[n]
 
 
 def inner_product(f: Polynomial, g: Polynomial, m: MomentFunctional):
@@ -124,11 +103,9 @@ def gram_schmidt(m: MomentFunctional, d_max: int) -> dict:
     Monic orthogonal polynomials are unique, so these are the Gram-Schmidt
     ones.  A zero norm sigma_k[k], k < d_max, is a singular Hankel minor.
     """
-    if m.n_max < 2 * d_max:
-        raise ValueError("not enough moments for the requested degree")
     x = Polynomial.var(QQ, X_VARS, "x")
     polys = [Polynomial.one(QQ, X_VARS)]
-    row = prev = list(m.values[:2 * d_max + 1])  # sigma_k and sigma_(k-1)
+    row = prev = [m.moment(n) for n in range(2 * d_max + 1)]  # sigma_k and sigma_(k-1)
     for k in range(d_max):
         if not row[k]:
             raise ValueError(f"singular Hankel system at degree {k}")
@@ -149,7 +126,7 @@ def _operator(spec: WeightSpec) -> tuple:
         return [spec.alpha, -1], [0, 1, 0]
     if fam in ("jacobi", "legendre"):
         return [spec.beta - spec.alpha, -spec.alpha - spec.beta], [1, 0, -1]
-    raise ValueError(f"no first-order operator for {fam}")
+    return [0, 0], [0, 1, -1]  # uniform01: w'/w = 0 over D = x - x^2
 
 
 def _x_poly(coeffs) -> Polynomial:

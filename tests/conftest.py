@@ -1,4 +1,5 @@
-"""Shared random generators for the exact-arithmetic test suite.
+"""Shared random generators for the exact-arithmetic test suite, and a
+hand-built moment table.
 
 Bulk identity checks use a seeded `random.Random`, so failures reproduce;
 algebraic laws additionally run under hypothesis in the per-module tests.
@@ -11,6 +12,17 @@ import pytest
 
 from mathieulab.poly import Polynomial
 from mathieulab.rings import GaussianRational
+
+
+class MomentTable:
+    """A hand-built moment functional: `spec` names its weight and `moment(n)`
+    reads a fixed table, so a read past the table's end raises IndexError."""
+
+    def __init__(self, spec, values):
+        self.spec, self.values = spec, tuple(map(Fraction, values))
+
+    def moment(self, n):
+        return self.values[n]
 
 
 def random_coeff(rng, ring):

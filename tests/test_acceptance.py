@@ -268,7 +268,7 @@ def test_criterion_09_orthogonal_triple_agreement():
                  + [ortho.WeightSpec("jacobi", a, b)
                     for a in (0, 1, 2) for b in (0, 1, 2)])
         for spec in specs:
-            m = ortho.moments(spec, 16)
+            m = ortho.MomentFunctional(spec)
             monic = ortho.gram_schmidt(m, 8)
             for d in range(9):
                 rod = ortho.rodrigues(spec, d)
@@ -289,11 +289,11 @@ def test_criterion_10_moment_premise_failures():
     with _Criterion(10, "mean-zero premise fails at m=2; Hankel minors nonzero", 10):
         x = Polynomial.var(QQ, ortho.X_VARS, "x")
         one = Polynomial.one(QQ, ortho.X_VARS)
-        uni = ortho.moments(ortho.WeightSpec("uniform01"), 8)
+        uni = ortho.MomentFunctional(ortho.WeightSpec("uniform01"))
         f = x - one.scale(Fraction(1, 2))
         assert not ortho.inner_product(f, one, uni)
         assert ortho.inner_product(f * f, one, uni) == Fraction(1, 12)
-        lag = ortho.moments(ortho.WeightSpec("laguerre", 0), 8)
+        lag = ortho.MomentFunctional(ortho.WeightSpec("laguerre", 0))
         g = x - one
         assert not ortho.inner_product(g, one, lag)
         assert ortho.inner_product(g * g, one, lag) == Fraction(1)
@@ -303,7 +303,7 @@ def test_criterion_10_moment_premise_failures():
                  + [ortho.WeightSpec("jacobi", a, b)
                     for a in (0, 1, 2) for b in (0, 1, 2)])
         for spec in specs:
-            m = ortho.moments(spec, 16)
+            m = ortho.MomentFunctional(spec)
             for d in range(9):
                 assert ortho.hankel_determinant(m, d) != 0, (spec.label(), d)
 

@@ -125,8 +125,7 @@ _LONG_SCANS = [
 ]
 _FP = ("--ring", "fp", "--p", "11")
 # json only: a jacobi(1,2) moment scan over F_11 that fails its premise at m = 2,
-# so it never reads mu_7 = 1/33; the moments up to deg * (m_max + 1) stop
-# below mu_7 at --mmax 2 and hold it at --mmax 4
+# so at either bound it never reads mu_7 = 1/33, which has no value mod 11
 _MOMENT_FP = [("scan", "--oracle", "moment:jacobi", "5*x - 1", "x^2", "--mmax", m, "--alpha",
                "1", "--beta", "2") + _FP + ("--format", "json") for m in ("2", "4")]
 # json and text: an F_7 moment scan whose premise holds, a Q(i) Laguerre scan

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_coeff, random_polynomial
+from conftest import MomentTable, random_coeff, random_polynomial
 from mathieulab import harness
 from mathieulab.harness import (
     MatrixValue,
@@ -21,7 +21,7 @@ from mathieulab.harness import (
     trace_oracle,
 )
 from mathieulab.imagemap import ImageProblem
-from mathieulab.ortho import X_VARS, MomentFunctional, WeightSpec, moments
+from mathieulab.ortho import X_VARS, MomentFunctional, WeightSpec
 from mathieulab.poly import Polynomial, VariableSet, VerificationError
 from mathieulab.rings import GF, QI, QQ, GaussianRational
 from mathieulab.weyl import WeylElement
@@ -117,7 +117,7 @@ def test_trace_oracle_scan():
 
 
 def test_moment_oracle():
-    m = moments(WeightSpec("uniform01"), 20)
+    m = MomentFunctional(WeightSpec("uniform01"))
     oracle = moment_oracle(m)
     x = Polynomial.var(QQ, VariableSet(("x",)), "x")
     one = Polynomial.one(QQ, VariableSet(("x",)))
@@ -337,7 +337,7 @@ def _moment_scan():
     """A moment scan over F_5 whose premise holds, and whose gs miss at m = 1 only."""
     x = Polynomial.var(GF(5), X_VARS, "x")
     # mu_0 = mu_3 = 1 and every other moment 0: x^2m is in M, x^3 is not
-    mu = MomentFunctional(WeightSpec("hermite"), tuple(map(Fraction, (1, 0, 0, 1) + (0,) * 20)))
+    mu = MomentTable(WeightSpec("hermite"), (1, 0, 0, 1) + (0,) * 20)
     return moment_oracle(mu), x * x, [x + Polynomial.one(GF(5), X_VARS), x.scale(3)], 6
 
 
@@ -348,7 +348,7 @@ def test_moment_scans_multiply_out():
     report = mathieu_scan(oracle, f, gs, m_max)
     assert (report.verdict, report.premise_held_through) == ("consistent", m_max)
     assert [g["stabilization_index"] for g in report.g_results] == [2, 2]
-    hermite = moment_oracle(moments(WeightSpec("hermite"), 40))
+    hermite = moment_oracle(MomentFunctional(WeightSpec("hermite")))
     x = Polynomial.var(GF(3), X_VARS, "x")
     # over F_3 every Hermite moment mu_j with j >= 3 is 0: x^3 F_3[x] lies in M
     report = mathieu_scan(hermite, x ** 4 + x ** 3, [x + x ** 0, x * x], 6)
@@ -380,7 +380,8 @@ def test_scan_edge_cases_match_products():
 def test_premise_failed_scans_ask_no_g():
     """A failed premise reports no g, and neither a route nor `member` is asked about one."""
     problem = ImageProblem(1, QQ)
-    short = moments(WeightSpec("uniform01"), 4)  # too few moments for g * f^m
+    # mu_0..mu_4 only: asking about g * f^m reads past the table and raises
+    short = MomentTable(WeightSpec("uniform01"), [Fraction(1, n + 1) for n in range(5)])
     cases = [
         (kerL_oracle(problem), problem.zeta(1) * problem.z(1), problem.z(1)),
         (laurent_constant_oracle(QQ), _laurent({-1: 1, 1: 1}), _laurent({-2: 1})),

@@ -1,12 +1,15 @@
-"""Moments and the three routes to the orthogonal polynomials: the moment
-recurrence (against a Gram-Schmidt projection oracle), the Rodrigues closed
-forms, and the operator route."""
+"""Moments and the three routes to the orthogonal polynomials: the moments'
+Pearson recurrence (against the closed forms), the three-term recurrence
+(against a Gram-Schmidt projection oracle), the Rodrigues closed forms, and
+the operator route."""
 
+import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
+from conftest import MomentTable
 from mathieulab import ortho
 from mathieulab.ortho import (
     MomentFunctional,
@@ -17,7 +20,6 @@ from mathieulab.ortho import (
     inner_product,
     lambda_power,
     log_derivative,
-    moments,
     rodrigues,
     rodrigues_constant,
 )
@@ -32,30 +34,44 @@ ALL_SPECS = ([WeightSpec("hermite"), WeightSpec("legendre"), WeightSpec("uniform
              + [WeightSpec("jacobi", a, b) for a in (0, 1, 2) for b in (0, 1, 2)])
 
 
-def test_moment_closed_forms():
-    h = moments(WeightSpec("hermite"), 8)
-    for k in range(5):
-        assert h.moment(2 * k) == Fraction(factorial(2 * k),
-                                           4 ** k * factorial(k))
-        if 2 * k + 1 <= 8:
-            assert h.moment(2 * k + 1) == 0
-    lag = moments(WeightSpec("laguerre", 2), 6)
-    for n in range(7):
-        assert lag.moment(n) == Fraction(factorial(n + 2), 2)
-    uni = moments(WeightSpec("uniform01"), 6)
-    assert [uni.moment(n) for n in range(4)] == [1, Fraction(1, 2),
-                                                 Fraction(1, 3), Fraction(1, 4)]
-    leg = moments(WeightSpec("legendre"), 6)
-    assert leg.moment(0) == 1
-    assert leg.moment(1) == 0
-    assert leg.moment(2) == Fraction(1, 3)
+def _jacobi_raw_moment(n, alpha, beta):
+    """Integral of x^n (1-x)^alpha (1+x)^beta over (-1, 1), as a double sum."""
+    return sum((Fraction((-1) ** j * comb(alpha, j) * comb(beta, k) * 2, n + j + k + 1)
+                for j in range(alpha + 1) for k in range(beta + 1) if (n + j + k) % 2 == 0),
+               Fraction(0))
 
 
-def test_jacobi_moments_are_normalized():
-    for a in range(3):
-        for b in range(3):
-            m = moments(WeightSpec("jacobi", a, b), 10)
-            assert m.moment(0) == 1
+def _closed_form_moment(spec, n):
+    """mu_n / mu_0 from each family's own closed form."""
+    if spec.family == "hermite":
+        return Fraction(factorial(n), 4 ** (n // 2) * factorial(n // 2)) if n % 2 == 0 else 0
+    if spec.family == "laguerre":
+        return Fraction(factorial(n + spec.alpha), factorial(spec.alpha))
+    if spec.family == "uniform01":
+        return Fraction(1, n + 1)
+    return (_jacobi_raw_moment(n, spec.alpha, spec.beta)
+            / _jacobi_raw_moment(0, spec.alpha, spec.beta))
+
+
+RECURRENCE_SPECS = ([WeightSpec("hermite"), WeightSpec("legendre"), WeightSpec("uniform01")]
+                    + [WeightSpec("laguerre", a) for a in range(5)]
+                    + [WeightSpec("jacobi", a, b) for a in range(5) for b in range(5)])
+
+
+@pytest.mark.parametrize("spec", RECURRENCE_SPECS, ids=WeightSpec.label)
+def test_moment_recurrence_matches_closed_forms(spec):
+    """The Pearson recurrence gives each family's closed form up to n = 40, read
+    in order or out of it, and a later read never changes an earlier value."""
+    expected = [_closed_form_moment(spec, n) for n in range(41)]
+    ascending = MomentFunctional(spec)
+    assert [ascending.moment(n) for n in range(41)] == expected
+    order = list(range(41))
+    random.Random(spec.label()).shuffle(order)
+    shuffled = MomentFunctional(spec)
+    first = {n: shuffled.moment(n) for n in order}
+    assert [first[n] for n in range(41)] == expected
+    assert all(shuffled.moment(n) is first[n] for n in order)
+    assert MomentFunctional(spec).moment(40) == expected[40]
 
 
 def test_weight_spec_validation():
@@ -71,7 +87,7 @@ def test_weight_spec_validation():
 
 def test_gram_schmidt_orthogonality():
     for spec in ALL_SPECS:
-        m = moments(spec, 12)
+        m = MomentFunctional(spec)
         fam = gram_schmidt(m, 6)
         for i in range(7):
             assert fam[i].terms[(i,)] == 1  # monic
@@ -95,15 +111,15 @@ def _projection_oracle(m, d_max):
 
 def test_gram_schmidt_matches_projection_oracle():
     for spec in ALL_SPECS:
-        m = moments(spec, 32)
+        m = MomentFunctional(spec)
         assert gram_schmidt(m, 16) == _projection_oracle(m, 16), spec.label()
-    m = moments(WeightSpec("jacobi", 3, 2), 48)
+    m = MomentFunctional(WeightSpec("jacobi", 3, 2))
     assert gram_schmidt(m, 24) == _projection_oracle(m, 24)
 
 
 def test_zero_norm_is_a_singular_hankel_system():
     """Moments 1, 0, 0, ... make <x, x> = 0: degree 1 exists, degree 2 does not."""
-    m = MomentFunctional(WeightSpec("hermite"), tuple(Fraction(int(n == 0)) for n in range(5)))
+    m = MomentTable(WeightSpec("hermite"), [1, 0, 0, 0, 0])
     assert gram_schmidt(m, 1) == _projection_oracle(m, 1) == {0: ONE, 1: X}
     for route in (gram_schmidt, _projection_oracle):
         with pytest.raises(ValueError, match="singular Hankel system"):
@@ -211,7 +227,7 @@ def test_rodrigues_proportional_to_monic():
     for spec in ALL_SPECS:
         if spec.family == "uniform01":
             continue
-        m = moments(spec, 16)
+        m = MomentFunctional(spec)
         fam = gram_schmidt(m, 8)
         for a in range(9):
             rod = rodrigues(spec, a)
@@ -229,20 +245,12 @@ def test_log_derivative_reduces_for_alpha_zero():
 
 def test_hankel_nonsingular_for_shipped_families():
     for spec in ALL_SPECS:
-        m = moments(spec, 16)
+        m = MomentFunctional(spec)
         for d in range(9):
             assert hankel_determinant(m, d) != 0, (spec.label(), d)
 
 
 def test_hankel_base_values():
-    uni = moments(WeightSpec("uniform01"), 4)
+    uni = MomentFunctional(WeightSpec("uniform01"))
     # det [[1, 1/2], [1/2, 1/3]] = 1/12
     assert hankel_determinant(uni, 1) == Fraction(1, 12)
-
-
-def test_moment_functional_bounds():
-    m = moments(WeightSpec("hermite"), 4)
-    with pytest.raises(ValueError):
-        m.moment(5)
-    with pytest.raises(ValueError):
-        gram_schmidt(m, 4)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import mathieulab
 from conftest import random_polynomial
-from mathieulab import cli, imagemap
+from mathieulab import cli, imagemap, ortho
 from mathieulab.cli import main
 from mathieulab.parsing import ParseError, parse_polynomial
 from mathieulab.poly import Polynomial, VariableSet
@@ -252,6 +252,21 @@ def test_cli_scan_oracles(capsys, schema):
                            "--oracle", "moment:uniform01", "--mmax", "4")
     assert code == 0
     _validate(schema, out)
+
+
+def test_moment_scan_reads_moments_on_demand(monkeypatch, capsys):
+    """A Hermite scan whose premise fails at m = 2 reads the same moments at
+    --mmax 4000 as at --mmax 2: none is made before the scan asks for it."""
+    read, honest = [], ortho.MomentFunctional.moment
+    monkeypatch.setattr(ortho.MomentFunctional, "moment",
+                        lambda self, n: read.append(n) or honest(self, n))
+    runs = []
+    for m_max in ("2", "4000"):
+        read.clear()
+        code, out, _ = run_cli(capsys, "scan", "--oracle", "moment:hermite", "x", "x^2",
+                               "--mmax", m_max)
+        runs.append((code, json.loads(out)["premise_held_through"], sorted(set(read))))
+    assert runs[0] == runs[1] == (0, 1, [1, 2])
 
 
 # Bounded misses that are no violations: each scan ends `unknown` at m_max, and
@@ -558,7 +573,7 @@ def test_verification_failure_exits_2_under_optimize():
         if sys.flags.optimize != 1:
             sys.exit(3)
 
-        def shift_only(problem, i, h):  # t_i without its derivative term
+        def shift_only(n, i, h):  # t_i without its derivative term
             for exps, c in h.terms.items():
                 yield exps[:i - 1] + (exps[i - 1] + 1,) + exps[i:], c
 
@@ -722,6 +737,34 @@ def test_ortho_route_disagreement_exits_2_under_optimize(route):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == "verification failure: generation routes disagree at degree 3\n"
+
+
+def test_ortho_shared_operator_fault_exits_2_under_optimize():
+    """Under python -O a wrong (T, D) pair, which the moments and the operator
+    route share, makes `ortho` exit 2.  Laguerre(2) given laguerre(3)'s pair
+    keeps those two routes in agreement, so the closed forms catch it."""
+    script = textwrap.dedent("""
+        import sys
+        from mathieulab import cli, ortho
+        if sys.flags.optimize != 1:
+            sys.exit(3)
+        honest = ortho._operator
+
+        def wrong(spec):  # T = alpha - x with alpha one too high
+            (t0, t1), den = honest(spec)
+            return [t0 + 1, t1], den
+
+        ortho._operator = wrong
+        spec = ortho.WeightSpec("laguerre", 2)
+        lam = ortho.lambda_power(spec, 4, 4)
+        print(lam == ortho.gram_schmidt(ortho.MomentFunctional(spec), 4)[4].scale(lam.terms[(4,)]))
+        sys.exit(cli.main(["ortho", "--family", "laguerre", "--alpha", "2", "--dmax", "4"]))
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "True\n"
+    assert proc.stderr == "verification failure: generation routes disagree at degree 1\n"
 
 
 def test_theorem51_at_p_101_finishes():

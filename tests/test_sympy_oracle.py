@@ -1,6 +1,7 @@
 """Differential tests against sympy: an independent route to the kernel map,
-to the test-side Weyl oracle's action, normal ordering and symbol maps, and
-to the classical orthogonal polynomials of the Rodrigues route.
+to the test-side Weyl oracle's action, normal ordering and symbol maps, to
+the classical orthogonal polynomials of the Rodrigues route, and to the
+weights' moments.
 
 sympy is a test-only dependency; the suite skips this module without it.
 """
@@ -133,3 +134,20 @@ def test_lambda_power_matches_sympy():
                 assert same(to_sympy(ortho.lambda_power(spec, a, m)), num / den), (spec, a, m)
             with pytest.raises(ValueError):
                 ortho.lambda_power(spec, a, a + 1)
+
+
+def test_moments_match_sympy_integrals():
+    """MomentFunctional(spec).moment(n) is int x^n w / int w over the weight's interval."""
+    x = sympy.Symbol("x")
+    weights = [("hermite", 0, 0, sympy.exp(-x ** 2), -sympy.oo, sympy.oo),
+               ("uniform01", 0, 0, sympy.Integer(1), 0, 1)]
+    weights += [("laguerre", a, 0, x ** a * sympy.exp(-x), 0, sympy.oo) for a in (0, 3)]
+    weights += [("jacobi", a, b, (1 - x) ** a * (1 + x) ** b, -1, 1)
+                for a, b in ((0, 0), (4, 1), (2, 3))]
+    for family, alpha, beta, w, low, high in weights:
+        m = ortho.MomentFunctional(ortho.WeightSpec(family, alpha, beta))
+        mu_0 = sympy.integrate(w, (x, low, high))
+        for n in range(7):
+            mu = m.moment(n)
+            assert same(sympy.integrate(x ** n * w, (x, low, high)) / mu_0,
+                        sympy.Rational(mu.numerator, mu.denominator)), (family, alpha, beta, n)

@@ -24,6 +24,7 @@ FAULT_TESTS = {
     "cli._cmd_decompose": [
         "test_parsing_cli.py::test_decompose_recompose_check_exits_2_under_optimize"],
     "cli._cmd_ortho": [
+        "test_parsing_cli.py::test_ortho_shared_operator_fault_exits_2_under_optimize",
         "test_parsing_cli.py::test_ortho_route_disagreement_exits_2_under_optimize"],
     "harness.mathieu_scan": [
         "test_harness.py::test_violation_recheck_refuses_a_member_reported_as_a_miss"],
