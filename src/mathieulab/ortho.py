@@ -7,8 +7,8 @@ is one pair (T, D) with w'/w = T / D (`_operator`).  `MomentFunctional` reads
 the moments off it by Pearson's recurrence and `gram_schmidt` turns them into
 the monic polynomials by the three-term recurrence (the Chebyshev algorithm);
 `lambda_power` applies d/dx + w'/w m <= a times to g^a = D^a on integer
-coefficient lists.  Those two routes share the pair, so the independent one is
-`rodrigues`: Rodrigues' formula as its Leibniz sum, in per-family closed forms.
+coefficient lists.  The moment and operator routes share the pair, so the third,
+`rodrigues` (Rodrigues' formula as its Leibniz sum), is the independent one.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import mathieulab
 from conftest import random_polynomial
-from mathieulab import cli, imagemap, ortho
+from mathieulab import cli, harness, imagemap
 from mathieulab.cli import main
 from mathieulab.parsing import ParseError, parse_polynomial
 from mathieulab.poly import Polynomial, VariableSet
@@ -254,19 +254,18 @@ def test_cli_scan_oracles(capsys, schema):
     _validate(schema, out)
 
 
-def test_moment_scan_reads_moments_on_demand(monkeypatch, capsys):
-    """A Hermite scan whose premise fails at m = 2 reads the same moments at
-    --mmax 4000 as at --mmax 2: none is made before the scan asks for it."""
-    read, honest = [], ortho.MomentFunctional.moment
-    monkeypatch.setattr(ortho.MomentFunctional, "moment",
-                        lambda self, n: read.append(n) or honest(self, n))
+def test_moment_scan_makes_moments_on_demand(monkeypatch, capsys):
+    """A Hermite scan whose premise fails at m = 2 makes the same moments,
+    mu_0..mu_2, at --mmax 4000 as at --mmax 2: none before a term reads it."""
+    functionals, honest = [], harness.moment_oracle
+    monkeypatch.setattr(harness, "moment_oracle", lambda m: functionals.append(m) or honest(m))
     runs = []
     for m_max in ("2", "4000"):
-        read.clear()
         code, out, _ = run_cli(capsys, "scan", "--oracle", "moment:hermite", "x", "x^2",
                                "--mmax", m_max)
-        runs.append((code, json.loads(out)["premise_held_through"], sorted(set(read))))
-    assert runs[0] == runs[1] == (0, 1, [1, 2])
+        made = functionals[-1]._values
+        runs.append((code, json.loads(out)["premise_held_through"], len(made)))
+    assert runs[0] == runs[1] == (0, 1, 3)
 
 
 # Bounded misses that are no violations: each scan ends `unknown` at m_max, and
