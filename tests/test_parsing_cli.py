@@ -76,41 +76,52 @@ def test_parse_imaginary_unit():
 
 def test_parse_errors_carry_position():
     cases = [
-        ("w1 + ^2", QQ, WZ, 5),
-        ("w1 + ?", QQ, WZ, 5),  # unexpected character after whitespace
-        ("w1 + 1/0", QQ, WZ, 7),  # zero denominator: at the denominator
-        ("w1 + 1/3", GF(3), WZ, 5),  # 3 is zero in F_3: at the numerator
-        ("w1 + q7", QQ, WZ, 5),  # unknown variable
-        ("z1 - i", QQ, WZ, 5),  # imaginary unit outside Q(i)
-        ("w1^", QQ, WZ, 3),  # missing integer after '^'
-        ("w1^-", QQ, WZ, 4),  # missing integer after '^-'
-        ("z1 + w1^-1", QQ, WZ, 5),  # not a Laurent variable: at the base
-        ("1 + (2*t)^-1", QQ, T_VARS, 4),  # not a bare Laurent variable
-        ("w1 w1", QQ, WZ, 3),  # implicit multiplication is trailing input
-        ("(w1 + 1", QQ, WZ, 7),  # unclosed '(': at the end
-        ("", QQ, WZ, 0),
-        ("  \t", QQ, WZ, 0),
+        ("w1 + ^2", QQ, WZ, 5, "expected a value, found '^'"),
+        # unexpected character after whitespace
+        ("w1 + ?", QQ, WZ, 5, "unexpected character '?'"),
+        # zero denominator: at the denominator
+        ("w1 + 1/0", QQ, WZ, 7, "zero denominator"),
+        # 3 is zero in F_3: at the numerator
+        ("w1 + 1/3", GF(3), WZ, 5, "denominator is zero in the ring"),
+        ("w1 + q7", QQ, WZ, 5, "unknown variable 'q7'"),
+        # imaginary unit outside Q(i)
+        ("z1 - i", QQ, WZ, 5, "imaginary unit needs the Gaussian coefficient ring"),
+        # missing integer after '^' and after '^-'
+        ("w1^", QQ, WZ, 3, "expected 'int', found 'end of input'"),
+        ("w1^-", QQ, WZ, 4, "expected 'int', found 'end of input'"),
+        # not a Laurent variable: at the base
+        ("z1 + w1^-1", QQ, WZ, 5, "negative exponents need a Laurent variable base"),
+        # not a bare Laurent variable
+        ("1 + (2*t)^-1", QQ, T_VARS, 4, "negative exponents need a Laurent variable base"),
+        # implicit multiplication is trailing input
+        ("w1 w1", QQ, WZ, 3, "trailing input 'w1'"),
+        # unclosed '(': at the end
+        ("(w1 + 1", QQ, WZ, 7, "expected ')', found 'end of input'"),
+        ("", QQ, WZ, 0, "empty input"),
+        ("  \t", QQ, WZ, 0, "empty input"),
     ]
-    for text, ring, variables, position in cases:
+    for text, ring, variables, position, message in cases:
         with pytest.raises(ParseError) as err:
             parse_polynomial(text, ring, variables)
         assert err.value.position == position, (text, str(err.value))
+        assert str(err.value) == f"{message} (at position {position})", text
 
 
 def test_non_ascii_digits_and_spaces_are_rejected(capsys):
     """Integer literals and separators are ASCII: a Unicode digit or space is no token."""
     cases = [
-        ("٣*w1 + ١/٢", 0),  # Arabic-Indic 3*w1 + 1/2
-        ("w1 + ١/٢", 5),
-        ("w1^٢", 3),
-        ("z1 - \uff17", 5),  # fullwidth 7
-        ("w1\u00a0+ z1", 2),  # no-break space
-        ("w1 +\u2003z1", 4),  # em space
+        ("٣*w1 + ١/٢", 0, "'٣'"),  # Arabic-Indic 3*w1 + 1/2
+        ("w1 + ١/٢", 5, "'١'"),
+        ("w1^٢", 3, "'٢'"),
+        ("z1 - \uff17", 5, "'\uff17'"),  # fullwidth 7
+        ("w1\u00a0+ z1", 2, r"'\xa0'"),  # no-break space
+        ("w1 +\u2003z1", 4, r"'\u2003'"),  # em space
     ]
-    for text, position in cases:
+    for text, position, quoted in cases:
         with pytest.raises(ParseError) as err:
             parse_polynomial(text, QQ, WZ)
         assert err.value.position == position, (text, str(err.value))
+        assert str(err.value) == f"unexpected character {quoted} (at position {position})", text
     code, out, err = run_cli(capsys, "lmap", "٣*w1 + ١/٢", "--n", "1")
     assert (code, out) == (1, "")
     assert err.startswith("usage error:") and "(at position 0)" in err
