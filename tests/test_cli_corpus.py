@@ -166,6 +166,7 @@ _USAGE_CLASSES = [
     ("lmap", "w1*z1", "--ring", "fp"),  # --ring fp without --p
     ("lmap", "--file", "no-such-dir/inputs.txt"),  # unreadable --file
     ("charp", "theorem51", "w1*z1", "--p", "3"),  # wrong input count
+    ("lmap", "w1^", "--n", "1"),  # a syntax error: no integer after '^'
 ]
 
 
