@@ -47,9 +47,12 @@ def _int_at_least(low: int):
 
 def _prime(text: str) -> int:
     value = int(text)
-    if not is_prime(value):
-        raise argparse.ArgumentTypeError(f"{value} is not prime")
-    return value
+    try:
+        if is_prime(value):
+            return value
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    raise argparse.ArgumentTypeError(f"{value} is not prime")
 
 
 def _int_list(text: str) -> list:

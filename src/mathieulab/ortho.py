@@ -69,6 +69,8 @@ class MomentFunctional(Immutable):
         object.__setattr__(self, "_values", [Fraction(1)])
 
     def moment(self, n: int) -> Fraction:
+        if n < 0:
+            raise ValueError(f"moment index must be non-negative, got {n}")
         values = self._values
         if n >= len(values):
             (t0, t1), (d0, d1, d2) = _operator(self.spec)

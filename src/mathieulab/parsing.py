@@ -12,10 +12,16 @@ Rationals are `a` or `a/b` with non-negative integer literals of ASCII digits
 imaginary unit (Gaussian coefficient ring only); identifiers are the declared
 variable names.  Negative exponents are accepted only on Laurent variables.
 
-A term becomes one (key, coeff) pair: `name^k` adds k to one exponent, and a
-sign, rational or `i` multiplies the coefficient.  Only a parenthesised group
-or a powered coefficient is a Polynomial factor, multiplied into the pair.  An
-expression is one Polynomial constructor call over its terms' pairs.
+One regex search rejects the first character that starts no token, and one
+`findall` splits the rest into token strings, with "" for the end of input.
+A token's offset is found only for an error message, by scanning the text
+again: an error sits at its token's start, or at len(text) at the end.
+
+A term becomes one (key, coeff) pair: `name^k` adds k to one exponent, a
+rational or `i` is the coefficient or multiplies it, and the term's sign is
+applied once at its end.  Only a parenthesised group or a powered coefficient
+is a Polynomial factor, multiplied into the pair.  An expression is one
+Polynomial constructor call over its terms' pairs.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from fractions import Fraction
 from .poly import Polynomial, VariableSet
 from .rings import RingDescriptor
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
-                       r"|(?P<punct>[+\-*/^()])|(?P<bad>\S))", re.ASCII)
+_TOKEN_RE = re.compile(r"[-+*/^()]|[A-Za-z][A-Za-z0-9]*|[0-9]+")
+_BAD_RE = re.compile(r"[^\s0-9A-Za-z+\-*/^()]", re.ASCII)  # starts no token
 
 
 class ParseError(ValueError):
@@ -38,129 +44,16 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _tokenize(text: str) -> list:
-    """(kind, text, position) tuples; kind is "int", "name", the punctuation or "end"."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m['bad']!r}", m.start(kind))
-        tokens.append((m[kind] if kind == "punct" else kind, m[kind], m.start(kind)))
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _error(text: str, index: int, message: str) -> ParseError:
+    """`message` at the start of token `index` of `text`, or at its end."""
+    for k, match in enumerate(_TOKEN_RE.finditer(text)):
+        if k == index:
+            return ParseError(message, match.start())
+    return ParseError(message, len(text))
 
 
-class _Parser:
-    def __init__(self, text: str, ring: RingDescriptor, variables: VariableSet):
-        self.tokens = _tokenize(text)
-        self.index = 0
-        self.ring = ring
-        self.variables = variables
-
-    def _peek(self) -> str:
-        return self.tokens[self.index][0]
-
-    def _advance(self) -> tuple:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def _expect(self, kind: str) -> tuple:
-        found, text, position = self._advance()
-        if found != kind:
-            raise ParseError(f"expected {kind!r}, found {text or 'end of input'!r}", position)
-        return found, text, position
-
-    def parse(self) -> Polynomial:
-        pairs = self.expr()
-        kind, text, position = self.tokens[self.index]
-        if kind != "end":
-            raise ParseError(f"trailing input {text!r}", position)
-        return Polynomial(self.ring, self.variables, pairs)
-
-    def expr(self) -> list:
-        """The (key, coeff) pairs of every term, for one constructor call to sum."""
-        one = self.ring.one()
-        sign = -one if self._peek() == "-" else one
-        if self._peek() in ("+", "-"):
-            self.index += 1
-        pairs = self.term(sign)
-        while self._peek() in ("+", "-"):
-            pairs.extend(self.term(-one if self._advance()[0] == "-" else one))
-        return pairs
-
-    def term(self, coeff) -> list:
-        ring, variables = self.ring, self.variables
-        names = variables.names
-        exps = [0] * len(names)
-        factors = []
-        while True:
-            kind, text, position = self._advance()
-            var = None  # index of a variable base
-            if kind == "(":
-                value = Polynomial(ring, variables, self.expr())
-                self._expect(")")
-            elif kind == "int":
-                value = self._rational(text, position)
-            elif kind == "name" and text == "i" and "i" not in names:
-                try:
-                    value = ring.imaginary_unit()
-                except ValueError:
-                    raise ParseError("imaginary unit needs the Gaussian "
-                                     "coefficient ring", position) from None
-            elif kind == "name":
-                if text not in names:
-                    raise ParseError(f"unknown variable {text!r}", position)
-                var = names.index(text)
-            else:
-                raise ParseError(f"expected a value, found {text or 'end of input'!r}",
-                                 position)
-            exponent, negative = 1, False
-            if self._peek() == "^":
-                self.index += 1
-                if self._peek() == "-":
-                    self.index += 1
-                    negative = True
-                exponent = int(self._expect("int")[1])
-            if negative:
-                if kind == "(" and len(value.terms) == 1:  # a bare variable?
-                    (key, c), = value.terms.items()
-                    if c == ring.one() and 1 in key and key.count(0) == len(key) - 1:
-                        var = key.index(1)
-                if var is None or not variables.is_laurent(names[var]):
-                    raise ParseError("negative exponents need a Laurent variable base",
-                                     position)
-                exps[var] -= exponent
-            elif var is not None:
-                exps[var] += exponent
-            elif kind != "(" and exponent == 1:
-                coeff = coeff * value
-            else:
-                if kind != "(":
-                    value = Polynomial.constant(ring, variables, value)
-                factors.append(value if exponent == 1 else value ** exponent)
-            if self._peek() != "*":
-                break
-            self.index += 1
-        if not factors:
-            return [(tuple(exps), coeff)]
-        product = Polynomial(ring, variables, {tuple(exps): coeff})
-        for factor in factors:
-            product = product * factor
-        return list(product.terms.items())
-
-    def _rational(self, text: str, position: int):
-        numerator, denominator = int(text), 1
-        if self._peek() == "/":
-            self.index += 1
-            _, text, denom_position = self._expect("int")
-            denominator = int(text)
-            if denominator == 0:
-                raise ParseError("zero denominator", denom_position)
-        try:
-            return self.ring.from_fraction(Fraction(numerator, denominator))
-        except ZeroDivisionError:
-            raise ParseError("denominator is zero in the ring", position) from None
+def _expected(text: str, tokens: list, index: int, what: str) -> ParseError:
+    return _error(text, index, f"expected {what}, found {tokens[index] or 'end of input'!r}")
 
 
 def parse_polynomial(text: str, ring: RingDescriptor,
@@ -168,4 +61,109 @@ def parse_polynomial(text: str, ring: RingDescriptor,
     """Parse `text` into an exact polynomial over the given ring and variables."""
     if not text.strip():
         raise ParseError("empty input", 0)
-    return _Parser(text, ring, variables).parse()
+    bad = _BAD_RE.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad[0]!r}", bad.start())
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
+    names = variables.names
+    slots = dict(zip(names, range(len(names))))
+
+    def base(i: int) -> tuple:
+        """The rational, `i` or group at token i, and the index after it."""
+        tok = tokens[i]
+        if tok == "(":
+            inner, i = expr(i + 1)
+            if tokens[i] != ")":
+                raise _expected(text, tokens, i, "')'")
+            return Polynomial(ring, variables, inner), i + 1
+        if tok.isdigit():
+            if tokens[i + 1] != "/":
+                return ring.from_int(int(tok)), i + 1
+            if not tokens[i + 2].isdigit():
+                raise _expected(text, tokens, i + 2, "'int'")
+            if int(tokens[i + 2]) == 0:
+                raise _error(text, i + 2, "zero denominator")
+            try:
+                return ring.from_fraction(Fraction(int(tok), int(tokens[i + 2]))), i + 3
+            except ZeroDivisionError:
+                raise _error(text, i, "denominator is zero in the ring") from None
+        if tok == "i":
+            try:
+                return ring.imaginary_unit(), i + 1
+            except ValueError:
+                raise _error(text, i, "imaginary unit needs the Gaussian "
+                                      "coefficient ring") from None
+        if tok.isalnum():
+            raise _error(text, i, f"unknown variable {tok!r}")
+        raise _expected(text, tokens, i, "a value")
+
+    def expr(i: int) -> tuple:
+        """The (key, coeff) pairs of every term from token i, and the index after them."""
+        pairs = []
+        negative = tokens[i] == "-"
+        if negative or tokens[i] == "+":
+            i += 1
+        while True:
+            exps = [0] * len(names)
+            coeff = None
+            factors = []
+            while True:
+                start = i
+                var = slots.get(tokens[i])  # index of a variable base
+                if var is None:
+                    group = tokens[i] == "("
+                    value, i = base(i)
+                else:
+                    i += 1
+                exponent, inverse = 1, False
+                if tokens[i] == "^":
+                    i += 1
+                    if tokens[i] == "-":
+                        i += 1
+                        inverse = True
+                    try:
+                        exponent = int(tokens[i])
+                    except ValueError:
+                        raise _expected(text, tokens, i, "'int'") from None
+                    i += 1
+                if inverse:
+                    if var is None and group and len(value.terms) == 1:  # a bare variable?
+                        (key, c), = value.terms.items()
+                        if c == ring.one() and 1 in key and key.count(0) == len(key) - 1:
+                            var = key.index(1)
+                    if var is None or not variables.is_laurent(names[var]):
+                        raise _error(text, start,
+                                     "negative exponents need a Laurent variable base")
+                    exps[var] -= exponent
+                elif var is not None:
+                    exps[var] += exponent
+                elif not group and exponent == 1:
+                    coeff = value if coeff is None else coeff * value
+                else:
+                    if not group:
+                        value = Polynomial.constant(ring, variables, value)
+                    factors.append(value if exponent == 1 else value ** exponent)
+                if tokens[i] != "*":
+                    break
+                i += 1
+            if coeff is None:
+                coeff = ring.one()
+            if negative:
+                coeff = -coeff
+            if factors:
+                product = Polynomial(ring, variables, {tuple(exps): coeff})
+                for factor in factors:
+                    product = product * factor
+                pairs.extend(product.terms.items())
+            else:
+                pairs.append((tuple(exps), coeff))
+            if tokens[i] != "+" and tokens[i] != "-":
+                return pairs, i
+            negative = tokens[i] == "-"
+            i += 1
+
+    pairs, i = expr(0)
+    if tokens[i]:
+        raise _error(text, i, f"trailing input {tokens[i]!r}")
+    return Polynomial(ring, variables, pairs)

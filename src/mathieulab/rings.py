@@ -17,14 +17,21 @@ from fractions import Fraction
 # bound once: the ring elements' constructors run on the scans' hot path
 _set = object.__setattr__
 _SMALL_PRIME_LIMIT = 10**6
-# deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# deterministic Miller-Rabin witnesses: the first 13 primes decide every n below
+# the smallest strong pseudoprime to all of them
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test: trial division for small n, Miller-Rabin beyond."""
+    """Deterministic primality test: trial division for small n, Miller-Rabin beyond.
+
+    Raises ValueError for n >= _MR_BOUND, where passing every witness proves nothing.
+    """
     if n < 2:
         return False
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is decided only below {_MR_BOUND}, got {n}")
     if n < 4:
         return True
     if n % 2 == 0:

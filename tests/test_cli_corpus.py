@@ -167,6 +167,8 @@ _USAGE_CLASSES = [
     ("lmap", "--file", "no-such-dir/inputs.txt"),  # unreadable --file
     ("charp", "theorem51", "w1*z1", "--p", "3"),  # wrong input count
     ("lmap", "w1^", "--n", "1"),  # a syntax error: no integer after '^'
+    # --p at the primality test's bound, a strong pseudoprime to 2..41
+    ("lmap", "1/1287836182261*w1*z1", "--ring", "fp", "--p", "3317044064679887385961981"),
 ]
 
 

@@ -74,6 +74,18 @@ def test_moment_recurrence_matches_closed_forms(spec):
     assert MomentFunctional(spec).moment(40) == expected[40]
 
 
+def test_negative_moment_index_is_refused():
+    """A negative n raises on a fresh functional and after moments are made."""
+    m = MomentFunctional(WeightSpec("hermite"))
+    with pytest.raises(ValueError, match="non-negative"):
+        m.moment(-1)
+    assert m.moment(4) == Fraction(3, 4)
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="non-negative"):
+            m.moment(n)
+    assert [m.moment(n) for n in range(5)] == [1, 0, Fraction(1, 2), 0, Fraction(3, 4)]
+
+
 def test_weight_spec_validation():
     with pytest.raises(ValueError):
         WeightSpec("hermite", alpha=1)

@@ -418,6 +418,10 @@ def test_cli_usage_errors(capsys, tmp_path):
         ("lmap", "w1*z1", "--n", "0"),
         ("lmap", "w1*z1", "--ring", "fp", "--p", "4"),
         ("lmap", "w1*z1", "--ring", "fp", "--p", "1"),
+        # at the primality test's bound, and a strong pseudoprime to 2..37 below it
+        ("lmap", "1/1287836182261*w1*z1", "--ring", "fp", "--p", "3317044064679887385961981"),
+        ("lmap", "w1*z1", "--ring", "fp", "--p", "318665857834031151167461"),
+        ("lemma81", "u - 1", "--primes", "4,3317044064679887385961981"),
         ("charp", "willems", "--p", "4"),
         ("charp", "willems", "--p", "2", "--kmax", "0"),
         ("charp", "example12", "--p", "3", "--bound", "0"),

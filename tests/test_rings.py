@@ -111,6 +111,17 @@ def test_is_prime_large():
     assert not is_prime((10**9 + 7) * (10**9 + 9))
 
 
+def test_is_prime_at_the_witness_bound():
+    """The smallest strong pseudoprimes to the first 12 and to the first 13 primes."""
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert not is_prime(399165290221 * 798330580441)  # only the witness 41 exposes it
+    assert is_prime(1287836182261) and is_prime(2575672364521)
+    assert is_prime(3317044064679887385961813)  # the largest prime below the bound
+    for n in (1287836182261 * 2575672364521, 3317044064679887385961813 + 170, 10**30):
+        with pytest.raises(ValueError, match="decided only below 3317044064679887385961981"):
+            is_prime(n)
+
+
 @given(st.integers(min_value=1, max_value=10**6), st.sampled_from([2, 3, 5, 7]))
 def test_valuation_is_additive(n, p):
     m = n + 1
