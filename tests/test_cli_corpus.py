@@ -20,7 +20,10 @@ premise holds over F_7, that miss over Q(i), and that fail on a moment with
 no value mod 5 in f's and in a g's answer, an exhausted `lemma81` and a
 `gvc` scan that stabilizes at 1; and `moments` to n = 40, `ortho` for
 jacobi(4,3) to degree 12 and a Hermite scan at `--mmax 400` that fails its
-premise at m = 2.  Each JSON report that exits 0 must also
+premise at m = 2; and, in json and text, scans whose w-exponents pass p:
+`powerscan "w1*z1 + w1^2*z1^3 + w2*z2"` with n = 2 over F_2 to m = 60 and
+over F_3 to m = 200, and an F_3 kerL scan of `w1*z1^2 + w1^3*z1` to m = 40.
+Each JSON report that exits 0 must also
 validate against `report.schema.json`.
 
 The same pass runs under a call-only trace function, and
@@ -156,6 +159,16 @@ _DEEP_MOMENTS = [
     ("ortho", "--family", "jacobi", "--alpha", "4", "--beta", "3", "--dmax", "12"),
     ("scan", "--oracle", "moment:hermite", "x", "x^2", "--mmax", "400"),
 ]
+# json and text: F_2 and F_3 scans whose w-exponents reach p, where the power
+# loop drops every term with some a_i >= p (its L is 0 mod p)
+_PAST_P = [
+    ("powerscan", "w1*z1 + w1^2*z1^3 + w2*z2", "--n", "2", "--ring", "fp", "--p", "2",
+     "--mmax", "60"),
+    ("powerscan", "w1*z1 + w1^2*z1^3 + w2*z2", "--n", "2", "--ring", "fp", "--p", "3",
+     "--mmax", "200"),
+    ("scan", "--oracle", "kerl", "w1*z1^2 + w1^3*z1", "z1", "--n", "1", "--ring", "fp",
+     "--p", "3", "--mmax", "40"),
+]
 _WEIGHTS = [("hermite",), ("laguerre",), ("laguerre", "--alpha", "2"), ("jacobi",),
             ("jacobi", "--alpha", "1", "--beta", "2"), ("legendre",)]
 _USAGE_CLASSES = [
@@ -234,7 +247,7 @@ def _cases():
                 yield (name, mode, "--help")
     yield from _USAGE_CLASSES
     for fmt in ("json", "text"):
-        for argv in _EDGES + _DEEP_MOMENTS:
+        for argv in _EDGES + _DEEP_MOMENTS + _PAST_P:
             yield argv + ("--format", fmt)
 
 
