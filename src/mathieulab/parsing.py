@@ -16,6 +16,8 @@ One regex search rejects the first character that starts no token, and one
 `findall` splits the rest into token strings, with "" for the end of input.
 A token's offset is found only for an error message, by scanning the text
 again: an error sits at its token's start, or at len(text) at the end.
+A group nested deeper than the interpreter's recursion limit allows is an
+error at the first '('; every shallower input parses as before.
 
 A term becomes one (key, coeff) pair: `name^k` adds k to one exponent, a
 rational or `i` is the coefficient or multiplies it, and the term's sign is
@@ -163,7 +165,10 @@ def parse_polynomial(text: str, ring: RingDescriptor,
             negative = tokens[i] == "-"
             i += 1
 
-    pairs, i = expr(0)
+    try:
+        pairs, i = expr(0)
+    except RecursionError:  # each '(' level takes two frames: expr and base
+        raise ParseError("parentheses nested too deeply", text.index("(")) from None
     if tokens[i]:
         raise _error(text, i, f"trailing input {tokens[i]!r}")
     return Polynomial(ring, variables, pairs)

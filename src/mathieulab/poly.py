@@ -25,8 +25,11 @@ also lets one add-subtract-and-mask (`_pair_mask`) test a_i <= b_i + s_i on
 every pair of a key zeta^a z^b at once: L skips a key outside its support
 by that test (s = 0) before it computes a scale, and reads its output key
 z^(b-a) off the packed key by one subtraction.  With `pairs=n` the loop drops each term of
-f^m that no later product can bring back into L's support (horizon pruning),
-so a dict L reads is L's input, not the true support of f^m.  With `pairs=0`
+f^m that no later product can bring back into L's support (horizon pruning)
+and, over F_p, each term with some a_i >= p (the p-cap: L's scale is then 0 mod
+p, and no later factor lowers a_i), so a dict L reads is L's input, not the
+true support of f^m; an f with no zeta-free term has an empty capped f^m past
+m = n(p-1).  With `pairs=0`
 a per-step exponent ceiling (`_below`) may prune it instead; with neither it
 is the true support.  This encoding and its inverse live here and nowhere
 else.
@@ -352,13 +355,19 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=(), ceiling
     terms of b_i - a_i) and D_i(q) the largest over the cofactors, the
     product at step m drops every term with a_i > b_i + (m_max - m) D_i(f)
     + D_i(q).  Each later factor f raises b_i - a_i by at most D_i(f) and
-    any q by at most D_i(q), so no such term reaches L's support.  With
+    any q by at most D_i(q), so no such term reaches L's support.  Over F_p,
+    f, each q and each power also drop every term with some a_i >= p: its
+    scale b_i!/(b_i-a_i)! is a product of a_i consecutive integers, so p
+    divides it, and a product's a is the sum of its factors' a, so no later
+    factor lowers a_i.  When no term of f is free of zeta, every term of f^m
+    has sum(a) >= m, and the capped f^m is empty for m > n(p-1).  With
     `pairs=0`, L is the identity: a dict holds the true support of f^m (and
     of q * f^m), unless `ceiling(m)` lists per variable
     the largest exponent that a read of f^m or of a later power needs: no
     later factor lowers an exponent, so the product at step m drops every
-    term above it.  A pruned power that is empty stays empty, so its later
-    rows are empty and cost no predicate and no product.
+    term above it.  A pruned power that is empty stays empty, so once one is,
+    every remaining row is yielded as fresh empty dicts, with no product,
+    predicate, kernel or decoding.
     """
     gs = (f, *cofactors)
     exponents = [list(chain.from_iterable(g.terms)) for g in gs]
@@ -367,7 +376,7 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=(), ceiling
     top = [max(e, default=0) for e in exponents]
     # b_i + slack <= top(f) * m_max + top(q): every field keeps its guard bit clear
     width = (top[0] * m_max + max(top[1:], default=0)).bit_length() + 1
-    (base, d), *numerators = [_numerators(g, width) for g in gs]
+    (base, d), *numerators = [_numerators(g, width, pairs) for g in gs]
     gaussian = f.ring.kind == "Qi"
     if gaussian:
         multiply = _gaussian_product
@@ -379,12 +388,13 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=(), ceiling
 
         def multiply(g, h, keep):
             return {k: r for k, c in _int_product(g, h).items() if (r := c % p) and keep(k)}
+    cap = f.ring.characteristic - 1 if f.ring.kind == "Fp" else None
     reach, *reach_q = [_reach(g, pairs) for g in gs]
     reach_q = [max(r) for r in zip([0] * pairs, *reach_q)]  # D(q) = 0 without a cofactor
     shift, field = pairs * width, (1 << width) - 1
     low, shifts = (1 << shift) - 1, range(0, shift, width)
     guard = _pack([1 << (width - 1)] * pairs, width)
-    in_kernel = _pair_mask(pairs, width)
+    in_kernel = _pair_mask(pairs, width, cap=cap)
     unpack, keys = _unpacker(len(f.variables) - pairs, width), {}
 
     def kernel(power):
@@ -410,18 +420,24 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=(), ceiling
     power, den = base, d
     for m in range(1, m_max + 1):
         if m > 1:
-            if power:
-                slack = _pack([(m_max - m) * r + r_q for r, r_q in zip(reach, reach_q)], width)
-                keep = _below(ceiling(m), width) if ceiling else _pair_mask(pairs, width, slack)
-                power = multiply(power, base, keep)
+            slack = _pack([(m_max - m) * r + r_q for r, r_q in zip(reach, reach_q)], width)
+            keep = _below(ceiling(m), width) if ceiling else _pair_mask(pairs, width, slack, cap)
+            power = multiply(power, base, keep)
             den *= d
+        if not power:  # so is every later power: the rest of the rows are empty
+            for _ in range(m, m_max + 1):
+                yield [{} for _ in gs]
+            return
         yield [_decode_terms(f.ring, kernel(power), den)] + [
-            _decode_terms(f.ring, kernel(multiply(power, q, in_kernel)) if power else {},
-                          den * d_q) for q, d_q in numerators]
+            _decode_terms(f.ring, kernel(multiply(power, q, in_kernel)), den * d_q)
+            for q, d_q in numerators]
 
 
-def _numerators(g: Polynomial, width: int):
-    """(packed key -> numerator, d): g over the lcm d of its denominators (1 over F_p)."""
+def _numerators(g: Polynomial, width: int, pairs: int):
+    """(packed key -> numerator, d): g over the lcm d of its denominators (1 over F_p).
+
+    Over F_p a term zeta^a z^b with some a_i >= p, i < `pairs`, is left out.
+    """
     if g.ring.kind == "Q":
         d = lcm(*(c.denominator for c in g.terms.values()))
         return {_pack(e, width): c.numerator * (d // c.denominator)
@@ -431,7 +447,9 @@ def _numerators(g: Polynomial, width: int):
         return {_pack(e, width): (c.re.numerator * (d // c.re.denominator),
                                   c.im.numerator * (d // c.im.denominator))
                 for e, c in g.terms.items()}, d
-    return {_pack(e, width): c.residue for e, c in g.terms.items()}, 1
+    p = g.ring.characteristic
+    return {_pack(e, width): c.residue for e, c in g.terms.items()
+            if max(e[:pairs], default=0) < p}, 1
 
 
 def _reach(g: Polynomial, n: int) -> list:
@@ -450,19 +468,24 @@ def _unpacker(nvars: int, width: int):
     return lambda key: tuple(key >> s & field for s in shifts)
 
 
-def _pair_mask(n: int, width: int, slack: int = 0):
-    """Predicate on packed keys zeta^a z^b: every a_i <= b_i + s_i.
+def _pair_mask(n: int, width: int, slack: int = 0, cap: int = None):
+    """Predicate on packed keys zeta^a z^b: every a_i <= b_i + s_i and a_i <= cap.
 
     Fields 0..n-1 hold a, fields n..2n-1 hold b, and `slack` packs the s_i.
     Setting the guard bit of each field of b + s and subtracting the a
     fields borrows from field i's guard bit exactly when a_i > b_i + s_i; no
     borrow or carry crosses a field, because a_i and b_i + s_i stay below
-    the guard bit.  With n = 0 every key passes.
+    the guard bit.  The cap is `_below`'s test on the a fields; a cap of None
+    or past the field keeps every key.  With n = 0 every key passes.
     """
     shift = n * width
     low = (1 << shift) - 1
     guard = sum(1 << (s + width - 1) for s in range(0, shift, width))
-    return lambda key: (((key >> shift) + slack | guard) - (key & low)) & guard == guard
+    if cap is None or cap >= (1 << (width - 1)) - 1:
+        return lambda key: (((key >> shift) + slack | guard) - (key & low)) & guard == guard
+    bound = _pack([cap] * n, width) | guard
+    return lambda key: (((key >> shift) + slack | guard) - (a := key & low)
+                        ) & (bound - a) & guard == guard
 
 
 def _below(ceiling, width: int):

@@ -182,6 +182,7 @@ _USAGE_CLASSES = [
     ("lmap", "w1^", "--n", "1"),  # a syntax error: no integer after '^'
     # --p at the primality test's bound, a strong pseudoprime to 2..41
     ("lmap", "1/1287836182261*w1*z1", "--ring", "fp", "--p", "3317044064679887385961981"),
+    ("lmap", "(" * 600 + "w1" + ")" * 600, "--n", "1"),  # nested past the recursion limit
 ]
 
 

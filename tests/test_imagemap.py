@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_coeff, random_components, random_polynomial
 from mathieulab import imagemap, poly
@@ -20,6 +22,7 @@ from mathieulab.imagemap import (
     recompose,
     t_apply,
 )
+from mathieulab.parsing import parse_polynomial
 from mathieulab.poly import Polynomial, VariableSet, VerificationError, _int_powers
 from mathieulab.rings import GF, QI, QQ, GaussianRational
 from weyl_algebra import Element, from_left_symbol, left_symbol
@@ -390,6 +393,92 @@ def test_int_powers_with_cofactor_match_the_kernel_map():
                     for q, lq in zip(qs, products):
                         assert lq == L_map(problem, q * power).terms, (ring, f, q, qs, m_max, m)
                 assert m == m_max
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), p=st.sampled_from((2, 3, 5, 7)), n=st.integers(1, 2),
+       m_max=st.integers(1, 6))
+def test_int_powers_past_p_match_the_kernel_map(data, p, n, m_max):
+    """Over F_p, with w-exponents drawn up to p + 1 so that f, the cofactors
+    and the powers carry terms with some a_i >= p, the capped power loop
+    yields L(f^m) and each L(q f^m) as `f ** m` and L_map do."""
+    ring = GF(p)
+    problem = ImageProblem(n, ring)
+    term = st.tuples(st.tuples(*[st.integers(0, p + 1)] * n, *[st.integers(0, p + 2)] * n),
+                     st.integers(1, p - 1))
+
+    def draw(most):
+        return Polynomial(ring, problem.variables, [
+            (e, ring.from_int(c)) for e, c in data.draw(st.lists(term, min_size=1,
+                                                                  max_size=most))])
+    f = draw(4)
+    qs = tuple(draw(2) for _ in range(data.draw(st.integers(0, 2))))
+    power = problem.one()
+    for m, (lf, *products) in enumerate(_int_powers(f, m_max, n, qs), start=1):
+        power = power * f
+        assert lf == L_map(problem, power).terms, (f, m)
+        assert products == [L_map(problem, q * power).terms for q in qs], (f, qs, m)
+    assert m == m_max
+
+
+def test_lmap_vanishes_mod_p_once_a_w_exponent_reaches_p():
+    """L(w^a z^b) = b!/(b-a)! z^(b-a), a product of a consecutive integers: over
+    F_p it is 0 once a >= p, in either pair, although b >= a keeps it off 0 over Q."""
+    for p in (2, 3, 5, 7):
+        for n in (1, 2):
+            problem = ImageProblem(n, GF(p))
+            for a in range(p, 3 * p):
+                for b in range(a, a + 2 * p):
+                    assert math.perm(b, a) % p == 0 < math.perm(b, a)
+                    for i in range(n):
+                        exps = [1] * (2 * n)
+                        exps[i], exps[n + i] = a, b
+                        w = Polynomial(GF(p), problem.variables, {tuple(exps): GF(p).one()})
+                        assert L_map(problem, w).is_zero(), (p, n, a, b)
+
+
+def test_power_scan_without_a_w_free_term_vanishes_past_n_p_minus_1():
+    """Every term of f^m has sum(a) >= m, and a term with every a_i < p has
+    sum(a) <= n(p-1), so past m = n(p-1) L(f^m) = 0 over F_p: those rows come
+    from an empty power, as fresh empty dicts.  For w1*z1, L(f^(p-1)) =
+    (p-1)! is not 0, so the bound is reached."""
+    rng = random.Random(3303)
+    for p in (2, 3, 5, 7):
+        ring = GF(p)
+        for n in (1, 2):
+            problem = ImageProblem(n, ring)
+            last = n * (p - 1)
+            for _ in range(4):
+                f = _random_terms(rng, problem, lambda rng: ring.from_int(rng.randrange(p)),
+                                  4, lambda i: rng.randint(1 if i < n else 0, 3))
+                assert all(sum(e[:n]) for e in f.terms)
+                values = power_scan(problem, f, last + 4).values
+                assert not any(values[last:]), (p, n, f)
+                rows = list(_int_powers(f, last + 4, n, (f, problem.one())))[last:]
+                assert [d for row in rows for d in row] == [{}] * 12
+                assert len({id(d) for row in rows for d in row}) == 12
+        problem = ImageProblem(1, ring)
+        values = power_scan(problem, problem.zeta(1) * problem.z(1), p + 2).values
+        assert values[p - 2].constant_coefficient() == ring.from_int(math.factorial(p - 1))
+        assert not any(values[p - 1:])
+
+
+def test_power_loop_pair_products_on_a_fixed_f7_input(monkeypatch):
+    """A deterministic work count: the pair products `_int_product` forms in one
+    F_7 power scan of 6 terms to m = 12, the shape of the scans benchmark's F_7
+    requests.  Without the cap at a_i <= p - 1 the loop forms 10152."""
+    calls = []
+
+    def counting(g, h):
+        calls.append(len(g) * len(h))
+        return product(g, h)
+    product = poly._int_product
+    monkeypatch.setattr(poly, "_int_product", counting)
+    problem = ImageProblem(2, GF(7))
+    f = parse_polynomial("5*z2 + 2*w2*z1 + 5*w1^2*w2*z1^2*z2 + w1 + 5*w1*z1^2"
+                         " + 4*w1*w2^2*z1^2*z2^2", GF(7), problem.variables)
+    power_scan(problem, f, 12)
+    assert sum(calls) == 5454
 
 
 def test_power_scan_decodes_only_the_printed_terms(monkeypatch):

@@ -107,6 +107,21 @@ def test_parse_errors_carry_position():
         assert str(err.value) == f"{message} (at position {position})", text
 
 
+def test_nesting_past_the_recursion_limit_is_a_parse_error(capsys):
+    """Each '(' level takes two frames, so a group nested as deep as the
+    recursion limit is a ParseError at the first '(', and a usage error in the
+    CLI, not a RecursionError; a shallower group parses as without parentheses."""
+    depth = sys.getrecursionlimit()
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("w1 + 2*" + "(" * depth + "z1" + ")" * depth, QQ, WZ)
+    assert str(err.value) == "parentheses nested too deeply (at position 7)"
+    assert (parse_polynomial("w1 + 2*" + "(" * 100 + "z1" + ")" * 100, QQ, WZ)
+            == parse_polynomial("w1 + 2*z1", QQ, WZ))
+    code, out, err = run_cli(capsys, "lmap", "(" * 600 + "w1" + ")" * 600, "--n", "1")
+    assert (code, out, err) == (1, "", "usage error: parentheses nested too deeply "
+                                       "(at position 0)\n")
+
+
 def test_non_ascii_digits_and_spaces_are_rejected(capsys):
     """Integer literals and separators are ASCII: a Unicode digit or space is no token."""
     cases = [

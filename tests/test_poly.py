@@ -240,17 +240,21 @@ def test_int_powers_rejects_negative_exponents():
 
 def test_pair_mask_keeps_exactly_the_terms_L_keeps():
     """On packed keys w^a z^b at widths near their minimum, the mask keeps a
-    key exactly when every a_i <= b_i, and unpacking inverts packing."""
+    key exactly when every a_i <= b_i, and a_i <= cap with a cap (None, or one
+    past the field, keeps every key); unpacking inverts packing."""
     rng = random.Random(1208)
     for n in (1, 2, 3):
         for width in (1, 2, 3, 4):
-            keep, unpack = _pair_mask(n, width), _unpacker(2 * n, width)
             top = (1 << (width - 1)) - 1  # the largest exponent below the guard bit
-            for _ in range(300):
-                exps = tuple(rng.choice((0, top, rng.randint(0, top))) for _ in range(2 * n))
-                key = _pack(exps, width)
-                assert unpack(key) == exps
-                assert keep(key) == (_falling_product(exps[n:], exps[:n]) != 0), (n, width, exps)
+            unpack = _unpacker(2 * n, width)
+            for cap in (None, 0, 1, max(top - 1, 0), top, top + 1):
+                keep = _pair_mask(n, width, cap=cap)
+                for _ in range(100):
+                    exps = tuple(rng.choice((0, top, rng.randint(0, top))) for _ in range(2 * n))
+                    key = _pack(exps, width)
+                    assert unpack(key) == exps
+                    assert keep(key) == (_falling_product(exps[n:], exps[:n]) != 0 and (
+                        cap is None or max(exps[:n]) <= cap)), (n, width, cap, exps)
 
 
 def test_below_keeps_exactly_the_keys_under_the_ceiling():
