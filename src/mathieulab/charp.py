@@ -4,8 +4,8 @@ The coefficient algebra is F_p[w_1..w_n] with a_i = w_i, sitting inside the
 same (w, z) polynomial ring used everywhere else: the char-p arguments take
 an `ImageProblem` over GF(p) and read p off its ring.  The operator
 d/dz_i - w_i = -t_i raised to the p-th power collapses to -t_i^p, that is
-multiplication by -w_i^p, which is the engine behind the sufficiency
-certificate and the full-pipeline check.
+multiplication by -w_i^p: the sufficiency witness, which `theorem51`
+hands each sampled power.
 The Willems scan of f = t^-1 (1 + t^p) reads each coefficient of f^m off
 Lucas's theorem instead of multiplying out the powers.
 """
@@ -152,14 +152,18 @@ def crucial_lemma_descent(b: Polynomial, p_wit: Polynomial, q_wit: Polynomial,
 
 def theorem51_pipeline(f: Polynomial, g: Polynomial,
                        problem: ImageProblem) -> Report:
-    """Check the positive-characteristic membership pipeline by expansion.
+    """Certify Theorem 5.1's conclusion g f^m in Im D on sampled m.
 
     `problem` is over GF(p).  Premise surrogate: every coefficient of f (in
-    the w-algebra) lies in I = (w_i).  Then f^(p^2) has coefficients in
-    J = (w_i^p) and so does g f^m for every sampled m >= p^2.  The report
-    gives `premise_holds` and then either the `failing_coefficient`, the
-    first term of f outside I, or `f_power_coefficients_in_J`, the
-    `sampled_m` and `products_in_J`.
+    the w-algebra) lies in I = (w_i).  Then each term of f^(p^2) has some
+    w_i^(p^2), so f^(p^2) and, J being an ideal, every g f^m with m >= p^2
+    have coefficients in J = (w_i^p), and J lies in Im D.  f^(p^2) and each
+    g f^m, m = p^2..p^2+2, get a `sufficient_membership` witness, which
+    re-verifies itself; a decline contradicts the theorem and raises
+    `VerificationError`.  The report gives `premise_holds` and then either
+    the `failing_coefficient`, the first term of f outside I, or
+    `f_power_coefficients_in_J`, the `sampled_m`, `products_in_J` and
+    `products_in_image`, each read off those witnesses.
     """
     p = _characteristic(problem)
     problem.check(f)
@@ -172,16 +176,17 @@ def theorem51_pipeline(f: Polynomial, g: Polynomial,
     # Frobenius is a ring map fixing F_p: f^(p^2) is the sum of c * M^(p^2) over f's terms c * M
     power = Polynomial(problem.ring, problem.variables,
                        {tuple(p2 * e for e in exps): c for exps, c in f.terms.items()})
-    power_ok = w_ideal_member(power, problem.n, p)
     sampled = (p2, p2 + 1, p2 + 2)
-    products_ok = True
+    elements = {f"f^{p2}": power}
     for m in sampled:
         if m > p2:
             power = power * f
-        if not w_ideal_member(g * power, problem.n, p):
-            products_ok = False
-    return Report(premise_holds=True, f_power_coefficients_in_J=power_ok,
-                  sampled_m=sampled, products_in_J=products_ok)
+        elements[f"g*f^{m}"] = g * power
+    for name, b in elements.items():
+        if sufficient_membership(b, problem) is None:
+            raise VerificationError(f"{name} has a term outside J = (w_i^p)")
+    return Report(premise_holds=True, f_power_coefficients_in_J=True, sampled_m=sampled,
+                  products_in_J=True, products_in_image=True)
 
 
 # -- Laurent counterexample -------------------------------------------
@@ -256,28 +261,6 @@ def example12_refutation(p: int, degree_bound: int = None) -> Report:
 
 
 # -- valuation machinery (number-field route, instantiated over Q) -----
-
-def frobenius_expansion_check(g: Polynomial, p: int) -> bool:
-    """Whether, for integer g = u^s + sum c_i u^i, every coefficient of g^p
-    minus (u^(sp) + sum c_i^p u^(ip)) is divisible by p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if len(g.variables) != 1 or g.variables.laurent:
-        raise ValueError("expected a univariate polynomial")
-    if g.is_zero():
-        raise ValueError("expected a non-zero monic-lowest-term polynomial")
-    coeffs = {e[0]: c for e, c in g.terms.items()}
-    s = min(coeffs)
-    if coeffs[s] != 1:
-        raise ValueError("lowest term must be monic")
-    for c in coeffs.values():
-        if Fraction(c).denominator != 1:
-            raise ValueError("coefficients must be integers")
-    expected = {i * p: Fraction(c) ** p for i, c in coeffs.items()}
-    actual = {e[0]: Fraction(c) for e, c in (g ** p).terms.items()}
-    return all((actual.get(e, 0) - expected.get(e, 0)).numerator % p == 0
-               for e in actual.keys() | expected.keys())
-
 
 def lemma81_nonvanishing(g: Polynomial, prime_candidates=None) -> Report:
     """Certify L(g^p) != 0 for a suitable prime via the valuation trace.

@@ -135,11 +135,6 @@ def _x_poly(coeffs) -> Polynomial:
     return Polynomial(QQ, X_VARS, {(i,): Fraction(c) for i, c in enumerate(coeffs)})
 
 
-def log_derivative(spec: WeightSpec) -> tuple:
-    """w'/w as the pair (T, D) with w'/w = T / D, D the weight's singular product."""
-    return tuple(_x_poly(coeffs) for coeffs in _operator(spec))
-
-
 def rodrigues_constant(spec: WeightSpec, a: int) -> Fraction:
     fam = spec.family
     if fam == "hermite":

@@ -10,7 +10,6 @@ from mathieulab import charp, harness, imagemap
 from mathieulab.charp import (
     crucial_lemma_descent,
     example12_refutation,
-    frobenius_expansion_check,
     koszul_solve,
     lemma81_nonvanishing,
     sufficient_membership,
@@ -22,6 +21,7 @@ from mathieulab.imagemap import ImageProblem, monomial_count_scan, t_apply
 from mathieulab.parsing import parse_polynomial
 from mathieulab.poly import NEG_INF, Polynomial, VariableSet, VerificationError
 from mathieulab.rings import GF, QI, QQ, valuation_p
+from test_acceptance import frobenius_expansion_check
 
 U_VARS = VariableSet(("u",))
 
@@ -133,39 +133,57 @@ def test_descent_rejects_bad_witness():
         crucial_lemma_descent(problem.one(), problem.zero(), problem.zero(), problem)
 
 
-def test_theorem51_pipeline_positive():
+def _premise_holding_pair(rng, problem):
+    """A random f in I = (w_1..w_n) and a random g."""
+    f = problem.zero()
+    for i in range(1, problem.n + 1):
+        f = f + problem.zeta(i) * random_polynomial(
+            rng, problem.ring, problem.variables, max_degree=1, max_terms=2)
+    return f, random_polynomial(rng, problem.ring, problem.variables, max_degree=1, max_terms=2)
+
+
+def test_theorem51_pipeline_positive(monkeypatch):
+    """Over F_2, F_3 and F_5 with n <= 2, a premise-holding (f, g) reports
+    every conclusion, and each witness, expanded by the shift operator p times
+    per component, is f^(p^2) or g * f ** m for a sampled m."""
     rng = random.Random(17)
-    for p in (2, 3):
-        problem = ImageProblem(2, GF(p))
-        for _ in range(5):
-            f = problem.zero()
-            for i in (1, 2):
-                f = f + problem.zeta(i) * random_polynomial(
-                    rng, problem.ring, problem.variables, max_degree=1,
-                    max_terms=2)
-            g = random_polynomial(rng, problem.ring, problem.variables,
-                                  max_degree=1, max_terms=2)
-            report = theorem51_pipeline(f, g, problem)
-            assert report.premise_holds
-            assert report.f_power_coefficients_in_J
-            assert report.products_in_J
+    witnesses, honest = [], charp.sufficient_membership
+    monkeypatch.setattr(charp, "sufficient_membership",
+                        lambda b, problem: witnesses.append(honest(b, problem)) or witnesses[-1])
+    for p in (2, 3, 5):
+        for n in (1, 2):
+            problem = ImageProblem(n, GF(p))
+            for _ in range(5):
+                f, g = _premise_holding_pair(rng, problem)
+                witnesses.clear()
+                report = theorem51_pipeline(f, g, problem)
+                assert report.premise_holds
+                assert report.f_power_coefficients_in_J
+                assert report.products_in_J
+                assert report.products_in_image
+                assert report.sampled_m == (p * p, p * p + 1, p * p + 2)
+                expected = [f ** (p * p)] + [g * f ** m for m in report.sampled_m]
+                assert len(witnesses) == len(expected)
+                for witness, b in zip(witnesses, expected):
+                    total = problem.zero()
+                    for i, h in witness.components.items():
+                        for _ in range(p):
+                            h = _shift(problem, i, h)
+                        total = total + h
+                    assert total == b
 
 
 def test_theorem51_power_matches_repeated_multiplication(monkeypatch):
     """The pipeline's f^(p^2), built term by term, is `f ** p**2`: the
-    elements it tests for J-membership are f^(p^2) and g f^m, m = p^2..p^2+2."""
+    elements it hands the witness are f^(p^2) and g f^m, m = p^2..p^2+2."""
     rng = random.Random(51)
-    tested, member = [], charp.w_ideal_member
-    monkeypatch.setattr(charp, "w_ideal_member",
-                        lambda h, n, p: tested.append(h) or member(h, n, p))
+    tested, honest = [], charp.sufficient_membership
+    monkeypatch.setattr(charp, "sufficient_membership",
+                        lambda b, problem: tested.append(b) or honest(b, problem))
     for _ in range(40):
         p = rng.choice((2, 3, 5, 7))
         problem = ImageProblem(rng.choice((1, 2)), GF(p))
-        f = problem.zero()
-        for i in range(1, problem.n + 1):
-            f = f + problem.zeta(i) * random_polynomial(
-                rng, problem.ring, problem.variables, max_degree=1, max_terms=2)
-        g = random_polynomial(rng, problem.ring, problem.variables, max_degree=1, max_terms=2)
+        f, g = _premise_holding_pair(rng, problem)
         tested.clear()
         theorem51_pipeline(f, g, problem)
         power = f ** p ** 2

@@ -309,7 +309,6 @@ _FIELD_OP = "field arithmetic (+ - * /) of a ring element, which no command runs
 _SHORTHAND = "test shorthand: moving it grows the tests by more than src shrinks"
 UNREACHED = {
     **READ_ONLY_BY_TESTS,
-    "SufficiencyWitness": "the witness `sufficient_membership` returns",
     "determinant": "the elimination behind `hankel_determinant`",
     "__getattr__": "loads the module of a name imported from the package itself",
     "__dir__": "`dir(mathieulab)` lists the names the package loads on first access",

@@ -16,10 +16,7 @@ BENCH = sorted((TESTS.parent / "bench").glob("*.py"))
 
 # public names that neither the library nor the benchmark reads, and why they stay
 READ_ONLY_BY_TESTS = {
-    "sufficient_membership": "criterion 8: the p-th power membership witness",
-    "frobenius_expansion_check": "criterion 11: the p-divisible power expansion",
     "hankel_determinant": "criterion 10: the non-zero Hankel minors",
-    "log_derivative": "oracle for the operator route's factored recurrence",
 }
 
 

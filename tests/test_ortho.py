@@ -19,7 +19,6 @@ from mathieulab.ortho import (
     hankel_determinant,
     inner_product,
     lambda_power,
-    log_derivative,
     rodrigues,
     rodrigues_constant,
 )
@@ -168,6 +167,11 @@ OPERATOR_SPECS = ([WeightSpec("hermite"), WeightSpec("legendre")]
                   + [WeightSpec("laguerre", a) for a in range(4)]
                   + [WeightSpec("jacobi", a, b) for a in range(4) for b in range(4)])
 GENERATORS = {"hermite": ONE, "laguerre": X, "jacobi": ONE - X * X, "legendre": ONE - X * X}
+
+
+def log_derivative(spec):
+    """w'/w as the pair (T, D) with w'/w = T / D, D the weight's singular product."""
+    return tuple(ortho._x_poly(coeffs) for coeffs in ortho._operator(spec))
 
 
 def _literal_operator_oracle(spec, a):

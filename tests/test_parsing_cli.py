@@ -226,6 +226,13 @@ def _validate(schema, out):
     return report
 
 
+def test_every_schema_branch_is_closed(schema):
+    """Each command's branch lists its fields: a report with any other field fails."""
+    open_branches = [branch["properties"]["command"] for branch in schema["oneOf"]
+                     if branch.get("additionalProperties") is not False]
+    assert open_branches == []
+
+
 def test_cli_certify_member(capsys, schema):
     code, out, _ = run_cli(capsys, "certify", "1 - w1*z1", "--n", "1")
     assert code == 0
@@ -369,7 +376,7 @@ def test_cli_charp_modes(capsys, schema):
     code, out, _ = run_cli(capsys, "charp", "theorem51",
                            "w1*z1 + w2*z2^2", "z1", "--p", "2", "--n", "2")
     assert code == 0
-    assert _validate(schema, out)["products_in_J"]
+    assert _validate(schema, out)["products_in_image"]
 
     code, out, _ = run_cli(capsys, "charp", "crucial",
                            "2 - w1*z1 - w2*z2", "z1", "z2", "--p", "3")
@@ -680,6 +687,50 @@ def test_descent_check_exits_2_under_optimize():
     assert proc.stderr == "verification failure: descent identity failed to verify\n"
 
 
+def test_theorem51_witness_check_exits_2_under_optimize():
+    """Under python -O a t-operator that is off by 1 makes `charp theorem51` exit 2."""
+    script = textwrap.dedent("""
+        import sys
+        from mathieulab import cli, imagemap
+        if sys.flags.optimize != 1:
+            sys.exit(3)
+        honest = imagemap.t_apply
+        imagemap.t_apply = lambda problem, i, h: honest(problem, i, h) + problem.one()
+        sys.exit(cli.main(["charp", "theorem51", "w1*z1 + 2*w1^2", "z1 - 1", "--p", "3",
+                           "--n", "1"]))
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "verification failure: sufficiency witness failed to re-verify\n"
+
+
+def test_theorem51_decline_exits_2_under_optimize():
+    """Under python -O a witness that declines one sample under a holding
+    premise makes `charp theorem51` exit 2."""
+    script = textwrap.dedent("""
+        import sys
+        from mathieulab import charp, cli
+        if sys.flags.optimize != 1:
+            sys.exit(3)
+        honest, calls = charp.sufficient_membership, []
+
+        def decline_the_second_sample(b, problem):
+            calls.append(b)
+            return None if len(calls) == 3 else honest(b, problem)
+
+        charp.sufficient_membership = decline_the_second_sample
+        sys.exit(cli.main(["charp", "theorem51", "w1*z1 + 2*w1^2", "z1 - 1", "--p", "3",
+                           "--n", "1"]))
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "verification failure: g*f^10 has a term outside J = (w_i^p)\n"
+
+
 def test_example12_check_exits_2_under_optimize():
     """Under python -O a probe that refutes with the wrong monomial makes
     `charp example12` exit 2."""
@@ -805,7 +856,7 @@ def test_theorem51_at_p_101_finishes():
     assert json.loads(proc.stdout) == {
         "premise_holds": True, "f_power_coefficients_in_J": True,
         "sampled_m": [10201, 10202, 10203], "products_in_J": True,
-        "command": "charp.theorem51"}
+        "products_in_image": True, "command": "charp.theorem51"}
 
 
 def _subprocess_env() -> dict:

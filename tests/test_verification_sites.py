@@ -19,6 +19,8 @@ FAULT_TESTS = {
     "charp.koszul_solve": ["test_charp.py::test_koszul_check_refuses_a_wrong_quotient"],
     "charp.crucial_lemma_descent": [
         "test_charp.py::test_descent_check_refuses_a_wrong_derivative"],
+    "charp.theorem51_pipeline": [
+        "test_parsing_cli.py::test_theorem51_decline_exits_2_under_optimize"],
     "charp.example12_refutation": [
         "test_charp.py::test_example12_check_refuses_a_wrong_refutation"],
     "cli._cmd_decompose": [
