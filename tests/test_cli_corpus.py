@@ -22,7 +22,10 @@ no value mod 5 in f's and in a g's answer, an exhausted `lemma81` and a
 jacobi(4,3) to degree 12 and a Hermite scan at `--mmax 400` that fails its
 premise at m = 2; and, in json and text, scans whose w-exponents pass p:
 `powerscan "w1*z1 + w1^2*z1^3 + w2*z2"` with n = 2 over F_2 to m = 60 and
-over F_3 to m = 200, and an F_3 kerL scan of `w1*z1^2 + w1^3*z1` to m = 40.
+over F_3 to m = 200, and an F_3 kerL scan of `w1*z1^2 + w1^3*z1` to m = 40;
+and, in json and text, `lemma81` skipping a prime that divides a
+denominator and at its default candidate, a Laurent scan with `(t)^-1`, an
+`lmap` input with a powered coefficient and one over F_1000003.
 Each JSON report that exits 0 must also
 validate against `report.schema.json`.
 
@@ -97,7 +100,10 @@ _CRUCIAL = [
     ("0", "w2*z1^3", "3*z1^2 - w1*z1^3"),
 ]
 _JACOBIAN = [("z2^2", "0"), ("z1^2", "z2")]
-_LEMMA81 = [("1 + u",), ("u + 2*u^3", "--primes", "2,4,11")]
+# the second skips 3, which divides a denominator; the third's default
+# candidate is its first admissible prime, 3
+_LEMMA81 = [("1 + u",), ("u + 2*u^3", "--primes", "2,4,11"), ("u + 1/3*u^2", "--primes", "3,5"),
+            ("1 + 1/2*u",)]
 _USAGE_ERRORS = [
     ("decompose", "w1*z1", "z1", "--n", "1"),
     ("certify", "w1*z1 $", "--n", "1"),
@@ -168,6 +174,13 @@ _PAST_P = [
      "--mmax", "200"),
     ("scan", "--oracle", "kerl", "w1*z1^2 + w1^3*z1", "z1", "--n", "1", "--ring", "fp",
      "--p", "3", "--mmax", "40"),
+]
+# json and text: a negative power of a parenthesised variable, a powered
+# coefficient, and a --p past the primality test's trial divisions
+_BRANCHES = [
+    ("scan", "--oracle", "laurent", "(t)^-1 + t", "t", "--mmax", "4"),
+    ("lmap", "2^3*w1*z1", "--n", "1"),
+    ("lmap", "w1*z1^2", "--ring", "fp", "--p", "1000003", "--n", "1"),
 ]
 _WEIGHTS = [("hermite",), ("laguerre",), ("laguerre", "--alpha", "2"), ("jacobi",),
             ("jacobi", "--alpha", "1", "--beta", "2"), ("legendre",)]
@@ -248,7 +261,7 @@ def _cases():
                 yield (name, mode, "--help")
     yield from _USAGE_CLASSES
     for fmt in ("json", "text"):
-        for argv in _EDGES + _DEEP_MOMENTS + _PAST_P:
+        for argv in _EDGES + _DEEP_MOMENTS + _PAST_P + _BRANCHES:
             yield argv + ("--format", fmt)
 
 
