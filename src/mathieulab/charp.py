@@ -8,14 +8,20 @@ multiplication by -w_i^p: the sufficiency witness, which `theorem51`
 hands each sampled power.
 The Willems scan of f = t^-1 (1 + t^p) reads each coefficient of f^m off
 Lucas's theorem instead of multiplying out the powers.
+
+Three results are computed once from their proofs and re-checked once:
+- Koszul: w1, w2 is a regular sequence, so w1 P + w2 Q = 0 gives P = w2 g, Q = -w1 g.
+- Example 1.2: over F_p, d/dz z^j = j z^(j-1) is 0 iff p | j: 1 is hit, z^(p-1) is not.
+- Lemma 8.1: p > deg g, g p-integral: g^p = sum c_i^p u^(ip), L(g^p)/(sp)! = 1 (mod p).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import factorial
 
-from .poly import NEG_INF, Polynomial, Report, VariableSet, VerificationError, _printed
+from .poly import NEG_INF, Polynomial, Report, VariableSet, VerificationError
 from .rings import GF, QQ, is_prime, valuation_p
 
 
@@ -30,11 +36,6 @@ def _characteristic(problem: ImageProblem) -> int:
 def _w_index(exps, n: int, e: int):
     """First i with w_i^e dividing the monomial `exps` (w_1..w_n first), else None."""
     return next((i for i in range(1, n + 1) if exps[i - 1] >= e), None)
-
-
-def w_ideal_member(f: Polynomial, n: int, e: int) -> bool:
-    """Every term of f lies in (w_1^e, ..., w_n^e): I is e = 1, J is e = p."""
-    return all(_w_index(exps, n, e) for exps in f.terms)
 
 
 class SufficiencyWitness:
@@ -80,23 +81,14 @@ def sufficient_membership(b: Polynomial, problem: ImageProblem):
 
 def koszul_solve(problem: ImageProblem, p_poly: Polynomial,
                  q_poly: Polynomial) -> Polynomial:
-    """Given w1*P + w2*Q = 0 with P, Q z-homogeneous of equal degree,
-    return the unique g with P = w2*g and Q = -w1*g.
+    """Given w1*P + w2*Q = 0 over two pairs, return the g with P = w2*g and Q = -w1*g.
 
     w1*P = -w2*Q puts w2 in every term of P, so g is read off P's terms by
-    lowering the w2 exponent by one; P = w2*g and Q = -w1*g are re-checked.
+    lowering the w2 exponent by one; P = w2*g and Q = -w1*g are re-checked,
+    so a pair outside the relation raises `VerificationError`.
     """
-    if problem.n != 2:
-        raise ValueError("Koszul relation is the two-pair case")
-    relation = problem.zeta(1) * p_poly + problem.zeta(2) * q_poly
-    if not relation.is_zero():
-        raise ValueError("Koszul relation does not hold")
-    for poly in (p_poly, q_poly):
-        comps = poly.homogeneous_components(problem.z_grading())
-        if len(comps) > 1:
-            raise ValueError("inputs must be z-homogeneous")
     g = Polynomial(problem.ring, problem.variables,
-                   {(w1, w2 - 1, *z): c for (w1, w2, *z), c in p_poly.terms.items()})
+                   {(w1, w2 - 1, *z): c for (w1, w2, *z), c in p_poly.terms.items() if w2})
     if p_poly != problem.zeta(2) * g or q_poly != -(problem.zeta(1) * g):
         raise VerificationError("Koszul solution failed to re-verify")
     return g
@@ -145,7 +137,7 @@ def crucial_lemma_descent(b: Polynomial, p_wit: Polynomial, q_wit: Polynomial,
     b_d = b.homogeneous_components(grading).get(d, zero)
     rhs = (-(problem.zeta(1) * (p_comp.get(d, zero) + g_mid.partial("z2")))
            - problem.zeta(2) * (q_comp.get(d, zero) - g_mid.partial("z1")))
-    if not (b_d == rhs and w_ideal_member(b_d, problem.n, 1)):
+    if b_d != rhs:
         raise VerificationError("descent identity failed to verify")
     return Report(d=d, g_top=g_top, g_mid=g_mid, top_component=b_d, verified=True)
 
@@ -230,7 +222,6 @@ def willems_scan(p: int, k_max: int) -> Report:
 def example12_refutation(p: int, degree_bound: int = None) -> Report:
     """Over F_p with D = {d/dz}: the derivative image contains 1 but misses
     z^(p-1), so the 1-property refutes the Mathieu property outright."""
-    from .harness import SubspaceOracle, one_property_probe
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if degree_bound is None:
@@ -240,42 +231,33 @@ def example12_refutation(p: int, degree_bound: int = None) -> Report:
                          f"the probe never reaches z^{p - 1}")
     ring = GF(p)
     z_vars = VariableSet(("z",))
-    # image of the monomial basis under d/dz: j z^(j-1) for j <= bound,
-    # spanning exactly the monomials z^e with e+1 not divisible by p
-    span_degrees = {j - 1 for j in range(1, degree_bound + 1) if j % p != 0}
-
-    def member(f):
-        return all(exps[0] in span_degrees for exps in f.terms)
-
-    oracle = SubspaceOracle(f"imD_ddz_F{p}", member)
-    one = Polynomial.one(ring, z_vars)
-    basis = [Polynomial.var(ring, z_vars, "z", e) for e in range(1, degree_bound)]
-    probe = one_property_probe(oracle, one, basis)
-    refuting = probe.refuting_element
-    expected = Polynomial.var(ring, z_vars, "z", p - 1)
-    if refuting != expected:
-        raise VerificationError(f"the probe refuted with {_printed(refuting)}, "
-                                f"not {expected.to_str()}")
-    return Report(p=p, degree_bound=degree_bound, one_in_image=probe.contains_one,
-                  missing_monomial=refuting, refuted=True)
+    span_degrees = {e for j in range(1, degree_bound + 1)
+                    for (e,) in Polynomial.var(ring, z_vars, "z", j).partial("z").terms}
+    missing = next(e for e in count() if e not in span_degrees)
+    if missing != p - 1:
+        raise VerificationError(f"the first monomial outside the image is z^{missing}, "
+                                f"not z^{p - 1}")
+    return Report(p=p, degree_bound=degree_bound, one_in_image=0 in span_degrees,
+                  missing_monomial=Polynomial.var(ring, z_vars, "z", missing), refuted=True)
 
 
 # -- valuation machinery (number-field route, instantiated over Q) -----
 
 def lemma81_nonvanishing(g: Polynomial, prime_candidates=None) -> Report:
-    """Certify L(g^p) != 0 for a suitable prime via the valuation trace.
+    """Certify L(g^p) != 0 at the first admissible prime via the valuation trace.
 
     g is a non-zero rational polynomial in one variable; it is normalized so
     the lowest term is monic (vanishing of the exponential moments is
-    scale-equivariant, so nothing is lost).  An admissible prime exceeds the
-    degree and every coefficient denominator; for such p the normalized sum
-    L(g^p)/(sp)! is 1 plus terms of positive p-valuation, so it cannot vanish.
+    scale-equivariant, so nothing is lost).  A prime is admissible when it
+    exceeds the degree and divides no coefficient denominator; at such p,
+    L(g^p)/(sp)! = 1 mod p, so a non-zero p-valuation raises `VerificationError`.
 
-    The report's `status` is "certified" or "exhausted", and `tried` lists
-    the candidates tried.  A certificate adds the `prime`, s (the lowest
-    exponent), the `value` L(g^p)/(sp)!, its `valuation` 0, and the `trace`:
-    per term u^e of g^p, by e, the summand e!/(sp)! times its coefficient
-    and the summand's p-valuation, as the report prints them.
+    The report's `status` is "certified" or "exhausted" (no candidate is
+    admissible), and `tried` lists the candidates up to the first admissible
+    one, by default that prime alone.  A certificate adds the `prime`, s (the
+    lowest exponent), the `value` L(g^p)/(sp)!, its `valuation` 0, and the
+    `trace`: per term u^e of g^p, by e, the summand e!/(sp)! times its
+    coefficient and the summand's p-valuation, as the report prints them.
     """
     if g.is_zero():
         raise ValueError("the zero polynomial is out of scope")
@@ -288,42 +270,30 @@ def lemma81_nonvanishing(g: Polynomial, prime_candidates=None) -> Report:
     lead = coeffs[s]
     coeffs = {i: c / lead for i, c in coeffs.items()}
     d = max(coeffs)
+
+    def admissible(p):
+        return is_prime(p) and p > d and all(Fraction(c).denominator % p for c in coeffs.values())
+
     if prime_candidates is None:
-        prime_candidates = _default_primes(coeffs, d)
+        prime_candidates = [next(filter(admissible, count(2)))]
     tried = []
     for p in prime_candidates:
         tried.append(p)
-        if not is_prime(p):
-            continue
-        if p <= d:
-            continue
-        if any(valuation_p(c, p) < 0 for c in coeffs.values()):
-            continue
-        norm = Polynomial(QQ, g.variables, {(i,): c for i, c in coeffs.items()})
-        gp = norm ** p
-        sp_fact = Fraction(factorial(s * p))
-        total = Fraction(0)
-        trace = []
-        for (e,), c in sorted(gp.terms.items()):
-            summand = c * Fraction(factorial(e)) / sp_fact
-            total += summand
-            trace.append({"exponent": e, "summand": summand,
-                          "valuation": str(valuation_p(summand, p))})
-        if valuation_p(total, p) == 0:
-            return Report(status="certified", tried=tuple(tried), prime=p, s=s, value=total,
-                          valuation=0, trace=trace)
-    return Report(status="exhausted", tried=tuple(tried))
-
-
-_DEFAULT_PRIME_COUNT = 25
-
-
-def _default_primes(coeffs, degree):
-    out = []
-    p = 2
-    while len(out) < _DEFAULT_PRIME_COUNT:
-        if is_prime(p) and p > degree and all(
-                Fraction(c).denominator % p for c in coeffs.values()):
-            out.append(p)
-        p += 1
-    return out
+        if admissible(p):
+            break
+    else:
+        return Report(status="exhausted", tried=tuple(tried))
+    gp = Polynomial(QQ, g.variables, {(i,): c for i, c in coeffs.items()}) ** p
+    sp_fact = Fraction(factorial(s * p))
+    total = Fraction(0)
+    trace = []
+    for (e,), c in sorted(gp.terms.items()):
+        summand = c * Fraction(factorial(e)) / sp_fact
+        total += summand
+        trace.append({"exponent": e, "summand": summand,
+                      "valuation": str(valuation_p(summand, p))})
+    valuation = valuation_p(total, p)
+    if valuation != 0:
+        raise VerificationError(f"L(g^{p})/({s * p})! has {p}-valuation {valuation}, not 0")
+    return Report(status="certified", tried=tuple(tried), prime=p, s=s, value=total,
+                  valuation=0, trace=trace)

@@ -85,17 +85,6 @@ def mathieu_scan(oracle: SubspaceOracle, f, gs, m_max: int = 24) -> Report:
     return report
 
 
-def one_property_probe(oracle: SubspaceOracle, one, basis) -> Report:
-    """A Mathieu subspace containing 1 must be everything; search for a non-member.
-
-    The `refuting_element` is the first non-member of `basis`, None when the
-    subspace lacks 1 (`contains_one` false) or holds all of `basis`.
-    """
-    contains_one = oracle(one)
-    refuting = next((g for g in basis if not oracle(g)), None) if contains_one else None
-    return Report(oracle=oracle.name, contains_one=contains_one, refuting_element=refuting)
-
-
 # -- exact matrices ----------------------------------------------------
 
 class MatrixValue:

@@ -218,6 +218,11 @@ def test_criterion_07_laurent_counterexample():
                 assert p ** k - 1 in report.violations
 
 
+def w_ideal_member(f: Polynomial, n: int, e: int) -> bool:
+    """Every term of f lies in (w_1^e, ..., w_n^e): I is e = 1, J is e = p."""
+    return all(any(a >= e for a in exps[:n]) for exps in f.terms)
+
+
 def test_criterion_08_char_p_pipeline():
     with _Criterion(8, "membership pipeline, descent identity, p-th power witnesses", 120):
         rng = random.Random(88)
@@ -251,7 +256,7 @@ def test_criterion_08_char_p_pipeline():
                 if top != NEG_INF and top > d + 2:
                     continue
                 r = charp.crucial_lemma_descent(b, p_wit, q_wit, problem)
-                assert r.verified and charp.w_ideal_member(r.top_component, 2, 1)
+                assert r.verified and w_ideal_member(r.top_component, 2, 1)
                 verified += 1
             for _ in range(20):
                 base = random_polynomial(rng, problem.ring, problem.variables,

@@ -2,11 +2,15 @@
 
 import random
 from fractions import Fraction
+from itertools import count
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_polynomial
-from mathieulab import charp, harness, imagemap
+from mathieulab import charp, imagemap
 from mathieulab.charp import (
     crucial_lemma_descent,
     example12_refutation,
@@ -14,14 +18,13 @@ from mathieulab.charp import (
     lemma81_nonvanishing,
     sufficient_membership,
     theorem51_pipeline,
-    w_ideal_member,
     willems_scan,
 )
 from mathieulab.imagemap import ImageProblem, monomial_count_scan, t_apply
 from mathieulab.parsing import parse_polynomial
 from mathieulab.poly import NEG_INF, Polynomial, VariableSet, VerificationError
-from mathieulab.rings import GF, QI, QQ, valuation_p
-from test_acceptance import frobenius_expansion_check
+from mathieulab.rings import GF, QI, QQ, is_prime, valuation_p
+from test_acceptance import frobenius_expansion_check, w_ideal_member
 
 U_VARS = VariableSet(("u",))
 
@@ -99,32 +102,40 @@ def test_koszul_solve():
     p_poly = problem.zeta(2) * g
     q_poly = -(problem.zeta(1) * g)
     assert koszul_solve(problem, p_poly, q_poly) == g
-    with pytest.raises(ValueError):
+    # w1*z1 + w2*z1 != 0: the re-check refuses the pair
+    with pytest.raises(VerificationError, match="Koszul solution failed to re-verify"):
         koszul_solve(problem, problem.z(1), problem.z(1))
 
 
 def test_descent_on_random_witnesses():
+    """Witnesses of z-degree <= 3: a random pair plus (t2 G, -t1 G) for a
+    random G, which leaves b unchanged, so the top layers can cancel and the
+    Koszul steps find non-zero quotients."""
     rng = random.Random(11)
-    checked = 0
+    checked, g_tops, g_mids = 0, 0, 0
     for p in (2, 3):
         problem = ImageProblem(2, GF(p))
         grading = problem.z_grading()
         for _ in range(60):
-            p_wit = random_polynomial(rng, problem.ring, problem.variables,
-                                      max_degree=1)
-            q_wit = random_polynomial(rng, problem.ring, problem.variables,
-                                      max_degree=1)
+            p_wit, q_wit, big_g = (random_polynomial(rng, problem.ring, problem.variables,
+                                                     max_degree=1) for _ in range(3))
+            big_g = big_g * problem.z(1)
+            p_wit = p_wit - _shift(problem, 2, big_g)
+            q_wit = q_wit + _shift(problem, 1, big_g)
             b = _shift(problem, 1, p_wit) + _shift(problem, 2, q_wit)
             d = b.grade_degree(grading)
             d = 0 if d == NEG_INF else int(d)
             top = max(p_wit.grade_degree(grading), q_wit.grade_degree(grading))
+            assert top <= 3
             if top != NEG_INF and top > d + 2:
                 continue
             r = crucial_lemma_descent(b, p_wit, q_wit, problem)
             assert r.verified
             assert w_ideal_member(r.top_component, 2, 1)
             checked += 1
-    assert checked >= 40
+            g_tops += not r.g_top.is_zero()
+            g_mids += not r.g_mid.is_zero()
+    assert checked >= 40 and g_tops and g_mids
 
 
 def test_descent_rejects_bad_witness():
@@ -294,17 +305,19 @@ def test_descent_check_refuses_a_wrong_derivative(monkeypatch):
         crucial_lemma_descent(b, p_wit, q_wit, problem)
 
 
-def test_example12_check_refuses_a_wrong_refutation(monkeypatch):
-    honest = harness.one_property_probe
-
-    def off_by_one(oracle, one, basis):
-        report = honest(oracle, one, basis)
-        report.refuting_element = basis[-1].to_str()
-        return report
-
-    monkeypatch.setattr(harness, "one_property_probe", off_by_one)
-    with pytest.raises(VerificationError, match="the probe refuted with z\\^11, not z\\^2"):
+def test_example12_check_refuses_a_derivative_over_q(monkeypatch):
+    """Over Q, d/dz reaches every z^e below the bound: the first one missed is z^12."""
+    monkeypatch.setattr(charp, "GF", lambda p: QQ)
+    with pytest.raises(VerificationError,
+                       match="the first monomial outside the image is z\\^12, not z\\^2"):
         example12_refutation(3)
+
+
+def test_lemma81_check_refuses_a_wrong_factorial(monkeypatch):
+    """n! + 1 for n!: L(g^2)/0! for g = u - 1 becomes 1 - 2 + 3/2 = 1/2."""
+    monkeypatch.setattr(charp, "factorial", lambda n: factorial(n) + 1)
+    with pytest.raises(VerificationError, match=r"L\(g\^2\)/\(0\)! has 2-valuation -1, not 0"):
+        lemma81_nonvanishing(_u_poly({1: 1, 0: -1}))
 
 
 def test_frobenius_expansion_random():
@@ -375,6 +388,35 @@ def test_lemma81_scaling_invariance():
     a = lemma81_nonvanishing(plain)
     b = lemma81_nonvanishing(scaled)
     assert a.prime == b.prime and a.value == b.value
+
+
+def _admissible(p, coeffs):
+    """p is prime, exceeds the degree, and divides no denominator of the
+    coefficients normalised by the lowest one."""
+    lead = coeffs[min(coeffs)]
+    return is_prime(p) and p > max(coeffs) and all(
+        (Fraction(c) / lead).denominator % p for c in coeffs.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(0, 4), st.fractions(-20, 20, max_denominator=12).filter(bool),
+                       min_size=1, max_size=4),
+       st.lists(st.integers(0, 40), max_size=6))
+def test_lemma81_certifies_at_the_first_admissible_candidate(coeffs, candidates):
+    """At the first admissible candidate, or by default at the first
+    admissible prime; `exhausted` exactly when no candidate is admissible."""
+    g = _u_poly(coeffs)
+    default = lemma81_nonvanishing(g)
+    assert default.status == "certified"
+    assert default.tried == (next(p for p in count(2) if _admissible(p, coeffs)),)
+    report = lemma81_nonvanishing(g, prime_candidates=candidates)
+    first = next((i for i, p in enumerate(candidates) if _admissible(p, coeffs)), None)
+    if first is None:
+        assert report.status == "exhausted" and report.tried == tuple(candidates)
+        return
+    assert report.status == "certified" and report.valuation == 0
+    assert report.tried == tuple(candidates[:first + 1]) and report.prime == candidates[first]
+    assert valuation_p(report.value, report.prime) == 0
 
 
 def test_lemma81_exhaustion():

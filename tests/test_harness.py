@@ -17,7 +17,6 @@ from mathieulab.harness import (
     laurent_constant_oracle,
     mathieu_scan,
     moment_oracle,
-    one_property_probe,
     trace_oracle,
 )
 from mathieulab.imagemap import ImageProblem
@@ -71,18 +70,6 @@ def test_mathieu_scan_bounded_miss_is_unknown():
     assert report.g_results[0]["miss"] == {"m": 6, "element": _laurent({0: 1})}
     assert report.as_report()["verdict"] == "unknown"
     assert mathieu_scan(oracle, f, [g], m_max=7).verdict == "consistent"
-
-
-def test_one_property_probe():
-    oracle = laurent_constant_oracle(QQ)
-    # the constant-free subspace does not contain 1
-    probe = one_property_probe(oracle, _laurent({0: 1}), [])
-    assert not probe.contains_one and probe.refuting_element is None
-
-    everything = SubspaceOracle("all", lambda p: True)
-    probe = one_property_probe(everything, _laurent({0: 1}),
-                               [_laurent({k: 1}) for k in range(-3, 4)])
-    assert probe.contains_one and probe.refuting_element is None
 
 
 def test_matrix_arithmetic():

@@ -226,11 +226,25 @@ def _validate(schema, out):
     return report
 
 
+def _open_objects(node, path):
+    """The path of every object schema under `node` that admits unlisted fields."""
+    if isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _open_objects(item, f"{path}[{i}]")
+    elif isinstance(node, dict):
+        if ("properties" in node or node.get("type") == "object") and node.get(
+                "additionalProperties") is not False:
+            yield path
+        for key, value in node.items():
+            yield from _open_objects(value, f"{path}.{key}")
+
+
 def test_every_schema_branch_is_closed(schema):
-    """Each command's branch lists its fields: a report with any other field fails."""
-    open_branches = [branch["properties"]["command"] for branch in schema["oneOf"]
-                     if branch.get("additionalProperties") is not False]
-    assert open_branches == []
+    """Each command's branch lists its fields, nested objects included: a
+    report with any other field fails."""
+    open_objects = [path for i, branch in enumerate(schema["oneOf"])
+                    for path in _open_objects(branch, f"oneOf[{i}]")]
+    assert open_objects == []
 
 
 def test_cli_certify_member(capsys, schema):
@@ -732,28 +746,41 @@ def test_theorem51_decline_exits_2_under_optimize():
 
 
 def test_example12_check_exits_2_under_optimize():
-    """Under python -O a probe that refutes with the wrong monomial makes
-    `charp example12` exit 2."""
+    """Under python -O a derivative taken over Q instead of F_3, which misses
+    no degree below the bound, makes `charp example12` exit 2."""
     script = textwrap.dedent("""
         import sys
-        from mathieulab import cli, harness
+        from mathieulab import charp, cli, rings
         if sys.flags.optimize != 1:
             sys.exit(3)
-        honest = harness.one_property_probe
-
-        def off_by_one(oracle, one, basis):
-            report = honest(oracle, one, basis)
-            report.refuting_element = basis[-1].to_str()
-            return report
-
-        harness.one_property_probe = off_by_one
+        charp.GF = lambda p: rings.QQ
         sys.exit(cli.main(["charp", "example12", "--p", "3"]))
     """)
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr == "verification failure: the probe refuted with z^11, not z^2\n"
+    assert proc.stderr == ("verification failure: the first monomial outside the image is "
+                           "z^12, not z^2\n")
+
+
+def test_lemma81_check_exits_2_under_optimize():
+    """Under python -O a factorial off by one, which moves L(g^2)/0! for
+    g = u - 1 to 1/2, makes `lemma81` exit 2 at its first admissible prime."""
+    script = textwrap.dedent("""
+        import sys
+        from math import factorial
+        from mathieulab import charp, cli
+        if sys.flags.optimize != 1:
+            sys.exit(3)
+        charp.factorial = lambda n: factorial(n) + 1
+        sys.exit(cli.main(["lemma81", "u - 1"]))
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "verification failure: L(g^2)/(0)! has 2-valuation -1, not 0\n"
 
 
 def test_scan_violation_recheck_exits_2_under_optimize():
@@ -935,7 +962,7 @@ _NOT_FOR_KERNEL_MAP = _NOT_FOR_CERTIFY + ("weyl",)
      ("imagemap", "weyl", "linalg", "charp")),
     (_RUN_MAIN, ("charp", "willems", "--p", "3"), _NOT_FOR_CHARP),
     (_RUN_MAIN, ("lemma81", "u - 1"), _NOT_FOR_CHARP),
-    (_RUN_MAIN, ("charp", "example12", "--p", "3"), ("ortho", "linalg")),
+    (_RUN_MAIN, ("charp", "example12", "--p", "3"), _NOT_FOR_CHARP),
     (_RUN_MAIN, ("scan", "--oracle", "laurent", "t^-1 + t", "t"),
      ("imagemap", "weyl", "ortho", "linalg", "charp")),
 ], ids=["package", "cli", "certify", "lmap", "powerscan", "conj73", "ortho", "scan-moment",

@@ -22,7 +22,9 @@ FAULT_TESTS = {
     "charp.theorem51_pipeline": [
         "test_parsing_cli.py::test_theorem51_decline_exits_2_under_optimize"],
     "charp.example12_refutation": [
-        "test_charp.py::test_example12_check_refuses_a_wrong_refutation"],
+        "test_charp.py::test_example12_check_refuses_a_derivative_over_q"],
+    "charp.lemma81_nonvanishing": [
+        "test_charp.py::test_lemma81_check_refuses_a_wrong_factorial"],
     "cli._cmd_decompose": [
         "test_parsing_cli.py::test_decompose_recompose_check_exits_2_under_optimize"],
     "cli._cmd_ortho": [
