@@ -227,8 +227,8 @@ def example12_refutation(p: int, degree_bound: int = None) -> Report:
     if degree_bound is None:
         degree_bound = 4 * p
     if degree_bound < p:
-        raise ValueError(f"degree bound {degree_bound} < p = {p}: "
-                         f"the probe never reaches z^{p - 1}")
+        raise ValueError(f"degree bound {degree_bound} < p = {p}: z^{p}, the one "
+                         f"monomial whose derivative could reach z^{p - 1}, is left out")
     ring = GF(p)
     z_vars = VariableSet(("z",))
     span_degrees = {e for j in range(1, degree_bound + 1)

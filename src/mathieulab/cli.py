@@ -2,14 +2,15 @@
 
 `_COMMANDS` names each subcommand and `charp` mode, its handler and the flags
 the handler reads; `_FLAGS` holds each flag's argparse spec, with its range
-check.  Each handler imports the modules it runs on first use, so a cold call
-loads only its subcommand's modules.  A handler returns a `Report` of typed
-values and, for `--format csv`, its rows; `main` prints both, the one place
-that turns a value into text.  Exit codes: 0 completed; 1 `usage
-error:` (bad flags, unparsable or unreadable input, unsatisfiable
-preconditions); 2 `VerificationError`, a result that failed its exact
-re-check; 141 stdout closed before the report was written (128 + SIGPIPE).
-Any other exception is a bug.
+check.  Each handler imports the modules it runs on first use, and `main`
+gives flags only to the subcommand it runs, so a cold call loads only its
+subcommand's modules and builds only its parser.  A handler returns a
+`Report` of typed values and, for `--format csv`, its rows; `main` prints
+both, the one place that turns a value into text.  Exit codes: 0
+completed; 1 `usage error:` (bad flags, unparsable or unreadable input,
+unsatisfiable preconditions); 2 `VerificationError`, a result that failed its
+exact re-check; 141 stdout closed before the report was written (128 +
+SIGPIPE).  Any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import argparse
 import json
 import os
 import sys
+from itertools import dropwhile
 
-from .parsing import ParseError, parse_polynomial
 from .poly import Polynomial, Report, VariableSet, VerificationError, _printed
 from .rings import GF, QI, QQ, is_prime
 
@@ -77,6 +78,7 @@ def _problem(args) -> imagemap.ImageProblem:
 
 
 def _parse(text, ring, variables) -> Polynomial:
+    from .parsing import ParseError, parse_polynomial
     try:
         return parse_polynomial(text, ring, variables)
     except ParseError as exc:
@@ -168,13 +170,8 @@ def _parse_matrix(text, ring):
     if not (body.startswith("[") and body.endswith("]")):
         raise UsageError("matrix literals look like [a,b; c,d]")
     no_vars = VariableSet(())
-    rows = []
-    for row_text in body[1:-1].split(";"):
-        row = []
-        for entry in row_text.split(","):
-            value = _parse(entry.strip(), ring, no_vars)
-            row.append(value.constant_coefficient())
-        rows.append(row)
+    rows = [[_parse(entry.strip(), ring, no_vars).constant_coefficient()
+             for entry in row_text.split(",")] for row_text in body[1:-1].split(";")]
     try:
         return harness.MatrixValue(rows)
     except ValueError as exc:
@@ -399,12 +396,17 @@ _COMMANDS = {
 }
 
 
-def _add_commands(parser, table, dest):
+def _add_commands(parser, table, dest, argv=None):
+    """Register every name of `table`; with `argv`, give flags only to the one it
+    names, its first word that does not start with '-': the one argparse runs."""
     sub = parser.add_subparsers(dest=dest, required=True)
+    words = None if argv is None else list(dropwhile(lambda a: a.startswith("-"), argv))
     for name, entry in table.items():
         p = sub.add_parser(name, allow_abbrev=False)
+        if words is not None and words[:1] != [name]:
+            continue
         if isinstance(entry, dict):
-            _add_commands(p, entry, "mode")
+            _add_commands(p, entry, "mode", words and words[1:])
             continue
         handler, flags = entry
         p.set_defaults(handler=handler)
@@ -413,17 +415,19 @@ def _add_commands(parser, table, dest):
             p.add_argument(option, **spec)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The whole parser tree, or with `argv` the flags of the command it names only."""
     parser = _Parser(prog="mathieulab", allow_abbrev=False,
                      description="Exact kernel-map, orthogonal-polynomial and "
                                  "Mathieu-subspace experiments")
-    _add_commands(parser, _COMMANDS, "command")
+    _add_commands(parser, _COMMANDS, "command", argv)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         report, csv_rows = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

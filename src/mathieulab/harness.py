@@ -7,7 +7,7 @@ A bounded scan never proves anything; its verdicts are "premise_failed",
 "consistent" (up to m_max), or "unknown" when some g f^m still misses at
 m_max.  Each result is a `poly.Report`, and each g's result in it is a dict
 with the keys the report prints.  The kernel and constant-term oracles
-scan through the integer power loop (`poly._int_powers`); the moment and
+scan through the integer power loop (`powers._int_powers`); the moment and
 trace oracles have no scan of their own, so f^m and g f^m are multiplied
 out and asked of `member` (`SubspaceOracle._products`).  A reported miss is
 multiplied out and re-checked with `member`.  The constant-term scan caps
@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from operator import mul, sub
 
-from .poly import Polynomial, Report, VerificationError, _int_powers, _printed
+from .poly import Polynomial, Report, VerificationError, _printed
+from .powers import _int_powers
 from .rings import RingDescriptor
 
 
@@ -146,7 +147,9 @@ def laurent_constant_oracle(ring: RingDescriptor) -> SubspaceOracle:
     [t^0](g f^m) = sum_k g_k [t^(-k - m s)] f_0^m off `_int_powers`.  With
     K_j = max(0, max over the gs' terms t^k of -k_j), no read at step m or later
     reaches a term of f_0^m with e_j > K_j - m s_j (s_j >= 0) or with
-    e_j > K_j + m_max |s_j| (s_j < 0): that is the power loop's ceiling."""
+    e_j > K_j + m_max |s_j| (s_j < 0): that is the power loop's ceiling.  Once
+    a capped f_0^m is empty, so is every later one: the remaining rows are
+    one shared answer, every f^m and g f^m free of a constant term."""
     def scan(f, gs, m_max):
         sign = [-1 if max(c) < 0 else 1 for c in zip(*f.terms)] or [1] * len(f.variables)
         f, *gs = [Polynomial(g.ring, g.variables, {tuple(map(mul, sign, e)): c
@@ -158,6 +161,9 @@ def laurent_constant_oracle(ring: RingDescriptor) -> SubspaceOracle:
         powers = _int_powers(f_0, m_max, ceiling=lambda m: [
             t - min(m * b, m_max * b) for t, b in zip(top, s)])
         for m, (terms,) in enumerate(powers, start=1):
+            if not terms:
+                yield from [(True, lambda free=[True] * len(gs): free)] * (m_max - m + 1)
+                return
             # f^m's terms keyed by the negated exponent: g's t^k meets t^-k
             power = {tuple(-a - m * b for a, b in zip(e, s)): c for e, c in terms.items()}
 
@@ -215,27 +221,18 @@ def gvc_scan(operator: WeylElement, p_poly: Polynomial, q_poly: Polynomial,
     symbol = Polynomial(ring, problem.variables,
                         {b + (0,) * problem.n: c for b, c in operator.symbol.terms.items()})
     premise, shifted = [], []
-    premise_through = 0
     s_power = Polynomial.one(ring, problem.variables)
     p_power = Polynomial.one(p_poly.ring, p_poly.variables)
     for m in range(1, m_max + 1):
         s_power = s_power * symbol
         p_power = p_power * p_poly
-        v = _apply_symbol(s_power, p_power)
-        premise.append(v)
-        if v.is_zero() and premise_through == m - 1:
-            premise_through = m
+        premise.append(_apply_symbol(s_power, p_power))
         shifted.append(_apply_symbol(s_power, q_poly * p_power))
-    stabilization = None
-    for m in range(m_max, 0, -1):
-        if not shifted[m - 1].is_zero():
-            stabilization = m + 1
-            break
-    else:
-        stabilization = 1
     _gvc_crosscheck(symbol, p_poly, q_poly, m_max, problem, premise, shifted)
-    return Report(premise_values=premise, premise_held_through=premise_through,
-                  shifted_values=shifted, stabilization_index=stabilization)
+    return Report(premise_values=premise,
+                  premise_held_through=next((m for m, v in enumerate(premise) if v), m_max),
+                  shifted_values=shifted, stabilization_index=next(
+                      (m + 1 for m in range(m_max, 0, -1) if shifted[m - 1]), 1))
 
 
 def _apply_symbol(symbol: Polynomial, h: Polynomial) -> Polynomial:
@@ -253,7 +250,7 @@ def _gvc_crosscheck(symbol, p_poly, q_poly, m_max, problem, premise, shifted):
     """Check both sequences against L(f^m) and L(q f^m), f = symbol * P.
 
     The kernel-map route runs through the integer power loop
-    (`poly._int_powers` with q as cofactor) and L on packed keys, which
+    (`powers._int_powers` with q as cofactor) and L on packed keys, which
     share no code with the `Polynomial` powers of the symbol or with
     `_apply_symbol`.
     """

@@ -21,7 +21,7 @@ from itertools import product
 from math import comb, factorial, perm, prod
 from operator import sub
 
-from .poly import NEG_INF, Grading, Polynomial, Report, VariableSet, VerificationError, _int_powers
+from .poly import NEG_INF, Grading, Polynomial, Report, VariableSet, VerificationError
 from .rings import Immutable, RingDescriptor
 
 
@@ -197,22 +197,17 @@ def power_scan(problem: ImageProblem, f: Polynomial, m_max: int) -> Report:
     `values` holds L(f^m) for m = 1..m_max, and `first_nonzero` is the
     first m with L(f^m) != 0 (None if all vanish).
 
-    Each f^m stays a dict of integer numerators over d^m inside
-    `_int_powers`, multiplied on packed exponent keys and pruned to the terms
-    that can still reach L's support; L runs on the packed keys, and the loop
-    yields ring elements only for the terms of L(f^m) that survive.
+    The rows come from the integer power loop (`powers._int_powers`), on
+    packed keys and pruned to the terms that can still reach L's support.
     """
+    from .powers import _int_powers
     problem.check(f)
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    values = []
-    first = None
-    for m, (terms,) in enumerate(_int_powers(f, m_max, problem.n), start=1):
-        v = Polynomial(problem.ring, problem.variables, terms)
-        values.append(v)
-        if first is None and not v.is_zero():
-            first = m
-    return Report(values=values, first_nonzero=first)
+    values = [Polynomial(problem.ring, problem.variables, terms)
+              for terms, in _int_powers(f, m_max, problem.n)]
+    return Report(values=values,
+                  first_nonzero=next((m for m, v in enumerate(values, start=1) if v), None))
 
 
 def factorial_functional(f: Polynomial):

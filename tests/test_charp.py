@@ -261,8 +261,8 @@ def test_example12():
         assert report.one_in_image
         assert report.refuted
         assert report.as_report()["missing_monomial"] == ("z" if p == 2 else f"z^{p - 1}")
-        # a probe basis that stops below z^(p-1) cannot refute
-        with pytest.raises(ValueError):
+        # a bound below p leaves out z^p, whose derivative alone could reach z^(p-1)
+        with pytest.raises(ValueError, match=f"z\\^{p}, the one monomial"):
             example12_refutation(p, p - 1)
     assert example12_refutation(3, 3).refuted
 
@@ -303,6 +303,21 @@ def test_descent_check_refuses_a_wrong_derivative(monkeypatch):
     monkeypatch.setattr(Polynomial, "partial", lambda self, name: honest(self, name).scale(2))
     with pytest.raises(VerificationError, match="descent identity failed to verify"):
         crucial_lemma_descent(b, p_wit, q_wit, problem)
+
+
+def test_theorem51_check_refuses_a_declined_sample(monkeypatch):
+    """A witness that declines g*f^10 under a holding premise contradicts the theorem."""
+    problem = ImageProblem(1, GF(3))
+    f, g = (parse_polynomial(t, problem.ring, problem.variables) for t in ("w1*z1 + 2*w1^2",
+                                                                           "z1 - 1"))
+    honest, calls = charp.sufficient_membership, []
+
+    def decline_the_second_sample(b, problem):
+        calls.append(b)
+        return None if len(calls) == 3 else honest(b, problem)
+    monkeypatch.setattr(charp, "sufficient_membership", decline_the_second_sample)
+    with pytest.raises(VerificationError, match=r"g\*f\^10 has a term outside J"):
+        theorem51_pipeline(f, g, problem)
 
 
 def test_example12_check_refuses_a_derivative_over_q(monkeypatch):

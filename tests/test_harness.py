@@ -281,8 +281,9 @@ def test_laurent_ceiling_past_the_field_matches_products(m_max):
 @pytest.mark.parametrize("f, g, last", [({1: 2, 3: 1}, {-5: 1}, 5),  # 2*t + t^3, t^-5
                                         ({-1: 1, -2: 2}, {3: 1}, 3)])  # t^-1 + 2*t^-2, t^3
 def test_laurent_ceiling_empties_the_power(monkeypatch, f, g, last):
-    """Past m = `last` no read reaches f_0^m: every later row comes from an
-    empty power (the second f only once t -> 1/t is applied)."""
+    """Past m = `last` no read reaches f_0^m: the power loop runs until its
+    first empty power (the second f's only once t -> 1/t is applied), and
+    every later row is one shared answer, with no power of its own."""
     sizes, powers = [], harness._int_powers
 
     def recording(*args, **kwargs):
@@ -292,8 +293,12 @@ def test_laurent_ceiling_empties_the_power(monkeypatch, f, g, last):
     monkeypatch.setattr(harness, "_int_powers", recording)
     f, g = _laurent(f), _laurent(g)
     report = mathieu_scan(laurent_constant_oracle(QQ), f, [g], 400)
-    assert report.verdict == "consistent" and len(sizes) == 400
-    assert all(sizes[:last]) and not any(sizes[last:]), sizes[:last + 1]
+    assert report.verdict == "consistent"
+    assert all(sizes[:last]) and sizes[last:] == [0], sizes[:last + 1]
+    rows = list(laurent_constant_oracle(QQ).scan(f, [g], 400))
+    assert len(rows) == 400 and len({id(row) for row in rows[last:]}) == 1
+    member, g_members = rows[-1]
+    assert member is True and g_members() == [True] and g_members() is g_members()
 
 
 @settings(max_examples=120, deadline=None)

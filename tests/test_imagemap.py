@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_coeff, random_components, random_polynomial
-from mathieulab import imagemap, poly
+from mathieulab import imagemap, powers
 from mathieulab.imagemap import (
     ImageProblem,
     L_map,
@@ -23,7 +23,8 @@ from mathieulab.imagemap import (
     t_apply,
 )
 from mathieulab.parsing import parse_polynomial
-from mathieulab.poly import Polynomial, VariableSet, VerificationError, _int_powers
+from mathieulab.poly import Polynomial, VariableSet, VerificationError
+from mathieulab.powers import _int_powers
 from mathieulab.rings import GF, QI, QQ, GaussianRational
 from weyl_algebra import Element, from_left_symbol, left_symbol
 
@@ -158,6 +159,16 @@ def test_certify_refuses_a_zero_component_that_is_not_lmap(monkeypatch):
     for f in (P1.one() - P1.zeta(1) * P1.z(1), P1.zeta(1) * P1.z(1)):
         with pytest.raises(VerificationError, match="zero component"):
             certify_imD(P1, f)
+
+
+def test_certify_refuses_a_witness_that_does_not_verify(monkeypatch):
+    """t_i without its derivative term builds a witness whose image is not f."""
+    def shift_only(n, i, h):
+        for exps, c in h.terms.items():
+            yield exps[:i - 1] + (exps[i - 1] + 1,) + exps[i:], c
+    monkeypatch.setattr(imagemap, "_t_terms", shift_only)
+    with pytest.raises(VerificationError, match="certificate failed to re-verify"):
+        certify_imD(P1, P1.one() - P1.zeta(1) * P1.z(1))
 
 
 def test_decompose_rejects_char_p():
@@ -437,30 +448,41 @@ def test_lmap_vanishes_mod_p_once_a_w_exponent_reaches_p():
                         assert L_map(problem, w).is_zero(), (p, n, a, b)
 
 
-def test_power_scan_without_a_w_free_term_vanishes_past_n_p_minus_1():
-    """Every term of f^m has sum(a) >= m, and a term with every a_i < p has
-    sum(a) <= n(p-1), so past m = n(p-1) L(f^m) = 0 over F_p: those rows come
-    from an empty power, as fresh empty dicts.  For w1*z1, L(f^(p-1)) =
-    (p-1)! is not 0, so the bound is reached."""
+def test_power_scan_without_a_w_free_term_vanishes_from_p(monkeypatch):
+    """Over F_p, f^p is the sum of c M^p over f's terms c M (Frobenius), and
+    with no w-free term every M^p has some a_i >= p, so L(f^m) = 0 from m = p
+    on, also past n(p-1): those rows come from an empty capped power, as
+    fresh empty dicts, after at most p - 1 products.  For w1*z1, L(f^(p-1)) =
+    (p-1)! is not 0, so the bound is reached, at exactly p - 1 products."""
+    calls = []
+
+    def counting(g, h):
+        calls.append((g, h))
+        return product(g, h)
+    product = powers._int_product
+    monkeypatch.setattr(powers, "_int_product", counting)
     rng = random.Random(3303)
     for p in (2, 3, 5, 7):
         ring = GF(p)
         for n in (1, 2):
             problem = ImageProblem(n, ring)
-            last = n * (p - 1)
+            m_max = n * (p - 1) + 4
             for _ in range(4):
                 f = _random_terms(rng, problem, lambda rng: ring.from_int(rng.randrange(p)),
                                   4, lambda i: rng.randint(1 if i < n else 0, 3))
                 assert all(sum(e[:n]) for e in f.terms)
-                values = power_scan(problem, f, last + 4).values
-                assert not any(values[last:]), (p, n, f)
-                rows = list(_int_powers(f, last + 4, n, (f, problem.one())))[last:]
-                assert [d for row in rows for d in row] == [{}] * 12
-                assert len({id(d) for row in rows for d in row}) == 12
+                calls.clear()
+                values = power_scan(problem, f, m_max).values
+                assert len(calls) <= p - 1 and not any(values[p - 1:]), (p, n, f)
+                rows = list(_int_powers(f, m_max, n, (f, problem.one())))[p - 1:]
+                empty = [d for row in rows for d in row]
+                assert empty == [{}] * 3 * (m_max - p + 1)
+                assert len({id(d) for d in empty}) == len(empty)
         problem = ImageProblem(1, ring)
+        calls.clear()
         values = power_scan(problem, problem.zeta(1) * problem.z(1), p + 2).values
         assert values[p - 2].constant_coefficient() == ring.from_int(math.factorial(p - 1))
-        assert not any(values[p - 1:])
+        assert not any(values[p - 1:]) and len(calls) == p - 1
 
 
 def test_power_loop_pair_products_on_a_fixed_f7_input(monkeypatch):
@@ -472,8 +494,8 @@ def test_power_loop_pair_products_on_a_fixed_f7_input(monkeypatch):
     def counting(g, h):
         calls.append(len(g) * len(h))
         return product(g, h)
-    product = poly._int_product
-    monkeypatch.setattr(poly, "_int_product", counting)
+    product = powers._int_product
+    monkeypatch.setattr(powers, "_int_product", counting)
     problem = ImageProblem(2, GF(7))
     f = parse_polynomial("5*z2 + 2*w2*z1 + 5*w1^2*w2*z1^2*z2 + w1 + 5*w1*z1^2"
                          " + 4*w1*w2^2*z1^2*z2^2", GF(7), problem.variables)
@@ -495,8 +517,8 @@ def test_power_scan_decodes_only_the_printed_terms(monkeypatch):
         for row in _int_powers(*args):
             rows.append(row)
             yield row
-    monkeypatch.setattr(poly, "Fraction", CountingFraction)
-    monkeypatch.setattr(imagemap, "_int_powers", recording)
+    monkeypatch.setattr(powers, "Fraction", CountingFraction)
+    monkeypatch.setattr(powers, "_int_powers", recording)
     rng = random.Random(2929)
     problem = ImageProblem(2, QQ)
     cancelling = Polynomial(QQ, problem.variables, {(1, 0, 2, 0): Fraction(1),  # L: 2*z1 - 2*z1

@@ -102,15 +102,15 @@ def test_terms_summed_only_by_constructors():
     assert readers == {"Polynomial.__init__"}
 
 
-def test_packed_key_encoding_stays_in_poly():
-    # the poly module docstring: the packed-key encoding and its inverse live there alone
+def test_packed_key_encoding_stays_in_powers():
+    # the powers module docstring: the packed-key encoding and its inverse live there alone
     names = {"_pack", "_unpacker", "_pair_mask", "_below"}
     readers = {path.name for path in LIBRARY
                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                if isinstance(node, ast.Name) and node.id in names
                or isinstance(node, ast.Attribute) and node.attr in names
                or isinstance(node, ast.alias) and node.name in names}
-    assert readers == {"poly.py"}
+    assert readers == {"powers.py"}
 
 
 def test_library_imports_no_dataclasses():

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -461,7 +462,7 @@ def test_cli_usage_errors(capsys, tmp_path):
         ("charp", "willems", "--p", "4"),
         ("charp", "willems", "--p", "2", "--kmax", "0"),
         ("charp", "example12", "--p", "3", "--bound", "0"),
-        ("charp", "example12", "--p", "3", "--bound", "2"),  # the probe never reaches z^2
+        ("charp", "example12", "--p", "3", "--bound", "2"),  # z^3 lies past the bound
         ("charp", "example12"),  # every charp mode needs --p
         ("charp", "--p", "2", "willems"),  # the mode comes before its flags
         ("moments", "--family", "hermite", "--nmax", "-1"),
@@ -874,6 +875,92 @@ def test_ortho_shared_operator_fault_exits_2_under_optimize():
     assert proc.stderr == "verification failure: generation routes disagree at degree 1\n"
 
 
+def test_koszul_check_exits_2_under_optimize():
+    """Under python -O a Koszul quotient off by z1 makes `charp crucial` exit 2."""
+    script = textwrap.dedent("""
+        import sys
+        from mathieulab import charp, cli
+        from mathieulab.poly import Polynomial
+        if sys.flags.optimize != 1:
+            sys.exit(3)
+        charp.Polynomial = lambda *args: Polynomial(*args) + Polynomial.var(*args[:2], "z1")
+        sys.exit(cli.main(["charp", "crucial", "2*w2*z1", "w2*z1^2", "0 - w1*z1^2",
+                           "--p", "3"]))
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "verification failure: Koszul solution failed to re-verify\n"
+
+
+def test_gvc_crosscheck_exits_2_under_optimize():
+    """Under python -O an operator route that is off by 1 makes `gvc` exit 2."""
+    script = textwrap.dedent("""
+        import sys
+        from mathieulab import cli, harness
+        from mathieulab.poly import Polynomial
+        if sys.flags.optimize != 1:
+            sys.exit(3)
+        honest = harness._apply_symbol
+        harness._apply_symbol = lambda symbol, h: honest(symbol, h) + Polynomial.one(
+            h.ring, h.variables)
+        sys.exit(cli.main(["gvc", "d1^2", "z1", "z1^3 - z1", "--mmax", "3"]))
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("verification failure: kernel-map route disagrees with "
+                           "operator route\n")
+
+
+def test_rodrigues_degree_check_exits_2_under_optimize():
+    """Under python -O a Rodrigues constant of 0 makes `ortho` exit 2."""
+    script = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        from mathieulab import cli, ortho
+        if sys.flags.optimize != 1:
+            sys.exit(3)
+        ortho.rodrigues_constant = lambda spec, a: Fraction(0)
+        sys.exit(cli.main(["ortho", "--family", "legendre", "--dmax", "3"]))
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("verification failure: Rodrigues polynomial of degree 0 has "
+                           "the wrong degree\n")
+
+
+def test_decompose_recompose_check_exits_2(monkeypatch, capsys):
+    honest = imagemap.recompose
+    monkeypatch.setattr(imagemap, "recompose", lambda problem, components: (
+        honest(problem, components) + problem.one()))
+    assert run_cli(capsys, "decompose", "w1*z1^2 - 3*z1", "--n", "1") == (
+        2, "", "verification failure: decomposition did not recompose to the input\n")
+
+
+@pytest.mark.parametrize("route", ["rodrigues", "gram_schmidt"])
+def test_ortho_route_disagreement_exits_2(monkeypatch, capsys, route):
+    """A Rodrigues route off at degree 3 fails the operator comparison, and a
+    Gram-Schmidt route off there fails the monic one."""
+    from mathieulab import ortho
+    honest = getattr(ortho, route)
+
+    def wrong(*args):
+        value = honest(*args)
+        if isinstance(value, dict):
+            value[3] = value[3].scale(Fraction(1, 2))
+        elif value.total_degree() == 3:
+            value = value + value
+        return value
+    monkeypatch.setattr(ortho, route, wrong)
+    assert run_cli(capsys, "ortho", "--family", "jacobi", "--alpha", "1", "--dmax", "4") == (
+        2, "", "verification failure: generation routes disagree at degree 3\n")
+
+
 def test_theorem51_at_p_101_finishes():
     """f^(p^2) has p^2 = 10201 here; the run must end well inside the timeout."""
     proc = subprocess.run([sys.executable, "-m", "mathieulab.cli", "charp", "theorem51",
@@ -944,29 +1031,32 @@ def test_family_choices_are_the_ortho_families():
 
 _LOADED = "import sys\n{}\nprint(*sorted(sys.modules), file=sys.stderr)"
 _RUN_MAIN = "from mathieulab.cli import main\nif main(sys.argv[1:]):\n    sys.exit('failed')"
-_NOT_FOR_ORTHO = ("imagemap", "weyl", "harness", "charp")
-_NOT_FOR_CERTIFY = ("ortho", "linalg", "harness", "charp")
-_NOT_FOR_CHARP = ("harness", "imagemap", "weyl", "ortho", "linalg")
-_NOT_FOR_KERNEL_MAP = _NOT_FOR_CERTIFY + ("weyl",)
+# `powers` holds the integer power loop, which only the scans run
+_NOT_FOR_ORTHO = ("imagemap", "weyl", "harness", "charp", "powers", "parsing", "linalg")
+_NOT_FOR_POWERSCAN = ("ortho", "linalg", "harness", "charp", "weyl")
+_NOT_FOR_KERNEL_MAP = _NOT_FOR_POWERSCAN + ("powers",)
+_NOT_FOR_CHARP = ("harness", "imagemap", "weyl", "ortho", "linalg", "powers")
 
 
 @pytest.mark.parametrize("statement, argv, not_loaded", [
     ("import mathieulab", (), ("poly", "rings", "cli")),
-    ("import mathieulab.cli", (), _NOT_FOR_ORTHO + _NOT_FOR_CERTIFY),
+    ("import mathieulab.cli", (), _NOT_FOR_ORTHO + _NOT_FOR_KERNEL_MAP),
     (_RUN_MAIN, ("certify", "w1*z1 - 1"), _NOT_FOR_KERNEL_MAP),
     (_RUN_MAIN, ("lmap", "w1*z1^2"), _NOT_FOR_KERNEL_MAP),
-    (_RUN_MAIN, ("powerscan", "w1*z1^2", "--mmax", "3"), _NOT_FOR_KERNEL_MAP),
+    (_RUN_MAIN, ("powerscan", "w1*z1^2", "--mmax", "3"), _NOT_FOR_POWERSCAN),
     (_RUN_MAIN, ("conj73", "w1*z1^2", "--mmax", "3"), _NOT_FOR_KERNEL_MAP),
-    (_RUN_MAIN, ("ortho", "--family", "legendre", "--dmax", "3"), _NOT_FOR_ORTHO + ("linalg",)),
+    (_RUN_MAIN, ("ortho", "--family", "legendre", "--dmax", "3"), _NOT_FOR_ORTHO),
+    (_RUN_MAIN, ("moments", "--family", "jacobi", "--alpha", "1", "--nmax", "3"),
+     _NOT_FOR_ORTHO),
     (_RUN_MAIN, ("scan", "--oracle", "moment:hermite", "x^2 - 1/2", "x", "--mmax", "3"),
      ("imagemap", "weyl", "linalg", "charp")),
-    (_RUN_MAIN, ("charp", "willems", "--p", "3"), _NOT_FOR_CHARP),
+    (_RUN_MAIN, ("charp", "willems", "--p", "3"), _NOT_FOR_CHARP + ("parsing",)),
     (_RUN_MAIN, ("lemma81", "u - 1"), _NOT_FOR_CHARP),
-    (_RUN_MAIN, ("charp", "example12", "--p", "3"), _NOT_FOR_CHARP),
+    (_RUN_MAIN, ("charp", "example12", "--p", "3"), _NOT_FOR_CHARP + ("parsing",)),
     (_RUN_MAIN, ("scan", "--oracle", "laurent", "t^-1 + t", "t"),
      ("imagemap", "weyl", "ortho", "linalg", "charp")),
-], ids=["package", "cli", "certify", "lmap", "powerscan", "conj73", "ortho", "scan-moment",
-        "charp-willems", "lemma81", "charp-example12", "scan-laurent"])
+], ids=["package", "cli", "certify", "lmap", "powerscan", "conj73", "ortho", "moments",
+        "scan-moment", "charp-willems", "lemma81", "charp-example12", "scan-laurent"])
 def test_cold_call_loads_only_its_modules(statement, argv, not_loaded):
     """In a fresh interpreter: no dataclasses or inspect, and no module the call does not run."""
     proc = subprocess.run([sys.executable, "-c", _LOADED.format(statement), *argv],
@@ -976,6 +1066,31 @@ def test_cold_call_loads_only_its_modules(statement, argv, not_loaded):
     assert "mathieulab" in loaded
     absent = ("dataclasses", "inspect") + tuple(f"mathieulab.{m}" for m in not_loaded)
     assert loaded.isdisjoint(absent), sorted(loaded.intersection(absent))
+
+
+def test_cold_cli_cycle_compiles_a_pinned_number_of_lines(tmp_path, monkeypatch):
+    """A deterministic count for the benchmark's cold `cli` workload: each of
+    its 15 requests runs in a fresh interpreter, and the lines of every
+    mathieulab module that the call loaded (`cli.py` and the package's
+    `__init__.py` included) are summed.  Without bytecode files, as the
+    benchmark runs, a cold call compiles each of those lines.  The total moves
+    with any edit to a module that some request loads; re-pin it then."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    inputs = importlib.import_module("inputs")
+    lmap_file = tmp_path / "lmap.txt"
+    lmap_file.write_text("w1*z2 - w3*z3^2\n")
+    package = Path(mathieulab.__file__).parent
+    lines = {f"mathieulab.{path.stem}": len(path.read_text().splitlines())
+             for path in package.glob("*.py")}
+    lines["mathieulab"] = lines.pop("mathieulab.__init__")
+    compiled = 0
+    for _, argv in inputs.cli_requests(str(lmap_file)):
+        proc = subprocess.run([sys.executable, "-c", _LOADED.format(_RUN_MAIN), *argv],
+                              env=_subprocess_env(), stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        compiled += sum(lines.get(name, 0) for name in proc.stderr.split())
+    assert compiled == 21680
 
 
 @pytest.mark.parametrize("name", mathieulab.__all__)

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import random_polynomial
 from mathieulab.imagemap import _falling_product
-from mathieulab.poly import (NEG_INF, Grading, Polynomial, VariableSet, _below, _int_powers,
-                            _pack, _pair_mask, _unpacker)
+from mathieulab.poly import NEG_INF, Grading, Polynomial, VariableSet
+from mathieulab.powers import _below, _int_powers, _pack, _pair_mask, _unpacker
 from mathieulab.rings import GF, QI, QQ, GaussianRational
 
 XY = VariableSet(("x", "y"))
