@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "ImageProblem": "imagemap", "L_map": "imagemap", "certify_imD": "imagemap",
     "decompose": "imagemap", "power_scan": "imagemap", "recompose": "imagemap",
-    "Grading": "poly", "Polynomial": "poly", "VariableSet": "poly",
-    "VerificationError": "poly",
+    "Polynomial": "poly", "VariableSet": "poly", "VerificationError": "poly",
     "GF": "rings", "QI": "rings", "QQ": "rings", "RingDescriptor": "rings",
 }
 

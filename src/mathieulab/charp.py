@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import count
 from math import factorial
 
-from .poly import NEG_INF, Polynomial, Report, VariableSet, VerificationError
+from .poly import Polynomial, Report, VariableSet, VerificationError
 from .rings import GF, QQ, is_prime, valuation_p
 
 
@@ -116,13 +116,10 @@ def crucial_lemma_descent(b: Polynomial, p_wit: Polynomial, q_wit: Polynomial,
     if -(t_apply(problem, 1, p_wit) + t_apply(problem, 2, q_wit)) != b:
         raise ValueError("witness identity fails: b != (d1-w1)p + (d2-w2)q")
     grading = problem.z_grading()
-    d = b.grade_degree(grading)
-    if d == NEG_INF:
-        d = 0
-    d = int(d)
+    d = b.grade_degree(grading) or 0
     for name, poly in (("p", p_wit), ("q", q_wit)):
         deg = poly.grade_degree(grading)
-        if deg != NEG_INF and deg > d + 2:
+        if deg is not None and deg > d + 2:
             raise ValueError(
                 f"degree hypothesis violated: z-degree of witness {name} exceeds d+2")
     p_comp = p_wit.homogeneous_components(grading)

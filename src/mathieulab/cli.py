@@ -261,12 +261,12 @@ def _cmd_ortho(args):
     rows = []
     for d in range(args.dmax + 1):
         rod = ortho.rodrigues(spec, d)
-        lam = ortho.lambda_power(spec, d, d).scale(ortho.rodrigues_constant(spec, d))
+        lam = ortho.lambda_power(spec, d).scale(ortho.rodrigues_constant(spec, d))
         lead = rod.terms.get((d,), QQ.one())
         if lam != rod:
-            raise VerificationError(f"generation routes disagree at degree {d}")
+            raise VerificationError(f"operator route disagrees with Rodrigues at degree {d}")
         if rod != monic[d].scale(lead):
-            raise VerificationError(f"generation routes disagree at degree {d}")
+            raise VerificationError(f"Gram-Schmidt disagrees with Rodrigues at degree {d}")
         rows.append({"degree": d, "polynomial": rod, "monic": monic[d], "leading_scalar": lead})
     return Report(command="ortho", family=spec.label(), routes_agree=True,
                   polynomials=rows), None

@@ -21,7 +21,6 @@ from __future__ import annotations
 from operator import mul, sub
 
 from .poly import Polynomial, Report, VerificationError, _printed
-from .powers import _int_powers
 from .rings import RingDescriptor
 
 
@@ -151,6 +150,7 @@ def laurent_constant_oracle(ring: RingDescriptor) -> SubspaceOracle:
     a capped f_0^m is empty, so is every later one: the remaining rows are
     one shared answer, every f^m and g f^m free of a constant term."""
     def scan(f, gs, m_max):
+        from .powers import _int_powers
         sign = [-1 if max(c) < 0 else 1 for c in zip(*f.terms)] or [1] * len(f.variables)
         f, *gs = [Polynomial(g.ring, g.variables, {tuple(map(mul, sign, e)): c
                                                    for e, c in g.terms.items()}) for g in (f, *gs)]
@@ -191,6 +191,7 @@ def kerL_oracle(problem: ImageProblem) -> SubspaceOracle:
     from .imagemap import L_map
 
     def scan(f, gs, m_max):
+        from .powers import _int_powers
         for x in (f, *gs):
             problem.check(x)
         return ((not lf, lambda products=products: [not lq for lq in products])
@@ -254,12 +255,13 @@ def _gvc_crosscheck(symbol, p_poly, q_poly, m_max, problem, premise, shifted):
     share no code with the `Polynomial` powers of the symbol or with
     `_apply_symbol`.
     """
-    ring, variables = problem.ring, problem.variables
-    f = symbol * p_poly.embed(ring, variables)
-    powers = _int_powers(f, m_max, problem.n, (q_poly.embed(ring, variables),))
+    from .powers import _int_powers
+    variables = problem.variables
+    f = symbol * p_poly.embed(variables)
+    powers = _int_powers(f, m_max, problem.n, (q_poly.embed(variables),))
     for m, (lf, lq) in enumerate(powers, start=1):
-        if (lf != premise[m - 1].embed(ring, variables).terms
-                or lq != shifted[m - 1].embed(ring, variables).terms):
+        if (lf != premise[m - 1].embed(variables).terms
+                or lq != shifted[m - 1].embed(variables).terms):
             raise VerificationError("kernel-map route disagrees with operator route")
 
 

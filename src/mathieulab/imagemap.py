@@ -21,7 +21,7 @@ from itertools import product
 from math import comb, factorial, perm, prod
 from operator import sub
 
-from .poly import NEG_INF, Grading, Polynomial, Report, VariableSet, VerificationError
+from .poly import Polynomial, Report, VariableSet, VerificationError
 from .rings import Immutable, RingDescriptor
 
 
@@ -40,10 +40,6 @@ class ImageProblem(Immutable):
             [f"w{i}" for i in range(1, n + 1)] + [f"z{i}" for i in range(1, n + 1)]))
 
     @property
-    def zeta_names(self):
-        return self.variables.names[:self.n]
-
-    @property
     def z_names(self):
         return self.variables.names[self.n:]
 
@@ -59,14 +55,12 @@ class ImageProblem(Immutable):
     def one(self) -> Polynomial:
         return Polynomial.one(self.ring, self.variables)
 
-    def deg_grading(self) -> Grading:
+    def deg_grading(self) -> tuple:
         """Weight -1 on each w_i and +1 on each z_i."""
-        w = {name: -1 for name in self.zeta_names}
-        w.update({name: 1 for name in self.z_names})
-        return Grading(w)
+        return (-1,) * self.n + (1,) * self.n
 
-    def z_grading(self) -> Grading:
-        return Grading({name: 1 for name in self.z_names})
+    def z_grading(self) -> tuple:
+        return (0,) * self.n + (1,) * self.n
 
     def check(self, f: Polynomial):
         if f.ring != self.ring or f.variables != self.variables:
@@ -265,8 +259,8 @@ def ic1_pipeline(problem: ImageProblem, f: Polynomial, m_max: int = 12) -> Repor
         raise ValueError("pipeline is specific to one variable pair")
     problem.check(f)
     r = f.grade_degree(problem.deg_grading())
-    if r == NEG_INF or r <= -1:
-        return Report(deg=None if r == NEG_INF else r, branch="negative_degree",
+    if r is None or r <= -1:
+        return Report(deg=r, branch="negative_degree",
                       power_scan=power_scan(problem, f, m_max))
     u_poly = Polynomial(problem.ring, VariableSet(("u1",)),
                         {(b,): c for (a, b), c in f.terms.items() if b - a == r})

@@ -6,7 +6,7 @@ even the Gaussian weight only ever contributes rational numbers.  Each weight
 is one pair (T, D) with w'/w = T / D (`_operator`).  `MomentFunctional` reads
 the moments off it by Pearson's recurrence and `gram_schmidt` turns them into
 the monic polynomials by the three-term recurrence (the Chebyshev algorithm);
-`lambda_power` applies d/dx + w'/w m <= a times to g^a = D^a on integer
+`lambda_power` applies d/dx + w'/w a times to g^a = D^a on integer
 coefficient lists.  The moment and operator routes share the pair, so the third,
 `rodrigues` (Rodrigues' formula as its Leibniz sum), is the independent one.
 """
@@ -146,29 +146,25 @@ def rodrigues_constant(spec: WeightSpec, a: int) -> Fraction:
     raise ValueError(f"no Rodrigues constant for {fam}")
 
 
-def lambda_power(spec: WeightSpec, a: int, m: int) -> Polynomial:
-    """m <= a applications of (d/dx + w'/w) to g^a, a polynomial.
+def lambda_power(spec: WeightSpec, a: int) -> Polynomial:
+    """a applications of (d/dx + w'/w) to g^a, a polynomial: w^(-1) d^a (w g^a).
 
     With w'/w = T / D the generator is g = D (hermite 1, laguerre x, jacobi
     and legendre (1-x)(1+x)), and for u = D^k P
-    (d/dx + T/D) u = D^(k-1) (D P' + (T + k D') P).  So the m-th application
-    is D^(a-m) P_m, with P_0 = 1 and P_(j+1) = D P_j' + (T + (a-j) D') P_j.
+    (d/dx + T/D) u = D^(k-1) (D P' + (T + k D') P).  So the a-th application
+    is P_a, with P_0 = 1 and P_(j+1) = D P_j' + (T + (a-j) D') P_j.
     T, D and D' have integer coefficients, so P_j (degree <= j) is a dense
-    integer list.  m > a raises ValueError, although for hermite (D = 1)
-    the value would still be a polynomial.
+    integer list.
     """
-    if not 0 <= m <= a:
-        raise ValueError(f"lambda_power takes 0 <= m <= a, got a = {a}, m = {m}")
+    if a < 0:
+        raise ValueError(f"lambda_power takes a >= 0, got a = {a}")
     (t0, t1), (d0, d1, d2) = _operator(spec)
     p = [1]
-    for j in range(m):
+    for j in range(a):
         s0, s1 = t0 + (a - j) * d1, t1 + 2 * (a - j) * d2  # T + (a-j) D'
         # x^i of D P' + (s0 + s1 x) P reads p_(i-1), p_i and p_(i+1)
         p = [(i + 1) * d0 * high + (i * d1 + s0) * mid + ((i - 1) * d2 + s1) * low
              for i, (low, mid, high) in enumerate(zip([0] + p, p + [0], p[1:] + [0, 0]))]
-    for _ in range(a - m):
-        p = [d0 * mid + d1 * low + d2 * low2
-             for mid, low, low2 in zip(p + [0, 0], [0] + p + [0], [0, 0] + p)]
     return _x_poly(p)
 
 

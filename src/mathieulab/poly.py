@@ -15,14 +15,11 @@ the other route, the integer power loop of `powers`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
-from operator import add
+from operator import add, mul
 from types import SimpleNamespace
 
 from .rings import Immutable, RingDescriptor
-
-NEG_INF = float("-inf")
 
 
 class VerificationError(Exception):
@@ -86,22 +83,6 @@ class VariableSet(Immutable):
 
     def __len__(self):
         return len(self.names)
-
-
-class Grading(Immutable):
-    """Integer weight per variable; a term's weight is the weighted exponent sum."""
-
-    __slots__ = __match_args__ = ("weights",)
-
-    def __init__(self, weights: dict):
-        object.__setattr__(self, "weights", dict(weights))
-
-    def term_weight(self, variables: VariableSet, exps: tuple) -> int:
-        return sum(self.weights.get(n, 0) * e for n, e in zip(variables.names, exps))
-
-    @staticmethod
-    def total_degree(variables: VariableSet) -> "Grading":
-        return Grading({n: 1 for n in variables.names})
 
 
 class Polynomial(Immutable):
@@ -189,8 +170,6 @@ class Polynomial(Immutable):
     def scale(self, c) -> "Polynomial":
         if isinstance(c, int):
             c = self.ring.from_int(c)
-        elif isinstance(c, Fraction) and self.ring.kind != "Q":
-            c = self.ring.from_fraction(c)
         if not c:
             return Polynomial.zero(self.ring, self.variables)
         return Polynomial(self.ring, self.variables,
@@ -231,21 +210,18 @@ class Polynomial(Immutable):
     def constant_coefficient(self):
         return self.terms.get((0,) * len(self.variables), self.ring.zero())
 
-    def grade_degree(self, grading: Grading):
-        """Max term weight under the grading; NEG_INF for the zero polynomial."""
-        if not self.terms:
-            return NEG_INF
-        return max(grading.term_weight(self.variables, e) for e in self.terms)
+    def grade_degree(self, weights: tuple):
+        """Max term weight, with one integer weight per variable in order; None for 0."""
+        return max((sum(map(mul, weights, e)) for e in self.terms), default=None)
 
     def total_degree(self):
-        return self.grade_degree(Grading.total_degree(self.variables))
+        return max(map(sum, self.terms), default=None)
 
-    def homogeneous_components(self, grading: Grading) -> dict:
-        """Split into graded pieces; values reassemble to self exactly."""
+    def homogeneous_components(self, weights: tuple) -> dict:
+        """Split by term weight (one weight per variable); values reassemble to self."""
         buckets = {}
         for exps, c in self.terms.items():
-            w = grading.term_weight(self.variables, exps)
-            buckets.setdefault(w, {})[exps] = c
+            buckets.setdefault(sum(map(mul, weights, exps)), {})[exps] = c
         return {w: Polynomial(self.ring, self.variables, t)
                 for w, t in sorted(buckets.items())}
 
@@ -274,16 +250,16 @@ class Polynomial(Immutable):
     def __repr__(self):
         return f"<Polynomial {self.to_str()}>"
 
-    def embed(self, ring: RingDescriptor, variables: VariableSet) -> "Polynomial":
-        """Re-home into a larger variable set (matched by name) or wider ring."""
+    def embed(self, variables: VariableSet) -> "Polynomial":
+        """Re-home into a larger variable set, matched by name, over the same ring."""
         idx = [variables.index(n) for n in self.variables.names]
         terms = {}
         for exps, c in self.terms.items():
             key = [0] * len(variables)
             for j, e in zip(idx, exps):
                 key[j] = e
-            terms[tuple(key)] = _convert_coeff(c, self.ring, ring)
-        return Polynomial(ring, variables, terms)
+            terms[tuple(key)] = c
+        return Polynomial(self.ring, variables, terms)
 
 
 def _graded_lex(term) -> tuple:
@@ -308,11 +284,3 @@ def _sum_terms(pairs) -> dict:
         elif c:
             out[key] = c
     return out
-
-
-def _convert_coeff(c, source: RingDescriptor, target: RingDescriptor):
-    if source == target:
-        return c
-    if source.kind == "Q":
-        return target.from_fraction(c)
-    raise ValueError(f"cannot convert coefficients from {source.kind} to {target.kind}")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MomentTable, random_coeff, random_polynomial
-from mathieulab import harness
+from mathieulab import harness, powers
 from mathieulab.harness import (
     MatrixValue,
     SubspaceOracle,
@@ -30,8 +30,8 @@ T_VARS = VariableSet(("t",), laurent=frozenset(("t",)))
 TU_VARS = VariableSet(("t", "u"), laurent=frozenset(("t", "u")))
 
 
-def _laurent(terms):
-    return Polynomial(QQ, T_VARS, {(k,): QQ.from_int(c) for k, c in terms.items()})
+def _laurent(terms, ring=QQ):
+    return Polynomial(ring, T_VARS, {(k,): ring.from_int(c) for k, c in terms.items()})
 
 
 def _operator(problem, terms):
@@ -284,13 +284,13 @@ def test_laurent_ceiling_empties_the_power(monkeypatch, f, g, last):
     """Past m = `last` no read reaches f_0^m: the power loop runs until its
     first empty power (the second f's only once t -> 1/t is applied), and
     every later row is one shared answer, with no power of its own."""
-    sizes, powers = [], harness._int_powers
+    sizes, honest = [], powers._int_powers
 
     def recording(*args, **kwargs):
-        for row in powers(*args, **kwargs):
+        for row in honest(*args, **kwargs):
             sizes.append(len(row[0]))
             yield row
-    monkeypatch.setattr(harness, "_int_powers", recording)
+    monkeypatch.setattr(powers, "_int_powers", recording)
     f, g = _laurent(f), _laurent(g)
     report = mathieu_scan(laurent_constant_oracle(QQ), f, [g], 400)
     assert report.verdict == "consistent"
@@ -360,11 +360,11 @@ def test_scan_edge_cases_match_products():
         assert _assert_matches_products(oracle, f, gs, m_max)["premise_held_through"] == m_max
     for ring in _SCAN_RINGS:
         oracle = laurent_constant_oracle(ring)
-        f = _laurent({1: 1, 2: 1}).embed(ring, T_VARS)  # f^m spans t^m .. t^2m
-        below, near = (_laurent({k: 1}).embed(ring, T_VARS) for k in (-30, -3))
+        f = _laurent({1: 1, 2: 1}, ring)  # f^m spans t^m .. t^2m
+        below, near = (_laurent({k: 1}, ring) for k in (-30, -3))
         report = _assert_matches_products(oracle, f, [below, below + near], 6)
         assert [g["stabilization_index"] for g in report["g_results"]] == [1, 4]
-        mixed = _laurent({-1: 1, 1: 1}).embed(ring, T_VARS)  # f^2 has constant term 2
+        mixed = _laurent({-1: 1, 1: 1}, ring)  # f^2 has constant term 2
         report = _assert_matches_products(oracle, mixed, [below], 6)
         assert (report["verdict"], report["premise_held_through"]) == ("premise_failed", 1)
 

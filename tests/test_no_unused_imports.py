@@ -1,11 +1,13 @@
 """Every name a library or test module imports is used in that module,
 every private module-level name of the library is read somewhere in it,
 every public module-level function and class is read by the library or the
-benchmark (or is allowlisted below with its reason), no library module
+benchmark (or is allowlisted below with its reason), every name the
+benchmark traces exists (bar the stale ones listed below), no library module
 imports `dataclasses`, only `Report` defines `as_report`, and the CLI prints
 in one place: `cli.main`."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import mathieulab
@@ -76,6 +78,55 @@ def test_public_names_are_read_outside_tests():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in read}
     assert unread == set(READ_ONLY_BY_TESTS)
+
+
+# traced names that no longer exist in the library, so their spans read 0; the
+# benchmark-upkeep item of ROADMAP.md drops them from bench/, and this list then empties
+STALE_TRACED = {
+    ("spans.METHODS", "poly.Polynomial.__rmul__"),
+    ("spans.METHODS", "poly.Polynomial.substitute"),
+    ("spans.METHODS", "poly.Polynomial.exact_divide"),
+    ("spans.METHODS", "weyl.WeylElement.compose"),
+    ("spans.METHODS", "weyl.WeylElement.apply"),
+    ("spans.METHODS", "weyl.WeylElement.power"),
+    ("spans.METHODS", "weyl.WeylElement.left_normal_terms"),
+    ("run.SPAN_SITES", "weyl.WeylElement.compose"),
+    ("run.SPAN_SITES", "weyl.WeylElement.apply"),
+    ("run.SPAN_SITES", "ortho.moments"),
+}
+
+
+def _bench_constant(module, name):
+    """The literal value of a module-level assignment in bench/<module>.py, read, not run."""
+    tree = ast.parse((TESTS.parent / "bench" / f"{module}.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == name)
+
+
+def _resolves(path):
+    """Whether `module.Name.attr` is defined in mathieulab, as the span recorder looks it up."""
+    short, *attrs = path.split(".")
+    try:
+        owner = importlib.import_module(f"mathieulab.{short}")
+    except ModuleNotFoundError:
+        return False
+    for attr in attrs:
+        owner = vars(owner).get(attr)
+        if owner is None:
+            return False
+    return True
+
+
+def test_every_name_the_bench_traces_exists():
+    """A deleted module, method or function that the benchmark traces fails here,
+    instead of its span reading 0 without notice."""
+    traced = ([("spans.MODULES", short) for short in _bench_constant("spans", "MODULES")]
+              + [("spans.METHODS", f"{owner}.{attr}")
+                 for owner, attrs in _bench_constant("spans", "METHODS").items()
+                 for attr in attrs]
+              + [("run.SPAN_SITES", site)
+                 for site in _bench_constant("run", "SPAN_SITES").values()])
+    assert {entry for entry in traced if not _resolves(entry[1])} == STALE_TRACED
 
 
 def _readers(tree, name):

@@ -190,22 +190,16 @@ def _literal_operator_oracle(spec, a):
 
 @pytest.mark.parametrize("spec", OPERATOR_SPECS, ids=WeightSpec.label)
 def test_lambda_power_matches_literal_oracle(spec):
-    """D^m lambda_power(spec, a, m) = N_m for a <= 14 and m <= a."""
+    """D^a lambda_power(spec, a) = N_a for a <= 14; a < 0 raises."""
     for a in range(15):
-        for m, (num, den_power) in enumerate(_literal_operator_oracle(spec, a)):
-            assert lambda_power(spec, a, m) * den_power == num, (a, m)
-
-
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=WeightSpec.label)
-def test_lambda_power_takes_m_at_most_a(spec):
-    """m > a raises, even where the value is a polynomial (hermite: D = 1)."""
-    for a, m in ((0, 1), (2, 3), (3, 5), (0, -1)):
-        with pytest.raises(ValueError):
-            lambda_power(spec, a, m)
+        *_, (num, den_power) = _literal_operator_oracle(spec, a)
+        assert lambda_power(spec, a) * den_power == num, a
+    with pytest.raises(ValueError):
+        lambda_power(spec, -1)
 
 
 def test_lambda_power_builds_no_products(monkeypatch):
-    """lambda_power(spec, a, a) multiplies no Polynomials and builds a fixed number."""
+    """lambda_power(spec, a) multiplies no Polynomials and builds a fixed number."""
     products, built = [], []
     mul, init = Polynomial.__mul__, Polynomial.__init__
 
@@ -223,7 +217,7 @@ def test_lambda_power_builds_no_products(monkeypatch):
         counts = []
         for a in (1, 6, 14):
             built.clear()
-            lambda_power(spec, a, a)
+            lambda_power(spec, a)
             counts.append(len(built))
         assert products == [] and len(set(counts)) == 1, (spec.label(), counts)
     list(_literal_operator_oracle(WeightSpec("legendre"), 3))
@@ -235,7 +229,7 @@ def test_rodrigues_equals_operator_route():
         if spec.family == "uniform01":
             continue
         for a in range(7):
-            lam = lambda_power(spec, a, a)
+            lam = lambda_power(spec, a)
             assert lam.scale(rodrigues_constant(spec, a)) == rodrigues(spec, a)
 
 

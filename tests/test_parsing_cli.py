@@ -818,9 +818,17 @@ def test_scan_violation_recheck_exits_2_under_optimize():
                            "as a miss\n")
 
 
+_ORTHO_CHECKS = {  # the route put off at degree 3 -> the check that fails
+    "rodrigues": "operator route disagrees with Rodrigues",
+    "lambda_power": "operator route disagrees with Rodrigues",
+    "gram_schmidt": "Gram-Schmidt disagrees with Rodrigues",
+}
+
+
 @pytest.mark.parametrize("route", ["gram_schmidt", "rodrigues", "lambda_power"])
 def test_ortho_route_disagreement_exits_2_under_optimize(route):
-    """Under python -O, one route off at degree 3 makes `ortho` exit 2."""
+    """Under python -O, one route off at degree 3 makes `ortho` exit 2, and
+    the message names the check that failed."""
     script = textwrap.dedent(f"""
         import sys
         from fractions import Fraction
@@ -844,7 +852,7 @@ def test_ortho_route_disagreement_exits_2_under_optimize(route):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr == "verification failure: generation routes disagree at degree 3\n"
+    assert proc.stderr == f"verification failure: {_ORTHO_CHECKS[route]} at degree 3\n"
 
 
 def test_ortho_shared_operator_fault_exits_2_under_optimize():
@@ -864,7 +872,7 @@ def test_ortho_shared_operator_fault_exits_2_under_optimize():
 
         ortho._operator = wrong
         spec = ortho.WeightSpec("laguerre", 2)
-        lam = ortho.lambda_power(spec, 4, 4)
+        lam = ortho.lambda_power(spec, 4)
         print(lam == ortho.gram_schmidt(ortho.MomentFunctional(spec), 4)[4].scale(lam.terms[(4,)]))
         sys.exit(cli.main(["ortho", "--family", "laguerre", "--alpha", "2", "--dmax", "4"]))
     """)
@@ -872,7 +880,8 @@ def test_ortho_shared_operator_fault_exits_2_under_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == "True\n"
-    assert proc.stderr == "verification failure: generation routes disagree at degree 1\n"
+    assert proc.stderr == ("verification failure: operator route disagrees with Rodrigues "
+                           "at degree 1\n")
 
 
 def test_koszul_check_exits_2_under_optimize():
@@ -945,7 +954,7 @@ def test_decompose_recompose_check_exits_2(monkeypatch, capsys):
 @pytest.mark.parametrize("route", ["rodrigues", "gram_schmidt"])
 def test_ortho_route_disagreement_exits_2(monkeypatch, capsys, route):
     """A Rodrigues route off at degree 3 fails the operator comparison, and a
-    Gram-Schmidt route off there fails the monic one."""
+    Gram-Schmidt route off there fails the monic one; each message says which."""
     from mathieulab import ortho
     honest = getattr(ortho, route)
 
@@ -958,7 +967,7 @@ def test_ortho_route_disagreement_exits_2(monkeypatch, capsys, route):
         return value
     monkeypatch.setattr(ortho, route, wrong)
     assert run_cli(capsys, "ortho", "--family", "jacobi", "--alpha", "1", "--dmax", "4") == (
-        2, "", "verification failure: generation routes disagree at degree 3\n")
+        2, "", f"verification failure: {_ORTHO_CHECKS[route]} at degree 3\n")
 
 
 def test_theorem51_at_p_101_finishes():
@@ -1049,14 +1058,17 @@ _NOT_FOR_CHARP = ("harness", "imagemap", "weyl", "ortho", "linalg", "powers")
     (_RUN_MAIN, ("moments", "--family", "jacobi", "--alpha", "1", "--nmax", "3"),
      _NOT_FOR_ORTHO),
     (_RUN_MAIN, ("scan", "--oracle", "moment:hermite", "x^2 - 1/2", "x", "--mmax", "3"),
-     ("imagemap", "weyl", "linalg", "charp")),
+     ("imagemap", "weyl", "linalg", "charp", "powers")),
+    (_RUN_MAIN, ("scan", "--oracle", "trace", "[1,0;0,-1]", "--mmax", "2"),
+     ("imagemap", "weyl", "ortho", "linalg", "charp", "powers")),
+    (_RUN_MAIN, ("jacobian", "z2", "0", "--n", "2"), ("weyl", "ortho", "linalg", "charp", "powers")),
     (_RUN_MAIN, ("charp", "willems", "--p", "3"), _NOT_FOR_CHARP + ("parsing",)),
     (_RUN_MAIN, ("lemma81", "u - 1"), _NOT_FOR_CHARP),
     (_RUN_MAIN, ("charp", "example12", "--p", "3"), _NOT_FOR_CHARP + ("parsing",)),
     (_RUN_MAIN, ("scan", "--oracle", "laurent", "t^-1 + t", "t"),
      ("imagemap", "weyl", "ortho", "linalg", "charp")),
 ], ids=["package", "cli", "certify", "lmap", "powerscan", "conj73", "ortho", "moments",
-        "scan-moment", "charp-willems", "lemma81", "charp-example12", "scan-laurent"])
+        "scan-moment", "scan-trace", "jacobian", "charp-willems", "lemma81", "charp-example12", "scan-laurent"])
 def test_cold_call_loads_only_its_modules(statement, argv, not_loaded):
     """In a fresh interpreter: no dataclasses or inspect, and no module the call does not run."""
     proc = subprocess.run([sys.executable, "-c", _LOADED.format(statement), *argv],
@@ -1090,7 +1102,7 @@ def test_cold_cli_cycle_compiles_a_pinned_number_of_lines(tmp_path, monkeypatch)
                               stderr=subprocess.PIPE, text=True, timeout=60)
         assert proc.returncode == 0, (argv, proc.stderr)
         compiled += sum(lines.get(name, 0) for name in proc.stderr.split())
-    assert compiled == 21680
+    assert compiled == 21126
 
 
 @pytest.mark.parametrize("name", mathieulab.__all__)

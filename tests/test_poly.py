@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_polynomial
 from mathieulab.imagemap import _falling_product
-from mathieulab.poly import NEG_INF, Grading, Polynomial, VariableSet
+from mathieulab.poly import Polynomial, VariableSet
 from mathieulab.powers import _below, _int_powers, _pack, _pair_mask, _unpacker
 from mathieulab.rings import GF, QI, QQ, GaussianRational
 
@@ -97,26 +97,32 @@ def test_pow_matches_repeated_product(rng):
 
 
 def test_grading_and_components(rng):
-    grading = Grading({"x": 1, "y": -2})
-    for _ in range(50):
-        f = random_polynomial(rng, QQ, XY)
-        comps = f.homogeneous_components(grading)
-        total = Polynomial.zero(QQ, XY)
-        for w, part in comps.items():
-            assert part.grade_degree(grading) == w
-            assert len(part.homogeneous_components(grading)) == 1
-            total = total + part
-        assert total == f
-    assert Polynomial.zero(QQ, XY).grade_degree(grading) == NEG_INF
+    """A grading is one integer weight per variable, in order; a zero weight
+    leaves its variable out of the degree."""
+    for weights in ((1, -2), (0, 1), (1, 1)):
+        for _ in range(50):
+            f = random_polynomial(rng, QQ, XY)
+            comps = f.homogeneous_components(weights)
+            total = Polynomial.zero(QQ, XY)
+            for w, part in comps.items():
+                assert part.grade_degree(weights) == w
+                assert len(part.homogeneous_components(weights)) == 1
+                total = total + part
+            assert total == f
+            if weights == (1, 1) and f:
+                assert f.total_degree() == f.grade_degree(weights)
+        assert Polynomial.zero(QQ, XY).grade_degree(weights) is None
+    x3y2 = Polynomial.var(QQ, XY, "x", 3) * Polynomial.var(QQ, XY, "y", 2)
+    assert x3y2.grade_degree((0, 1)) == 2 and x3y2.total_degree() == 5
+    assert Polynomial.zero(QQ, XY).total_degree() is None
 
 
 def test_embed_by_name():
     small = VariableSet(("y",))
-    f = Polynomial.var(QQ, small, "y", 2)
-    g = f.embed(QQ, XY)
-    assert g == Polynomial.var(QQ, XY, "y", 2)
-    gi = f.embed(QI, XY)
-    assert gi.ring == QI
+    f = Polynomial.var(QI, small, "y", 2)
+    g = f.embed(XY)
+    assert g == Polynomial.var(QI, XY, "y", 2)
+    assert g.ring == QI
 
 
 def test_canonical_text_is_sorted():
