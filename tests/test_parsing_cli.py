@@ -1061,14 +1061,16 @@ _NOT_FOR_CHARP = ("harness", "imagemap", "weyl", "ortho", "linalg", "powers")
      ("imagemap", "weyl", "linalg", "charp", "powers")),
     (_RUN_MAIN, ("scan", "--oracle", "trace", "[1,0;0,-1]", "--mmax", "2"),
      ("imagemap", "weyl", "ortho", "linalg", "charp", "powers")),
-    (_RUN_MAIN, ("jacobian", "z2", "0", "--n", "2"), ("weyl", "ortho", "linalg", "charp", "powers")),
+    (_RUN_MAIN, ("jacobian", "z2", "0", "--n", "2"),
+     ("weyl", "ortho", "linalg", "charp", "powers")),
     (_RUN_MAIN, ("charp", "willems", "--p", "3"), _NOT_FOR_CHARP + ("parsing",)),
     (_RUN_MAIN, ("lemma81", "u - 1"), _NOT_FOR_CHARP),
     (_RUN_MAIN, ("charp", "example12", "--p", "3"), _NOT_FOR_CHARP + ("parsing",)),
     (_RUN_MAIN, ("scan", "--oracle", "laurent", "t^-1 + t", "t"),
      ("imagemap", "weyl", "ortho", "linalg", "charp")),
 ], ids=["package", "cli", "certify", "lmap", "powerscan", "conj73", "ortho", "moments",
-        "scan-moment", "scan-trace", "jacobian", "charp-willems", "lemma81", "charp-example12", "scan-laurent"])
+        "scan-moment", "scan-trace", "jacobian", "charp-willems", "lemma81", "charp-example12",
+        "scan-laurent"])
 def test_cold_call_loads_only_its_modules(statement, argv, not_loaded):
     """In a fresh interpreter: no dataclasses or inspect, and no module the call does not run."""
     proc = subprocess.run([sys.executable, "-c", _LOADED.format(statement), *argv],
