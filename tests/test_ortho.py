@@ -190,12 +190,21 @@ def _literal_operator_oracle(spec, a):
 
 @pytest.mark.parametrize("spec", OPERATOR_SPECS, ids=WeightSpec.label)
 def test_lambda_power_matches_literal_oracle(spec):
-    """D^a lambda_power(spec, a) = N_a for a <= 14; a < 0 raises."""
+    """D^a lambda_power(spec, a) = N_a for a <= 14."""
     for a in range(15):
         *_, (num, den_power) = _literal_operator_oracle(spec, a)
         assert lambda_power(spec, a) * den_power == num, a
-    with pytest.raises(ValueError):
-        lambda_power(spec, -1)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=WeightSpec.label)
+def test_lambda_power_has_degree_a(spec):
+    """w^(-1) d^a (w g^a) has degree exactly a, uniform01 too; a < 0 raises."""
+    assert lambda_power(spec, 0) == ONE
+    for a in range(1, 9):
+        assert lambda_power(spec, a).total_degree() == a, a
+    for a in (-1, -3):
+        with pytest.raises(ValueError):
+            lambda_power(spec, a)
 
 
 def test_lambda_power_builds_no_products(monkeypatch):

@@ -29,6 +29,8 @@ VALUES = {
                        "RingDescriptor(kind='Fp', characteristic=7)"),
     "VariableSet": (lambda: VariableSet(["t", "u"], laurent={"t"}), VariableSet(("t", "u")),
                     "VariableSet(names=('t', 'u'), laurent=frozenset({'t'}))"),
+    "Polynomial": (lambda: Polynomial.var(QQ, D1, "d1", 2), Polynomial.var(QQ, D1, "d1", 3),
+                   "<Polynomial d1^2>"),
     "ImageProblem": (lambda: ImageProblem(2, QQ), ImageProblem(2, QI),
                      "ImageProblem(n=2, ring=RingDescriptor(kind='Q', characteristic=0))"),
     "WeightSpec": (lambda: WeightSpec("jacobi", 1, 2), WeightSpec("jacobi", 2, 1),
