@@ -396,17 +396,17 @@ _COMMANDS = {
 }
 
 
-def _add_commands(parser, table, dest, argv=None):
-    """Register every name of `table`; with `argv`, give flags only to the one it
+def _add_commands(parser, table, dest, argv):
+    """Register every name of `table`, and give flags only to the one `argv`
     names, its first word that does not start with '-': the one argparse runs."""
     sub = parser.add_subparsers(dest=dest, required=True)
-    words = None if argv is None else list(dropwhile(lambda a: a.startswith("-"), argv))
+    words = list(dropwhile(lambda a: a.startswith("-"), argv))
     for name, entry in table.items():
         p = sub.add_parser(name, allow_abbrev=False)
-        if words is not None and words[:1] != [name]:
+        if words[:1] != [name]:
             continue
         if isinstance(entry, dict):
-            _add_commands(p, entry, "mode", words and words[1:])
+            _add_commands(p, entry, "mode", words[1:])
             continue
         handler, flags = entry
         p.set_defaults(handler=handler)
@@ -415,8 +415,8 @@ def _add_commands(parser, table, dest, argv=None):
             p.add_argument(option, **spec)
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The whole parser tree, or with `argv` the flags of the command it names only."""
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser tree for `argv`, with flags for the command it names only."""
     parser = _Parser(prog="mathieulab", allow_abbrev=False,
                      description="Exact kernel-map, orthogonal-polynomial and "
                                  "Mathieu-subspace experiments")

@@ -3,14 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import count
-from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_polynomial
-from mathieulab import charp, imagemap
+from mathieulab import charp
 from mathieulab.charp import (
     crucial_lemma_descent,
     example12_refutation,
@@ -266,72 +265,17 @@ def test_example12():
     assert example12_refutation(3, 3).refuted
 
 
-# -- each re-check refuses a tampered route -----------------------------
-
-def test_sufficiency_check_refuses_a_wrong_t_operator(monkeypatch):
-    problem = ImageProblem(2, GF(3))
-    b = problem.zeta(2) ** 3 * problem.z(1)
-    assert sufficient_membership(b, problem).verify(b)
-    honest = imagemap.t_apply
-    monkeypatch.setattr(imagemap, "t_apply",
-                        lambda problem, i, h: honest(problem, i, h) + problem.one())
-    with pytest.raises(VerificationError, match="sufficiency witness failed to re-verify"):
-        sufficient_membership(b, problem)
-
-
-def test_koszul_check_refuses_a_wrong_quotient(monkeypatch):
-    problem = ImageProblem(2, GF(3))
-    g = problem.z(1) * problem.z(2)
-    p_poly, q_poly = problem.zeta(2) * g, -(problem.zeta(1) * g)
-    monkeypatch.setattr(charp, "Polynomial", lambda *args: Polynomial(*args) + problem.z(1))
-    with pytest.raises(VerificationError, match="Koszul solution failed to re-verify"):
-        koszul_solve(problem, p_poly, q_poly)
-
-
 # b = (d1-w1)p + (d2-w2)q with p = w2*z1^2, q = -w1*z1^2: g_top = 0, g_mid = z1^2
 _DESCENT = ("2*w2*z1", "w2*z1^2", "0 - w1*z1^2")
 
 
-def test_descent_check_refuses_a_wrong_derivative(monkeypatch):
-    """Doubled derivatives change only the final identity's right-hand side."""
+def test_descent_of_a_witness_without_a_top_layer():
+    """The fault table's `charp crucial` input, on which doubled derivatives
+    change only the final identity's right-hand side."""
     problem = ImageProblem(2, GF(3))
     b, p_wit, q_wit = (parse_polynomial(t, problem.ring, problem.variables) for t in _DESCENT)
     witness = crucial_lemma_descent(b, p_wit, q_wit, problem)
     assert witness.g_top.is_zero() and witness.g_mid == problem.z(1) ** 2
-    honest = Polynomial.partial
-    monkeypatch.setattr(Polynomial, "partial", lambda self, name: honest(self, name).scale(2))
-    with pytest.raises(VerificationError, match="descent identity failed to verify"):
-        crucial_lemma_descent(b, p_wit, q_wit, problem)
-
-
-def test_theorem51_check_refuses_a_declined_sample(monkeypatch):
-    """A witness that declines g*f^10 under a holding premise contradicts the theorem."""
-    problem = ImageProblem(1, GF(3))
-    f, g = (parse_polynomial(t, problem.ring, problem.variables) for t in ("w1*z1 + 2*w1^2",
-                                                                           "z1 - 1"))
-    honest, calls = charp.sufficient_membership, []
-
-    def decline_the_second_sample(b, problem):
-        calls.append(b)
-        return None if len(calls) == 3 else honest(b, problem)
-    monkeypatch.setattr(charp, "sufficient_membership", decline_the_second_sample)
-    with pytest.raises(VerificationError, match=r"g\*f\^10 has a term outside J"):
-        theorem51_pipeline(f, g, problem)
-
-
-def test_example12_check_refuses_a_derivative_over_q(monkeypatch):
-    """Over Q, d/dz reaches every z^e below the bound: the first one missed is z^12."""
-    monkeypatch.setattr(charp, "GF", lambda p: QQ)
-    with pytest.raises(VerificationError,
-                       match="the first monomial outside the image is z\\^12, not z\\^2"):
-        example12_refutation(3)
-
-
-def test_lemma81_check_refuses_a_wrong_factorial(monkeypatch):
-    """n! + 1 for n!: L(g^2)/0! for g = u - 1 becomes 1 - 2 + 3/2 = 1/2."""
-    monkeypatch.setattr(charp, "factorial", lambda n: factorial(n) + 1)
-    with pytest.raises(VerificationError, match=r"L\(g\^2\)/\(0\)! has 2-valuation -1, not 0"):
-        lemma81_nonvanishing(_u_poly({1: 1, 0: -1}))
 
 
 def test_frobenius_expansion_random():

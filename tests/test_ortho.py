@@ -22,7 +22,7 @@ from mathieulab.ortho import (
     rodrigues,
     rodrigues_constant,
 )
-from mathieulab.poly import Polynomial, VerificationError
+from mathieulab.poly import Polynomial
 from mathieulab.rings import QQ
 
 X = Polynomial.var(QQ, X_VARS, "x")
@@ -135,12 +135,6 @@ def test_zero_norm_is_a_singular_hankel_system():
     for route in (gram_schmidt, _projection_oracle):
         with pytest.raises(ValueError, match="singular Hankel system"):
             route(m, 2)
-
-
-def test_rodrigues_degree_check_fires(monkeypatch):
-    monkeypatch.setattr(ortho, "rodrigues_constant", lambda spec, a: Fraction(0))
-    with pytest.raises(VerificationError, match="wrong degree"):
-        rodrigues(WeightSpec("legendre"), 3)
 
 
 def test_rodrigues_known_values():

@@ -1,4 +1,10 @@
-"""Grammar round trips, parser errors, CLI dispatch, and report schemas."""
+"""Grammar round trips, parser errors, CLI dispatch, and report schemas.
+
+Parser tests build the parser the way `main` does, from the argv it runs, so
+they check the flags a call really gets.  The one `python -O` run of the
+suite is here; `test_verification_sites.py` makes every other check fail in
+this process.
+"""
 
 import argparse
 import contextlib
@@ -543,11 +549,11 @@ _READ_SAMPLES = [
 
 
 def test_cli_table_accepts_exactly_the_flags_read(capsys):
-    """Walk the parser: each subcommand's flags are the ones its handler reads."""
-    parser = cli.build_parser()
+    """In the parser `main` builds for it, each subcommand's flags are the ones
+    its handler reads."""
     reads = {}
     for argv in _READ_SAMPLES:
-        args = parser.parse_args(list(argv), namespace=_ReadLog())
+        args = cli.build_parser(list(argv)).parse_args(list(argv), namespace=_ReadLog())
         handler = args.handler
         args._reads.clear()
         handler(args)
@@ -555,7 +561,7 @@ def test_cli_table_accepts_exactly_the_flags_read(capsys):
         reads.setdefault(path, set()).update(args._reads)
     capsys.readouterr()
     for path, flags in _leaf_commands():
-        sub = _subparser(parser, path)
+        sub = _subparser(cli.build_parser(list(path)), path)
         accepted = {a.dest for a in sub._actions if a.dest != "help"}
         assert accepted == {cli._FLAGS[f][0].lstrip("-") for f in flags}, path
         # main() reads --format to emit the report
@@ -644,332 +650,6 @@ def test_verification_failure_exits_2_under_optimize():
     assert proc.stderr.startswith("verification failure:")
 
 
-def test_zero_component_check_exits_2_under_optimize():
-    """Under python -O an L route that is off by 1 makes `certify` exit 2."""
-    script = textwrap.dedent("""
-        import sys
-        from mathieulab import cli, imagemap
-        if sys.flags.optimize != 1:
-            sys.exit(3)
-        honest = imagemap.L_map
-        imagemap.L_map = lambda problem, f: honest(problem, f) + problem.one()
-        sys.exit(cli.main(["certify", "1 - w1*z1"]))
-    """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == ("verification failure: the zero component of the decomposition "
-                           "is not L(f)\n")
-
-
-def test_decompose_recompose_check_exits_2_under_optimize():
-    """Under python -O a recompose route that is off by 1 makes `decompose` exit 2."""
-    script = textwrap.dedent("""
-        import sys
-        from mathieulab import cli, imagemap
-        if sys.flags.optimize != 1:
-            sys.exit(3)
-        honest = imagemap.recompose
-        imagemap.recompose = lambda problem, components: (
-            honest(problem, components) + problem.one())
-        sys.exit(cli.main(["decompose", "w1*z1^2 - 3*z1", "--n", "1"]))
-    """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == "verification failure: decomposition did not recompose to the input\n"
-
-
-def test_descent_check_exits_2_under_optimize():
-    """Under python -O doubled derivatives make `charp crucial` exit 2."""
-    script = textwrap.dedent("""
-        import sys
-        from mathieulab import cli
-        from mathieulab.poly import Polynomial
-        if sys.flags.optimize != 1:
-            sys.exit(3)
-        honest = Polynomial.partial
-        Polynomial.partial = lambda self, name: honest(self, name).scale(2)
-        sys.exit(cli.main(["charp", "crucial", "2*w2*z1", "w2*z1^2", "0 - w1*z1^2",
-                           "--p", "3"]))
-    """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == "verification failure: descent identity failed to verify\n"
-
-
-def test_theorem51_witness_check_exits_2_under_optimize():
-    """Under python -O a t-operator that is off by 1 makes `charp theorem51` exit 2."""
-    script = textwrap.dedent("""
-        import sys
-        from mathieulab import cli, imagemap
-        if sys.flags.optimize != 1:
-            sys.exit(3)
-        honest = imagemap.t_apply
-        imagemap.t_apply = lambda problem, i, h: honest(problem, i, h) + problem.one()
-        sys.exit(cli.main(["charp", "theorem51", "w1*z1 + 2*w1^2", "z1 - 1", "--p", "3",
-                           "--n", "1"]))
-    """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == "verification failure: sufficiency witness failed to re-verify\n"
-
-
-def test_theorem51_decline_exits_2_under_optimize():
-    """Under python -O a witness that declines one sample under a holding
-    premise makes `charp theorem51` exit 2."""
-    script = textwrap.dedent("""
-        import sys
-        from mathieulab import charp, cli
-        if sys.flags.optimize != 1:
-            sys.exit(3)
-        honest, calls = charp.sufficient_membership, []
-
-        def decline_the_second_sample(b, problem):
-            calls.append(b)
-            return None if len(calls) == 3 else honest(b, problem)
-
-        charp.sufficient_membership = decline_the_second_sample
-        sys.exit(cli.main(["charp", "theorem51", "w1*z1 + 2*w1^2", "z1 - 1", "--p", "3",
-                           "--n", "1"]))
-    """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == "verification failure: g*f^10 has a term outside J = (w_i^p)\n"
-
-
-def test_example12_check_exits_2_under_optimize():
-    """Under python -O a derivative taken over Q instead of F_3, which misses
-    no degree below the bound, makes `charp example12` exit 2."""
-    script = textwrap.dedent("""
-        import sys
-        from mathieulab import charp, cli, rings
-        if sys.flags.optimize != 1:
-            sys.exit(3)
-        charp.GF = lambda p: rings.QQ
-        sys.exit(cli.main(["charp", "example12", "--p", "3"]))
-    """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == ("verification failure: the first monomial outside the image is "
-                           "z^12, not z^2\n")
-
-
-def test_lemma81_check_exits_2_under_optimize():
-    """Under python -O a factorial off by one, which moves L(g^2)/0! for
-    g = u - 1 to 1/2, makes `lemma81` exit 2 at its first admissible prime."""
-    script = textwrap.dedent("""
-        import sys
-        from math import factorial
-        from mathieulab import charp, cli
-        if sys.flags.optimize != 1:
-            sys.exit(3)
-        charp.factorial = lambda n: factorial(n) + 1
-        sys.exit(cli.main(["lemma81", "u - 1"]))
-    """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == "verification failure: L(g^2)/(0)! has 2-valuation -1, not 0\n"
-
-
-def test_scan_violation_recheck_exits_2_under_optimize():
-    """Under python -O a laurent route that claims g f^m_max as a miss makes `scan` exit 2.
-
-    g f^m = t^-1 (t^2 + t)^m: the miss at m = 1 is real, the one at m_max = 6 is not.
-    """
-    script = textwrap.dedent("""
-        import sys
-        from mathieulab import cli, harness
-        if sys.flags.optimize != 1:
-            sys.exit(3)
-        honest = harness.laurent_constant_oracle
-
-        def tampered(ring):
-            oracle = honest(ring)
-            route = oracle.scan
-
-            def scan(f, gs, m_max):
-                for m, (member, g_members) in enumerate(route(f, gs, m_max), start=1):
-                    yield member, lambda g_members=g_members, last=m == m_max: [
-                        x and not last for x in g_members()]
-            oracle.scan = scan
-            return oracle
-
-        harness.laurent_constant_oracle = tampered
-        sys.exit(cli.main(["scan", "--oracle", "laurent", "t^2 + t", "t^-1", "--mmax", "6"]))
-    """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == ("verification failure: laurent_constant_Q scan reported a member "
-                           "as a miss\n")
-
-
-_ORTHO_CHECKS = {  # the route put off at degree 3 -> the check that fails
-    "rodrigues": "operator route disagrees with Rodrigues",
-    "lambda_power": "operator route disagrees with Rodrigues",
-    "gram_schmidt": "Gram-Schmidt disagrees with Rodrigues",
-}
-
-
-@pytest.mark.parametrize("route", ["gram_schmidt", "rodrigues", "lambda_power"])
-def test_ortho_route_disagreement_exits_2_under_optimize(route):
-    """Under python -O, one route off at degree 3 makes `ortho` exit 2, and
-    the message names the check that failed."""
-    script = textwrap.dedent(f"""
-        import sys
-        from fractions import Fraction
-        from mathieulab import cli, ortho
-        if sys.flags.optimize != 1:
-            sys.exit(3)
-        honest = ortho.{route}
-
-        def wrong(*args):
-            value = honest(*args)
-            if isinstance(value, dict):
-                value[3] = value[3].scale(Fraction(1, 2))
-            elif value.total_degree() == 3:
-                value = value + value
-            return value
-
-        ortho.{route} = wrong
-        sys.exit(cli.main(["ortho", "--family", "jacobi", "--alpha", "1", "--dmax", "4"]))
-    """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == f"verification failure: {_ORTHO_CHECKS[route]} at degree 3\n"
-
-
-def test_ortho_shared_operator_fault_exits_2_under_optimize():
-    """Under python -O a wrong (T, D) pair, which the moments and the operator
-    route share, makes `ortho` exit 2.  Laguerre(2) given laguerre(3)'s pair
-    keeps those two routes in agreement, so the closed forms catch it."""
-    script = textwrap.dedent("""
-        import sys
-        from mathieulab import cli, ortho
-        if sys.flags.optimize != 1:
-            sys.exit(3)
-        honest = ortho._operator
-
-        def wrong(spec):  # T = alpha - x with alpha one too high
-            (t0, t1), den = honest(spec)
-            return [t0 + 1, t1], den
-
-        ortho._operator = wrong
-        spec = ortho.WeightSpec("laguerre", 2)
-        lam = ortho.lambda_power(spec, 4)
-        print(lam == ortho.gram_schmidt(ortho.MomentFunctional(spec), 4)[4].scale(lam.terms[(4,)]))
-        sys.exit(cli.main(["ortho", "--family", "laguerre", "--alpha", "2", "--dmax", "4"]))
-    """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == "True\n"
-    assert proc.stderr == ("verification failure: operator route disagrees with Rodrigues "
-                           "at degree 1\n")
-
-
-def test_koszul_check_exits_2_under_optimize():
-    """Under python -O a Koszul quotient off by z1 makes `charp crucial` exit 2."""
-    script = textwrap.dedent("""
-        import sys
-        from mathieulab import charp, cli
-        from mathieulab.poly import Polynomial
-        if sys.flags.optimize != 1:
-            sys.exit(3)
-        charp.Polynomial = lambda *args: Polynomial(*args) + Polynomial.var(*args[:2], "z1")
-        sys.exit(cli.main(["charp", "crucial", "2*w2*z1", "w2*z1^2", "0 - w1*z1^2",
-                           "--p", "3"]))
-    """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == "verification failure: Koszul solution failed to re-verify\n"
-
-
-def test_gvc_crosscheck_exits_2_under_optimize():
-    """Under python -O an operator route that is off by 1 makes `gvc` exit 2."""
-    script = textwrap.dedent("""
-        import sys
-        from mathieulab import cli, harness
-        from mathieulab.poly import Polynomial
-        if sys.flags.optimize != 1:
-            sys.exit(3)
-        honest = harness._apply_symbol
-        harness._apply_symbol = lambda symbol, h: honest(symbol, h) + Polynomial.one(
-            h.ring, h.variables)
-        sys.exit(cli.main(["gvc", "d1^2", "z1", "z1^3 - z1", "--mmax", "3"]))
-    """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == ("verification failure: kernel-map route disagrees with "
-                           "operator route\n")
-
-
-def test_rodrigues_degree_check_exits_2_under_optimize():
-    """Under python -O a Rodrigues constant of 0 makes `ortho` exit 2."""
-    script = textwrap.dedent("""
-        import sys
-        from fractions import Fraction
-        from mathieulab import cli, ortho
-        if sys.flags.optimize != 1:
-            sys.exit(3)
-        ortho.rodrigues_constant = lambda spec, a: Fraction(0)
-        sys.exit(cli.main(["ortho", "--family", "legendre", "--dmax", "3"]))
-    """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == ("verification failure: Rodrigues polynomial of degree 0 has "
-                           "the wrong degree\n")
-
-
-def test_decompose_recompose_check_exits_2(monkeypatch, capsys):
-    honest = imagemap.recompose
-    monkeypatch.setattr(imagemap, "recompose", lambda problem, components: (
-        honest(problem, components) + problem.one()))
-    assert run_cli(capsys, "decompose", "w1*z1^2 - 3*z1", "--n", "1") == (
-        2, "", "verification failure: decomposition did not recompose to the input\n")
-
-
-@pytest.mark.parametrize("route", ["rodrigues", "gram_schmidt"])
-def test_ortho_route_disagreement_exits_2(monkeypatch, capsys, route):
-    """A Rodrigues route off at degree 3 fails the operator comparison, and a
-    Gram-Schmidt route off there fails the monic one; each message says which."""
-    from mathieulab import ortho
-    honest = getattr(ortho, route)
-
-    def wrong(*args):
-        value = honest(*args)
-        if isinstance(value, dict):
-            value[3] = value[3].scale(Fraction(1, 2))
-        elif value.total_degree() == 3:
-            value = value + value
-        return value
-    monkeypatch.setattr(ortho, route, wrong)
-    assert run_cli(capsys, "ortho", "--family", "jacobi", "--alpha", "1", "--dmax", "4") == (
-        2, "", f"verification failure: {_ORTHO_CHECKS[route]} at degree 3\n")
-
-
 def test_theorem51_at_p_101_finishes():
     """f^(p^2) has p^2 = 10201 here; the run must end well inside the timeout."""
     proc = subprocess.run([sys.executable, "-m", "mathieulab.cli", "charp", "theorem51",
@@ -1025,7 +705,7 @@ def test_cli_file_input(capsys, schema, tmp_path):
 
 
 def _choices(path, option):
-    parser = _subparser(cli.build_parser(), path)
+    parser = _subparser(cli.build_parser(list(path)), path)
     return next(a.choices for a in parser._actions if option in a.option_strings)
 
 

@@ -1,73 +1,195 @@
-"""Every `raise VerificationError` in the library has a test that makes it fire,
-in this process and, through the CLI, under `python -O`.
+"""Every `raise VerificationError` in the library fires through the CLI, and
+`python -O` runs the same code.
 
-The table names, per enclosing function and in source order, one row for
-each raise site: a test that breaks a route the site re-checks and expects
-the error, and a `*_exits_2_under_optimize` test that breaks it in a
-`python -O` process and expects a CLI command to exit 2, so no site rests on
-an `assert`.  A new site without a row, a listed test that is gone, or an
-`-O` test in no row fails.  The corpus enters every library function that
-`UNREACHED` does not list, so some CLI command reaches each such site, and
-its row must name an `-O` test.
+`FAULTS` holds one row per raise site, in source order: an id (the site's
+dotted scope, then `:` and a label where a scope has two sites), a function
+that breaks a route the site re-checks through `monkeypatch`, the argv of a
+command that reaches the site, and the check's message.  One test runs each
+row through `cli.main` in this process: unbroken the command exits 0, broken
+it exits 2 with nothing on stdout and exactly that message on stderr.  A new
+site without a row, or a row without a site, fails the count check.
+
+No check may rest on an `assert`, `if __debug__:` or `sys.flags`: every
+library module compiles to the same code objects, nested ones included, with
+and without optimisation, and none reads `sys.flags`.  So each in-process row
+also shows its `python -O` behaviour;
+`test_parsing_cli.py::test_verification_failure_exits_2_under_optimize` is the
+one end-to-end run under `python -O`.
 """
 
 import ast
+import textwrap
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
+from typing import Callable, NamedTuple
+
+import pytest
 
 import mathieulab
-from test_cli_corpus import UNREACHED
+from mathieulab import charp, cli, harness, imagemap, ortho
+from mathieulab.poly import Polynomial
+from mathieulab.rings import QQ
+from test_charp import _DESCENT
+from test_harness import _claim_a_miss_at_m_max
 
-TESTS = Path(__file__).parent
 LIBRARY = sorted(Path(mathieulab.__file__).parent.glob("*.py"))
 
-# site -> one (in-process test, python -O test) row per raise, in source order
-FAULT_TESTS = {
-    "charp.sufficient_membership": [
-        ("test_charp.py::test_sufficiency_check_refuses_a_wrong_t_operator",
-         "test_parsing_cli.py::test_theorem51_witness_check_exits_2_under_optimize")],
-    "charp.koszul_solve": [
-        ("test_charp.py::test_koszul_check_refuses_a_wrong_quotient",
-         "test_parsing_cli.py::test_koszul_check_exits_2_under_optimize")],
-    "charp.crucial_lemma_descent": [
-        ("test_charp.py::test_descent_check_refuses_a_wrong_derivative",
-         "test_parsing_cli.py::test_descent_check_exits_2_under_optimize")],
-    "charp.theorem51_pipeline": [
-        ("test_charp.py::test_theorem51_check_refuses_a_declined_sample",
-         "test_parsing_cli.py::test_theorem51_decline_exits_2_under_optimize")],
-    "charp.example12_refutation": [
-        ("test_charp.py::test_example12_check_refuses_a_derivative_over_q",
-         "test_parsing_cli.py::test_example12_check_exits_2_under_optimize")],
-    "charp.lemma81_nonvanishing": [
-        ("test_charp.py::test_lemma81_check_refuses_a_wrong_factorial",
-         "test_parsing_cli.py::test_lemma81_check_exits_2_under_optimize")],
-    "cli._cmd_decompose": [
-        ("test_parsing_cli.py::test_decompose_recompose_check_exits_2",
-         "test_parsing_cli.py::test_decompose_recompose_check_exits_2_under_optimize")],
-    "cli._cmd_ortho": [  # the operator route, then Gram-Schmidt, against Rodrigues
-        ("test_parsing_cli.py::test_ortho_route_disagreement_exits_2[rodrigues]",
-         "test_parsing_cli.py::test_ortho_shared_operator_fault_exits_2_under_optimize"),
-        ("test_parsing_cli.py::test_ortho_route_disagreement_exits_2[gram_schmidt]",
-         "test_parsing_cli.py::test_ortho_route_disagreement_exits_2_under_optimize"
-         "[gram_schmidt]")],
-    "harness.mathieu_scan": [
-        ("test_harness.py::test_violation_recheck_refuses_a_member_reported_as_a_miss",
-         "test_parsing_cli.py::test_scan_violation_recheck_exits_2_under_optimize")],
-    "harness._gvc_crosscheck": [
-        ("test_harness.py::test_gvc_crosscheck_refuses_a_wrong_operator_value",
-         "test_parsing_cli.py::test_gvc_crosscheck_exits_2_under_optimize")],
-    "imagemap.certify_imD": [
-        ("test_imagemap.py::test_certify_refuses_a_zero_component_that_is_not_lmap",
-         "test_parsing_cli.py::test_zero_component_check_exits_2_under_optimize"),
-        ("test_imagemap.py::test_certify_refuses_a_witness_that_does_not_verify",
-         "test_parsing_cli.py::test_verification_failure_exits_2_under_optimize")],
-    "ortho.rodrigues": [
-        ("test_ortho.py::test_rodrigues_degree_check_fires",
-         "test_parsing_cli.py::test_rodrigues_degree_check_exits_2_under_optimize")],
-}
+
+class Fault(NamedTuple):
+    id: str
+    breaks: Callable  # (monkeypatch) -> None
+    argv: tuple
+    stderr: str  # what follows "verification failure: "
 
 
-def _raise_sites(path):
-    """The dotted enclosing scope of each `raise VerificationError`, in source order."""
+def _plus_one(owner, name):
+    """Break `owner.name` so that the polynomial it returns is off by 1."""
+    honest = getattr(owner, name)
+
+    def wrong(*args):
+        value = honest(*args)
+        return value + Polynomial.one(value.ring, value.variables)
+    return lambda mp: mp.setattr(owner, name, wrong)
+
+
+def _decline_the_second_sample(mp):
+    """A witness that declines g*f^(p^2+1) although the premise holds."""
+    honest, calls = charp.sufficient_membership, []
+
+    def decline(b, problem):
+        calls.append(b)
+        return None if len(calls) == 3 else honest(b, problem)
+    mp.setattr(charp, "sufficient_membership", decline)
+
+
+def _wrong_operator_pair(mp):
+    """T = alpha - x with alpha one too high: the moments and the operator
+    route share the pair, so only the closed forms disagree."""
+    honest = ortho._operator
+
+    def wrong(spec):
+        (t0, t1), den = honest(spec)
+        return [t0 + 1, t1], den
+    mp.setattr(ortho, "_operator", wrong)
+
+
+def _off_at_degree_3(route):
+    """Break `ortho.route` at degree 3 only."""
+    honest = getattr(ortho, route)
+
+    def wrong(*args):
+        value = honest(*args)
+        if isinstance(value, dict):
+            value[3] = value[3].scale(Fraction(1, 2))
+        elif value.total_degree() == 3:
+            value = value + value
+        return value
+    return lambda mp: mp.setattr(ortho, route, wrong)
+
+
+def _claims_a_miss_at_m_max(mp):
+    """The Laurent scan reports every g*f^m_max as a miss."""
+    honest = harness.laurent_constant_oracle
+
+    def tampered(ring):
+        oracle = honest(ring)
+        oracle.scan = _claim_a_miss_at_m_max(oracle.scan)
+        return oracle
+    mp.setattr(harness, "laurent_constant_oracle", tampered)
+
+
+def _shift_only(n, i, h):
+    """t_i without its derivative term: the witness's image is not f."""
+    for exps, c in h.terms.items():
+        yield exps[:i - 1] + (exps[i - 1] + 1,) + exps[i:], c
+
+
+_HONEST_PARTIAL = Polynomial.partial
+_THEOREM51 = ("charp", "theorem51", "w1*z1 + 2*w1^2", "z1 - 1", "--p", "3", "--n", "1")
+_CRUCIAL = ("charp", "crucial", *_DESCENT, "--p", "3")
+_CERTIFY = ("certify", "1 - w1*z1")
+
+FAULTS = [
+    Fault("charp.sufficient_membership", _plus_one(imagemap, "t_apply"), _THEOREM51,
+          "sufficiency witness failed to re-verify"),
+    Fault("charp.koszul_solve",  # each quotient off by z1
+          lambda mp: mp.setattr(charp, "Polynomial", lambda *args: (
+              Polynomial(*args) + Polynomial.var(*args[:2], "z1"))),
+          _CRUCIAL, "Koszul solution failed to re-verify"),
+    Fault("charp.crucial_lemma_descent",  # doubled derivatives
+          lambda mp: mp.setattr(Polynomial, "partial", lambda self, name: (
+              _HONEST_PARTIAL(self, name).scale(2))),
+          _CRUCIAL, "descent identity failed to verify"),
+    Fault("charp.theorem51_pipeline", _decline_the_second_sample, _THEOREM51,
+          "g*f^10 has a term outside J = (w_i^p)"),
+    Fault("charp.example12_refutation",  # over Q, d/dz misses no z^e below the bound
+          lambda mp: mp.setattr(charp, "GF", lambda p: QQ), ("charp", "example12", "--p", "3"),
+          "the first monomial outside the image is z^12, not z^2"),
+    Fault("charp.lemma81_nonvanishing",  # L(g^2)/0! for g = u - 1 becomes 1 - 2 + 3/2
+          lambda mp: mp.setattr(charp, "factorial", lambda n: factorial(n) + 1),
+          ("lemma81", "u - 1"), "L(g^2)/(0)! has 2-valuation -1, not 0"),
+    Fault("cli._cmd_decompose", _plus_one(imagemap, "recompose"),
+          ("decompose", "w1*z1^2 - 3*z1", "--n", "1"),
+          "decomposition did not recompose to the input"),
+    Fault("cli._cmd_ortho:operator", _wrong_operator_pair,
+          ("ortho", "--family", "laguerre", "--alpha", "2", "--dmax", "4"),
+          "operator route disagrees with Rodrigues at degree 1"),
+    Fault("cli._cmd_ortho:gram_schmidt", _off_at_degree_3("gram_schmidt"),
+          ("ortho", "--family", "jacobi", "--alpha", "1", "--dmax", "4"),
+          "Gram-Schmidt disagrees with Rodrigues at degree 3"),
+    Fault("harness.mathieu_scan",  # t^-1 (t^2 + t)^m misses at m = 1, not at m = 6
+          _claims_a_miss_at_m_max,
+          ("scan", "--oracle", "laurent", "t^2 + t", "t^-1", "--mmax", "6"),
+          "laurent_constant_Q scan reported a member as a miss"),
+    Fault("harness._gvc_crosscheck", _plus_one(harness, "_apply_symbol"),
+          ("gvc", "d1^2", "z1", "z1^3 - z1", "--mmax", "3"),
+          "kernel-map route disagrees with operator route"),
+    Fault("imagemap.certify_imD:zero_component", _plus_one(imagemap, "L_map"), _CERTIFY,
+          "the zero component of the decomposition is not L(f)"),
+    Fault("imagemap.certify_imD:witness",
+          lambda mp: mp.setattr(imagemap, "_t_terms", _shift_only), _CERTIFY,
+          "certificate failed to re-verify"),
+    Fault("ortho.rodrigues",
+          lambda mp: mp.setattr(ortho, "rodrigues_constant", lambda spec, a: Fraction(0)),
+          ("ortho", "--family", "legendre", "--dmax", "3"),
+          "Rodrigues polynomial of degree 0 has the wrong degree"),
+]
+
+# faults at a site that a row covers, which its row's break does not reach:
+# certify re-checks f_0 before it branches on membership, and the operator
+# check watches both of the routes it compares
+MORE_FAULTS = [
+    Fault("imagemap.certify_imD:zero_component:nonmember", _plus_one(imagemap, "L_map"),
+          ("certify", "w1*z1"), "the zero component of the decomposition is not L(f)"),
+    *(Fault(f"cli._cmd_ortho:operator:{route}", _off_at_degree_3(route),
+            ("ortho", "--family", "jacobi", "--alpha", "1", "--dmax", "4"),
+            "operator route disagrees with Rodrigues at degree 3")
+      for route in ("rodrigues", "lambda_power")),
+]
+
+
+@pytest.mark.parametrize("fault", FAULTS + MORE_FAULTS, ids=lambda fault: fault.id)
+def test_a_broken_route_exits_2(monkeypatch, capsys, fault):
+    """Unbroken the command exits 0; broken it exits 2 with only the check's message."""
+    assert cli.main(list(fault.argv)) == 0
+    capsys.readouterr()
+    fault.breaks(monkeypatch)
+    assert cli.main(list(fault.argv)) == 2
+    assert capsys.readouterr() == ("", f"verification failure: {fault.stderr}\n")
+
+
+def test_a_wrong_operator_pair_keeps_lambda_power_on_gram_schmidt(monkeypatch):
+    """The operator row's break moves the moments with the operator route."""
+    _wrong_operator_pair(monkeypatch)
+    spec = ortho.WeightSpec("laguerre", 2)
+    lam = ortho.lambda_power(spec, 4)
+    assert lam == ortho.gram_schmidt(ortho.MomentFunctional(spec), 4)[4].scale(lam.terms[(4,)])
+
+
+def _raise_sites(source, module):
+    """The dotted enclosing scope of each raise of `VerificationError`, called or
+    not, by name or by attribute, in source order."""
     sites = []
 
     def visit(node, scope):
@@ -75,47 +197,62 @@ def _raise_sites(path):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
-                    and isinstance(child.exc.func, ast.Name)
-                    and child.exc.func.id == "VerificationError"):
-                sites.append(".".join(scope))
+            if isinstance(child, ast.Raise):
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+                if name == "VerificationError":
+                    sites.append(".".join(scope))
             visit(child, scope)
 
-    visit(ast.parse(path.read_text(), filename=str(path)), (path.stem,))
+    visit(ast.parse(source), (module,))
     return sites
 
 
-def _defined_tests():
-    return {f"{path.name}::{node.name}" for path in TESTS.glob("test_*.py")
-            for node in ast.parse(path.read_text(), filename=str(path)).body
-            if isinstance(node, ast.FunctionDef)}
+def test_the_site_scanner_sees_every_form_of_the_raise():
+    source = textwrap.dedent("""
+        def f():
+            raise VerificationError("called")
+        class C:
+            def g(self):
+                raise VerificationError
+                raise poly.VerificationError("by attribute")
+            raise poly.VerificationError
+        def h(exc):
+            raise ValueError("another exception")
+            raise exc.VerificationErrors
+            raise
+    """)
+    assert _raise_sites(source, "m") == ["m.f", "m.C.g", "m.C.g", "m.C"]
 
 
-def test_every_verification_site_has_a_fault_test():
-    sites = {}
-    for path in LIBRARY:
-        for scope in _raise_sites(path):
-            sites[scope] = sites.get(scope, 0) + 1
-    assert sites == {scope: len(rows) for scope, rows in FAULT_TESTS.items()}
+def test_every_verification_site_has_one_row():
+    assert [site for path in LIBRARY for site in _raise_sites(path.read_text(), path.stem)] == [
+        fault.id.partition(":")[0] for fault in FAULTS]
 
 
-def _function(test):
-    """The test function a row names; `name[id]` names one case of it."""
-    return test.partition("[")[0]
+def _same_under_optimize(source):
+    """`python -O` compiles `source` to the code `python` does, nested code
+    objects included, and `source` never reads `sys.flags`."""
+    reads_flags = any(
+        isinstance(node, ast.Attribute) and node.attr == "flags"
+        and getattr(node.value, "id", None) == "sys"
+        or isinstance(node, ast.ImportFrom) and node.module == "sys"
+        and any(alias.name == "flags" for alias in node.names)
+        for node in ast.walk(ast.parse(source)))
+    return not reads_flags and (compile(source, "<source>", "exec", optimize=0)
+                                == compile(source, "<source>", "exec", optimize=1))
 
 
-def test_every_listed_fault_test_exists():
-    missing = [test for rows in FAULT_TESTS.values() for row in rows for test in row
-               if test is not None and _function(test) not in _defined_tests()]
-    assert not missing
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda path: path.name)
+def test_python_O_runs_the_same_code(path):
+    assert _same_under_optimize(path.read_text())
 
 
-def test_every_site_a_cli_command_reaches_has_an_optimize_test():
-    missing = [site for site, rows in FAULT_TESTS.items() for _, optimized in rows
-               if optimized is None and site.partition(".")[2] not in UNREACHED]
-    assert not missing
-    listed = {_function(optimized) for rows in FAULT_TESTS.values()
-              for _, optimized in rows if optimized is not None}
-    assert all(test.endswith("_exits_2_under_optimize") for test in listed)
-    assert {test for test in _defined_tests()
-            if test.endswith("_exits_2_under_optimize")} <= listed
+@pytest.mark.parametrize("source", [
+    "class A:\n    def f(self, x):\n        assert x\n        return x\n",
+    "def f(x):\n    if __debug__:\n        x += 1\n    return x\n",
+    "import sys\nstrict = sys.flags.optimize == 0\n",
+    "from sys import flags\n",
+], ids=["assert", "__debug__", "sys.flags", "from sys import flags"])
+def test_the_parity_check_sees_what_python_O_changes(source):
+    assert not _same_under_optimize(source)
