@@ -63,6 +63,11 @@ def _decline_the_second_sample(mp):
     mp.setattr(charp, "sufficient_membership", decline)
 
 
+def _doubled_derivatives(mp):
+    honest = Polynomial.partial
+    mp.setattr(Polynomial, "partial", lambda self, name: honest(self, name).scale(2))
+
+
 def _wrong_operator_pair(mp):
     """T = alpha - x with alpha one too high: the moments and the operator
     route share the pair, so only the closed forms disagree."""
@@ -105,7 +110,6 @@ def _shift_only(n, i, h):
         yield exps[:i - 1] + (exps[i - 1] + 1,) + exps[i:], c
 
 
-_HONEST_PARTIAL = Polynomial.partial
 _THEOREM51 = ("charp", "theorem51", "w1*z1 + 2*w1^2", "z1 - 1", "--p", "3", "--n", "1")
 _CRUCIAL = ("charp", "crucial", *_DESCENT, "--p", "3")
 _CERTIFY = ("certify", "1 - w1*z1")
@@ -117,10 +121,8 @@ FAULTS = [
           lambda mp: mp.setattr(charp, "Polynomial", lambda *args: (
               Polynomial(*args) + Polynomial.var(*args[:2], "z1"))),
           _CRUCIAL, "Koszul solution failed to re-verify"),
-    Fault("charp.crucial_lemma_descent",  # doubled derivatives
-          lambda mp: mp.setattr(Polynomial, "partial", lambda self, name: (
-              _HONEST_PARTIAL(self, name).scale(2))),
-          _CRUCIAL, "descent identity failed to verify"),
+    Fault("charp.crucial_lemma_descent", _doubled_derivatives, _CRUCIAL,
+          "descent identity failed to verify"),
     Fault("charp.theorem51_pipeline", _decline_the_second_sample, _THEOREM51,
           "g*f^10 has a term outside J = (w_i^p)"),
     Fault("charp.example12_refutation",  # over Q, d/dz misses no z^e below the bound
