@@ -25,7 +25,10 @@ premise at m = 2; and, in json and text, scans whose w-exponents pass p:
 over F_3 to m = 200, and an F_3 kerL scan of `w1*z1^2 + w1^3*z1` to m = 40;
 and, in json and text, `lemma81` skipping a prime that divides a
 denominator and at its default candidate, a Laurent scan with `(t)^-1`, an
-`lmap` input with a powered coefficient and one over F_1000003.
+`lmap` input with a powered coefficient and one over F_1000003; and, in
+json and text, F_3 and F_5 power scans and an F_3 kerL scan past m = p whose
+f has a w-free term, and a Q(i) Hermite scan at `--mmax` 2 (unknown) and 3
+(premise failed).
 Each JSON report that exits 0 must also
 validate against `report.schema.json`.
 
@@ -175,6 +178,20 @@ _PAST_P = [
     ("scan", "--oracle", "kerl", "w1*z1^2 + w1^3*z1", "z1", "--n", "1", "--ring", "fp",
      "--p", "3", "--mmax", "40"),
 ]
+# json and text: F_3 and F_5 power scans and an F_3 kerL scan past m = p whose f
+# has a w-free part f_0, so that L(f^m) = f_0(z^p) L(f^(m-p)) is not 0
+_FROBENIUS = [
+    ("powerscan", "w1*z1^2 + z1 + w1^2*z1", "--n", "1", "--ring", "fp", "--p", "3",
+     "--mmax", "10"),
+    ("powerscan", "w1*z2 + z1^2 + w2^2*z1*z2", "--n", "2", "--ring", "fp", "--p", "5",
+     "--mmax", "12"),
+    ("scan", "--oracle", "kerl", "w1*z1^3", "z1", "1", "--n", "1", "--ring", "fp", "--p", "3",
+     "--mmax", "4"),
+]
+# json and text: a non-real Hermite scan whose f has int f w = int f^2 w = 0, so
+# it is unknown at --mmax 2 and fails its premise at m = 3
+_RESIDUE = [("scan", "--oracle", "moment:hermite", "i*x^2 + x - 1/2*i", "1", "x", "--ring",
+             "qi", "--mmax", m) for m in ("2", "3")]
 # json and text: a negative power of a parenthesised variable, a powered
 # coefficient, and a --p past the primality test's trial divisions
 _BRANCHES = [
@@ -261,7 +278,7 @@ def _cases():
                 yield (name, mode, "--help")
     yield from _USAGE_CLASSES
     for fmt in ("json", "text"):
-        for argv in _EDGES + _DEEP_MOMENTS + _PAST_P + _BRANCHES:
+        for argv in _EDGES + _DEEP_MOMENTS + _PAST_P + _BRANCHES + _FROBENIUS + _RESIDUE:
             yield argv + ("--format", fmt)
 
 
