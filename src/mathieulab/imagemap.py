@@ -191,8 +191,8 @@ def power_scan(problem: ImageProblem, f: Polynomial, m_max: int) -> Report:
     `values` holds L(f^m) for m = 1..m_max, and `first_nonzero` is the
     first m with L(f^m) != 0 (None if all vanish).
 
-    The rows come from the integer power loop (`powers._int_powers`), on
-    packed keys and pruned to the terms that can still reach L's support.
+    The rows come from the integer power loop (`powers._int_powers`); over
+    F_p, L(f^m) = f_0(z^p) L(f^(m-p)) past m = p - 1 (f_0: f's w-free part).
     """
     from .powers import _int_powers
     problem.check(f)

@@ -1,7 +1,8 @@
 """The integer power loop: L(g * f^m), m = 1..m_max, for the kernel-map and
 constant-term scans.  Only the scan paths import it (`harness`, and
 `imagemap.power_scan` on its call), so a cold call that runs no scan never
-compiles it.
+compiles it.  Over F_p a kernel-map row past m = p - 1 is read off Frobenius,
+L(g f^m) = f_0(z^p) L(g f^(m-p)) (f_0: f's w-free part), not multiplied out.
 
 `_int_powers` puts f over one common denominator d once, multiplies integer
 numerators (an `int` over Q, an `(re, im)` pair over Q(i), a residue over F_p),
@@ -23,6 +24,7 @@ nowhere else.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import lcm, perm
 
@@ -46,21 +48,28 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=(), ceiling
     input after horizon pruning, not the true support of f^m: with D_i(g) =
     max(0, max over g's terms of b_i - a_i) and D_i(q) the largest over the
     cofactors, the product at step m drops every term with a_i > b_i +
-    (m_max - m) D_i(f) + D_i(q).  Each later factor f raises b_i - a_i by at
-    most D_i(f) and any q by at most D_i(q), so no such term reaches L's
-    support.  Over F_p, f, each q and each power also drop every term with
-    some a_i >= p (the p-cap): its scale b_i!/(b_i-a_i)! is a product of a_i
-    consecutive integers, so p divides it, and a product's a is the sum of
-    its factors' a, so no later factor lowers a_i.  The capped f^m is thus
-    f^m modulo the ideal (zeta_i^p), and f^p is the sum of c M^p over f's
-    terms c M (Frobenius), so when no term of f is free of zeta the capped
-    f^m is empty from m = p on.  With `pairs=0`, L is the identity: a dict
-    holds the true support of f^m (and of q * f^m), unless `ceiling(m)`
-    lists per variable the largest exponent that a read of f^m or of a later
-    power needs: no later factor lowers an exponent, so the product at step
-    m drops every term above it (`_below`).  A pruned power that is empty
-    stays empty, so once one is, every remaining row is yielded as fresh
-    empty dicts, with no product, predicate, kernel or decoding.
+    (h - m) D_i(f) + D_i(q), h the last power multiplied out (m_max, or p - 1
+    below).  Each later factor f raises b_i - a_i by at most D_i(f) and any q
+    by at most D_i(q), so no such term reaches L's support.
+
+    Over F_p, f, each q and each power also drop every term with some a_i >= p
+    (the p-cap): its scale b_i!/(b_i-a_i)! is a product of a_i consecutive
+    integers, so p divides it, and a product's a is the sum of its factors'
+    a, so no later factor lowers a_i.  So L kills the ideal (zeta_i^p) mod p,
+    and f^p is f_0(z^p) modulo it, f_0 the zeta-free part of f (Frobenius:
+    f^p is the sum of c M^p over f's terms c M); and z^(pc) commutes with L
+    mod p, as (b + pc)!/(b + pc - a)! = b!/(b - a)! mod p for a < p.  Hence
+    L(g f^m) = f_0(z^p) L(g f^(m-p)) for m >= p: with p <= m_max, h = p - 1,
+    and each later row is f_0(z^p) times the residues of the row p steps back
+    (row 0: L(1) = 1 and L(q)), or fresh empty dicts when f_0 = 0.
+
+    With `pairs=0`, L is the identity: a dict holds the true support of f^m
+    (and of q * f^m), unless `ceiling(m)` lists per variable the largest
+    exponent that a read of f^m or of a later power needs: no later factor
+    lowers an exponent, so the product at step m drops every term above it
+    (`_below`).  A pruned power that is empty stays empty, so once one is,
+    every remaining row is yielded as fresh empty dicts, with no product,
+    predicate, kernel or decoding.
     """
     gs = (f, *cofactors)
     exponents = [list(chain.from_iterable(g.terms)) for g in gs]
@@ -70,28 +79,28 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=(), ceiling
     # b_i + slack <= top(f) * m_max + top(q): every field keeps its guard bit clear
     width = (top[0] * m_max + max(top[1:], default=0)).bit_length() + 1
     (base, d), *numerators = [_numerators(g, width, pairs) for g in gs]
-    gaussian = f.ring.kind == "Qi"
+    gaussian, p = f.ring.kind == "Qi", f.ring.characteristic
     if gaussian:
         multiply = _gaussian_product
-    elif f.ring.kind == "Q":
+    elif not p:
         def multiply(g, h, keep):
             return {k: c for k, c in _int_product(g, h).items() if c and keep(k)}
     else:
-        p = f.ring.characteristic
-
         def multiply(g, h, keep):
             return {k: r for k, c in _int_product(g, h).items() if (r := c % p) and keep(k)}
-    cap = f.ring.characteristic - 1 if f.ring.kind == "Fp" else None
+    cap = p - 1 if p else None
+    last = cap if pairs and 0 < p <= m_max else m_max  # the last power multiplied out
     reach, *reach_q = [_reach(g, pairs) for g in gs]
     reach_q = [max(r) for r in zip([0] * pairs, *reach_q)]  # D(q) = 0 without a cofactor
     shift, field = pairs * width, (1 << width) - 1
     low, shifts = (1 << shift) - 1, range(0, shift, width)
     guard = _pack([1 << (width - 1)] * pairs, width)
     in_kernel = _pair_mask(pairs, width, cap=cap)
-    unpack, keys = _unpacker(len(f.variables) - pairs, width), {}
+    unpack = _unpacker(len(f.variables) - pairs, width)
+    key = cache(lambda k: (0,) * pairs + unpack(k))  # a packed output key's exponent tuple
 
     def kernel(power):
-        """L's numerators c * prod perm(b_i, a_i), summed on the output key b - a."""
+        """L's numerators c * prod perm(b_i, a_i), summed on the packed output key b - a."""
         out = {}
         get = out.get
         for k, c in power.items():
@@ -101,19 +110,27 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=(), ceiling
             scale = 1
             for s in shifts:
                 scale *= perm(b >> s & field, a >> s & field)
-            if (key := keys.get(b - a)) is None:
-                key = keys[b - a] = (0,) * pairs + unpack(b - a)
             if gaussian:
-                re, im = get(key, (0, 0))
-                out[key] = re + c[0] * scale, im + c[1] * scale
+                re, im = get(b - a, (0, 0))
+                out[b - a] = re + c[0] * scale, im + c[1] * scale
             else:
-                out[key] = get(key, 0) + c * scale
+                out[b - a] = get(b - a, 0) + c * scale
         return out
 
-    power, den = base, d
-    for m in range(1, m_max + 1):
+    power, den, d_gs = base, d, [1] + [d_q for _, d_q in numerators]
+    if last < m_max:  # f_0(z^p) on the output keys, and row 0: L(1) = 1 and each L(q)
+        frobenius = {(k >> shift) * p: c for k, c in base.items() if not k & low}
+        rows = [[{0: 1}] + [kernel(q) for q, _ in numerators]]
+
+    def row(sums):
+        """One decoded row; when rows past `last` are read off it, its residues are kept."""
+        if last < m_max:
+            rows.append(sums := [{k: r for k, c in s.items() if (r := c % p)} for s in sums])
+        return [_decode_terms(f.ring, s, den * d_g, key) for s, d_g in zip(sums, d_gs)]
+
+    for m in range(1, last + 1):
         if m > 1:
-            slack = _pack([(m_max - m) * r + r_q for r, r_q in zip(reach, reach_q)], width)
+            slack = _pack([(last - m) * r + r_q for r, r_q in zip(reach, reach_q)], width)
             keep = _below(ceiling(m), width) if ceiling else _pair_mask(pairs, width, slack, cap)
             power = multiply(power, base, keep)
             den *= d
@@ -121,9 +138,10 @@ def _int_powers(f: Polynomial, m_max: int, pairs: int = 0, cofactors=(), ceiling
             for _ in range(m, m_max + 1):
                 yield [{} for _ in gs]
             return
-        yield [_decode_terms(f.ring, kernel(power), den)] + [
-            _decode_terms(f.ring, kernel(multiply(power, q, in_kernel)), den * d_q)
-            for q, d_q in numerators]
+        yield row([kernel(power)] + [kernel(multiply(power, q, in_kernel)) for q, _ in numerators])
+    for m in range(last + 1, m_max + 1):  # over F_p: L(g f^m) = f_0(z^p) L(g f^(m-p))
+        yield row([_int_product(r, frobenius) for r in rows[m - p]] if frobenius
+                  else [{} for _ in gs])
 
 
 def _numerators(g: Polynomial, width: int, pairs: int):
@@ -222,18 +240,19 @@ def _gaussian_product(g: dict, h: dict, keep) -> dict:
     return {k: (r, im[k]) for k, r in re.items() if (r or im[k]) and keep(k)}
 
 
-def _decode_terms(ring: RingDescriptor, sums: dict, den: int) -> dict:
-    """Ring-element terms numerator / den of a {key: numerator} dict: one row of `_int_powers`.
+def _decode_terms(ring: RingDescriptor, sums: dict, den: int, key) -> dict:
+    """Ring-element terms numerator / den of a {packed key: numerator} dict: one
+    row of `_int_powers`, with `key` turning a packed key into its exponent tuple.
 
     The inverse of the power loop's encoding: a zero numerator (mod p over
     F_p) is dropped, and only the others become `Fraction`,
     `GaussianRational` or `PrimeFieldElement` values.
     """
     if ring.kind == "Q":
-        return {key: Fraction(c, den) for key, c in sums.items() if c}
+        return {key(k): Fraction(c, den) for k, c in sums.items() if c}
     if ring.kind == "Qi":
-        return {key: GaussianRational(Fraction(r, den), Fraction(i, den))
-                for key, (r, i) in sums.items() if r or i}
+        return {key(k): GaussianRational(Fraction(r, den), Fraction(i, den))
+                for k, (r, i) in sums.items() if r or i}
     p = ring.characteristic
-    return {key: PrimeFieldElement(r, p) for key, c in sums.items() if (r := c % p)}
+    return {key(k): PrimeFieldElement(r, p) for k, c in sums.items() if (r := c % p)}
 

@@ -389,22 +389,25 @@ def test_int_powers_with_cofactor_match_the_kernel_map():
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), p=st.sampled_from((2, 3, 5, 7)), n=st.integers(1, 2),
-       m_max=st.integers(1, 6))
-def test_int_powers_past_p_match_the_kernel_map(data, p, n, m_max):
+@given(data=st.data(), p=st.sampled_from((2, 3, 5, 7)), n=st.integers(1, 2))
+def test_int_powers_past_p_match_the_kernel_map(data, p, n):
     """Over F_p, with w-exponents drawn up to p + 1 so that f, the cofactors
     and the powers carry terms with some a_i >= p, the capped power loop
-    yields L(f^m) and each L(q f^m) as `f ** m` and L_map do."""
+    yields L(f^m) and each L(q f^m) as `f ** m` and L_map do, to m_max =
+    2p + 1, where rows past 2p - 1 are read off Frobenius twice."""
+    m_max = data.draw(st.integers(1, 2 * p + 1) | st.just(2 * p + 1))
     ring = GF(p)
     problem = ImageProblem(n, ring)
     term = st.tuples(st.tuples(*[st.integers(0, p + 1)] * n, *[st.integers(0, p + 2)] * n),
                      st.integers(1, p - 1))
+    w_free = st.tuples(st.tuples(*[st.just(0)] * n, *[st.integers(0, 2)] * n),
+                       st.integers(1, p - 1))
 
-    def draw(most):
+    def draw(most, terms=term, least=1):
         return Polynomial(ring, problem.variables, [
-            (e, ring.from_int(c)) for e, c in data.draw(st.lists(term, min_size=1,
+            (e, ring.from_int(c)) for e, c in data.draw(st.lists(terms, min_size=least,
                                                                   max_size=most))])
-    f = draw(4)
+    f = draw(4) + draw(2, w_free, 0)  # f_0 != 0 makes the rows past p nonzero
     qs = tuple(draw(2) for _ in range(data.draw(st.integers(0, 2))))
     power = problem.one()
     for m, (lf, *products) in enumerate(_int_powers(f, m_max, n, qs), start=1):
@@ -412,6 +415,30 @@ def test_int_powers_past_p_match_the_kernel_map(data, p, n, m_max):
         assert lf == L_map(problem, power).terms, (f, m)
         assert products == [L_map(problem, q * power).terms for q in qs], (f, qs, m)
     assert m == m_max
+
+
+def test_lmap_of_a_power_past_p_is_frobenius_times_an_earlier_one():
+    """Over F_p, L(g f^m) = f_0(z^p) L(g f^(m-p)) for m >= p, f_0 the w-free part
+    of f: f^p = f_0(z^p) plus terms with some a_i >= p, which L sends to 0, and
+    (b + pc)!/(b + pc - a)! = b!/(b - a)! mod p for a < p.  Polynomial and L_map
+    alone, with and without a w-free term, exponents up to p + 1."""
+    rng = random.Random(3939)
+    for p in (2, 3, 5, 7):
+        ring = GF(p)
+        for n in (1, 2):
+            problem = ImageProblem(n, ring)
+            for trial in range(4):
+                f, g = (_random_terms(rng, problem, lambda rng: ring.from_int(rng.randrange(p)),
+                                      3, lambda i: rng.randint(0, p + 1)) for _ in range(2))
+                if trial % 2:
+                    f = f + _random_terms(rng, problem, lambda rng: ring.one(), 1,
+                                          lambda i: rng.randint(0, 2) if i >= n else 0)
+                frobenius = Polynomial(ring, problem.variables, {
+                    (0,) * n + tuple(p * b for b in e[n:]): c
+                    for e, c in f.terms.items() if not any(e[:n])})
+                for m in range(p, 2 * p + 2):
+                    assert (L_map(problem, g * f ** m)
+                            == frobenius * L_map(problem, g * f ** (m - p))), (p, n, f, g, m)
 
 
 def test_lmap_vanishes_mod_p_once_a_w_exponent_reaches_p():
@@ -433,9 +460,10 @@ def test_lmap_vanishes_mod_p_once_a_w_exponent_reaches_p():
 def test_power_scan_without_a_w_free_term_vanishes_from_p(monkeypatch):
     """Over F_p, f^p is the sum of c M^p over f's terms c M (Frobenius), and
     with no w-free term every M^p has some a_i >= p, so L(f^m) = 0 from m = p
-    on, also past n(p-1): those rows come from an empty capped power, as
-    fresh empty dicts, after at most p - 1 products.  For w1*z1, L(f^(p-1)) =
-    (p-1)! is not 0, so the bound is reached, at exactly p - 1 products."""
+    on, also past n(p-1): those rows are f_0(z^p) = 0 times an earlier row, and
+    come as fresh empty dicts after at most p - 1 products.  For w1*z1,
+    L(f^(p-1)) = (p-1)! is not 0, so the loop runs to f^(p-1), at exactly p - 2
+    products, and forms none for the rows past it."""
     calls = []
 
     def counting(g, h):
@@ -464,13 +492,16 @@ def test_power_scan_without_a_w_free_term_vanishes_from_p(monkeypatch):
         calls.clear()
         values = power_scan(problem, problem.zeta(1) * problem.z(1), p + 2).values
         assert values[p - 2].constant_coefficient() == ring.from_int(math.factorial(p - 1))
-        assert not any(values[p - 1:]) and len(calls) == p - 1
+        assert not any(values[p - 1:]) and len(calls) == p - 2
 
 
 def test_power_loop_pair_products_on_a_fixed_f7_input(monkeypatch):
     """A deterministic work count: the pair products `_int_product` forms in one
     F_7 power scan of 6 terms to m = 12, the shape of the scans benchmark's F_7
-    requests.  Without the cap at a_i <= p - 1 the loop forms 10152."""
+    requests.  The loop multiplies out f^m to m = p - 1 = 6 (2082 products) and
+    reads rows 7..12 off f_0(z^7) = 5*z2^7 times rows 0..5 (47).  Multiplying
+    out every row to m = 12 forms 5454, and without the cap at a_i <= p - 1
+    too, 10152."""
     calls = []
 
     def counting(g, h):
@@ -482,7 +513,7 @@ def test_power_loop_pair_products_on_a_fixed_f7_input(monkeypatch):
     f = parse_polynomial("5*z2 + 2*w2*z1 + 5*w1^2*w2*z1^2*z2 + w1 + 5*w1*z1^2"
                          " + 4*w1*w2^2*z1^2*z2^2", GF(7), problem.variables)
     power_scan(problem, f, 12)
-    assert sum(calls) == 5454
+    assert sum(calls) == 2129
 
 
 def test_power_scan_decodes_only_the_printed_terms(monkeypatch):

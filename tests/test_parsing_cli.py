@@ -784,7 +784,7 @@ def test_cold_cli_cycle_compiles_a_pinned_number_of_lines(tmp_path, monkeypatch)
                               stderr=subprocess.PIPE, text=True, timeout=60)
         assert proc.returncode == 0, (argv, proc.stderr)
         compiled += sum(lines.get(name, 0) for name in proc.stderr.split())
-    assert compiled == 21126
+    assert compiled == 21164
 
 
 @pytest.mark.parametrize("name", mathieulab.__all__)
